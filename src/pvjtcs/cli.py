@@ -26,9 +26,20 @@ from pvjtcs.charging_scheduler import (
     write_plan_csv,
 )
 from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet, InfeasibleSetError, clamp_demand
-from pvjtcs.simulator import JTCS, TGC, Scenario, plan_day_ahead, run_jtcs, run_tgc
-from pvjtcs.vi_solver import SspmConvergenceError, kkt_verify, sspm_solve, write_trace_csv
+from pvjtcs.projection import (
+    FeasibleSet,
+    InfeasibleSetError,
+    ProjectionConvergenceError,
+    clamp_demand,
+)
+from pvjtcs.simulator import JTCS, TGC, Scenario, run_jtcs, run_tgc
+from pvjtcs.vi_solver import (
+    LineSearchError,
+    SspmConvergenceError,
+    kkt_verify,
+    sspm_solve,
+    write_trace_csv,
+)
 
 LOG = logging.getLogger("pvjtcs")
 
@@ -122,9 +133,8 @@ def cmd_run(args) -> int:
     if mode in (JTCS, "both"):
         summary = run_jtcs(scenario, collect_traces=args.trace_vi)
         summaries[JTCS] = summary
-        plan, inputs = plan_day_ahead(scenario)
         buf = io.StringIO()
-        write_plan_csv(plan, inputs, buf)
+        write_plan_csv(summary.plan, summary.plan_inputs, buf)
         io_files.atomic_write(os.path.join(out_dir, "charging_plan.csv"), buf.getvalue())
         if args.trace_vi:
             for t, trace in summary.vi_traces.items():
@@ -267,6 +277,8 @@ def main(argv=None) -> int:
         ChargingInfeasibleError,
         InfeasibleSetError,
         SspmConvergenceError,
+        LineSearchError,
+        ProjectionConvergenceError,
         json.JSONDecodeError,
     ) as err:
         LOG.error("%s", err)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from pvjtcs.charging_scheduler import DayAheadInputs, schedule_charging
+from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
 from pvjtcs.model import GameParams, PriceCurve, PvGroup
 from pvjtcs.network import RegionMap, RoadGraph, StationSet
 from pvjtcs.projection import FeasibleSet, clamp_demand
@@ -157,7 +157,9 @@ class RunSummary:
     mean_trip_minutes: float | None
     mean_wait_minutes: float | None
     mean_travel_minutes: float | None
-    planned_e_plus: list[float] | None = None
+    # the joint scheme's day-ahead plan and the inputs it was solved from
+    plan: ChargingPlan | None = None
+    plan_inputs: DayAheadInputs | None = None
     clamp_shortfall_kwh: float = 0.0
     vi_iterations: list[int] = field(default_factory=list)
     vi_traces: dict[int, SspmTrace] = field(default_factory=dict)
@@ -176,7 +178,7 @@ class RunSummary:
             "mean_travel_minutes": self.mean_travel_minutes,
             "final_fleet_energy_kwh": self.final_fleet_energy,
             "clamp_shortfall_kwh": self.clamp_shortfall_kwh,
-            "planned_e_plus": self.planned_e_plus,
+            "planned_e_plus": list(self.plan.e_plus) if self.plan else None,
             "vi_iterations": self.vi_iterations,
             "slots": [
                 {
@@ -200,11 +202,14 @@ def eligibility_filter(vehicles, params: GameParams) -> set[int]:
     return {v.id for v in vehicles if v.energy >= floor}
 
 
-def infinite_energy_dry_run(scenario: Scenario) -> tuple[list[float], list[int]]:
-    """Serve the whole day with energy ignored: per-slot consumed kwh and
-    transporting vehicle counts (the day-ahead demand signals)."""
+def infinite_energy_dry_run(
+    scenario: Scenario, fleet: list[Vehicle]
+) -> tuple[list[float], list[int]]:
+    """Serve the whole day from ``fleet`` with energy ignored: per-slot
+    consumed kwh and transporting vehicle counts (the day-ahead demand
+    signals).  ``fleet`` itself is left untouched."""
     engine = scenario.engine()
-    engine.reset(scenario.build_fleet())
+    engine.reset(fleet)
     consumed: list[float] = []
     transports: list[int] = []
     all_ids = {v.id for v in engine.state.vehicles}
@@ -218,8 +223,8 @@ def infinite_energy_dry_run(scenario: Scenario) -> tuple[list[float], list[int]]
 
 def plan_day_ahead(scenario: Scenario):
     """Algorithm step 1: dry-run the day, then price-optimize the charging."""
-    consumed, transports = infinite_energy_dry_run(scenario)
     fleet = scenario.build_fleet()
+    consumed, transports = infinite_energy_dry_run(scenario, fleet)
     inputs = DayAheadInputs(
         consumed=consumed,
         demand_counts=transports,
@@ -257,7 +262,7 @@ def _split_group(
 
 def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
-    plan, _ = plan_day_ahead(scenario)
+    plan, plan_inputs = plan_day_ahead(scenario)
     engine = scenario.engine()
     engine.reset(scenario.build_fleet())
     params = scenario.params
@@ -336,7 +341,8 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
                       t, stats.charged_kwh, planned)
 
     summary = _summarize(JTCS, scenario, engine, ledger, slots)
-    summary.planned_e_plus = list(plan.e_plus)
+    summary.plan = plan
+    summary.plan_inputs = plan_inputs
     summary.clamp_shortfall_kwh = max(
         0.0, sum(plan.e_plus) - summary.total_charged_kwh
     )

@@ -6,7 +6,7 @@ feasible pickup/dropoff positions (seat capacity, detour bound and an energy
 reserve gate every candidate).  The same engine also answers the planning
 question "who would transport where this slot" as a dry run: snapshot the
 fleet, simulate the slot, count the transporting vehicles per region, restore
-the snapshot bit for bit.
+the snapshot and check its fingerprint.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -15,7 +15,6 @@ finishes it before rerouting.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -85,6 +84,13 @@ class VehiclePlan:
         return VehiclePlan(stops=list(self.stops), onboard=self.onboard)
 
 
+def _shallow_copy(obj):
+    """New instance of ``obj``'s class sharing every field value."""
+    dup = object.__new__(type(obj))
+    dup.__dict__.update(obj.__dict__)
+    return dup
+
+
 @dataclass
 class Vehicle(PvState):
     """One PV's core record extended with live plan and movement state."""
@@ -99,6 +105,14 @@ class Vehicle(PvState):
     def anchor(self) -> int:
         """Node all route planning starts from."""
         return self.edge_head if self.edge_head is not None else self.node
+
+    def clone(self) -> "Vehicle":
+        """Independent copy: own plan and route, every other field shared
+        (they are immutable values)."""
+        dup = _shallow_copy(self)
+        dup.plan = self.plan.copy()
+        dup.route = list(self.route)
+        return dup
 
 
 @dataclass
@@ -119,10 +133,21 @@ class FleetState:
     def vehicle(self, vid: int) -> Vehicle:
         return self.vehicles[vid]
 
+    def clone(self) -> "FleetState":
+        """Independent copy of everything the simulation mutates.
+
+        Vehicles are cloned, request states copied field by field in dict
+        order; the frozen ``TripRequest`` and ``Stop`` objects are shared.
+        """
+        return FleetState(
+            vehicles=[v.clone() for v in self.vehicles],
+            requests={rid: _shallow_copy(rs) for rid, rs in self.requests.items()},
+        )
+
 
 @dataclass
 class Snapshot:
-    """Deep copy of the fleet/request state plus its fingerprint."""
+    """A clone of the fleet/request state plus its fingerprint."""
 
     state: FleetState
     fingerprint: str
@@ -159,10 +184,6 @@ def fingerprint(state: FleetState) -> str:
             )
         )
     return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-def take_snapshot(state: FleetState) -> Snapshot:
-    return Snapshot(state=copy.deepcopy(state), fingerprint=fingerprint(state))
 
 
 def plan_distance(
@@ -390,20 +411,21 @@ class FleetEngine:
     # -- state management ----------------------------------------------
 
     def reset(self, vehicles: list[Vehicle]) -> None:
-        # deep copy: dry runs swap out the state wholesale, so caller-held
+        # cloned: dry runs swap out the state wholesale, so caller-held
         # vehicle objects must not alias the live fleet
         self.state = FleetState(
-            vehicles=sorted(copy.deepcopy(vehicles), key=lambda v: v.id),
+            vehicles=sorted((v.clone() for v in vehicles), key=lambda v: v.id),
             requests={r.id: RequestState(request=r) for r in self.all_requests},
         )
 
     def snapshot(self) -> Snapshot:
-        return take_snapshot(self.state)
+        return Snapshot(state=self.state.clone(), fingerprint=fingerprint(self.state))
 
     def restore(self, snap: Snapshot) -> None:
-        self.state = copy.deepcopy(snap.state)
-        if fingerprint(self.state) != snap.fingerprint:
+        """Adopt the snapshot's state (not a copy: restore a snapshot once)."""
+        if fingerprint(snap.state) != snap.fingerprint:
             raise SnapshotError("restored state does not match its snapshot")
+        self.state = snap.state
 
     def slot_bounds(self, t: int) -> tuple[float, float]:
         seconds = self.params.slot_hours * 3600.0
@@ -538,8 +560,6 @@ class FleetEngine:
         for vid in stats.transporting_ids:
             n[start_region[vid]] += 1
         self.restore(before)
-        if fingerprint(self.state) != before.fingerprint:
-            raise SnapshotError("dry run failed to restore the fleet state")
         d = [max(n[i] - census[i].f, 0) for i in range(len(n))]
         return n, d, sum(d), stats
 

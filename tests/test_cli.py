@@ -1,13 +1,14 @@
 """Data ingestion, export round-trips, and the command-line surface."""
 
 import csv
+import hashlib
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from pvjtcs import io_files
+from pvjtcs import cli, io_files, simulator
 from pvjtcs.cli import main
 from pvjtcs.io_files import (
     DataFormatError,
@@ -17,6 +18,8 @@ from pvjtcs.io_files import (
     load_stations,
     load_trips,
 )
+from pvjtcs.projection import ProjectionConvergenceError
+from pvjtcs.vi_solver import LineSearchError
 
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "scenarios" / "manhattan-mini"
@@ -300,6 +303,36 @@ class TestCliSurface:
         assert "total cost = 4.000" in capsys.readouterr().out
         assert out_csv.exists()
 
+    @pytest.mark.parametrize("error", [LineSearchError, ProjectionConvergenceError])
+    def test_solver_failure_exits_nonzero(self, tmp_path, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("solver gave up")
+
+        monkeypatch.setattr(cli, "sspm_solve", failing)
+        instance = tmp_path / "instance.json"
+        instance.write_text(
+            json.dumps({"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0})
+        )
+        assert main(["solve-vi", "--instance", str(instance)]) == 1
+
+    def test_jtcs_run_plans_the_day_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = simulator.plan_day_ahead
+
+        def counting(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(simulator, "plan_day_ahead", counting)
+        # charging_plan.csv comes from the run's own plan: the command must
+        # not plan the day again itself
+        monkeypatch.setattr(cli, "plan_day_ahead", counting, raising=False)
+        rc = main(["run", "--config", str(MINI / "config.json"), "--mode", "jtcs",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        assert (tmp_path / "charging_plan.csv").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"fleet": 3}))
@@ -317,3 +350,25 @@ def test_bundled_scenario_files_parse():
     assert regions.n_regions == 5
     assert len(stations) == 5
     assert len(prices) == 24
+
+
+# SHA-256 of `pvjtcs run` on the bundled scenario at seed 1, both schemes.
+# Every output is a pure function of the scenario and the seed, so any
+# change to these bytes is a change of behaviour.
+PINNED_SEED_1 = {
+    "summary.json": "eff3184f537ae8515d8ba5321b08d23c8c09004d00deb5868a9706be5dea798f",
+    "slots_jtcs.csv": "1bc6ce67a4cd712cae793c95a6ea438eafdeab3acc9979f2f93b274736660490",
+    "slots_tgc.csv": "097064711de6fa72b03438f2845d3e98e08619c3c5f4bba940a8f99533e88437",
+    "charging_plan.csv": "cd7e9bf33e73b1668ef7e8566f26188f822f32be5108eecf7c7f893c70f49c6b",
+}
+
+
+def test_bundled_run_outputs_are_pinned(tmp_path):
+    rc = main(["run", "--config", str(MINI / "config.json"), "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_SEED_1
+    }
+    assert digests == PINNED_SEED_1

@@ -131,10 +131,14 @@ class TestEligibility:
 class TestDayAhead:
     def test_infinite_run_consumes_without_charging(self):
         sc = make_scenario(requests=sprinkle_requests(make_grid_graph(), 8))
-        consumed, transports = infinite_energy_dry_run(sc)
+        fleet = sc.build_fleet()
+        start = [(v.node, v.energy) for v in fleet]
+        consumed, transports = infinite_energy_dry_run(sc, fleet)
         assert len(consumed) == sc.T
         assert sum(consumed) > 0.0
         assert max(transports) <= sc.params.J
+        # the engine runs on its own clone of the fleet
+        assert [(v.node, v.energy) for v in fleet] == start
 
     def test_plan_respects_каps(self):
         sc = make_scenario(requests=sprinkle_requests(make_grid_graph(), 8))

@@ -1,14 +1,19 @@
 """Ride matching, fleet engine mechanics, census, dry-run purity."""
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvjtcs.model import IDLE, GameParams
+from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams
 from pvjtcs.network import RegionMap, StationSet, shortest_path
 from pvjtcs.transport_scheduler import (
     DROPOFF,
     PICKUP,
+    ONBOARD,
+    SERVED,
     EnergyUnderflowError,
     FleetEngine,
     RequestState,
@@ -386,6 +391,89 @@ class TestDryRun:
             )
             assert d[i] == max(n[i] - f_i, 0)
         assert d_total == sum(d)
+
+
+def mid_day_engine():
+    """An engine stopped at a slot boundary with a vehicle mid-edge carrying
+    passengers, a multi-stop plan, a route, and a charger on its station."""
+    graph = make_grid_graph()
+    reqs = [
+        make_request(graph, 1, 3000.0, 1, 14),
+        make_request(graph, 2, 3300.0, 4, 11),
+        make_request(graph, 3, 3300.0, 12, 3, passengers=2),
+        make_request(graph, 4, 3300.0, 2, 13),
+    ]
+    engine = build_engine(graph, reqs)
+    engine.run_slot(0, {0, 1, 2}, {3})
+    return engine
+
+
+class TestSnapshotClone:
+    def test_mid_day_state_exercises_every_container(self):
+        state = mid_day_engine().state
+        assert any(v.plan.stops and v.plan.onboard for v in state.vehicles)
+        assert any(v.route and v.edge_head is not None for v in state.vehicles)
+        assert any(v.station_target is not None for v in state.vehicles)
+        assert {rs.status for rs in state.requests.values()} >= {SERVED, ONBOARD}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        km=st.floats(min_value=1e-6, max_value=5.0),
+        node=st.integers(min_value=0, max_value=15),
+        status=st.sampled_from([IDLE, SERVING, CHARGING]),
+        request_status=st.sampled_from(["waiting", "assigned", ONBOARD, SERVED]),
+    )
+    def test_snapshot_unaffected_by_live_mutation(self, km, node, status, request_status):
+        engine = mid_day_engine()
+        snap = engine.snapshot()
+        for veh in engine.state.vehicles:
+            veh.energy -= km
+            veh.status = status
+            veh.plan.stops.append(Stop(node, DROPOFF, 1))
+            veh.plan.onboard += 1
+            veh.route.append(node)
+            veh.edge_head = node
+            veh.edge_progress += km
+            veh.station_target = node
+        for rs in engine.state.requests.values():
+            rs.status = request_status
+            rs.vehicle = node
+            rs.pickup_time = km
+            rs.dropoff_time = km
+            rs.ride_km += km
+        assert fingerprint(snap.state) == snap.fingerprint
+        engine.restore(snap)
+        assert fingerprint(engine.state) == snap.fingerprint
+
+    def test_clone_keeps_every_field(self):
+        req = TripRequest(id=1, request_time=0.0, earliest_start=5.0, origin=2,
+                          destination=7, passengers=2, direct_km=1.5)
+        veh = Vehicle(
+            id=3, node=6, energy=12.5, status=SERVING,
+            plan=VehiclePlan(stops=[Stop(7, DROPOFF, 1)], onboard=2),
+            edge_head=7, edge_progress=0.25, route=[11, 15], station_target=15,
+        )
+        rs = RequestState(request=req, status=ONBOARD, vehicle=3,
+                          pickup_time=10.0, dropoff_time=20.0, ride_km=0.7)
+        state = FleetState(vehicles=[veh], requests={1: rs})
+        dup = state.clone()
+        for original, copied in ((veh, dup.vehicles[0]), (rs, dup.requests[1])):
+            assert copied is not original
+            for f in dataclasses.fields(original):
+                value = getattr(original, f.name)
+                if f.default_factory is not dataclasses.MISSING:
+                    default = f.default_factory()
+                else:
+                    default = f.default
+                # a field left at its default would pass whatever clone() did
+                assert value != default, f.name
+                assert getattr(copied, f.name) == value, f.name
+        copied = dup.vehicles[0]
+        assert copied.plan is not veh.plan and copied.plan.stops is not veh.plan.stops
+        assert copied.route is not veh.route
+        # frozen objects are shared, not copied
+        assert dup.requests[1].request is req
+        assert copied.plan.stops[0] is veh.plan.stops[0]
 
 
 class TestCensusIdentity:
