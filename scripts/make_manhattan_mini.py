@@ -7,18 +7,23 @@ charging station per band, 20 vehicles, 24 hourly slots starting 03:00,
 evening ~18:00), and an hourly price curve with a small morning bump and a
 tall evening peak.  Deterministic: fixed RNG seed, stable row order.
 
-Usage: python3 scripts/make_manhattan_mini.py [out_dir]
+--fleet and --trips scale the scenario on the same grid (for example
+--fleet 100 --trips 1000 for a 5x day); without them the bundled scenario
+is written byte for byte.
+
+Usage: python3 scripts/make_manhattan_mini.py [out_dir] [--fleet N] [--trips N]
 """
 
+import argparse
 import json
 import math
 import os
 import random
-import sys
 
 ROWS, COLS = 12, 5
 EDGE_KM = 0.5
 SEED = 20160105
+N_FLEET = 20
 N_TRIPS = 200
 START_HOUR = 3
 T = 24
@@ -50,15 +55,15 @@ def hourly_weights():
     return weights
 
 
-def trip_counts():
+def trip_counts(n_trips):
     weights = hourly_weights()
     total = sum(weights)
-    raw = [w / total * N_TRIPS for w in weights]
+    raw = [w / total * n_trips for w in weights]
     counts = [int(v) for v in raw]
     remainders = sorted(
         range(T), key=lambda k: (raw[k] - counts[k], -k), reverse=True
     )
-    for k in remainders[: N_TRIPS - sum(counts)]:
+    for k in remainders[: n_trips - sum(counts)]:
         counts[k] += 1
     return counts
 
@@ -69,7 +74,7 @@ def manhattan_km(a, b):
     return EDGE_KM * (abs(ra - rb) + abs(ca - cb))
 
 
-def main(out_dir):
+def main(out_dir, fleet=N_FLEET, trips=N_TRIPS):
     rng = random.Random(SEED)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -103,7 +108,7 @@ def main(out_dir):
         "dest_lon,dest_lat,passengers"
     ]
     rid = 1
-    for k, count in enumerate(trip_counts()):
+    for k, count in enumerate(trip_counts(trips)):
         slot_start = (START_HOUR + k) * 3600
         times = sorted(rng.uniform(0, 3600) for _ in range(count))
         for offset in times:
@@ -133,7 +138,7 @@ def main(out_dir):
         "regions": "regions.csv",
         "trips": "trips.csv",
         "prices": "prices.csv",
-        "fleet_size": 20,
+        "fleet_size": fleet,
         "slots": T,
         "start_hour": START_HOUR,
         "seed": 1,
@@ -159,4 +164,11 @@ def main(out_dir):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "scenarios/manhattan-mini")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", default="scenarios/manhattan-mini")
+    parser.add_argument("--fleet", type=int, default=N_FLEET, help="vehicles")
+    parser.add_argument("--trips", type=int, default=N_TRIPS, help="trip requests")
+    args = parser.parse_args()
+    if args.fleet < 1 or args.trips < 1:
+        parser.error("--fleet and --trips must be at least 1")
+    main(args.out_dir, fleet=args.fleet, trips=args.trips)

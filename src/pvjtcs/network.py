@@ -200,6 +200,21 @@ def shortest_path(
     return dist[to], path
 
 
+def distance(graph: RoadGraph, frm: int, to: int) -> float:
+    """``shortest_path(graph, frm, to)[0]`` without rebuilding the path;
+    raises the same errors."""
+    if frm == to:
+        if not graph.has_node(frm):
+            raise KeyError(f"unknown node {frm}")
+        return 0.0
+    d = graph.single_source(frm)[0].get(to)  # KeyError for an unknown frm
+    if d is None:
+        if not graph.has_node(to):
+            raise KeyError(f"unknown node {to}")
+        raise UnreachableNodeError(f"no path from {frm} to {to}")
+    return d
+
+
 def nearest_station(
     graph: RoadGraph, node: int, stations: StationSet
 ) -> tuple[int, float]:

@@ -260,6 +260,15 @@ def _split_group(
     return transport, chargers
 
 
+def set_demand(census: list[PvGroup], n: list[int]) -> int:
+    """Give each group its dry-run transporting count n_i and charging-side
+    demand d_i = max(n_i - f_i, 0); returns the total demand."""
+    for g in census:
+        g.n = n[g.region]
+        g.d = max(g.n - g.f, 0)
+    return sum(g.d for g in census)
+
+
 def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
     plan, plan_inputs = plan_day_ahead(scenario)
@@ -276,10 +285,8 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
         price = scenario.prices[t]
         census = group_census(engine.state, scenario.region_map, params)
         eligible = eligibility_filter(engine.state.vehicles, params)
-        n, d, d_total, _ = engine.dry_run_demand(t, eligible)
-        for g in census:
-            g.n = n[g.region]
-            g.d = d[g.region]
+        n, _ = engine.dry_run_demand(t, eligible)
+        d_total = set_demand(census, n)
 
         game_groups = [g for g in census if g.m > 0]
         planned = plan.e_plus[t] + (carry if scenario.rollover_shortfall else 0.0)
@@ -362,7 +369,7 @@ def run_tgc(scenario: Scenario) -> RunSummary:
     for t in range(scenario.T):
         price = scenario.prices[t]
         eligible = eligibility_filter(engine.state.vehicles, params)
-        _, _, _, dry_stats = engine.dry_run_demand(t, eligible)
+        _, dry_stats = engine.dry_run_demand(t, eligible)
         moving = dry_stats.transporting_ids
         chargers = {
             v.id

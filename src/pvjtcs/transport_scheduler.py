@@ -15,9 +15,9 @@ finishes it before rerouting.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams, PvGroup, PvState
@@ -26,6 +26,7 @@ from pvjtcs.network import (
     RoadGraph,
     StationSet,
     UnreachableNodeError,
+    distance,
     nearest_station,
     shortest_path,
 )
@@ -66,6 +67,15 @@ class TripRequest:
             raise ValueError(f"request {self.id}: origin equals destination")
         if self.earliest_start < self.request_time:
             raise ValueError(f"request {self.id}: earliest start precedes request")
+
+    @cached_property
+    def trip_stops(self) -> tuple["Stop", "Stop"]:
+        """Pickup and dropoff stop, built once: every vehicle's candidate
+        plan for this request shares them."""
+        return (
+            Stop(node=self.origin, action=PICKUP, request_id=self.id),
+            Stop(node=self.destination, action=DROPOFF, request_id=self.id),
+        )
 
 
 @dataclass(frozen=True)
@@ -150,54 +160,32 @@ class Snapshot:
     """A clone of the fleet/request state plus its fingerprint."""
 
     state: FleetState
-    fingerprint: str
+    fingerprint: tuple
 
 
-def fingerprint(state: FleetState) -> str:
-    """Stable digest of every field that the simulation can mutate."""
-    parts = []
-    for v in state.vehicles:
-        parts.append(
-            (
-                v.id,
-                v.node,
-                repr(v.energy),
-                v.status,
-                tuple((s.node, s.action, s.request_id) for s in v.plan.stops),
-                v.plan.onboard,
-                v.edge_head,
-                repr(v.edge_progress),
-                tuple(v.route),
-                v.station_target,
-            )
+def fingerprint(state: FleetState) -> tuple:
+    """Every field that the simulation can mutate, as one tuple compared by
+    value (so ``-0.0 == 0.0``); requests in id order."""
+    vehicles = tuple(
+        (
+            v.id,
+            v.node,
+            v.energy,
+            v.status,
+            tuple(v.plan.stops),
+            v.plan.onboard,
+            v.edge_head,
+            v.edge_progress,
+            tuple(v.route),
+            v.station_target,
         )
-    for rid in sorted(state.requests):
-        rs = state.requests[rid]
-        parts.append(
-            (
-                rid,
-                rs.status,
-                rs.vehicle,
-                repr(rs.pickup_time),
-                repr(rs.dropoff_time),
-                repr(rs.ride_km),
-            )
-        )
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-def plan_distance(
-    vehicle: Vehicle, stops: Sequence[Stop], graph: RoadGraph
-) -> float:
-    """km to execute ``stops`` from the vehicle's current position."""
-    total = _edge_remainder(vehicle, graph)
-    at = vehicle.anchor()
-    for stop in stops:
-        if stop.node != at:
-            d, _ = shortest_path(graph, at, stop.node)
-            total += d
-            at = stop.node
-    return total
+        for v in state.vehicles
+    )
+    requests = tuple(
+        (rid, rs.status, rs.vehicle, rs.pickup_time, rs.dropoff_time, rs.ride_km)
+        for rid, rs in sorted(state.requests.items())
+    )
+    return vehicles + requests
 
 
 def _edge_remainder(vehicle: Vehicle, graph: RoadGraph) -> float:
@@ -227,88 +215,156 @@ def insertion_cost(
     candidates that respect seat capacity at every prefix, the detour bound
     for every affected passenger, and the vehicle's energy reserve.  Returns
     the minimum added distance with the new plan, or None.
+
+    Candidates are checked by index; only the winner's plan is built.  For
+    k planned stops one call makes O(k) distance lookups (legs between the
+    anchor and the stops, and to and from the new pickup and dropoff).  A
+    candidate's added distance is then O(1) arithmetic.  Its checks use the
+    old plan's loads and each old drop's detour slack (how far its ride may
+    still grow), with running extrema over the stops between pickup and
+    dropoff, so the whole search is O(k^2 * seats).
     """
     stops = vehicle.plan.stops
-    base = plan_distance(vehicle, stops, graph)
-    pick = Stop(node=request.origin, action=PICKUP, request_id=request.id)
-    drop = Stop(node=request.destination, action=DROPOFF, request_id=request.id)
+    k = len(stops)
+    origin, dest, pax = request.origin, request.destination, request.passengers
+    seats = params.seats
+    inf = float("inf")
+    new_limit = params.detour_max * max(request.direct_km, 1e-9) + 1e-9
+    budget = inf if infinite_energy else vehicle.energy - params.e_min
 
-    best: tuple[float, VehiclePlan] | None = None
-    for i in range(len(stops) + 1):
-        for j in range(i, len(stops) + 1):
-            cand = stops[:i] + [pick] + stops[i:j] + [drop] + stops[j:]
-            if not _seats_ok(vehicle, cand, requests, params, request):
-                continue
-            total = plan_distance(vehicle, cand, graph)
-            if not infinite_energy:
-                if total * params.consume_rate > vehicle.energy - params.e_min:
-                    continue
-            if not _detours_ok(vehicle, cand, requests, params, graph, request):
-                continue
-            delta = total - base
-            if best is None or delta < best[0] - 1e-12:
-                best = (delta, VehiclePlan(stops=cand, onboard=vehicle.plan.onboard))
-    return best
+    if not stops:
+        # an idle vehicle has one candidate: to the pickup, then the dropoff
+        if vehicle.plan.onboard + pax > seats:
+            return None
+        to_pick = distance(graph, vehicle.anchor(), origin)
+        pick_to_drop = distance(graph, origin, dest)
+        delta = to_pick + pick_to_drop
+        base = _edge_remainder(vehicle, graph)
+        if (base + delta) * params.consume_rate > budget or pick_to_drop > new_limit:
+            return None
+        return delta, _with_trip(vehicle.plan, request, 0, 0)
 
+    # nodes[0] is the anchor, nodes[m + 1] the node of stop m; index 0 of
+    # from_pick, to_drop and from_drop is never read
+    nodes = [vehicle.anchor()] + [s.node for s in stops]
+    to_pick = [distance(graph, n, origin) for n in nodes]
+    from_pick = [0.0] + [distance(graph, origin, n) for n in nodes[1:]]
+    to_drop = [0.0] + [distance(graph, n, dest) for n in nodes[1:]]
+    from_drop = [0.0] + [distance(graph, dest, n) for n in nodes[1:]]
+    pick_to_drop = distance(graph, origin, dest)
+    legs = [distance(graph, nodes[m], nodes[m + 1]) for m in range(k)]
+    prefix = [_edge_remainder(vehicle, graph)]  # km to reach nodes[m]
+    for leg in legs:
+        prefix.append(prefix[-1] + leg)
+    base = prefix[-1]
 
-def _seats_ok(
-    vehicle: Vehicle,
-    stops: Sequence[Stop],
-    requests: dict[int, RequestState],
-    params: GameParams,
-    new_request: TripRequest,
-) -> bool:
-    load = vehicle.plan.onboard
-    for stop in stops:
-        pax = (
-            new_request.passengers
-            if stop.request_id == new_request.id
-            else requests[stop.request_id].request.passengers
-        )
-        load += pax if stop.action == PICKUP else -pax
-        if load > params.seats:
-            return False
-    return True
-
-
-def _detours_ok(
-    vehicle: Vehicle,
-    stops: Sequence[Stop],
-    requests: dict[int, RequestState],
-    params: GameParams,
-    graph: RoadGraph,
-    new_request: TripRequest,
-) -> bool:
-    # cumulative distance from the vehicle to each stop along the plan
-    cum = []
-    total = _edge_remainder(vehicle, graph)
-    at = vehicle.anchor()
-    for stop in stops:
-        if stop.node != at:
-            d, _ = shortest_path(graph, at, stop.node)
-            total += d
-            at = stop.node
-        cum.append(total)
-
-    pick_at: dict[int, float] = {}
-    for idx, stop in enumerate(stops):
+    # load[m]: passengers aboard on arrival at stop m (load[k]: at the end);
+    # slack[m]: how much drop m's ride may still grow (inf for pickups);
+    # picked_at[m]: index of drop m's pickup, -1 if already on board
+    load = [vehicle.plan.onboard]
+    slack = [inf] * k
+    picked_at = [-1] * k
+    pickup_index: dict[int, int] = {}
+    slack_of: dict[int, float] = {}
+    for m, stop in enumerate(stops):
+        rs = requests[stop.request_id]
         if stop.action == PICKUP:
-            pick_at[stop.request_id] = cum[idx]
+            pickup_index[stop.request_id] = m
+            load.append(load[-1] + rs.request.passengers)
             continue
-        rid = stop.request_id
-        if rid == new_request.id:
-            req, ride_so_far = new_request, 0.0
+        load.append(load[-1] - rs.request.passengers)
+        q = pickup_index.get(stop.request_id)
+        if q is None:
+            ride = rs.ride_km + prefix[m + 1]
         else:
-            rs = requests[rid]
-            req, ride_so_far = rs.request, rs.ride_km
-        if rid in pick_at:
-            on_vehicle = cum[idx] - pick_at[rid]  # not yet picked up
-        else:
-            on_vehicle = ride_so_far + cum[idx]  # already on board
-        direct = max(req.direct_km, 1e-9)
-        if on_vehicle > params.detour_max * direct + 1e-9:
-            return False
-    return True
+            ride = prefix[m + 1] - prefix[q + 1]
+            picked_at[m] = q
+        slack[m] = params.detour_max * max(rs.request.direct_km, 1e-9) + 1e-9 - ride
+        if slack[m] < 0.0:
+            return None  # the old plan already breaks a detour bound
+        slack_of[stop.request_id] = slack[m]
+    # fits_after[j]: every load after stop j (old stops j..k-1) fits
+    fits_after = [True] * (k + 1)
+    for m in range(k - 1, -1, -1):
+        fits_after[m] = fits_after[m + 1] and load[m + 1] <= seats
+
+    best: tuple[float, int, int] | None = None
+    for i in range(k + 1):
+        if i and load[i] > seats:
+            break  # the old plan overflows before any later pickup
+        if load[i] + pax > seats:
+            continue
+        # tail[j]: least slack of the drops at j or later picked up before
+        # i; the whole added distance lands on their rides
+        tail = [inf] * (k + 1)
+        for m in range(k - 1, i - 1, -1):
+            tail[m] = min(tail[m + 1], slack[m]) if picked_at[m] < i else tail[m + 1]
+
+        # j == i: pickup and dropoff back to back
+        delta = to_pick[i] + pick_to_drop
+        if i < k:
+            delta += from_drop[i + 1] - legs[i]
+        if (
+            (best is None or delta < best[0] - 1e-12)
+            and fits_after[i]
+            and (base + delta) * params.consume_rate <= budget
+            and delta <= tail[i]
+            and pick_to_drop <= new_limit
+        ):
+            best = (delta, i, i)
+        if i == k:
+            break
+
+        # j > i: the pickup detour shifts stops i..j-1, the full delta the rest
+        pick_detour = to_pick[i] + from_pick[i + 1] - legs[i]
+        peak = load[i]
+        inside = inf  # least slack of drops in [i, j) picked up before i
+        riding: dict[int, float] = {}  # picked in [i, j), dropped at j or later
+        for j in range(i + 1, k + 1):
+            m = j - 1  # old stop now between the pickup and the dropoff
+            peak = max(peak, load[j])
+            if peak + pax > seats:
+                break
+            stop = stops[m]
+            if stop.action == PICKUP:
+                riding[stop.request_id] = slack_of.get(stop.request_id, inf)
+            elif picked_at[m] >= i:
+                del riding[stop.request_id]
+            else:
+                inside = min(inside, slack[m])
+                if pick_detour > inside:
+                    break
+            if not fits_after[j]:
+                continue
+            drop_detour = to_drop[j]
+            if j < k:
+                drop_detour += from_drop[j + 1] - legs[j]
+            delta = pick_detour + drop_detour
+            if best is not None and delta >= best[0] - 1e-12:
+                continue
+            if (base + delta) * params.consume_rate > budget or delta > tail[j]:
+                continue
+            if riding and drop_detour > min(riding.values()):
+                continue
+            ride = from_pick[i + 1] + (prefix[j] - prefix[i + 1]) + to_drop[j]
+            if ride > new_limit:
+                continue
+            best = (delta, i, j)
+
+    if best is None:
+        return None
+    delta, i, j = best
+    return delta, _with_trip(vehicle.plan, request, i, j)
+
+
+def _with_trip(plan: VehiclePlan, request: TripRequest, i: int, j: int) -> VehiclePlan:
+    """``plan`` with the request's pickup before stop i, dropoff before stop j."""
+    pick, drop = request.trip_stops
+    stops = plan.stops
+    return VehiclePlan(
+        stops=stops[:i] + [pick] + stops[i:j] + [drop] + stops[j:],
+        onboard=plan.onboard,
+    )
 
 
 def pci_assign(
@@ -544,14 +600,13 @@ class FleetEngine:
 
     def dry_run_demand(
         self, t: int, eligible_ids: set[int], infinite_energy: bool = False
-    ) -> tuple[list[int], list[int], int, SlotStats]:
+    ) -> tuple[list[int], SlotStats]:
         """Simulate the slot with every eligible vehicle serving; restore.
 
-        Returns per-region transporting counts n, demands d = max(n - f, 0),
-        their total, and the dry run's movement statistics.
+        Returns the per-region counts n of transporting vehicles (by the
+        region they start the slot in) and the dry run's statistics.
         """
         before = self.snapshot()
-        census = group_census(self.state, self.region_map, self.params)
         start_region = {
             v.id: self.region_map.region_of(v.node) for v in self.state.vehicles
         }
@@ -560,8 +615,7 @@ class FleetEngine:
         for vid in stats.transporting_ids:
             n[start_region[vid]] += 1
         self.restore(before)
-        d = [max(n[i] - census[i].f, 0) for i in range(len(n))]
-        return n, d, sum(d), stats
+        return n, stats
 
     # -- movement ---------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: projections
 are brute-force active-set enumerations or plain bisections, equilibria come
 from projected gradient ascent on the aggregate payoff, linear programs are
-solved by vertex enumeration, and shortest paths by Bellman-Ford.
+solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
+insertions by materializing every candidate plan and walking it stop by stop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import itertools
 import math
 
 import numpy as np
+
+from pvjtcs.network import shortest_path
+from pvjtcs.transport_scheduler import DROPOFF, PICKUP, Stop
 
 
 def bisection_projection(point, m, S, iters: int = 80):
@@ -219,3 +223,94 @@ def bellman_ford(n_nodes_edges, source):
 
 def central_difference(f, x, h: float = 1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def _edge_remainder(vehicle, graph) -> float:
+    if vehicle.edge_head is None:
+        return 0.0
+    return dict(graph.adjacency[vehicle.node])[vehicle.edge_head] - vehicle.edge_progress
+
+
+def plan_distance(vehicle, stops, graph) -> float:
+    """km to execute ``stops`` from the vehicle's position, leg by leg."""
+    total = _edge_remainder(vehicle, graph)
+    at = vehicle.anchor()
+    for stop in stops:
+        if stop.node != at:
+            total += shortest_path(graph, at, stop.node)[0]
+            at = stop.node
+    return total
+
+
+def _seats_ok(vehicle, stops, requests, params, new_request) -> bool:
+    load = vehicle.plan.onboard
+    for stop in stops:
+        pax = (
+            new_request.passengers
+            if stop.request_id == new_request.id
+            else requests[stop.request_id].request.passengers
+        )
+        load += pax if stop.action == PICKUP else -pax
+        if load > params.seats:
+            return False
+    return True
+
+
+def _detours_ok(vehicle, stops, requests, params, graph, new_request) -> bool:
+    # cumulative distance from the vehicle to each stop along the plan
+    cum = []
+    total = _edge_remainder(vehicle, graph)
+    at = vehicle.anchor()
+    for stop in stops:
+        if stop.node != at:
+            total += shortest_path(graph, at, stop.node)[0]
+            at = stop.node
+        cum.append(total)
+
+    pick_at = {}
+    for idx, stop in enumerate(stops):
+        if stop.action == PICKUP:
+            pick_at[stop.request_id] = cum[idx]
+            continue
+        rid = stop.request_id
+        if rid == new_request.id:
+            req, ride_so_far = new_request, 0.0
+        else:
+            rs = requests[rid]
+            req, ride_so_far = rs.request, rs.ride_km
+        if rid in pick_at:
+            on_vehicle = cum[idx] - pick_at[rid]  # not yet picked up
+        else:
+            on_vehicle = ride_so_far + cum[idx]  # already on board
+        if on_vehicle > params.detour_max * max(req.direct_km, 1e-9) + 1e-9:
+            return False
+    return True
+
+
+def brute_force_insertion(
+    vehicle, request, graph, params, requests, infinite_energy=False
+):
+    """Cheapest feasible insertion by enumeration: build every candidate plan
+    (pickup before position i, dropoff before position j >= i), check seats,
+    energy and every passenger's detour on it, keep the first strictly
+    cheaper one.  Returns (added km, stops) or None."""
+    stops = vehicle.plan.stops
+    base = plan_distance(vehicle, stops, graph)
+    pick = Stop(node=request.origin, action=PICKUP, request_id=request.id)
+    drop = Stop(node=request.destination, action=DROPOFF, request_id=request.id)
+    best = None
+    for i in range(len(stops) + 1):
+        for j in range(i, len(stops) + 1):
+            cand = stops[:i] + [pick] + stops[i:j] + [drop] + stops[j:]
+            if not _seats_ok(vehicle, cand, requests, params, request):
+                continue
+            total = plan_distance(vehicle, cand, graph)
+            if not infinite_energy:
+                if total * params.consume_rate > vehicle.energy - params.e_min:
+                    continue
+            if not _detours_ok(vehicle, cand, requests, params, graph, request):
+                continue
+            delta = total - base
+            if best is None or delta < best[0] - 1e-12:
+                best = (delta, cand)
+    return best

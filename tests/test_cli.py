@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -372,3 +373,43 @@ def test_bundled_run_outputs_are_pinned(tmp_path):
         for name in PINNED_SEED_1
     }
     assert digests == PINNED_SEED_1
+
+
+def load_generator():
+    path = REPO / "scripts" / "make_manhattan_mini.py"
+    spec = importlib.util.spec_from_file_location("make_manhattan_mini", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generator_defaults_write_the_bundled_scenario(tmp_path):
+    load_generator().main(str(tmp_path))
+    bundled = sorted(p.name for p in MINI.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes(), name
+
+
+# The same for a generated 2x scenario (40 vehicles, 400 trips), whose plans
+# are long enough to exercise multi-stop insertion.
+PINNED_2X_SEED_1 = {
+    "summary.json": "af9531636ee6354b9fb189d5a66330554a2228f30b9bcc7ff45ef8541836a926",
+    "slots_jtcs.csv": "a404d5282ce8de614728b0becef0a1a5581d7585722a929d731e28760dafd806",
+    "slots_tgc.csv": "654aaef5ca0a4d2cebfbaa625c57bf4aca35573b20583fc94b91ef79d4d31be7",
+    "charging_plan.csv": "00329531c7adf19587ddc485c52b14e704e31e7501a6fa324c6559294923b394",
+}
+
+
+def test_generated_2x_run_outputs_are_pinned(tmp_path):
+    scenario = tmp_path / "scenario"
+    load_generator().main(str(scenario), fleet=40, trips=400)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(scenario / "config.json"), "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in PINNED_2X_SEED_1
+    }
+    assert digests == PINNED_2X_SEED_1

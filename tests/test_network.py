@@ -9,11 +9,13 @@ from pvjtcs.network import (
     RoadGraph,
     StationSet,
     UnreachableNodeError,
+    distance,
     nearest_station,
     shortest_path,
     travel_energy,
     travel_time,
 )
+from conftest import make_grid_graph
 from oracles import bellman_ford
 
 PARAMS = GameParams()
@@ -96,6 +98,52 @@ class TestShortestPath:
             dbc, _ = shortest_path(g, int(b), int(c))
             dac, _ = shortest_path(g, int(a), int(c))
             assert dac <= dab + dbc + 1e-9
+
+
+def random_graph(seed, n=12):
+    rng = np.random.default_rng(seed)
+    nodes = {i: (float(i), 0.0) for i in range(n)}
+    edges = []
+    for u in range(n):
+        for v in rng.choice(n, size=3, replace=False):
+            if int(v) != u:
+                edges.append((u, int(v), float(rng.uniform(0.1, 5.0))))
+    return RoadGraph.from_edges(nodes, edges)
+
+
+def one_way_graph():
+    nodes = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
+    return RoadGraph.from_edges(nodes, [(0, 1, 1.0), (1, 2, 0.7)])
+
+
+def outcome(query, g, a, b):
+    """The distance bit for bit, or the exception's type and message."""
+    try:
+        out = query(g, a, b)
+    except (KeyError, UnreachableNodeError) as exc:
+        return type(exc), str(exc)
+    return (out[0] if isinstance(out, tuple) else out).hex()
+
+
+class TestDistance:
+    @pytest.mark.parametrize(
+        "make",
+        [line_graph, diamond_graph, one_way_graph, make_grid_graph,
+         lambda: random_graph(33), lambda: random_graph(34)],
+    )
+    def test_equals_shortest_path_on_every_pair(self, make):
+        g = make()
+        for a in g.nodes:
+            for b in g.nodes:
+                assert outcome(distance, g, a, b) == outcome(shortest_path, g, a, b)
+
+    def test_same_errors_as_shortest_path(self):
+        g = one_way_graph()
+        cases = [(2, 0), (1, 0), (0, 99), (99, 0), (99, 99)]
+        for a, b in cases:
+            assert outcome(distance, g, a, b) == outcome(shortest_path, g, a, b)
+        kinds = [outcome(distance, g, a, b)[0] for a, b in cases]
+        assert kinds == [UnreachableNodeError] * 2 + [KeyError] * 3
 
 
 class TestNearestStation:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams
 from pvjtcs.network import RegionMap, StationSet, shortest_path
 from pvjtcs.transport_scheduler import (
+    ASSIGNED,
     DROPOFF,
     PICKUP,
     ONBOARD,
@@ -26,9 +27,10 @@ from pvjtcs.transport_scheduler import (
     group_census,
     insertion_cost,
     pci_assign,
-    plan_distance,
 )
+from pvjtcs.simulator import set_demand
 from conftest import make_grid_graph, make_request, small_params
+from oracles import brute_force_insertion, plan_distance
 
 PARAMS = small_params()
 
@@ -49,6 +51,61 @@ class TestTripRequest:
             TripRequest(1, 0.0, 0.0, 2, 3, 0)
         with pytest.raises(ValueError):
             TripRequest(1, 10.0, 5.0, 2, 3, 1)
+
+
+GRID = make_grid_graph()
+
+
+@st.composite
+def insertion_cases(draw):
+    """A vehicle on the 4x4 grid (possibly mid-edge) with a random plan of
+    on-board and assigned requests, a new request, and parameters drawn so
+    that seats, detours and energy all bind some of the time."""
+    nodes = st.integers(min_value=0, max_value=15)
+    keys = st.integers(min_value=0, max_value=20)
+    requests = {}
+    keyed = []  # (sort key, order drawn, stop): pickups precede their drops
+    onboard = 0
+    for rid in range(1, draw(st.integers(min_value=0, max_value=4)) + 1):
+        origin = draw(nodes)
+        dest = draw(nodes.filter(lambda n: n != origin))
+        pax = draw(st.integers(min_value=1, max_value=2))
+        rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest, pax))
+        if draw(st.booleans()):
+            rs.status = ONBOARD
+            rs.vehicle = 0
+            rs.ride_km = draw(st.integers(min_value=1, max_value=48)) / 16
+            onboard += pax
+            keyed.append((draw(keys), len(keyed), Stop(dest, DROPOFF, rid)))
+        else:
+            rs.status = ASSIGNED
+            rs.vehicle = 0
+            first, second = sorted((draw(keys), draw(keys)))
+            keyed.append((first, len(keyed), Stop(origin, PICKUP, rid)))
+            keyed.append((second, len(keyed), Stop(dest, DROPOFF, rid)))
+        requests[rid] = rs
+    node = draw(nodes)
+    veh = Vehicle(
+        id=0,
+        node=node,
+        energy=draw(st.one_of(st.floats(min_value=2.5, max_value=10.0),
+                              st.just(40.0))),
+        status=SERVING if keyed else IDLE,
+        plan=VehiclePlan(stops=[s for _, _, s in sorted(keyed)], onboard=onboard),
+    )
+    if draw(st.booleans()):  # mid-edge: planning starts from the edge head
+        veh.edge_head = draw(st.sampled_from([to for to, _ in GRID.adjacency[node]]))
+        veh.edge_progress = draw(st.integers(min_value=1, max_value=7)) / 16
+    origin = draw(nodes)
+    dest = draw(nodes.filter(lambda n: n != origin))
+    new = make_request(GRID, 99, 0.0, origin, dest, draw(st.integers(1, 3)))
+    requests[new.id] = RequestState(request=new)
+    params = small_params(
+        seats=draw(st.integers(min_value=1, max_value=5)),
+        detour_max=draw(st.one_of(st.sampled_from([1.0, 1.5, 10.0]),
+                                  st.floats(min_value=1.0, max_value=3.0))),
+    )
+    return veh, new, params, requests, draw(st.booleans())
 
 
 class TestInsertionCost:
@@ -140,6 +197,58 @@ class TestInsertionCost:
                 best = cand_delta
         assert best is not None
         assert delta == pytest.approx(best, abs=1e-9)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=insertion_cases())
+    def test_matches_brute_force_reference(self, case):
+        veh, new, params, requests, infinite_energy = case
+        stops_before = list(veh.plan.stops)
+        out = insertion_cost(veh, new, GRID, params, requests, infinite_energy)
+        ref = brute_force_insertion(veh, new, GRID, params, requests, infinite_energy)
+        assert veh.plan.stops == stops_before
+        assert (out is None) == (ref is None)
+        if out is not None:
+            delta, plan = out
+            assert plan.stops == ref[1]
+            assert abs(delta - ref[0]) <= 1e-9
+            assert plan.onboard == veh.plan.onboard
+
+    def test_passenger_riding_past_new_drop_bounds_its_detour(self, grid_graph):
+        # a rides 1 -> 3 at detour_max 1: picking the new request up first
+        # and dropping it at 6 between a's stops is cheapest (+1 km) but
+        # stretches a's ride to 2 km, so it must go in front of a instead
+        a = make_request(grid_graph, 1, 0.0, 1, 3)
+        new = make_request(grid_graph, 2, 0.0, 0, 6)
+        requests = states_for(a, new)
+        veh = fresh_vehicle(node=0)
+        veh.plan = VehiclePlan(stops=[Stop(1, PICKUP, 1), Stop(3, DROPOFF, 1)])
+        params = GameParams(J=6, detour_max=1.0)
+        delta, plan = insertion_cost(veh, new, grid_graph, params, requests)
+        assert [(s.request_id, s.action) for s in plan.stops] == [
+            (2, PICKUP), (2, DROPOFF), (1, PICKUP), (1, DROPOFF)
+        ]
+        assert delta == pytest.approx(2.0)
+
+    def test_onboard_passenger_bounds_every_earlier_drop(self, grid_graph):
+        # b is on board with no detour left: any added km before its drop
+        # at 3 breaks its bound, so the new trip goes after it
+        a = make_request(grid_graph, 1, 0.0, 1, 2)
+        b = make_request(grid_graph, 2, 0.0, 0, 3)
+        new = make_request(grid_graph, 3, 0.0, 1, 5)
+        requests = states_for(a, b, new)
+        requests[2].status = ONBOARD
+        requests[2].ride_km = 3.0  # 3 + 1.5 planned = 3 x 1.5 direct
+        veh = fresh_vehicle(node=0)
+        veh.plan = VehiclePlan(
+            stops=[Stop(1, PICKUP, 1), Stop(2, DROPOFF, 1), Stop(3, DROPOFF, 2)],
+            onboard=1,
+        )
+        params = GameParams(J=6, detour_max=3.0)
+        delta, plan = insertion_cost(veh, new, grid_graph, params, requests)
+        assert [(s.request_id, s.action) for s in plan.stops] == [
+            (1, PICKUP), (1, DROPOFF), (2, DROPOFF), (3, PICKUP), (3, DROPOFF)
+        ]
+        assert delta == pytest.approx(1.5)
 
     def test_detour_bound_steers_insertion(self, grid_graph):
         # passenger a is on board heading to node 3; detouring through b's
@@ -357,8 +466,10 @@ class TestEngine:
 class TestDryRun:
     def test_no_requests_zero_demand(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        n, d, d_total, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
-        assert n == [0, 0] and d == [0, 0] and d_total == 0
+        n, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
+        census = group_census(engine.state, engine.region_map, PARAMS)
+        d_total = set_demand(census, n)
+        assert n == [0, 0] and [g.d for g in census] == [0, 0] and d_total == 0
 
     def test_state_restored_exactly(self, grid_graph):
         reqs = [make_request(grid_graph, i, 30.0 * i, i, i + 4) for i in range(1, 5)]
@@ -380,8 +491,11 @@ class TestDryRun:
             for i, node in enumerate([1, 4, 5, 8], start=1)
         ]
         engine = build_engine(grid_graph, reqs, vehicles=vehicles)
-        n, d, d_total, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
+        n, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
         assert sum(n) > 0
+        census = group_census(engine.state, engine.region_map, PARAMS)
+        d_total = set_demand(census, n)
+        d = [g.d for g in census]
         # recompute f from the (restored) engine state
         for i in range(2):
             f_i = sum(
@@ -389,6 +503,7 @@ class TestDryRun:
                 if (0 if v.node % 4 < 2 else 1) == i
                 and v.energy > PARAMS.full_threshold
             )
+            assert census[i].n == n[i]
             assert d[i] == max(n[i] - f_i, 0)
         assert d_total == sum(d)
 
