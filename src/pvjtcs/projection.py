@@ -13,7 +13,10 @@ multiplier (outer bisection plus exact solve on the final clipping pattern).
 The single-set projection is solved through its scalar dual: the projection
 is ``clip(point + lam*m, 0, 1)`` and the weighted sum of that expression is
 a nondecreasing piecewise-linear function of ``lam``, so the exact multiplier
-falls out of a breakpoint scan.  The cores are deliberately plain Python:
+falls out of a bisection over the sorted breakpoints.  The computed sum is
+nondecreasing in floating point as well (every rounding step is monotone),
+so the bisection lands on the same breakpoint as a linear scan and returns
+the same bits in O(n log n).  The cores are deliberately plain Python:
 the solver calls them tens of thousands of times on vectors of a handful of
 entries, where array-library call overhead dominates the arithmetic.
 """
@@ -145,61 +148,80 @@ def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[flo
 
     ``z_i(lam) = clip(point_i + lam*m_i, 0, 1)`` makes ``g(lam) = sum(m*z)``
     nondecreasing and piecewise linear with breakpoints where coordinates
-    enter or leave the box faces; the crossing of ``g`` with ``S`` is located
-    by scanning the sorted breakpoints and then solved in closed form on the
-    active pattern.
+    enter or leave the box faces.  The first sorted breakpoint above the
+    smallest one with ``g >= S`` is found by bisection, and the crossing is
+    then solved in closed form on the active pattern.
+
+    Bisection finds the same breakpoint a linear walk over the sorted
+    breakpoints would, because ``g`` is nondecreasing in floating point
+    too: with ``m_i > 0`` every step (``lam*m_i``, ``+ point_i``, the
+    clip, ``m_i*z_i`` and the running sum, always in the same order) is a
+    correctly rounded monotone operation, so a larger ``lam`` never gives
+    a smaller computed ``g``.  The result is bit-identical to the walk's,
+    with O(n log n) work instead of O(n^2).
     """
     n = len(point)
     total = 0.0
-    for i in range(n):
-        total += m[i]
+    for w in m:
+        total += w
     if S <= 0.0:
         return [0.0] * n
     if S >= total:
         return [1.0] * n
 
+    pairs = list(zip(point, m))
     knots = []
-    for i in range(n):
-        knots.append(-point[i] / m[i])          # coordinate leaves the 0 face
-        knots.append((1.0 - point[i]) / m[i])   # coordinate reaches the 1 face
+    for p_i, m_i in pairs:
+        knots.append(-p_i / m_i)          # coordinate leaves the 0 face
+        knots.append((1.0 - p_i) / m_i)   # coordinate reaches the 1 face
     knots.sort()
 
-    lam = knots[0]
-    g_prev = 0.0  # g at the first knot: everything still clipped to 0
-    for k in range(1, 2 * n):
-        lam_next = knots[k]
-        if lam_next == lam:
+    # Smallest k >= 1 with knots[k] above knots[0] and g(knots[k]) >= S;
+    # every coordinate is still clipped to 0 at knots[0], which is never
+    # evaluated.  lo always fails that test, hi = 2n stands for "none".
+    first = knots[0]
+    lo, hi = 0, 2 * n
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        lam_k = knots[k]
+        if lam_k == first:
+            lo = k
             continue
-        # exact g at the segment end
-        g_next = 0.0
-        for i in range(n):
-            zi = point[i] + lam_next * m[i]
+        g_k = 0.0
+        for p_i, m_i in pairs:
+            zi = p_i + lam_k * m_i
             if zi < 0.0:
                 zi = 0.0
             elif zi > 1.0:
                 zi = 1.0
-            g_next += m[i] * zi
-        if g_next >= S:
-            break
-        lam = lam_next
-        g_prev = g_next
-    # crossing lies in (lam, lam_next]; interpolate on the linear segment
+            g_k += m_i * zi
+        if g_k >= S:
+            hi = k
+        else:
+            lo = k
+    # the crossing lies in (lam, lam_next]; with no crossing knot (rounding
+    # at the last knot) both are the last knot
+    if hi < 2 * n:
+        lam, lam_next = knots[hi - 1], knots[hi]
+    else:
+        lam = lam_next = knots[-1]
+    # interpolate on the linear segment
     lam_mid = 0.5 * (lam + lam_next)
     num = S
     den = 0.0
-    for i in range(n):
-        zi = point[i] + lam_mid * m[i]
+    for p_i, m_i in pairs:
+        zi = p_i + lam_mid * m_i
         if zi <= 0.0:
             pass
         elif zi >= 1.0:
-            num -= m[i]
+            num -= m_i
         else:
-            num -= m[i] * point[i]
-            den += m[i] * m[i]
+            num -= m_i * p_i
+            den += m_i * m_i
     lam_star = (num / den) if den > 0.0 else lam_next
     out = []
-    for i in range(n):
-        zi = point[i] + lam_star * m[i]
+    for p_i, m_i in pairs:
+        zi = p_i + lam_star * m_i
         if zi < 0.0:
             zi = 0.0
         elif zi > 1.0:
@@ -214,8 +236,8 @@ def project_box_hyperplane(
     """Project onto ``{z in [0,1]^I : sum(m_i z_i) = S}``.
 
     Exact: the scalar dual multiplier of the hyperplane is located by a
-    breakpoint scan and solved in closed form on the resulting clipping
-    pattern.
+    bisection over the breakpoints and solved in closed form on the
+    resulting clipping pattern.
     """
     point_l = [float(v) for v in point]
     m_l = [float(v) for v in m]

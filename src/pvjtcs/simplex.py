@@ -7,6 +7,14 @@ slacks, equalities and surplus rows get phase-1 artificials.  Bland's rule
 cycling; optimality is certified by the reduced costs at exit.
 
 Sized for day-ahead fleet scheduling: tens of variables, dense tableaus.
+The tableau work is done in bulk: a pivot eliminates its column with one
+rank-1 update over the rows that have a nonzero entry there, the entering
+column and the ratio-test ratios come from whole-array comparisons and
+divisions, and the set-up is built from arrays.  Every element still sees
+the same multiplications and subtractions in the same order as in a
+row-by-row elimination, so the same Bland pivots are taken and the same
+bits come out; only the ratio-test tie rule, whose winner depends on the
+order rows are met in, walks the eligible rows one by one.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 LE, GE, EQ = "<=", ">=", "="
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 _TOL = 1e-9
 
 
@@ -81,9 +90,12 @@ class LpSolution:
 
 def _pivot(tab: np.ndarray, cost: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factors = tab[:, col]
+    rows = factors.nonzero()[0]
+    rows = rows[rows != row]
+    # one rank-1 update; rows with a zero factor are left alone, so no
+    # entry's sign of zero changes
+    tab[rows] -= factors[rows, None] * tab[row]
     if cost[col] != 0.0:
         cost -= cost[col] * tab[row]
 
@@ -93,26 +105,26 @@ def _run_phase(
 ) -> int:
     """Pivot until no reduced cost is negative; Bland's rule throughout."""
     iterations = 0
+    rhs = tab[:, -1]
     while True:
-        enter = -1
-        for j in range(n_cols):
-            if cost[j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = (cost[:n_cols] < -_TOL).nonzero()[0]
+        if not len(improving):
             return iterations
+        enter = int(improving[0])
+        column = tab[:, enter]
+        rows = (column > _TOL).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
+        # the tie rule makes the winner depend on the order the rows are
+        # met in, so walk the eligible rows in row order
         leave = -1
         best = np.inf
-        for i in range(tab.shape[0]):
-            a = tab[i, enter]
-            if a > _TOL:
-                ratio = tab[i, -1] / a
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-12 or (
+                abs(ratio - best) <= 1e-12
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
         if leave < 0:
             raise LpUnboundedError(
                 f"column {enter} improves forever; objective unbounded below"
@@ -130,53 +142,50 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     unbounded below.
     """
     # Fold finite upper bounds in as explicit rows.
-    A_rows = [lp.A]
-    senses = list(lp.senses)
-    b = list(lp.b)
-    row_names = list(lp.row_names)
-    for j in range(lp.n_vars):
-        if np.isfinite(lp.upper[j]):
-            row = np.zeros(lp.n_vars)
-            row[j] = 1.0
-            A_rows.append(row[None, :])
-            senses.append(LE)
-            b.append(float(lp.upper[j]))
-            row_names.append(f"bound[{lp.var_names[j]}]")
-    A = np.vstack(A_rows)
-    b = np.array(b)
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
+    bound_rows = np.zeros((len(bounded), lp.n_vars))
+    bound_rows[np.arange(len(bounded)), bounded] = 1.0
+    A = np.vstack((lp.A, bound_rows))
+    b = np.concatenate((lp.b, lp.upper[bounded]))
+    senses = list(lp.senses) + [LE] * len(bounded)
+    row_names = list(lp.row_names) + [
+        f"bound[{lp.var_names[j]}]" for j in bounded
+    ]
 
     # Normalize to b >= 0.
-    for i in range(len(b)):
-        if b[i] < 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            senses[i] = {LE: GE, GE: LE, EQ: EQ}[senses[i]]
+    flip = b < 0.0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    senses = [_FLIPPED[s] if f else s for s, f in zip(senses, flip.tolist())]
 
     m, n = A.shape
-    slack_cols = [i for i, s in enumerate(senses) if s != EQ]
-    art_rows = [i for i, s in enumerate(senses) if s != LE]
-    n_slack = len(slack_cols)
+    is_le = np.array([s == LE for s in senses], dtype=bool)
+    slack_rows = np.flatnonzero(np.array([s != EQ for s in senses], dtype=bool))
+    art_rows = np.flatnonzero(~is_le)
+    n_slack = len(slack_rows)
     n_art = len(art_rows)
     n_total = n + n_slack + n_art
 
     tab = np.zeros((m, n_total + 1))
     tab[:, :n] = A
     tab[:, -1] = b
-    basis = [-1] * m
-    for k, i in enumerate(slack_cols):
-        tab[i, n + k] = 1.0 if senses[i] == LE else -1.0
-        if senses[i] == LE:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        tab[i, n + n_slack + k] = 1.0
-        basis[i] = n + n_slack + k
+    slack_cols = np.arange(n, n + n_slack)
+    art_cols = np.arange(n + n_slack, n_total)
+    slack_le = is_le[slack_rows]
+    tab[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
+    tab[art_rows, art_cols] = 1.0
+    basis_arr = np.full(m, -1)
+    basis_arr[slack_rows[slack_le]] = slack_cols[slack_le]
+    basis_arr[art_rows] = art_cols
+    basis = basis_arr.tolist()
 
     iterations = 0
     if n_art:
         cost1 = np.zeros(n_total + 1)
         cost1[n + n_slack : n_total] = 1.0
-        for i in art_rows:  # price out the artificial basis
-            cost1 -= tab[i]
+        # price out the artificial basis; subtract.reduce folds the rows in
+        # order, as repeated ``cost1 -= tab[i]`` would
+        cost1 = np.subtract.reduce(np.vstack((cost1, tab[art_rows])), axis=0)
         iterations += _run_phase(tab, cost1, basis, n_total)
         if -cost1[-1] > 1e-7:
             residuals = {
@@ -190,27 +199,33 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 residuals,
             )
         # Drive any degenerate artificials out of the basis.
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                for j in range(n + n_slack):
-                    if abs(tab[i, j]) > _TOL:
-                        _pivot(tab, cost1, i, j)
-                        basis[i] = j
-                        break
+        for i in [i for i in range(m) if basis[i] >= n + n_slack]:
+            candidates = np.flatnonzero(np.abs(tab[i, : n + n_slack]) > _TOL)
+            if len(candidates):
+                j = int(candidates[0])
+                _pivot(tab, cost1, i, j)
+                basis[i] = j
 
+    # Price out the basic structurals.  Basic columns are unit vectors, so
+    # each row's factor is its variable's own cost, unchanged by the rows
+    # folded in before it.
+    basis_arr = np.array(basis, dtype=int)
+    basic = np.flatnonzero(basis_arr < n)
     cost2 = np.zeros(n_total + 1)
     cost2[:n] = lp.c
-    for i in range(m):
-        if basis[i] < n and cost2[basis[i]] != 0.0:
-            cost2 -= cost2[basis[i]] * tab[i]
+    factors = cost2[basis_arr[basic]]
+    priced = factors != 0.0
+    cost2 = np.subtract.reduce(
+        np.vstack((cost2, factors[priced, None] * tab[basic[priced]])), axis=0
+    )
     # artificials are no longer eligible to enter
     cost2[n + n_slack : n_total] = np.inf
     iterations += _run_phase(tab, cost2, basis, n + n_slack)
 
+    basis_arr = np.array(basis, dtype=int)
+    basic = np.flatnonzero(basis_arr < n)
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i, -1]
+    x[basis_arr[basic]] = tab[basic, -1]
     finite_rc = cost2[: n + n_slack]
     violation = float(max(0.0, -np.min(finite_rc))) if len(finite_rc) else 0.0
     return LpSolution(

@@ -221,9 +221,9 @@ def infinite_energy_dry_run(
     return consumed, transports
 
 
-def plan_day_ahead(scenario: Scenario):
-    """Algorithm step 1: dry-run the day, then price-optimize the charging."""
-    fleet = scenario.build_fleet()
+def plan_day_ahead(scenario: Scenario, fleet: list[Vehicle]):
+    """Algorithm step 1: dry-run the day from ``fleet`` (left untouched),
+    then price-optimize the charging."""
     consumed, transports = infinite_energy_dry_run(scenario, fleet)
     inputs = DayAheadInputs(
         consumed=consumed,
@@ -256,7 +256,8 @@ def _split_group(
         if len(transport) >= phi:
             break
         transport.append(v.id)
-    chargers = [v.id for v in idle_by_energy if v.id not in set(transport)]
+    taken = set(transport)
+    chargers = [v.id for v in idle_by_energy if v.id not in taken]
     return transport, chargers
 
 
@@ -271,9 +272,10 @@ def set_demand(census: list[PvGroup], n: list[int]) -> int:
 
 def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
-    plan, plan_inputs = plan_day_ahead(scenario)
+    fleet = scenario.build_fleet()
+    plan, plan_inputs = plan_day_ahead(scenario, fleet)
     engine = scenario.engine()
-    engine.reset(scenario.build_fleet())
+    engine.reset(fleet)
     params = scenario.params
     ledger = EnergyLedger()
     slots: list[SlotMetrics] = []

@@ -16,6 +16,7 @@ finishes it before rerouting.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -462,6 +463,7 @@ class FleetEngine:
         self.start_epoch = float(start_epoch)
         self.batch_seconds = batch_minutes * 60.0
         self.all_requests = sorted(requests, key=lambda r: (r.request_time, r.id))
+        self._release_times = [r.request_time for r in self.all_requests]
         self.state: FleetState | None = None
 
     # -- state management ----------------------------------------------
@@ -542,14 +544,25 @@ class FleetEngine:
                 if not veh.plan.stops and veh.edge_head is None:
                     veh.route = []
 
+        # Requests are released in ``all_requests`` order and never return
+        # to waiting, so the first one that can still be waiting only moves
+        # forward within the slot.
+        requests = state.requests
+        first_open = 0
         n_batches = max(1, round((t1 - t0) / self.batch_seconds))
         for k in range(n_batches):
             b0 = t0 + k * self.batch_seconds
             b1 = min(b0 + self.batch_seconds, t1)
+            released = bisect_right(self._release_times, b0)
+            while (
+                first_open < released
+                and requests[self.all_requests[first_open].id].status != WAITING
+            ):
+                first_open += 1
             pending = [
-                rs.request
-                for rs in self.state.requests.values()
-                if rs.status == WAITING and rs.request.request_time <= b0
+                r
+                for r in self.all_requests[first_open:released]
+                if requests[r.id].status == WAITING
             ]
             if pending:
                 pool = [

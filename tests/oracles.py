@@ -5,6 +5,11 @@ are brute-force active-set enumerations or plain bisections, equilibria come
 from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
+
+Two are the production kernels' former element-by-element loops, kept as
+bit-exact references for the bulk versions: ``loop_solve_lp`` (the dense
+simplex with a row-by-row pivot and ratio test) and ``linear_scan_dual``
+(the box-hyperplane projection that evaluates every breakpoint in turn).
 """
 
 from __future__ import annotations
@@ -15,7 +20,17 @@ import math
 import numpy as np
 
 from pvjtcs.network import shortest_path
+from pvjtcs.simplex import (
+    EQ,
+    GE,
+    LE,
+    LpInfeasibleError,
+    LpSolution,
+    LpUnboundedError,
+)
 from pvjtcs.transport_scheduler import DROPOFF, PICKUP, Stop
+
+_TOL = 1e-9
 
 
 def bisection_projection(point, m, S, iters: int = 80):
@@ -314,3 +329,195 @@ def brute_force_insertion(
             if best is None or delta < best[0] - 1e-12:
                 best = (delta, cand)
     return best
+
+
+def linear_scan_dual(point, m, S):
+    """Box-hyperplane projection by a linear breakpoint scan: evaluate
+    ``g(lam) = sum(m * clip(point + lam*m, 0, 1))`` at every sorted knot
+    until it reaches ``S``, then solve the crossing segment in closed form.
+    Plain-float inputs, ``m > 0``; returns a list."""
+    n = len(point)
+    total = 0.0
+    for i in range(n):
+        total += m[i]
+    if S <= 0.0:
+        return [0.0] * n
+    if S >= total:
+        return [1.0] * n
+
+    knots = []
+    for i in range(n):
+        knots.append(-point[i] / m[i])
+        knots.append((1.0 - point[i]) / m[i])
+    knots.sort()
+
+    lam = knots[0]
+    for k in range(1, 2 * n):
+        lam_next = knots[k]
+        if lam_next == lam:
+            continue
+        g_next = 0.0
+        for i in range(n):
+            zi = point[i] + lam_next * m[i]
+            if zi < 0.0:
+                zi = 0.0
+            elif zi > 1.0:
+                zi = 1.0
+            g_next += m[i] * zi
+        if g_next >= S:
+            break
+        lam = lam_next
+    lam_mid = 0.5 * (lam + lam_next)
+    num = S
+    den = 0.0
+    for i in range(n):
+        zi = point[i] + lam_mid * m[i]
+        if zi <= 0.0:
+            pass
+        elif zi >= 1.0:
+            num -= m[i]
+        else:
+            num -= m[i] * point[i]
+            den += m[i] * m[i]
+    lam_star = (num / den) if den > 0.0 else lam_next
+    out = []
+    for i in range(n):
+        zi = point[i] + lam_star * m[i]
+        if zi < 0.0:
+            zi = 0.0
+        elif zi > 1.0:
+            zi = 1.0
+        out.append(zi)
+    return out
+
+
+def _loop_pivot(tab, cost, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and tab[i, col] != 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+    if cost[col] != 0.0:
+        cost -= cost[col] * tab[row]
+
+
+def _loop_run_phase(tab, cost, basis, n_cols):
+    iterations = 0
+    while True:
+        enter = -1
+        for j in range(n_cols):
+            if cost[j] < -_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return iterations
+        leave = -1
+        best = np.inf
+        for i in range(tab.shape[0]):
+            a = tab[i, enter]
+            if a > _TOL:
+                ratio = tab[i, -1] / a
+                if ratio < best - 1e-12 or (
+                    abs(ratio - best) <= 1e-12
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise LpUnboundedError(
+                f"column {enter} improves forever; objective unbounded below"
+            )
+        _loop_pivot(tab, cost, leave, enter)
+        basis[leave] = enter
+        iterations += 1
+
+
+def loop_solve_lp(lp):
+    """Two-phase dense simplex with Bland's rule, one tableau row at a time:
+    the pivot eliminates row by row, the entering column and the ratio test
+    are plain scans.  Same contract as ``pvjtcs.simplex.solve_lp``."""
+    A_rows = [lp.A]
+    senses = list(lp.senses)
+    b = list(lp.b)
+    row_names = list(lp.row_names)
+    for j in range(lp.n_vars):
+        if np.isfinite(lp.upper[j]):
+            row = np.zeros(lp.n_vars)
+            row[j] = 1.0
+            A_rows.append(row[None, :])
+            senses.append(LE)
+            b.append(float(lp.upper[j]))
+            row_names.append(f"bound[{lp.var_names[j]}]")
+    A = np.vstack(A_rows)
+    b = np.array(b)
+
+    for i in range(len(b)):
+        if b[i] < 0.0:
+            A[i] = -A[i]
+            b[i] = -b[i]
+            senses[i] = {LE: GE, GE: LE, EQ: EQ}[senses[i]]
+
+    m, n = A.shape
+    slack_cols = [i for i, s in enumerate(senses) if s != EQ]
+    art_rows = [i for i, s in enumerate(senses) if s != LE]
+    n_slack = len(slack_cols)
+    n_art = len(art_rows)
+    n_total = n + n_slack + n_art
+
+    tab = np.zeros((m, n_total + 1))
+    tab[:, :n] = A
+    tab[:, -1] = b
+    basis = [-1] * m
+    for k, i in enumerate(slack_cols):
+        tab[i, n + k] = 1.0 if senses[i] == LE else -1.0
+        if senses[i] == LE:
+            basis[i] = n + k
+    for k, i in enumerate(art_rows):
+        tab[i, n + n_slack + k] = 1.0
+        basis[i] = n + n_slack + k
+
+    iterations = 0
+    if n_art:
+        cost1 = np.zeros(n_total + 1)
+        cost1[n + n_slack : n_total] = 1.0
+        for i in art_rows:
+            cost1 -= tab[i]
+        iterations += _loop_run_phase(tab, cost1, basis, n_total)
+        if -cost1[-1] > 1e-7:
+            residuals = {
+                row_names[i]: float(tab[i, -1])
+                for i in range(m)
+                if basis[i] >= n + n_slack and tab[i, -1] > 1e-9
+            }
+            raise LpInfeasibleError(
+                "no feasible point; unmet rows: "
+                + ", ".join(f"{name} (short {v:.6g})" for name, v in residuals.items()),
+                residuals,
+            )
+        for i in range(m):
+            if basis[i] >= n + n_slack:
+                for j in range(n + n_slack):
+                    if abs(tab[i, j]) > _TOL:
+                        _loop_pivot(tab, cost1, i, j)
+                        basis[i] = j
+                        break
+
+    cost2 = np.zeros(n_total + 1)
+    cost2[:n] = lp.c
+    for i in range(m):
+        if basis[i] < n and cost2[basis[i]] != 0.0:
+            cost2 -= cost2[basis[i]] * tab[i]
+    cost2[n + n_slack : n_total] = np.inf
+    iterations += _loop_run_phase(tab, cost2, basis, n + n_slack)
+
+    x = np.zeros(n)
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i, -1]
+    finite_rc = cost2[: n + n_slack]
+    violation = float(max(0.0, -np.min(finite_rc))) if len(finite_rc) else 0.0
+    return LpSolution(
+        x=x,
+        objective=float(lp.c @ x),
+        iterations=iterations,
+        reduced_cost_violation=violation,
+    )

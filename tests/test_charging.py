@@ -1,9 +1,12 @@
 """Day-ahead charging program and the simplex behind it."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs.charging_scheduler import (
     ChargingInfeasibleError,
@@ -23,7 +26,7 @@ from pvjtcs.simplex import (
     LpUnboundedError,
     solve_lp,
 )
-from oracles import enumerate_lp_vertices
+from oracles import enumerate_lp_vertices, loop_solve_lp
 
 
 def toy_params(J=2, c=10.0, r=2.0, e_min=1.0, rho=0.2):
@@ -119,6 +122,84 @@ class TestSimplex:
             assert sol.objective == pytest.approx(ref_obj, rel=1e-7, abs=1e-9)
             assert sol.reduced_cost_violation <= 1e-9
             solved += 1
+
+
+def lp_outcome(solver, lp):
+    """Bits of x and of the objective, the pivot count and the reduced-cost
+    violation, or the exception type with its residuals."""
+    try:
+        sol = solver(lp)
+    except (LpInfeasibleError, LpUnboundedError) as err:
+        return type(err), getattr(err, "residuals", None)
+    return (
+        sol.x.tobytes(),
+        struct.pack("<d", sol.objective),
+        sol.iterations,
+        struct.pack("<d", sol.reduced_cost_violation),
+    )
+
+
+@st.composite
+def small_lps(draw):
+    """LPs of up to 5 variables and 5 rows: small integer data (ties,
+    degenerate vertices, zero rows) or floats; infeasible and unbounded
+    programs included."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        value = st.integers(min_value=-3, max_value=3).map(float)
+    else:
+        value = st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False)
+    c = [draw(value) for _ in range(n)]
+    A = np.array([[draw(value) for _ in range(n)] for _ in range(rows)]).reshape(rows, n)
+    senses = [draw(st.sampled_from([LE, GE, EQ])) for _ in range(rows)]
+    b = [draw(value) * 2.0 for _ in range(rows)]
+    upper = [
+        draw(st.one_of(st.just(np.inf), st.integers(min_value=0, max_value=4).map(float)))
+        for _ in range(n)
+    ]
+    return LinearProgram(c=c, A=A, senses=senses, b=b, upper=upper)
+
+
+@st.composite
+def day_ahead_programs(draw):
+    """Day-ahead programs with tied prices, idle slots (zero consumption:
+    degenerate reserve rows), full-demand slots (zero caps) and starting
+    energy low enough to make some programs infeasible."""
+    T = draw(st.integers(min_value=1, max_value=24))
+    J = draw(st.integers(min_value=2, max_value=30))
+    params = toy_params(J=J, c=40.0, r=5.0, e_min=1.0, rho=0.2)
+    prices = st.one_of(
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.floats(min_value=0.5, max_value=9.0, allow_subnormal=False),
+    )
+    consumed = st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=3.0 * J, allow_subnormal=False)
+    )
+    inputs = DayAheadInputs(
+        consumed=[draw(consumed) for _ in range(T)],
+        demand_counts=[draw(st.integers(min_value=0, max_value=J)) for _ in range(T)],
+        prices=[draw(prices) for _ in range(T)],
+        e_init=draw(st.floats(min_value=0.1, max_value=1.0)) * J * params.c,
+        params=params,
+    )
+    return build_lp(inputs)
+
+
+class TestBulkSimplexMatchesLoop:
+    """The bulk tableau kernels take the same pivots as the row-by-row
+    reference: bit-equal x and objective, equal pivot counts, the same
+    exception on infeasible and unbounded programs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp=small_lps())
+    def test_small_programs(self, lp):
+        assert lp_outcome(solve_lp, lp) == lp_outcome(loop_solve_lp, lp)
+
+    @settings(max_examples=120, deadline=None)
+    @given(lp=day_ahead_programs())
+    def test_day_ahead_programs(self, lp):
+        assert lp_outcome(solve_lp, lp) == lp_outcome(loop_solve_lp, lp)
 
 
 class TestBuildLp:

@@ -320,9 +320,9 @@ class TestCliSurface:
         calls = []
         original = simulator.plan_day_ahead
 
-        def counting(scenario):
+        def counting(scenario, *rest):
             calls.append(scenario)
-            return original(scenario)
+            return original(scenario, *rest)
 
         monkeypatch.setattr(simulator, "plan_day_ahead", counting)
         # charging_plan.csv comes from the run's own plan: the command must

@@ -1,18 +1,24 @@
 """Feasible-set geometry: preflight clamp, projections, oracle equivalence."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs.projection import (
     FeasibleSet,
     Halfspace,
     InfeasibleSetError,
+    _dual_scan,
     clamp_demand,
     project_box_hyperplane,
     project_feasible,
     project_intersection,
 )
-from oracles import active_set_projection
+from oracles import active_set_projection, linear_scan_dual
 
 
 def random_halfspace(rng, n):
@@ -107,6 +113,59 @@ class TestBoxHyperplane:
             ours = project_box_hyperplane(p, m, S)
             ref = active_set_projection(p, m, S)
             assert np.max(np.abs(ours - ref)) <= 1e-6
+
+
+@st.composite
+def dual_scan_cases(draw):
+    """Points, weights from 1 to 100 and a right-hand side: coordinates
+    repeated (equal points and weights give duplicate knots), points on the
+    box faces or far outside, S at or next to 0 and sum(m)."""
+    coord = st.one_of(
+        st.floats(min_value=-3.0, max_value=4.0, allow_subnormal=False),
+        st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, -1.0, 2.0]),
+    )
+    weight = st.integers(min_value=1, max_value=100).map(float)
+    pairs = draw(
+        st.lists(
+            st.tuples(coord, weight, st.integers(min_value=1, max_value=3)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    point, m = [], []
+    for p, w, copies in pairs:
+        point += [p] * copies
+        m += [w] * copies
+    total = sum(m)
+    S = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=total),
+            st.sampled_from(
+                [
+                    0.0,
+                    5e-324,
+                    1e-12,
+                    total,
+                    math.nextafter(total, 0.0),
+                    total - 1e-12,
+                    total - 1.0,
+                    1.0,
+                ]
+            ),
+            st.integers(min_value=0, max_value=int(total)).map(float),
+        )
+    )
+    return point, m, S
+
+
+class TestDualScanMatchesLinearScan:
+    @settings(max_examples=400, deadline=None)
+    @given(case=dual_scan_cases())
+    def test_bit_equal(self, case):
+        def bits(z):
+            return [struct.pack("<d", v) for v in z]
+
+        assert bits(_dual_scan(*case)) == bits(linear_scan_dual(*case))
 
 
 class TestProjectFeasible:

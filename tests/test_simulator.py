@@ -142,7 +142,11 @@ class TestDayAhead:
 
     def test_plan_respects_каps(self):
         sc = make_scenario(requests=sprinkle_requests(make_grid_graph(), 8))
-        plan, inputs = plan_day_ahead(sc)
+        fleet = sc.build_fleet()
+        start = [(v.node, v.energy) for v in fleet]
+        plan, inputs = plan_day_ahead(sc, fleet)
+        assert [(v.node, v.energy) for v in fleet] == start
+        assert inputs.e_init == sum(e for _, e in start)
         for t in range(sc.T):
             cap = (sc.params.J - inputs.demand_counts[t]) * sc.params.r
             assert -1e-9 <= plan.e_plus[t] <= cap + 1e-6
@@ -154,6 +158,19 @@ class TestFullRuns:
         reqs = sprinkle_requests(graph, 24, t0=0.0, spacing=550.0)
         return make_scenario(requests=reqs, T=4, seed=seed,
                              energies=[18.0, 22.0, 26.0, 30.0, 34.0, 44.0])
+
+    def test_jtcs_builds_the_fleet_once(self, monkeypatch):
+        sc = self.make_busy_scenario()
+        built = []
+        original = type(sc).build_fleet
+
+        def counting(scenario):
+            built.append(1)
+            return original(scenario)
+
+        monkeypatch.setattr(type(sc), "build_fleet", counting)
+        run_jtcs(sc)
+        assert len(built) == 1
 
     def test_ledger_conserves_energy(self):
         summary = run_jtcs(self.make_busy_scenario())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvjtcs import transport_scheduler
 from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams
 from pvjtcs.network import RegionMap, StationSet, shortest_path
 from pvjtcs.transport_scheduler import (
@@ -15,6 +16,7 @@ from pvjtcs.transport_scheduler import (
     PICKUP,
     ONBOARD,
     SERVED,
+    WAITING,
     EnergyUnderflowError,
     FleetEngine,
     RequestState,
@@ -379,6 +381,45 @@ class TestEngine:
         # 1 km trip at 30 km/h = 120 s
         assert rs.dropoff_time - rs.pickup_time == pytest.approx(120.0, abs=1.0)
         assert engine.state.vehicle(0).energy == pytest.approx(40.0 - 0.3)
+
+    def test_pending_requests_match_a_full_scan(self, grid_graph, monkeypatch):
+        # every batch offers exactly the released requests still waiting, in
+        # release order; three requests share each release time, which falls
+        # on a batch start, and one early party too large for any vehicle
+        # waits behind later requests that are served
+        requests = [
+            make_request(grid_graph, rid, 600.0 * (rid // 3), rid % 16, (5 * rid + 3) % 16)
+            for rid in range(1, 40)
+        ]
+        requests[3] = make_request(grid_graph, 4, 600.0, 4, 7, passengers=PARAMS.seats + 1)
+        engine = build_engine(
+            grid_graph,
+            requests,
+            vehicles=[fresh_vehicle(vid=0, node=0), fresh_vehicle(vid=1, node=15)],
+        )
+        offers = []
+        original = transport_scheduler.pci_assign
+
+        def checking(pending, fleet, graph, params, now, states, *rest):
+            assert pending == [
+                rs.request
+                for rs in states.values()
+                if rs.status == WAITING and rs.request.request_time <= now
+            ]
+            offers.extend(r.id for r in pending)
+            return original(pending, fleet, graph, params, now, states, *rest)
+
+        monkeypatch.setattr(transport_scheduler, "pci_assign", checking)
+        for t in range(3):
+            engine.run_slot(t, {0, 1}, set())
+            engine.end_slot()
+        # some requests waited through several batches while later ones
+        # were served
+        states = engine.state.requests
+        assert len(offers) > len(set(offers))
+        waiting = [r.id for r in requests if states[r.id].status == WAITING]
+        served = [r.id for r in requests if states[r.id].status == SERVED]
+        assert waiting and served and min(waiting) < max(served)
 
     def test_energy_tracks_distance(self, grid_graph):
         # 10 km of driving burns 3 kwh

@@ -1,6 +1,9 @@
 """Equilibrium solver: residual, backtracking, convergence, KKT audit."""
 
+import hashlib
 import io
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +36,56 @@ def make_instance(m, d, e_plus, r=1.0, d_total=None):
 SYMMETRIC = make_instance([10, 10], [5, 5], e_plus=8.0, d_total=8.0)
 ASYMMETRIC = make_instance([10, 20], [8, 4], e_plus=6.0, d_total=12.0)
 SINGLETON = make_instance([10], [0], e_plus=4.0, d_total=0.0)
+
+
+def pinned_game(seed):
+    """A feasible slot game of 2-20 groups of 1-100 vehicles."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 20)
+    top = rng.randint(1, 100)
+    m = [rng.randint(1, top) for _ in range(n)]
+    d = [rng.randint(0, mi) for mi in m]
+    r = PARAMS.r
+    e_plus = rng.uniform(0.0, r * (sum(m) - sum(d)))
+    groups, fset = make_instance(m, d, e_plus, r=r)
+    return groups, fset, rng.uniform(1.0, 10.0)
+
+
+# SHA-256 (first 16 hex digits) of the bits of x* and of len(trace) from
+# sspm_solve on pinned_game(seed), recorded with the linear breakpoint scan
+# (now oracles.linear_scan_dual).  Seeds 9, 12 and 30 are left out: they
+# take 0.3-1.7 s each.
+PINNED_DIGESTS = {
+    0: "20ff65927688202a",
+    1: "2190a14bfae5568a",
+    2: "94d8f6c8768e5a72",
+    3: "ea9fc7958eb507f2",
+    4: "8cc28cd98409dc29",
+    5: "582265479b2f4b67",
+    6: "1d109b165d4e0f2a",
+    7: "eb1627d90f27a795",
+    8: "b90ed02692cfca6c",
+    10: "af10503c44d9d524",
+    11: "523de25f627a9542",
+    13: "7720ae27fd50a9dd",
+    14: "a469d77fcc68bb93",
+    15: "a5b1c8cc5879d56d",
+    16: "41cc559bbe7527e9",
+    17: "73087896b5365cad",
+    18: "6f41e59931f4f52e",
+    19: "8c01d929cfab1514",
+    20: "ccc46195a0996c2b",
+    21: "16a881332236f821",
+    22: "f1445b6be6b0150b",
+    23: "d26bf1b250c6683a",
+    24: "1cb50b726da2b8a3",
+    25: "f0cc9bf240bc107e",
+    26: "00ab29b1eee9dd23",
+    27: "f5a4d19f560a11a9",
+    28: "933f16b33eaa880b",
+    29: "f5233d8c47d1ecd4",
+    31: "043bcd203808ca2c",
+}
 
 
 class TestResidual:
@@ -192,6 +245,20 @@ class TestSspmSolve:
         with pytest.raises(SspmConvergenceError) as err:
             sspm_solve(groups, fset, 7.7, PARAMS, max_iterations=3)
         assert len(err.value.trace) == 3
+
+    def test_iterates_match_pinned_digests(self):
+        # any kernel change that moves a single iterate moves x* or the
+        # iteration count of some game
+        moved = {}
+        for seed, expected in PINNED_DIGESTS.items():
+            groups, fset, price = pinned_game(seed)
+            x, trace = sspm_solve(groups, fset, price, PARAMS)
+            digest = hashlib.sha256(
+                x.tobytes() + struct.pack("<q", len(trace))
+            ).hexdigest()[:16]
+            if digest != expected:
+                moved[seed] = digest
+        assert not moved
 
     def test_rejects_empty_groups(self):
         groups = [PvGroup(region=0, m=0, d=0), PvGroup(region=1, m=5, d=2)]
