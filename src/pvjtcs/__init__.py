@@ -13,8 +13,8 @@ and a command-line front end (`io_files`, `cli`).
 """
 
 from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
-from pvjtcs.model import GameParams, PvGroup, PvState, PriceCurve, PricingModel
-from pvjtcs.projection import FeasibleSet, Halfspace, clamp_demand
+from pvjtcs.model import GameParams, PvGroup, PvState, PriceCurve
+from pvjtcs.projection import FeasibleSet, clamp_demand
 from pvjtcs.simulator import RunSummary, Scenario, run_jtcs, run_tgc
 from pvjtcs.transport_scheduler import TripRequest
 from pvjtcs.vi_solver import kkt_verify, sspm_solve
@@ -26,9 +26,7 @@ __all__ = [
     "PvGroup",
     "PvState",
     "PriceCurve",
-    "PricingModel",
     "FeasibleSet",
-    "Halfspace",
     "clamp_demand",
     "sspm_solve",
     "kkt_verify",

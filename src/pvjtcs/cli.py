@@ -57,7 +57,6 @@ CONFIG_DEFAULTS = {
     "trip_filter_km": 2.0,
     "mode": "both",
     "batch_minutes": 5.0,
-    "rollover_shortfall": False,
     "init_energy_range": [32.0, 41.0],
     "params": {},
 }
@@ -109,7 +108,6 @@ def build_scenario(config: dict) -> Scenario:
         start_epoch=float(config["start_hour"]) * 3600.0,
         batch_minutes=float(config["batch_minutes"]),
         init_energy_range=(float(lo), float(hi)),
-        rollover_shortfall=bool(config["rollover_shortfall"]),
     )
 
 

@@ -12,10 +12,8 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 IDLE = "idle"
 SERVING = "serving"
@@ -116,8 +114,9 @@ class PvGroup:
 
     ``a`` vehicles sit in the region, ``f`` of them fully charged, leaving
     ``m = a - f`` group members.  ``n`` vehicles transported in the dry run,
-    so ``d = max(n - f, 0)`` members are demanded for transportation.  ``x``
-    is the group's strategy: the fraction of members that will transport.
+    so ``d = max(n - f, 0)`` members are demanded for transportation.  The
+    group's strategy, the fraction of members that will transport, lives
+    with the solver, not here.
     """
 
     region: int
@@ -126,7 +125,6 @@ class PvGroup:
     a: int | None = None
     f: int = 0
     n: int = 0
-    x: float = 0.0
 
     def __post_init__(self) -> None:
         if self.a is None:
@@ -137,8 +135,6 @@ class PvGroup:
             raise ValueError(
                 f"group {self.region}: m={self.m} != a-f={self.a - self.f}"
             )
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"group {self.region}: x={self.x} outside [0,1]")
 
 
 @dataclass
@@ -160,94 +156,48 @@ class PriceCurve:
         return self.prices[t]
 
 
-@dataclass
-class PricingModel:
-    """Endogenous price rule p = alpha0 * (L/C0)^k0 over regional loads.
+VectorFn = Callable[[Sequence[float]], list[float]]
 
-    ``loads[i][t]`` is region i's electricity load in slot t.  The simulator
-    normally runs on a recorded exogenous :class:`PriceCurve` instead; this
-    rule is kept for completeness and for experiments that close the
-    price-load loop.
+
+def payoff_functions(
+    groups: Sequence[PvGroup], p_t: float, params: GameParams
+) -> tuple[VectorFn, VectorFn]:
+    """The slot game's payoffs ``u`` and its operator ``F = -du/dx``.
+
+    Group i's payoff at strategy x_i under price ``p_t`` trades a quadratic
+    penalty for missing the transportation demand (m*x vehicles offered
+    against d demanded), a logarithmic satisfaction reward for the fraction
+    that charges, and the charging fee:
+
+        u_i = -(m x - d)^2 + alpha1 m ln(2 - x) - alpha2 p m (1 - x)
+        F_i = 2 m (m x - d) + alpha1 m / (2 - x) - alpha2 p m
+
+    Each payoff depends only on its own coordinate and is strictly concave
+    whenever m > 0, so ``F`` is strictly monotone and the game has a unique
+    normalized equilibrium.  Both closures take and return plain float
+    lists (the solver calls ``F`` several times per iteration on a handful
+    of groups) and accept points outside the strategy box: the backtracking
+    probe may step out, and both are smooth for x < 2.
     """
+    a1 = params.alpha1
+    a2p = params.alpha2 * p_t
+    # per group: m, d and the products 2m, alpha1*m, alpha2*p*m, rounded
+    # once here exactly as the formulas would round them on every call
+    terms = []
+    for g in groups:
+        m = float(g.m)
+        terms.append((m, float(g.d), 2.0 * m, a1 * m, a2p * m))
 
-    alpha0: float
-    k0: float
-    C0: float
-    loads: Sequence[Sequence[float]] = field(default_factory=list)
+    def u(x: Sequence[float]) -> list[float]:
+        return [
+            -((m * xi - d) ** 2) + a1m * math.log(2.0 - xi) - a2pm * (1.0 - xi)
+            for (m, d, _, a1m, a2pm), xi in zip(terms, x)
+        ]
 
-    def __post_init__(self) -> None:
-        if self.alpha0 < 0.0:
-            raise ValueError(f"alpha0 must be nonnegative, got {self.alpha0}")
-        if self.k0 < 0.0:
-            raise ValueError(f"k0 must be nonnegative, got {self.k0}")
-        if self.C0 <= 0.0:
-            raise ValueError(f"market capacity C0 must be positive, got {self.C0}")
+    def F(x: Sequence[float]) -> list[float]:
+        return [
+            m2 * (m * xi - d) + a1m / (2.0 - xi) - a2pm
+            for (m, d, m2, a1m, a2pm), xi in zip(terms, x)
+        ]
 
-
-def utility(group: PvGroup, x: float, p_t: float, params: GameParams) -> float:
-    """Payoff of one group at strategy ``x`` under price ``p_t``.
-
-    Three terms: a quadratic penalty for missing the transportation demand
-    (m*x vehicles offered against d demanded), a logarithmic satisfaction
-    reward for the fraction that charges, and the charging fee.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"strategy x={x} outside [0,1]")
-    if group.m < 0:
-        raise ValueError("group size m must be nonnegative")
-    if p_t < 0.0:
-        raise ValueError(f"price must be nonnegative, got {p_t}")
-    m = float(group.m)
-    d = float(group.d)
-    return (
-        -((m * x - d) ** 2)
-        + params.alpha1 * m * math.log(2.0 - x)
-        - params.alpha2 * p_t * m * (1.0 - x)
-    )
-
-
-def utility_gradient(group: PvGroup, x: float, p_t: float, params: GameParams) -> float:
-    """d(utility)/dx: -2m(mx - d) - alpha1*m/(2 - x) + alpha2*p_t*m."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"strategy x={x} outside [0,1]")
-    if group.m < 0:
-        raise ValueError("group size m must be nonnegative")
-    if p_t < 0.0:
-        raise ValueError(f"price must be nonnegative, got {p_t}")
-    m = float(group.m)
-    d = float(group.d)
-    return -2.0 * m * (m * x - d) - params.alpha1 * m / (2.0 - x) + params.alpha2 * p_t * m
-
-
-def utility_curvature(group: PvGroup, x: float, params: GameParams) -> float:
-    """Second derivative of the payoff; strictly negative whenever m > 0."""
-    m = float(group.m)
-    return -2.0 * m * m - params.alpha1 * m / (x - 2.0) ** 2
-
-
-def pseudo_gradient(
-    groups: Sequence[PvGroup],
-    x: Sequence[float],
-    p_t: float,
-    params: GameParams,
-) -> np.ndarray:
-    """Stacked negated payoff gradients, one component per group.
-
-    Each payoff depends only on its own coordinate, so this vector is also
-    the negative gradient of the aggregate payoff sum: the game's
-    equilibrium operator coincides with plain maximization machinery.
-    """
-    if len(x) != len(groups):
-        raise ValueError(f"strategy vector has length {len(x)}, expected {len(groups)}")
-    out = np.empty(len(groups))
-    for i, (g, xi) in enumerate(zip(groups, x)):
-        out[i] = -utility_gradient(g, float(xi), p_t, params)
-    return out
-
-
-def rtp_price(model: PricingModel, t: int) -> float:
-    """Price in slot t from the endogenous rule: alpha0 * (L_t/C0)^k0."""
-    if model.C0 == 0.0:
-        raise ZeroDivisionError("market capacity C0 is zero")
-    load_t = sum(region[t] for region in model.loads)
-    return model.alpha0 * (load_t / model.C0) ** model.k0
+    return u, F

@@ -1,4 +1,4 @@
-"""Road graph: shortest paths, station lookup, travel conversions.
+"""Road graph: shortest paths and station lookup.
 
 Distances come from Dijkstra over a directed weighted edge list; equal-length
 alternatives are broken toward the smallest predecessor id so repeated runs
@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from pvjtcs.model import GameParams
+CACHE_SIZE = 4096  # single-source results kept per graph, least recent evicted
 
 
 class UnreachableNodeError(ValueError):
@@ -26,7 +26,6 @@ class RoadGraph:
 
     coords: dict[int, tuple[float, float]]
     adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
-    cache_size: int = 4096
 
     def __post_init__(self) -> None:
         for node in self.coords:
@@ -119,12 +118,9 @@ class RoadGraph:
                 elif nd == old and v not in done and pred.get(v, u + 1) > u:
                     pred[v] = u
         self._sp_cache[source] = (dist, pred)
-        if len(self._sp_cache) > self.cache_size:
+        if len(self._sp_cache) > CACHE_SIZE:
             self._sp_cache.popitem(last=False)
         return dist, pred
-
-    def invalidate_cache(self) -> None:
-        self._sp_cache.clear()
 
 
 @dataclass
@@ -231,16 +227,3 @@ def nearest_station(
         raise UnreachableNodeError(f"no station reachable from node {node}")
     return best, best_d
 
-
-def travel_energy(distance_km: float, params: GameParams) -> float:
-    """kwh burned driving the given distance."""
-    if distance_km < 0.0:
-        raise ValueError("distance must be nonnegative")
-    return distance_km * params.consume_rate
-
-
-def travel_time(distance_km: float, params: GameParams) -> float:
-    """Hours spent driving the given distance."""
-    if distance_km < 0.0:
-        raise ValueError("distance must be nonnegative")
-    return distance_km / params.speed

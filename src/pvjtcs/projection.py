@@ -19,6 +19,11 @@ so the bisection lands on the same breakpoint as a linear scan and returns
 the same bits in O(n log n).  The cores are deliberately plain Python:
 the solver calls them tens of thousands of times on vectors of a handful of
 entries, where array-library call overhead dominates the arithmetic.
+
+The solver calls the two cores, ``_dual_scan`` and ``_intersection_core``,
+directly.  They take plain float lists and trust their caller for positive
+weights, matching lengths and a feasible right-hand side, which
+``sspm_solve`` checks once per game (``FeasibleSet.check_feasible``).
 """
 
 from __future__ import annotations
@@ -90,35 +95,6 @@ class AdjustmentReport:
     @property
     def delta(self) -> float:
         return self.adjusted - self.original
-
-
-@dataclass
-class Halfspace:
-    """``{z : <normal, z - anchor> <= 0}``."""
-
-    normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.normal = np.asarray(self.normal, dtype=float)
-        self.anchor = np.asarray(self.anchor, dtype=float)
-        if self.normal.shape != self.anchor.shape:
-            raise ValueError("normal and anchor must have the same shape")
-
-    def violation(self, z: np.ndarray) -> float:
-        return float(np.dot(self.normal, np.asarray(z, dtype=float) - self.anchor))
-
-    def contains(self, z: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.violation(z) <= tol
-
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """Closed-form Euclidean projection onto the halfspace."""
-        z = np.asarray(z, dtype=float)
-        viol = self.violation(z)
-        if viol <= 0.0:
-            return z.copy()
-        nn = float(np.dot(self.normal, self.normal))
-        return z - (viol / nn) * self.normal
 
 
 def clamp_demand(fset: FeasibleSet) -> tuple[FeasibleSet, AdjustmentReport]:
@@ -230,33 +206,6 @@ def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[flo
     return out
 
 
-def project_box_hyperplane(
-    point: Sequence[float], m: Sequence[float], S: float
-) -> np.ndarray:
-    """Project onto ``{z in [0,1]^I : sum(m_i z_i) = S}``.
-
-    Exact: the scalar dual multiplier of the hyperplane is located by a
-    bisection over the breakpoints and solved in closed form on the
-    resulting clipping pattern.
-    """
-    point_l = [float(v) for v in point]
-    m_l = [float(v) for v in m]
-    if len(point_l) != len(m_l):
-        raise ValueError("point and weights must have the same length")
-    if any(w <= 0.0 for w in m_l):
-        raise ValueError("zero-weight groups must be removed before projecting")
-    m_total = sum(m_l)
-    if not -1e-9 <= S <= m_total + 1e-9:
-        raise InfeasibleSetError(f"S={S:.6g} outside [0, sum(m)={m_total:.6g}]")
-    return np.array(_dual_scan(point_l, m_l, min(max(S, 0.0), m_total)))
-
-
-def project_feasible(point: Sequence[float], fset: FeasibleSet) -> np.ndarray:
-    """Project onto the slot feasible set."""
-    fset.check_feasible()
-    return project_box_hyperplane(point, fset.m, fset.S)
-
-
 def _intersection_core(
     point: list[float],
     m: list[float],
@@ -267,10 +216,14 @@ def _intersection_core(
 ) -> list[float]:
     """Projection onto box-hyperplane-halfspace, all plain floats.
 
-    Outer bisection on the halfspace multiplier ``tau`` (the halfspace
-    violation of the tau-shifted single-set projection is nonincreasing in
-    ``tau`` by firm nonexpansiveness), with an exact two-multiplier solve
-    attempted on every visited clipping pattern.
+    The halfspace is ``{z : <g, z> <= c}``.  Outer bisection on its
+    multiplier ``tau`` (the halfspace violation of the tau-shifted
+    single-set projection is nonincreasing in ``tau`` by firm
+    nonexpansiveness), with an exact two-multiplier solve attempted on every
+    visited clipping pattern.  Alternating projections are deliberately
+    avoided: near an equilibrium the halfspace normal aligns with the
+    charging hyperplane, and alternating projections stall on such glancing
+    intersections.
     """
     n = len(point)
     hscale = 1.0 + abs(c)
@@ -414,30 +367,3 @@ def _intersection_core(
         )
     return z
 
-
-def project_intersection(
-    point: Sequence[float],
-    fset: FeasibleSet,
-    half: Halfspace,
-    max_rounds: int = 200,
-) -> np.ndarray:
-    """Project onto the feasible set intersected with a halfspace.
-
-    An alternating-projection scheme is deliberately avoided here: near an
-    equilibrium the halfspace normal aligns with the charging hyperplane and
-    alternating projections stall on such glancing intersections.  The
-    two-multiplier dual search in ``_intersection_core`` has no such failure
-    mode.
-    """
-    point_l = [float(v) for v in point]
-    g_l = [float(v) for v in half.normal]
-    if all(v == 0.0 for v in g_l):
-        return project_feasible(point, fset)
-    fset.check_feasible()
-    m_l = [float(v) for v in fset.m]
-    if any(w <= 0.0 for w in m_l):
-        raise ValueError("zero-weight groups must be removed before projecting")
-    c = float(np.dot(half.normal, half.anchor))
-    return np.array(
-        _intersection_core(point_l, m_l, fset.S, g_l, c, max_rounds)
-    )

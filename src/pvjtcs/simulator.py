@@ -56,7 +56,6 @@ class Scenario:
     init_energy_range: tuple[float, float] = (32.0, 41.0)
     initial_energies: Sequence[float] | None = None
     start_nodes: Sequence[int] | None = None
-    rollover_shortfall: bool = False
 
     def __post_init__(self) -> None:
         self.requests = sorted(self.requests, key=lambda r: (r.request_time, r.id))
@@ -83,15 +82,11 @@ class Scenario:
         J = self.params.J
         if self.start_nodes is not None:
             starts = [int(v) for v in self.start_nodes]
-            if len(starts) != J:
-                raise ValueError("start_nodes length must equal fleet size J")
         else:
             starts = [nodes[rng.randrange(len(nodes))] for _ in range(J)]
         lo, hi = self.init_energy_range
         if self.initial_energies is not None:
             energies = [float(e) for e in self.initial_energies]
-            if len(energies) != J:
-                raise ValueError("initial_energies length must equal fleet size J")
         else:
             energies = [rng.uniform(lo, hi) for _ in range(J)]
         return [
@@ -244,8 +239,8 @@ def _split_group(
 
     The ceil(m*x) vehicles with the highest remaining energy transport;
     vehicles already carrying passengers are committed and counted first.
-    If commitments exceed the quota, the charging side shrinks (logged by
-    the caller through the returned sizes).
+    If commitments exceed the quota, the charging side shrinks; nothing
+    reports the excess (the caller uses only the charging list).
     """
     phi = math.ceil(group.m * x_star - 1e-12)
     busy = [v for v in members if v.plan.stops]
@@ -281,7 +276,6 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     slots: list[SlotMetrics] = []
     vi_iterations: list[int] = []
     vi_traces: dict[int, SspmTrace] = {}
-    carry = 0.0
 
     for t in range(scenario.T):
         price = scenario.prices[t]
@@ -291,7 +285,7 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
         d_total = set_demand(census, n)
 
         game_groups = [g for g in census if g.m > 0]
-        planned = plan.e_plus[t] + (carry if scenario.rollover_shortfall else 0.0)
+        planned = plan.e_plus[t]
         chargers: set[int] = set()
         x_by_region: dict[int, float] = {}
 
@@ -342,10 +336,8 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
         )
 
         # realized charge can trail the plan (clamping, the ceil split,
-        # vehicles committed to passengers); never reconciled unless the
-        # rollover knob is on
-        carry = max(0.0, planned - stats.charged_kwh)
-        if carry > 1e-9:
+        # vehicles committed to passengers); it is never reconciled
+        if planned - stats.charged_kwh > 1e-9:
             LOG.debug("slot %d: charged %.3f of planned %.3f kwh",
                       t, stats.charged_kwh, planned)
 

@@ -4,10 +4,12 @@ The game's stacked negated payoff gradients form a strictly monotone operator
 on the slot feasible set, so the shared-constraint equilibrium with equal
 multiplier weights is exactly the solution of the corresponding variational
 inequality.  That solution is computed with a two-projection extragradient
-scheme: each iteration measures the projected residual, backtracks a probe
-step until the operator at the probe correlates enough with the residual,
+scheme (``sspm_solve``): each iteration measures the projected residual
+``nu = x - P(x - mu*F(x))`` inline, backtracks a probe step until the
+operator at the probe correlates enough with the residual (``line_search``),
 builds the separating halfspace through the probe point, and projects the
-iterate onto feasible-set-and-halfspace.
+iterate onto feasible-set-and-halfspace.  The payoffs and the operator both
+come from ``model.payoff_functions``, the one place the formula is written.
 
 ``kkt_verify`` independently audits a candidate equilibrium by fitting one
 common multiplier vector to the stationarity system and reporting how badly
@@ -19,21 +21,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, IO, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import (
-    FeasibleSet,
-    Halfspace,
-    _dual_scan,
-    _intersection_core,
-    project_feasible,
-    project_intersection,
-)
-
-Operator = Callable[[np.ndarray], np.ndarray]
+from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
+from pvjtcs.projection import FeasibleSet, _dual_scan, _intersection_core
 
 
 class LineSearchError(RuntimeError):
@@ -92,63 +85,33 @@ class KktReport:
         )
 
 
-def make_operator(
-    groups: Sequence[PvGroup], p_t: float, params: GameParams
-) -> Operator:
-    """Vectorized equilibrium operator F = -(payoff gradients).
-
-    Unlike the checked per-group gradient, this closure accepts points
-    slightly outside the strategy box: the backtracking probe may step out,
-    and the operator is smooth there anyway.
-    """
-    m = np.array([float(g.m) for g in groups])
-    d = np.array([float(g.d) for g in groups])
-    a1, a2 = params.alpha1, params.alpha2
-
-    def F(x: np.ndarray) -> np.ndarray:
-        return 2.0 * m * (m * x - d) + a1 * m / (2.0 - x) - a2 * p_t * m
-
-    return F
-
-
-def residual(
-    x: np.ndarray, mu: float, F: Operator, fset: FeasibleSet
-) -> np.ndarray:
-    """Projected residual nu(x, mu) = x - P(x - mu * F(x)).
-
-    Vanishes exactly at the variational-inequality solution.
-    """
-    if mu <= 0.0:
-        raise ValueError(f"step mu must be positive, got {mu}")
-    x = np.asarray(x, dtype=float)
-    return x - project_feasible(x - mu * F(x), fset)
-
-
 def line_search(
-    x: np.ndarray,
-    nu: np.ndarray,
+    x: list[float],
+    nu: list[float],
+    nu_sq: float,
     mu: float,
-    F: Operator,
+    F: VectorFn,
     params: GameParams,
-    max_zeta: int = 100,
 ) -> tuple[int, float]:
     """Smallest exponent zeta with the probe acceptance condition.
 
     Accepts zeta when ``<F(x - gamma1^zeta * mu * nu), nu> >=
-    (gamma2/mu) * ||nu||^2`` and returns ``(zeta, eta = gamma1^zeta * mu)``.
+    (gamma2/mu) * nu_sq``, where ``nu_sq = ||nu||^2``, trying zeta = 0..100
+    with the step shrunk by ``gamma1`` each time, and returns
+    ``(zeta, eta = gamma1^zeta * mu)``.
     """
-    nu_sq = float(np.dot(nu, nu))
     if nu_sq == 0.0:
         raise ValueError("line search called with a zero residual")
     threshold = (params.gamma2 / mu) * nu_sq
+    gamma1 = params.gamma1
     step = mu
-    for zeta in range(max_zeta + 1):
-        probe = x - step * nu
-        if float(np.dot(F(probe), nu)) >= threshold:
+    for zeta in range(101):
+        Fp = F([xi - step * vi for xi, vi in zip(x, nu)])
+        if sum(fi * vi for fi, vi in zip(Fp, nu)) >= threshold:
             return zeta, step
-        step *= params.gamma1
+        step *= gamma1
     raise LineSearchError(
-        f"no acceptable step within {max_zeta} backtracks; "
+        "no acceptable step within 100 backtracks; "
         "operator may not be monotone on this instance"
     )
 
@@ -185,15 +148,9 @@ def sspm_solve(
     n = len(groups)
     m = [float(g.m) for g in groups]
     d = [float(g.d) for g in groups]
-    a1, a2, p = params.alpha1, params.alpha2, p_t
-    gamma1, gamma2, gamma3 = params.gamma1, params.gamma2, params.gamma3
+    gamma3 = params.gamma3
     S = fset.S
-
-    def F(v: list[float]) -> list[float]:
-        return [
-            2.0 * m[i] * (m[i] * v[i] - d[i]) + a1 * m[i] / (2.0 - v[i]) - a2 * p * m[i]
-            for i in range(n)
-        ]
+    u, F = payoff_functions(groups, p_t, params)
 
     if x0 is None:
         start = [min(max(d[i] / m[i], 0.0), 1.0) for i in range(n)]
@@ -213,14 +170,7 @@ def sspm_solve(
 
         trace.iterates.append(np.array(x))
         trace.residual_norms.append(nu_norm)
-        trace.utilities.append(
-            [
-                -((m[i] * x[i] - d[i]) ** 2)
-                + a1 * m[i] * math.log(2.0 - x[i])
-                - a2 * p * m[i] * (1.0 - x[i])
-                for i in range(n)
-            ]
-        )
+        trace.utilities.append(u(x))
 
         if nu_norm < params.epsilon:
             # The adaptive-step residual scales with mu, so a small mu can
@@ -244,22 +194,7 @@ def sspm_solve(
                 trace.converged = True
                 return np.array(x), trace
 
-        # backtracking probe acceptance
-        threshold = (gamma2 / mu) * nu_sq
-        step = mu
-        for zeta in range(101):
-            probe = [x[i] - step * nu[i] for i in range(n)]
-            Fp = F(probe)
-            if sum(Fp[i] * nu[i] for i in range(n)) >= threshold:
-                break
-            step *= gamma1
-        else:
-            raise LineSearchError(
-                "no acceptable step within 100 backtracks; "
-                "operator may not be monotone on this instance"
-            )
-        eta = step
-
+        zeta, eta = line_search(x, nu, nu_sq, mu, F, params)
         y = [x[i] - eta * nu[i] for i in range(n)]
         gvec = F(y)
         c = sum(gvec[i] * y[i] for i in range(n))
@@ -295,11 +230,11 @@ def kkt_verify(
     """
     x = np.asarray(x, dtype=float)
     m = np.array([float(g.m) for g in groups])
-    d = np.array([float(g.d) for g in groups])
     if x.shape != m.shape:
         raise ValueError("strategy vector length disagrees with the groups")
 
-    grad = -make_operator(groups, p_t, params)(x)  # du_i/dx_i
+    _, F = payoff_functions(groups, p_t, params)
+    grad = -np.array(F(x.tolist()))  # du_i/dx_i
     scale = 1.0 + float(np.max(np.abs(grad))) if len(grad) else 1.0
 
     lower = x <= boundary_tol

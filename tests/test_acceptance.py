@@ -23,17 +23,11 @@ import numpy as np
 import pytest
 
 from pvjtcs.cli import build_scenario, load_config
-from pvjtcs.model import GameParams, PvGroup, utility, utility_gradient
-from pvjtcs.projection import (
-    FeasibleSet,
-    Halfspace,
-    clamp_demand,
-    project_feasible,
-    project_intersection,
-)
+from pvjtcs.model import GameParams, PvGroup, payoff_functions
+from pvjtcs.projection import FeasibleSet, _dual_scan, _intersection_core
 from pvjtcs.simulator import run_jtcs, run_tgc
 from pvjtcs.transport_scheduler import FleetEngine
-from pvjtcs.vi_solver import kkt_verify, make_operator, sspm_solve
+from pvjtcs.vi_solver import kkt_verify, sspm_solve
 from pvjtcs.charging_scheduler import (
     ChargingInfeasibleError,
     DayAheadInputs,
@@ -123,6 +117,26 @@ def test_criterion_3_uniqueness_from_different_starts(solved_instances):
     print(f"\n[criterion 3] PASS: worst cross-start disagreement {worst:.2e} <= 1e-3")
 
 
+def project_plane(point, fset):
+    """The solver's projection onto the slot feasible set."""
+    return np.array(_dual_scan(np.asarray(point).tolist(), fset.m.tolist(), fset.S))
+
+
+def project_cut(point, fset, normal, anchor):
+    """The solver's projection onto the feasible set intersected with the
+    halfspace ``{z : <normal, z - anchor> <= 0}``."""
+    return np.array(
+        _intersection_core(
+            np.asarray(point).tolist(),
+            fset.m.tolist(),
+            fset.S,
+            normal.tolist(),
+            float(np.dot(normal, anchor)),
+            max_rounds=200,
+        )
+    )
+
+
 def test_criterion_4_projection_oracle_equivalence():
     rng = np.random.default_rng(7291)
     checked_plain = checked_cut = 0
@@ -136,14 +150,14 @@ def test_criterion_4_projection_oracle_equivalence():
         q = rng.uniform(-0.5, 1.5, size=n)
 
         if checked_plain < 200:
-            ours = project_feasible(p, fset)
+            ours = project_plane(p, fset)
             ref = active_set_projection(p, m, S)
             worst = max(worst, float(np.max(np.abs(ours - ref))))
             assert worst <= 1e-6
             # idempotence and nonexpansiveness at 1e-9
-            again = project_feasible(ours, fset)
+            again = project_plane(ours, fset)
             assert float(np.max(np.abs(again - ours))) <= 1e-9
-            pq = project_feasible(q, fset)
+            pq = project_plane(q, fset)
             assert (
                 float(np.linalg.norm(ours - pq))
                 <= float(np.linalg.norm(p - q)) + 1e-9
@@ -151,26 +165,24 @@ def test_criterion_4_projection_oracle_equivalence():
             checked_plain += 1
 
         if checked_cut < 200 and n >= 2:
-            half = Halfspace(
-                normal=rng.normal(size=n), anchor=rng.uniform(0, 1, size=n)
-            )
+            normal = rng.normal(size=n)
+            anchor = rng.uniform(0, 1, size=n)
             try:
                 probe = active_set_projection(
-                    rng.uniform(0, 1, size=n), m, S,
-                    normal=half.normal, anchor=half.anchor,
+                    rng.uniform(0, 1, size=n), m, S, normal=normal, anchor=anchor
                 )
             except ValueError:
                 continue
-            if half.violation(probe) > 1e-9:
+            # halfspace {z : <normal, z - anchor> <= 0}
+            if float(np.dot(normal, probe - anchor)) > 1e-9:
                 continue
-            ours = project_intersection(p, fset, half)
-            ref = active_set_projection(
-                p, m, S, normal=half.normal, anchor=half.anchor
-            )
+
+            ours = project_cut(p, fset, normal, anchor)
+            ref = active_set_projection(p, m, S, normal=normal, anchor=anchor)
             gap = float(np.max(np.abs(ours - ref)))
             worst = max(worst, gap)
             assert gap <= 1e-6
-            again = project_intersection(ours, fset, half)
+            again = project_cut(ours, fset, normal, anchor)
             assert float(np.max(np.abs(again - ours))) <= 1e-9
             checked_cut += 1
     print(
@@ -322,12 +334,10 @@ def test_criterion_8_gradient_and_monotonicity():
         d = int(rng.integers(0, m + 1))
         x = float(rng.uniform(0.01, 0.99))
         p = float(rng.uniform(0.0, 20.0))
-        g = PvGroup(region=0, m=m, d=d)
-        exact = utility_gradient(g, x, p, TABLE_PARAMS)
+        u, F = payoff_functions([PvGroup(region=0, m=m, d=d)], p, TABLE_PARAMS)
+        exact = -F([x])[0]
         h = 1e-6
-        approx = (
-            utility(g, x + h, p, TABLE_PARAMS) - utility(g, x - h, p, TABLE_PARAMS)
-        ) / (2 * h)
+        approx = (u([x + h])[0] - u([x - h])[0]) / (2 * h)
         rel = abs(exact - approx) / max(1.0, abs(exact))
         assert rel <= 1e-5
         worst_rel = max(worst_rel, rel)
@@ -340,10 +350,10 @@ def test_criterion_8_gradient_and_monotonicity():
             for i in range(I)
         ]
         price = float(rng.uniform(0.0, 10.0))
-        F = make_operator(groups, price, TABLE_PARAMS)
+        _, F = payoff_functions(groups, price, TABLE_PARAMS)
         x = rng.uniform(0.0, 1.0, size=I)
         y = rng.uniform(0.0, 1.0, size=I)
-        inner = float(np.dot(F(x) - F(y), x - y))
+        inner = float(np.dot(np.array(F(x.tolist())) - np.array(F(y.tolist())), x - y))
         assert inner >= -1e-9
         worst_inner = min(worst_inner, inner)
     print(

@@ -1,22 +1,11 @@
-"""Payoff model: point values, derivatives, pricing rule, validation."""
+"""Payoff model: point values, derivatives, operator, validation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pvjtcs.model import (
-    GameParams,
-    PriceCurve,
-    PricingModel,
-    PvGroup,
-    PvState,
-    pseudo_gradient,
-    rtp_price,
-    utility,
-    utility_curvature,
-    utility_gradient,
-)
+from pvjtcs.model import GameParams, PriceCurve, PvGroup, PvState, payoff_functions
 from oracles import central_difference
 
 PARAMS = GameParams()
@@ -26,40 +15,53 @@ def group(m, d):
     return PvGroup(region=0, m=m, d=d)
 
 
+def payoff(g, x, p, params=PARAMS):
+    """Payoff of one group at strategy x."""
+    u, _ = payoff_functions([g], p, params)
+    return u([x])[0]
+
+
+def gradient(g, x, p, params=PARAMS):
+    """d(payoff)/dx of one group: the negated operator component."""
+    _, F = payoff_functions([g], p, params)
+    return -F([x])[0]
+
+
+def operator(groups, x, p, params=PARAMS):
+    _, F = payoff_functions(groups, p, params)
+    return np.array(F([float(v) for v in x]))
+
+
 class TestUtility:
     def test_reference_value(self):
         # -(60-60)^2 + 20*100*ln(1.4) - 5*5*100*0.4
-        assert utility(group(100, 60), 0.6, 5.0, PARAMS) == pytest.approx(
-            -327.0555, abs=1e-3
-        )
+        assert payoff(group(100, 60), 0.6, 5.0) == pytest.approx(-327.0555, abs=1e-3)
 
     def test_vanishes_with_zero_weights(self):
         params = GameParams(alpha1=0.0, alpha2=0.0)
-        assert utility(group(10, 6), 0.6, 123.0, params) == 0.0
+        assert payoff(group(10, 6), 0.6, 123.0, params) == 0.0
 
     def test_empty_group(self):
-        assert utility(group(0, 0), 0.37, 9.0, PARAMS) == 0.0
+        assert payoff(group(0, 0), 0.37, 9.0) == 0.0
 
-    def test_rejects_strategy_outside_box(self):
-        with pytest.raises(ValueError):
-            utility(group(5, 2), 1.2, 1.0, PARAMS)
-        with pytest.raises(ValueError):
-            utility(group(5, 2), -0.1, 1.0, PARAMS)
+    def test_one_payoff_per_group(self):
+        u, _ = payoff_functions([group(100, 60), group(10, 6)], 5.0, PARAMS)
+        values = u([0.6, 0.6])
+        assert values[0] == payoff(group(100, 60), 0.6, 5.0)
+        assert values[1] == payoff(group(10, 6), 0.6, 5.0)
 
 
 class TestUtilityGradient:
     def test_reference_value(self):
         # -2*100*(60-60) - 20*100/1.4 + 5*5*100
-        assert utility_gradient(group(100, 60), 0.6, 5.0, PARAMS) == pytest.approx(
-            1071.4286, abs=1e-3
-        )
+        assert gradient(group(100, 60), 0.6, 5.0) == pytest.approx(1071.4286, abs=1e-3)
 
     def test_stationary_at_demand_ratio(self):
         params = GameParams(alpha1=0.0, alpha2=0.0)
-        assert utility_gradient(group(10, 6), 0.6, 7.0, params) == 0.0
+        assert gradient(group(10, 6), 0.6, 7.0, params) == 0.0
 
     def test_empty_group(self):
-        assert utility_gradient(group(0, 0), 0.5, 3.0, PARAMS) == 0.0
+        assert gradient(group(0, 0), 0.5, 3.0) == 0.0
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -69,37 +71,40 @@ class TestUtilityGradient:
             x = float(rng.uniform(0.01, 0.99))
             p = float(rng.uniform(0.0, 20.0))
             g = group(m, d)
-            exact = utility_gradient(g, x, p, PARAMS)
-            approx = central_difference(lambda t: utility(g, t, p, PARAMS), x)
+            exact = gradient(g, x, p)
+            approx = central_difference(lambda t: payoff(g, t, p), x)
             assert exact == pytest.approx(approx, rel=1e-5, abs=1e-6)
 
     def test_strict_concavity(self):
+        # the payoff is strictly concave iff its operator component is
+        # strictly increasing: F' = 2m^2 + alpha1*m/(2-x)^2 >= 2 for m >= 1
         rng = np.random.default_rng(8)
         for _ in range(500):
             m = int(rng.integers(1, 300))
             x = float(rng.uniform(0.0, 1.0))
-            assert utility_curvature(group(m, 0), x, PARAMS) < 0.0
+            assert gradient(group(m, 0), x + 1e-3, 0.0) < gradient(group(m, 0), x, 0.0)
 
 
 class TestPseudoGradient:
     def test_single_group_negates_gradient(self):
-        out = pseudo_gradient([group(100, 60)], [0.6], 5.0, PARAMS)
+        out = operator([group(100, 60)], [0.6], 5.0)
         assert out[0] == pytest.approx(-1071.4286, abs=1e-3)
 
     def test_symmetry(self):
         gs = [group(30, 10), group(30, 10)]
-        out = pseudo_gradient(gs, [0.4, 0.4], 2.0, PARAMS)
+        out = operator(gs, [0.4, 0.4], 2.0)
         assert out[0] == out[1]
 
     def test_zero_at_demand_ratios_without_weights(self):
         params = GameParams(alpha1=0.0, alpha2=0.0)
         gs = [group(10, 4), group(20, 15)]
-        out = pseudo_gradient(gs, [0.4, 0.75], 3.0, params)
+        out = operator(gs, [0.4, 0.75], 3.0, params)
         assert np.allclose(out, 0.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pseudo_gradient([group(5, 1)], [0.1, 0.2], 1.0, PARAMS)
+    def test_defined_outside_the_box(self):
+        # the backtracking probe may step out of [0, 1]
+        out = operator([group(10, 4), group(20, 15)], [-0.5, 1.5], 3.0)
+        assert np.all(np.isfinite(out))
 
     def test_monotone_operator(self):
         rng = np.random.default_rng(9)
@@ -112,34 +117,9 @@ class TestPseudoGradient:
             p = float(rng.uniform(0.0, 10.0))
             x = rng.uniform(0.0, 1.0, size=k)
             y = rng.uniform(0.0, 1.0, size=k)
-            fx = pseudo_gradient(gs, x, p, PARAMS)
-            fy = pseudo_gradient(gs, y, p, PARAMS)
+            fx = operator(gs, x, p)
+            fy = operator(gs, y, p)
             assert float(np.dot(fx - fy, x - y)) >= -1e-9
-
-
-class TestRtpPrice:
-    def test_at_capacity(self):
-        model = PricingModel(alpha0=1.0, k0=2.0, C0=100.0, loads=[[100.0]])
-        assert rtp_price(model, 0) == pytest.approx(1.0)
-
-    def test_above_capacity(self):
-        model = PricingModel(alpha0=1.0, k0=2.0, C0=100.0, loads=[[150.0], [50.0]])
-        assert rtp_price(model, 0) == pytest.approx(4.0)
-
-    def test_zero_exponent(self):
-        model = PricingModel(alpha0=3.0, k0=0.0, C0=42.0, loads=[[17.0]])
-        assert rtp_price(model, 0) == pytest.approx(3.0)
-
-    def test_nondecreasing_in_load(self):
-        prices = [
-            rtp_price(PricingModel(alpha0=2.0, k0=1.3, C0=80.0, loads=[[load]]), 0)
-            for load in np.linspace(0.0, 400.0, 50)
-        ]
-        assert all(b >= a for a, b in zip(prices, prices[1:]))
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            PricingModel(alpha0=1.0, k0=1.0, C0=0.0)
 
 
 class TestValidation:
@@ -182,8 +162,6 @@ class TestValidation:
             PvGroup(region=1, m=8, d=3, a=10, f=3)
         with pytest.raises(ValueError):
             PvGroup(region=1, m=5, d=-1)
-        with pytest.raises(ValueError):
-            PvGroup(region=1, m=5, d=1, x=1.5)
 
     def test_price_curve(self):
         curve = PriceCurve([1.0, 2.0, 3.0])

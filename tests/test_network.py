@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pvjtcs.model import GameParams
 from pvjtcs.network import (
     RegionMap,
     RoadGraph,
@@ -12,14 +11,9 @@ from pvjtcs.network import (
     distance,
     nearest_station,
     shortest_path,
-    travel_energy,
-    travel_time,
 )
 from conftest import make_grid_graph
 from oracles import bellman_ford
-
-PARAMS = GameParams()
-
 
 def line_graph():
     # a(0) -- 1km -- b(1) -- 2km -- c(2), both directions
@@ -166,23 +160,6 @@ class TestNearestStation:
         g = RoadGraph.from_edges(nodes, [(1, 0, 1.0)])
         with pytest.raises(UnreachableNodeError):
             nearest_station(g, 0, StationSet([1]))
-
-
-class TestConversions:
-    def test_reference_rates(self):
-        assert travel_energy(10.0, PARAMS) == pytest.approx(3.0)
-        assert travel_time(10.0, PARAMS) == pytest.approx(1.0 / 3.0)
-
-    def test_zero(self):
-        assert travel_energy(0.0, PARAMS) == 0.0
-        assert travel_time(0.0, PARAMS) == 0.0
-
-    def test_full_battery_range(self):
-        assert travel_energy(150.0, PARAMS) == pytest.approx(PARAMS.c)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            travel_energy(-1.0, PARAMS)
 
 
 class TestStructures:

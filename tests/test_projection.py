@@ -1,4 +1,4 @@
-"""Feasible-set geometry: preflight clamp, projections, oracle equivalence."""
+"""Feasible-set geometry: preflight clamp, projection cores, oracle equivalence."""
 
 import math
 import struct
@@ -10,21 +10,39 @@ from hypothesis import strategies as st
 
 from pvjtcs.projection import (
     FeasibleSet,
-    Halfspace,
     InfeasibleSetError,
     _dual_scan,
+    _intersection_core,
     clamp_demand,
-    project_box_hyperplane,
-    project_feasible,
-    project_intersection,
 )
 from oracles import active_set_projection, linear_scan_dual
 
 
+def project_plane(point, m, S):
+    """Projection onto ``{z in [0,1]^I : sum(m_i z_i) = S}``, as an array."""
+    return np.array(_dual_scan([float(v) for v in point], [float(v) for v in m], S))
+
+
+def project_cut(point, fset, normal, anchor):
+    """Projection onto the feasible set and ``{z : <normal, z - anchor> <= 0}``."""
+    return np.array(
+        _intersection_core(
+            [float(v) for v in point],
+            [float(v) for v in fset.m],
+            fset.S,
+            [float(v) for v in normal],
+            float(np.dot(normal, anchor)),
+            max_rounds=200,
+        )
+    )
+
+
+def violation(z, normal, anchor):
+    return float(np.dot(normal, np.asarray(z) - np.asarray(anchor)))
+
+
 def random_halfspace(rng, n):
-    normal = rng.normal(size=n)
-    anchor = rng.uniform(0.0, 1.0, size=n)
-    return Halfspace(normal=normal, anchor=anchor)
+    return rng.normal(size=n), rng.uniform(0.0, 1.0, size=n)
 
 
 class TestClampDemand:
@@ -54,11 +72,11 @@ class TestClampDemand:
 
 class TestBoxHyperplane:
     def test_symmetric_point(self):
-        z = project_box_hyperplane([1.0, 1.0], [1.0, 1.0], 1.0)
+        z = project_plane([1.0, 1.0], [1.0, 1.0], 1.0)
         assert z == pytest.approx([0.5, 0.5])
 
     def test_interior_closed_form(self):
-        z = project_box_hyperplane([0.9, 0.3], [1.0, 1.0], 1.0)
+        z = project_plane([0.9, 0.3], [1.0, 1.0], 1.0)
         assert z == pytest.approx([0.8, 0.2], abs=1e-12)
 
     def test_idempotent(self):
@@ -67,8 +85,8 @@ class TestBoxHyperplane:
             n = int(rng.integers(1, 6))
             m = rng.uniform(0.5, 50.0, size=n)
             S = float(rng.uniform(0.0, np.sum(m)))
-            z = project_box_hyperplane(rng.uniform(-1.0, 2.0, size=n), m, S)
-            z2 = project_box_hyperplane(z, m, S)
+            z = project_plane(rng.uniform(-1.0, 2.0, size=n), m, S)
+            z2 = project_plane(z, m, S)
             assert np.max(np.abs(z2 - z)) <= 1e-9
 
     def test_membership(self):
@@ -77,7 +95,7 @@ class TestBoxHyperplane:
             n = int(rng.integers(1, 6))
             m = rng.uniform(0.5, 50.0, size=n)
             S = float(rng.uniform(0.0, np.sum(m)))
-            z = project_box_hyperplane(rng.uniform(-2.0, 3.0, size=n), m, S)
+            z = project_plane(rng.uniform(-2.0, 3.0, size=n), m, S)
             assert np.all(z >= 0.0) and np.all(z <= 1.0)
             assert abs(float(m @ z) - S) <= 1e-8 * max(1.0, np.sum(m))
 
@@ -89,19 +107,9 @@ class TestBoxHyperplane:
             S = float(rng.uniform(0.0, np.sum(m)))
             x = rng.uniform(-1.0, 2.0, size=n)
             y = rng.uniform(-1.0, 2.0, size=n)
-            px = project_box_hyperplane(x, m, S)
-            py = project_box_hyperplane(y, m, S)
+            px = project_plane(x, m, S)
+            py = project_plane(y, m, S)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
-
-    def test_infeasible_rhs(self):
-        with pytest.raises(InfeasibleSetError):
-            project_box_hyperplane([0.5], [2.0], 3.0)
-        with pytest.raises(InfeasibleSetError):
-            project_box_hyperplane([0.5], [2.0], -0.5)
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError):
-            project_box_hyperplane([0.5, 0.5], [1.0, 0.0], 0.5)
 
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(6)
@@ -110,7 +118,7 @@ class TestBoxHyperplane:
             m = rng.uniform(0.5, 10.0, size=n)
             S = float(rng.uniform(0.0, np.sum(m)))
             p = rng.uniform(-0.5, 1.5, size=n)
-            ours = project_box_hyperplane(p, m, S)
+            ours = project_plane(p, m, S)
             ref = active_set_projection(p, m, S)
             assert np.max(np.abs(ours - ref)) <= 1e-6
 
@@ -172,45 +180,43 @@ class TestProjectFeasible:
     def test_singleton_set(self):
         fset = FeasibleSet(m=[10.0], d_total=0.0, e_plus=4.0, r=1.0)
         for p in ([0.0], [1.0], [0.37]):
-            assert project_feasible(p, fset) == pytest.approx([0.6])
+            assert project_plane(p, fset.m, fset.S) == pytest.approx([0.6])
 
     def test_point_on_plane_fixed(self):
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
-        assert project_feasible([0.6, 0.6], fset) == pytest.approx([0.6, 0.6])
+        assert project_plane([0.6, 0.6], fset.m, fset.S) == pytest.approx([0.6, 0.6])
 
     def test_symmetric_corner(self):
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
-        assert project_feasible([1.0, 1.0], fset) == pytest.approx([0.6, 0.6])
+        assert project_plane([1.0, 1.0], fset.m, fset.S) == pytest.approx([0.6, 0.6])
 
     def test_propagates_infeasibility(self):
+        # the check sspm_solve runs before any projection
         fset = FeasibleSet(m=[10.0], d_total=9.0, e_plus=15.0, r=1.0)
         with pytest.raises(InfeasibleSetError):
-            project_feasible([0.5], fset)
+            fset.check_feasible()
 
 
 class TestProjectIntersection:
     def test_point_inside_is_fixed(self):
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
-        half = Halfspace(normal=[1.0, -1.0], anchor=[0.0, 0.0])
-        z = project_intersection([0.5, 0.7], fset, half)
+        z = project_cut([0.5, 0.7], fset, [1.0, -1.0], [0.0, 0.0])
         assert z == pytest.approx([0.5, 0.7], abs=1e-9)
 
     def test_zero_normal_reduces_to_feasible_projection(self):
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
-        half = Halfspace(normal=[0.0, 0.0], anchor=[0.0, 0.0])
-        z = project_intersection([1.0, 1.0], fset, half)
+        z = project_cut([1.0, 1.0], fset, [0.0, 0.0], [0.0, 0.0])
         assert z == pytest.approx([0.6, 0.6])
 
     def test_reference_cut_instance(self):
         # m=(10,10), S=12, cut z1 - z2 <= 0, project (1, 0.2)
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
-        half = Halfspace(normal=[1.0, -1.0], anchor=[0.0, 0.0])
-        ours = project_intersection([1.0, 0.2], fset, half)
+        ours = project_cut([1.0, 0.2], fset, [1.0, -1.0], [0.0, 0.0])
         ref = active_set_projection(
             [1.0, 0.2], [10.0, 10.0], 12.0, normal=[1.0, -1.0], anchor=[0.0, 0.0]
         )
         assert np.max(np.abs(ours - ref)) <= 1e-6
-        assert half.violation(ours) <= 1e-8
+        assert violation(ours, [1.0, -1.0], [0.0, 0.0]) <= 1e-8
 
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(11)
@@ -220,42 +226,30 @@ class TestProjectIntersection:
             m = rng.uniform(0.5, 10.0, size=n)
             S = float(rng.uniform(0.05, 0.95) * np.sum(m))
             fset = FeasibleSet(m=m, d_total=0.0, e_plus=(np.sum(m) - S) * 1.0, r=1.0)
-            half = random_halfspace(rng, n)
+            normal, anchor = random_halfspace(rng, n)
             # keep only instances whose intersection is provably nonempty
             try:
                 probe = active_set_projection(
-                    rng.uniform(0, 1, size=n), m, S,
-                    normal=half.normal, anchor=half.anchor,
+                    rng.uniform(0, 1, size=n), m, S, normal=normal, anchor=anchor
                 )
             except ValueError:
                 continue
-            if half.violation(probe) > 1e-9:
+            if violation(probe, normal, anchor) > 1e-9:
                 continue
             p = rng.uniform(-0.5, 1.5, size=n)
-            ours = project_intersection(p, fset, half)
-            ref = active_set_projection(p, m, S, normal=half.normal, anchor=half.anchor)
+            ours = project_cut(p, fset, normal, anchor)
+            ref = active_set_projection(p, m, S, normal=normal, anchor=anchor)
             assert np.max(np.abs(ours - ref)) <= 1e-6
             checked += 1
 
     def test_idempotent_and_members(self):
         rng = np.random.default_rng(12)
         fset = FeasibleSet(m=[3.0, 7.0, 5.0], d_total=0.0, e_plus=6.0, r=1.0)
-        half = Halfspace(normal=[2.0, -1.0, 0.5], anchor=[0.3, 0.5, 0.4])
+        normal, anchor = [2.0, -1.0, 0.5], [0.3, 0.5, 0.4]
         for _ in range(50):
             p = rng.uniform(-1.0, 2.0, size=3)
-            z = project_intersection(p, fset, half)
+            z = project_cut(p, fset, normal, anchor)
             assert abs(float(fset.m @ z) - fset.S) <= 1e-8 * max(1.0, fset.m_total)
-            assert half.violation(z) <= 1e-8
-            z2 = project_intersection(z, fset, half)
+            assert violation(z, normal, anchor) <= 1e-8
+            z2 = project_cut(z, fset, normal, anchor)
             assert np.max(np.abs(z2 - z)) <= 1e-9
-
-
-class TestHalfspace:
-    def test_projection_closed_form(self):
-        half = Halfspace(normal=[0.0, 2.0], anchor=[0.0, 1.0])
-        assert half.project([0.3, 3.0]) == pytest.approx([0.3, 1.0])
-        assert half.project([0.3, 0.5]) == pytest.approx([0.3, 0.5])
-
-    def test_membership(self):
-        half = Halfspace(normal=[1.0], anchor=[2.0])
-        assert half.contains([1.5]) and not half.contains([2.5])

@@ -1,4 +1,4 @@
-"""Equilibrium solver: residual, backtracking, convergence, KKT audit."""
+"""Equilibrium solver: backtracking, convergence, KKT audit."""
 
 import hashlib
 import io
@@ -15,8 +15,6 @@ from pvjtcs.vi_solver import (
     SspmConvergenceError,
     kkt_verify,
     line_search,
-    make_operator,
-    residual,
     sspm_solve,
     write_trace_csv,
 )
@@ -88,51 +86,53 @@ PINNED_DIGESTS = {
 }
 
 
-class TestResidual:
-    def test_zero_at_fixed_point(self):
-        groups, fset = SINGLETON
-        F = make_operator(groups, 2.0, PARAMS)
-        nu = residual(np.array([0.6]), 1.0, F, fset)
-        assert np.max(np.abs(nu)) <= 1e-9
-
-    def test_zero_at_solution(self):
-        groups, fset = SYMMETRIC
-        x, _ = sspm_solve(groups, fset, 2.0, PARAMS)
-        F = make_operator(groups, 2.0, PARAMS)
-        assert np.linalg.norm(residual(x, 1.0, F, fset)) < 1e-3
-
-    def test_is_projection_composition(self):
-        groups, fset = SYMMETRIC
-        F = make_operator(groups, 2.0, PARAMS)
-        x = np.array([1.0, 0.2])
-        from pvjtcs.projection import project_feasible
-
-        expected = x - project_feasible(x - 1.0 * F(x), fset)
-        nu = residual(x, 1.0, F, fset)
-        assert nu == pytest.approx(expected)
-        assert np.linalg.norm(nu) > 0.0
-
-    def test_rejects_nonpositive_step(self):
-        groups, fset = SINGLETON
-        F = make_operator(groups, 2.0, PARAMS)
-        with pytest.raises(ValueError):
-            residual(np.array([0.6]), 0.0, F, fset)
+# SHA-256 (first 16 hex digits) of the bits of kkt_verify(x*, ...).lambda_bar
+# and of its four residuals (stationarity, complementarity, primal, dual) at
+# the x* of sspm_solve on pinned_game(seed), same seeds as PINNED_DIGESTS.
+PINNED_KKT_DIGESTS = {
+    0: "5af1cff90df3b9ec",
+    1: "56f7c88e18e2eb7e",
+    2: "a201b3cd7720d7b6",
+    3: "ff7f4decd0740e04",
+    4: "9dcb0d83e3fc74d3",
+    5: "3242fbc8aa779c94",
+    6: "336b6b79604ecc9a",
+    7: "d8e69b2b517c01ed",
+    8: "632b9f47fb8b9f64",
+    10: "6199f3c360778db8",
+    11: "bf00e551d5790259",
+    13: "eef01ef863fefd3d",
+    14: "ea465b5a891e089f",
+    15: "a1bace5aae729015",
+    16: "d960d4861bd6b6cb",
+    17: "dbde8d1455578e35",
+    18: "52ff52d23a7ce1d4",
+    19: "76ba983e59511155",
+    20: "f4d03e96922ea6a7",
+    21: "1c7d29a236ecec50",
+    22: "dc57214d84adfbfa",
+    23: "4399f98e900bb3c8",
+    24: "8c7a25dac2272266",
+    25: "29b2309294c5c72e",
+    26: "fefac4c38986932b",
+    27: "863b6f839e1619c4",
+    28: "e1ca271cc701c59d",
+    29: "c22c1f73b2aba498",
+    31: "5fc5ab2ae4e2873b",
+}
 
 
 class TestLineSearch:
     def test_immediate_acceptance(self):
         # F constant and aligned with nu: condition holds at zeta = 0
-        F = lambda v: np.array([10.0])
-        nu = np.array([0.1])
-        zeta, eta = line_search(np.array([0.5]), nu, 1.0, F, PARAMS)
+        F = lambda v: [10.0]
+        zeta, eta = line_search([0.5], [0.1], 0.1 * 0.1, 1.0, F, PARAMS)
         assert zeta == 0 and eta == 1.0
 
     def test_two_backtracks(self):
         # F(t) = 100 (t - 0.9): fails at probes 0.5 and 0.8, passes at 0.92
-        F = lambda v: np.array([100.0 * (v[0] - 0.9)])
-        x = np.array([1.0])
-        nu = np.array([0.5])
-        zeta, eta = line_search(x, nu, 1.0, F, PARAMS)
+        F = lambda v: [100.0 * (v[0] - 0.9)]
+        zeta, eta = line_search([1.0], [0.5], 0.5 * 0.5, 1.0, F, PARAMS)
         assert zeta == 2
         assert eta == pytest.approx(0.4**2)
 
@@ -142,26 +142,31 @@ class TestLineSearch:
         for _ in range(50):
             a = float(rng.uniform(1.0, 200.0))
             root = float(rng.uniform(0.0, 1.0))
-            F = lambda v, a=a, root=root: np.array([a * (v[0] - root)])
-            x = np.array([float(rng.uniform(0.0, 1.0))])
-            nu = np.array([float(rng.uniform(0.01, 0.5))])
+            F = lambda v, a=a, root=root: [a * (v[0] - root)]
+            x = float(rng.uniform(0.0, 1.0))
+            nu = float(rng.uniform(0.01, 0.5))
             mu = float(rng.uniform(0.1, 1.0))
             try:
-                zeta, eta = line_search(x, nu, mu, F, params)
+                zeta, eta = line_search([x], [nu], nu * nu, mu, F, params)
             except LineSearchError:
                 continue
-            threshold = (params.gamma2 / mu) * float(nu @ nu)
+            threshold = (params.gamma2 / mu) * (nu * nu)
             accepted = [
                 z
                 for z in range(101)
-                if float(F(x - params.gamma1**z * mu * nu) @ nu) >= threshold
+                if F([x - params.gamma1**z * mu * nu])[0] * nu >= threshold
             ]
             assert zeta == accepted[0]
             assert eta == pytest.approx(params.gamma1**zeta * mu)
 
+    def test_exhausted_backtracking_raises(self):
+        # an operator anti-correlated with nu never passes
+        with pytest.raises(LineSearchError, match="within 100 backtracks"):
+            line_search([0.5], [0.1], 0.01, 1.0, lambda v: [-1.0], PARAMS)
+
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
-            line_search(np.array([0.5]), np.array([0.0]), 1.0, lambda v: v, PARAMS)
+            line_search([0.5], [0.0], 0.0, 1.0, lambda v: v, PARAMS)
 
 
 class TestSspmSolve:
@@ -274,6 +279,26 @@ class TestSspmSolve:
 
 
 class TestKktVerify:
+    def test_audit_matches_pinned_digests(self):
+        moved = {}
+        for seed, expected in PINNED_KKT_DIGESTS.items():
+            groups, fset, price = pinned_game(seed)
+            x, _ = sspm_solve(groups, fset, price, PARAMS)
+            report = kkt_verify(x, groups, fset, price, PARAMS)
+            digest = hashlib.sha256(
+                report.lambda_bar.tobytes()
+                + struct.pack(
+                    "<4d",
+                    report.stationarity_residual,
+                    report.complementarity_residual,
+                    report.primal_violation,
+                    report.dual_violation,
+                )
+            ).hexdigest()[:16]
+            if digest != expected:
+                moved[seed] = digest
+        assert not moved
+
     def test_solution_passes(self):
         groups, fset = SYMMETRIC
         x, _ = sspm_solve(groups, fset, 2.0, PARAMS)
