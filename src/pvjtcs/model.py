@@ -29,7 +29,7 @@ class GameParams:
     Defaults mirror the simulation calibration used throughout: a 45 kwh
     battery charging 5.625 kwh per hour, 0.3 kwh/km consumption at 30 km/h,
     and the standard solver constants (alpha1=20, alpha2=5, gamma1=0.4,
-    gamma2=0.5, gamma3=1.5, mu_init=eta_init=1, epsilon=1e-3, rho=0.2,
+    gamma2=0.5, gamma3=1.5, eta_init=1, epsilon=1e-3, rho=0.2,
     e_min=3).
     """
 
@@ -38,7 +38,6 @@ class GameParams:
     gamma1: float = 0.4         # line-search backtracking base, in (0,1)
     gamma2: float = 0.5         # line-search acceptance threshold, in (0,1)
     gamma3: float = 1.5         # step amplifier between iterations, > 1
-    mu_init: float = 1.0        # initial trial step
     eta_init: float = 1.0       # eta seed for the very first step update
     epsilon: float = 1e-3       # residual-norm stopping bound
     rho: float = 0.2            # energy reserve margin
@@ -59,8 +58,6 @@ class GameParams:
             raise ValueError(f"gamma2 must lie in (0,1), got {self.gamma2}")
         if self.gamma3 <= 1.0:
             raise ValueError(f"gamma3 must exceed 1, got {self.gamma3}")
-        if self.mu_init <= 0.0:
-            raise ValueError(f"mu_init must be positive, got {self.mu_init}")
         if self.eta_init <= 0.0:
             raise ValueError(f"eta_init must be positive, got {self.eta_init}")
         if self.epsilon <= 0.0:

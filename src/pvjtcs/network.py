@@ -2,18 +2,16 @@
 
 Distances come from Dijkstra over a directed weighted edge list; equal-length
 alternatives are broken toward the smallest predecessor id so repeated runs
-trace identical paths.  Full single-source results are cached per graph (the
-fleet keeps asking about the same handful of nodes), bounded LRU-style.
+trace identical paths.  Full single-source results are cached per graph, one
+row per source node, and kept for the graph's lifetime: a graph has few
+nodes and the fleet keeps asking about the same ones.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-CACHE_SIZE = 4096  # single-source results kept per graph, least recent evicted
 
 
 class UnreachableNodeError(ValueError):
@@ -39,7 +37,7 @@ class RoadGraph:
                 if length <= 0.0:
                     raise ValueError(f"edge {node}->{to} has nonpositive length")
             edges.sort()
-        self._sp_cache: OrderedDict[int, tuple[dict, dict]] = OrderedDict()
+        self._sp_cache: dict[int, tuple[dict, dict]] = {}
 
     @classmethod
     def from_edges(
@@ -97,7 +95,6 @@ class RoadGraph:
             raise KeyError(f"unknown node {source}")
         cached = self._sp_cache.get(source)
         if cached is not None:
-            self._sp_cache.move_to_end(source)
             return cached
         dist: dict[int, float] = {source: 0.0}
         pred: dict[int, int] = {}
@@ -118,8 +115,6 @@ class RoadGraph:
                 elif nd == old and v not in done and pred.get(v, u + 1) > u:
                     pred[v] = u
         self._sp_cache[source] = (dist, pred)
-        if len(self._sp_cache) > CACHE_SIZE:
-            self._sp_cache.popitem(last=False)
         return dist, pred
 
 

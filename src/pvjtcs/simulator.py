@@ -8,8 +8,10 @@ Two schemes over the same scenario:
 * the greedy baseline: everyone serves on demand and every idle unfully
   charged vehicle charges, whatever the price.
 
-Both run on the same fleet engine and produce the same ledger and metrics,
-so their energy bills and service levels are directly comparable.
+Both execute each slot through one shared tail (the fleet engine's
+``run_slot``, an energy-balance check, one ``SlotMetrics`` record) and total
+the same records, so their energy bills and service levels are directly
+comparable.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ class Scenario:
     batch_minutes: float = 5.0
     init_energy_range: tuple[float, float] = (32.0, 41.0)
     initial_energies: Sequence[float] | None = None
-    start_nodes: Sequence[int] | None = None
 
     def __post_init__(self) -> None:
         self.requests = sorted(self.requests, key=lambda r: (r.request_time, r.id))
@@ -72,18 +73,13 @@ class Scenario:
             raise ValueError("initial energy range outside [0, battery capacity]")
         if self.initial_energies is not None and len(self.initial_energies) != self.params.J:
             raise ValueError("initial_energies length must equal fleet size J")
-        if self.start_nodes is not None and len(self.start_nodes) != self.params.J:
-            raise ValueError("start_nodes length must equal fleet size J")
 
     def build_fleet(self) -> list[Vehicle]:
         """Seeded initial fleet: positions and energies."""
         rng = random.Random(self.seed)
         nodes = self.graph.nodes
         J = self.params.J
-        if self.start_nodes is not None:
-            starts = [int(v) for v in self.start_nodes]
-        else:
-            starts = [nodes[rng.randrange(len(nodes))] for _ in range(J)]
+        starts = [nodes[rng.randrange(len(nodes))] for _ in range(J)]
         lo, hi = self.init_energy_range
         if self.initial_energies is not None:
             energies = [float(e) for e in self.initial_energies]
@@ -118,31 +114,10 @@ class SlotMetrics:
 
 
 @dataclass
-class EnergyLedger:
-    """Realized per-slot energy bookkeeping; the recursion is exact."""
-
-    e_remaining: list[float] = field(default_factory=list)  # start-of-slot
-    e_minus: list[float] = field(default_factory=list)
-    e_plus: list[float] = field(default_factory=list)
-    payments: list[float] = field(default_factory=list)
-
-    def record(self, before: float, consumed: float, charged: float, price: float,
-               after: float) -> None:
-        drift = after - (before - consumed + charged)
-        if abs(drift) > 1e-9:
-            raise AssertionError(f"energy ledger does not balance: drift {drift:.3e}")
-        self.e_remaining.append(before)
-        self.e_minus.append(consumed)
-        self.e_plus.append(charged)
-        self.payments.append(price * charged)
-
-
-@dataclass
 class RunSummary:
     mode: str
     seed: int
     slots: list[SlotMetrics]
-    ledger: EnergyLedger
     final_fleet_energy: float
     total_charged_kwh: float
     total_payment_cents: float
@@ -202,14 +177,17 @@ def infinite_energy_dry_run(
 ) -> tuple[list[float], list[int]]:
     """Serve the whole day from ``fleet`` with energy ignored: per-slot
     consumed kwh and transporting vehicle counts (the day-ahead demand
-    signals).  ``fleet`` itself is left untouched."""
+    signals).  The engine's clone of ``fleet`` holds ``math.inf`` kwh per
+    vehicle; ``fleet`` itself is left untouched."""
     engine = scenario.engine()
     engine.reset(fleet)
+    for veh in engine.state.vehicles:
+        veh.energy = math.inf
     consumed: list[float] = []
     transports: list[int] = []
     all_ids = {v.id for v in engine.state.vehicles}
     for t in range(scenario.T):
-        stats = engine.run_slot(t, all_ids, set(), infinite_energy=True)
+        stats = engine.run_slot(t, all_ids, set())
         engine.end_slot()
         consumed.append(stats.consumed_kwh)
         transports.append(len(stats.transporting_ids))
@@ -272,7 +250,6 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     engine = scenario.engine()
     engine.reset(fleet)
     params = scenario.params
-    ledger = EnergyLedger()
     slots: list[SlotMetrics] = []
     vi_iterations: list[int] = []
     vi_traces: dict[int, SspmTrace] = {}
@@ -325,23 +302,16 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
             _, group_charge = _split_group(g, x_val, members_by_region[g.region])
             chargers.update(group_charge)
 
-        pool = {v.id for v in engine.state.vehicles} - chargers
-        before = engine.fleet_energy()
-        stats = engine.run_slot(t, pool, chargers)
-        engine.end_slot()
-        after = engine.fleet_energy()
-        ledger.record(before, stats.consumed_kwh, stats.charged_kwh, price, after)
-        slots.append(
-            _slot_metrics(engine, scenario, t, stats, price, after)
-        )
+        slot = _execute_slot(engine, scenario, t, chargers)
+        slots.append(slot)
 
         # realized charge can trail the plan (clamping, the ceil split,
         # vehicles committed to passengers); it is never reconciled
-        if planned - stats.charged_kwh > 1e-9:
+        if planned - slot.charged_kwh > 1e-9:
             LOG.debug("slot %d: charged %.3f of planned %.3f kwh",
-                      t, stats.charged_kwh, planned)
+                      t, slot.charged_kwh, planned)
 
-    summary = _summarize(JTCS, scenario, engine, ledger, slots)
+    summary = _summarize(JTCS, scenario, engine, slots)
     summary.plan = plan
     summary.plan_inputs = plan_inputs
     summary.clamp_shortfall_kwh = max(
@@ -357,11 +327,9 @@ def run_tgc(scenario: Scenario) -> RunSummary:
     engine = scenario.engine()
     engine.reset(scenario.build_fleet())
     params = scenario.params
-    ledger = EnergyLedger()
     slots: list[SlotMetrics] = []
 
     for t in range(scenario.T):
-        price = scenario.prices[t]
         eligible = eligibility_filter(engine.state.vehicles, params)
         _, dry_stats = engine.dry_run_demand(t, eligible)
         moving = dry_stats.transporting_ids
@@ -372,18 +340,23 @@ def run_tgc(scenario: Scenario) -> RunSummary:
             and v.id not in moving
             and not v.plan.stops
         }
-        pool = {v.id for v in engine.state.vehicles} - chargers
+        slots.append(_execute_slot(engine, scenario, t, chargers))
 
-        before = engine.fleet_energy()
-        stats = engine.run_slot(t, pool, chargers)
-        engine.end_slot()
-        after = engine.fleet_energy()
-        ledger.record(before, stats.consumed_kwh, stats.charged_kwh, price, after)
-        slots.append(
-            _slot_metrics(engine, scenario, t, stats, price, after)
-        )
+    return _summarize(TGC, scenario, engine, slots)
 
-    return _summarize(TGC, scenario, engine, ledger, slots)
+
+def _execute_slot(engine, scenario, t, chargers: set[int]) -> SlotMetrics:
+    """Run slot t with ``chargers`` charging and everyone else in the pool;
+    check that the fleet's energy balances and record the slot."""
+    pool = {v.id for v in engine.state.vehicles} - chargers
+    before = engine.fleet_energy()
+    stats = engine.run_slot(t, pool, chargers)
+    engine.end_slot()
+    after = engine.fleet_energy()
+    drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
+    if abs(drift) > 1e-9:
+        raise AssertionError(f"energy ledger does not balance: drift {drift:.3e}")
+    return _slot_metrics(engine, scenario, t, stats, scenario.prices[t], after)
 
 
 def _slot_metrics(engine, scenario, t, stats, price, fleet_energy) -> SlotMetrics:
@@ -407,7 +380,7 @@ def _slot_metrics(engine, scenario, t, stats, price, fleet_energy) -> SlotMetric
     )
 
 
-def _summarize(mode, scenario, engine, ledger, slots) -> RunSummary:
+def _summarize(mode, scenario, engine, slots) -> RunSummary:
     served_states = [
         rs for rs in engine.state.requests.values() if rs.status == SERVED
     ]
@@ -418,13 +391,12 @@ def _summarize(mode, scenario, engine, ledger, slots) -> RunSummary:
     trips = [
         (rs.dropoff_time - rs.request.request_time) / 60.0 for rs in served_states
     ]
-    total_charged = sum(ledger.e_plus)
-    total_payment = sum(ledger.payments)
+    total_charged = sum(s.charged_kwh for s in slots)
+    total_payment = sum(s.payment_cents for s in slots)
     return RunSummary(
         mode=mode,
         seed=scenario.seed,
         slots=slots,
-        ledger=ledger,
         final_fleet_energy=engine.fleet_energy(),
         total_charged_kwh=total_charged,
         total_payment_cents=total_payment,

@@ -3,10 +3,13 @@
 Requests are batched every few simulated minutes, sorted by how long their
 passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
-reserve gate every candidate).  The same engine also answers the planning
-question "who would transport where this slot" as a dry run: snapshot the
-fleet, simulate the slot, count the transporting vehicles per region, restore
-the snapshot and check its fingerprint.
+reserve gate every candidate).  Every slot, realized or planned, runs through
+the one ``FleetEngine.run_slot``.  The engine answers the planning question
+"who would transport where this slot" as a dry run: snapshot the fleet,
+simulate the slot, count the transporting vehicles per region, restore the
+snapshot and check its fingerprint.  A forecast that ignores energy needs no
+mode of its own: its vehicles hold ``math.inf`` kwh, so every energy check
+passes and driving leaves them at inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -208,7 +211,6 @@ def insertion_cost(
     graph: RoadGraph,
     params: GameParams,
     requests: dict[int, RequestState],
-    infinite_energy: bool = False,
 ) -> tuple[float, VehiclePlan] | None:
     """Cheapest feasible insertion of ``request`` into the vehicle's plan.
 
@@ -231,7 +233,7 @@ def insertion_cost(
     seats = params.seats
     inf = float("inf")
     new_limit = params.detour_max * max(request.direct_km, 1e-9) + 1e-9
-    budget = inf if infinite_energy else vehicle.energy - params.e_min
+    budget = vehicle.energy - params.e_min
 
     if not stops:
         # an idle vehicle has one candidate: to the pickup, then the dropoff
@@ -375,7 +377,6 @@ def pci_assign(
     params: GameParams,
     now: float,
     requests: dict[int, RequestState],
-    infinite_energy: bool = False,
 ) -> tuple[list[tuple[int, int]], list[TripRequest]]:
     """Assign pending requests to vehicles, longest wait first.
 
@@ -391,9 +392,7 @@ def pci_assign(
         best_vehicle = None
         best = None
         for veh in by_id:
-            out = insertion_cost(
-                veh, request, graph, params, requests, infinite_energy
-            )
+            out = insertion_cost(veh, request, graph, params, requests)
             if out is None:
                 continue
             if best is None or out[0] < best[0] - 1e-12:
@@ -434,12 +433,10 @@ def group_census(
 class SlotStats:
     """What one slot execution did."""
 
-    moved_km: float = 0.0
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
     transporting_ids: set = field(default_factory=set)
     served_ids: list = field(default_factory=list)
-    assignments: list = field(default_factory=list)
     chargers_short: int = 0  # assigned to charge but never reached a station
 
 
@@ -495,14 +492,10 @@ class FleetEngine:
     # -- slot execution --------------------------------------------------
 
     def run_slot(
-        self,
-        t: int,
-        pool_ids: set[int],
-        charger_ids: set[int],
-        infinite_energy: bool = False,
+        self, t: int, pool_ids: set[int], charger_ids: set[int]
     ) -> SlotStats:
         """Serve the slot's requests with the pool while chargers head to
-        stations; returns movement/energy/serving statistics."""
+        stations; returns energy/serving statistics."""
         if pool_ids & charger_ids:
             raise ValueError("a vehicle cannot both transport and charge")
         t0, t1 = self.slot_bounds(t)
@@ -520,10 +513,7 @@ class FleetEngine:
                 veh.status = IDLE
                 stats.chargers_short += 1
                 continue
-            if (
-                not infinite_energy
-                and dist * self.params.consume_rate > veh.energy
-            ):
+            if dist * self.params.consume_rate > veh.energy:
                 # the reserve floors are meant to rule this out
                 LOG.warning(
                     "vehicle %d: %.1f kwh cannot cover %.1f km to a station; "
@@ -568,21 +558,13 @@ class FleetEngine:
                 pool = [
                     state.vehicle(vid)
                     for vid in sorted(pool_ids)
-                    if infinite_energy
-                    or state.vehicle(vid).energy >= self.params.slot_consumption
+                    if state.vehicle(vid).energy >= self.params.slot_consumption
                 ]
-                assigned, _ = pci_assign(
-                    pending,
-                    pool,
-                    self.graph,
-                    self.params,
-                    b0,
-                    state.requests,
-                    infinite_energy,
+                pci_assign(
+                    pending, pool, self.graph, self.params, b0, state.requests
                 )
-                stats.assignments.extend(assigned)
             for veh in state.vehicles:
-                self._advance(veh, b0, b1, stats, infinite_energy)
+                self._advance(veh, b0, b1, stats)
 
         for vid in sorted(charger_ids):
             veh = state.vehicle(vid)
@@ -612,7 +594,7 @@ class FleetEngine:
     # -- dry runs ---------------------------------------------------------
 
     def dry_run_demand(
-        self, t: int, eligible_ids: set[int], infinite_energy: bool = False
+        self, t: int, eligible_ids: set[int]
     ) -> tuple[list[int], SlotStats]:
         """Simulate the slot with every eligible vehicle serving; restore.
 
@@ -623,7 +605,7 @@ class FleetEngine:
         start_region = {
             v.id: self.region_map.region_of(v.node) for v in self.state.vehicles
         }
-        stats = self.run_slot(t, eligible_ids, set(), infinite_energy)
+        stats = self.run_slot(t, eligible_ids, set())
         n = [0] * self.region_map.n_regions
         for vid in stats.transporting_ids:
             n[start_region[vid]] += 1
@@ -641,12 +623,7 @@ class FleetEngine:
         veh.route = path[1:]
 
     def _advance(
-        self,
-        veh: Vehicle,
-        b0: float,
-        b1: float,
-        stats: SlotStats,
-        infinite_energy: bool,
+        self, veh: Vehicle, b0: float, b1: float, stats: SlotStats
     ) -> None:
         """Move one vehicle through the batch window, executing stops."""
         now = b0
@@ -703,7 +680,7 @@ class FleetEngine:
             edge_len = _edge_length(self.graph, veh.node, veh.edge_head)
             remaining = edge_len - veh.edge_progress
             step = min(budget_km, remaining)
-            self._burn(veh, step, stats, infinite_energy)
+            self._burn(veh, step, stats)
             now += step * 3600.0 / self.params.speed
             if step >= remaining - 1e-12:
                 veh.node = veh.edge_head
@@ -713,21 +690,19 @@ class FleetEngine:
                 veh.edge_progress += step
                 return
 
-    def _burn(
-        self, veh: Vehicle, km: float, stats: SlotStats, infinite_energy: bool
-    ) -> None:
+    def _burn(self, veh: Vehicle, km: float, stats: SlotStats) -> None:
+        """Drive ``km``: charge the energy to the vehicle and the slot
+        (a vehicle holding ``math.inf`` kwh keeps it)."""
         if km <= 0.0:
             return
-        stats.moved_km += km
         cost = km * self.params.consume_rate
         stats.consumed_kwh += cost
-        if not infinite_energy:
-            veh.energy -= cost
-            if veh.energy < -1e-9:
-                raise EnergyUnderflowError(
-                    f"vehicle {veh.id} fell to {veh.energy:.3f} kwh"
-                )
-            veh.energy = max(veh.energy, 0.0)
+        veh.energy -= cost
+        if veh.energy < -1e-9:
+            raise EnergyUnderflowError(
+                f"vehicle {veh.id} fell to {veh.energy:.3f} kwh"
+            )
+        veh.energy = max(veh.energy, 0.0)
         if veh.status == SERVING:
             stats.transporting_ids.add(veh.id)
             for stop in veh.plan.stops:

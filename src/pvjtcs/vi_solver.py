@@ -317,6 +317,6 @@ def write_trace_csv(trace: SspmTrace, stream: IO[str]) -> None:
     for k in range(len(trace)):
         writer.writerow(
             [k, repr(trace.residual_norms[k]), repr(trace.etas[k])]
-            + [repr(v) for v in trace.iterates[k]]
+            + [repr(float(v)) for v in trace.iterates[k]]
             + [repr(v) for v in trace.utilities[k]]
         )

@@ -302,9 +302,7 @@ def _detours_ok(vehicle, stops, requests, params, graph, new_request) -> bool:
     return True
 
 
-def brute_force_insertion(
-    vehicle, request, graph, params, requests, infinite_energy=False
-):
+def brute_force_insertion(vehicle, request, graph, params, requests):
     """Cheapest feasible insertion by enumeration: build every candidate plan
     (pickup before position i, dropoff before position j >= i), check seats,
     energy and every passenger's detour on it, keep the first strictly
@@ -320,9 +318,8 @@ def brute_force_insertion(
             if not _seats_ok(vehicle, cand, requests, params, request):
                 continue
             total = plan_distance(vehicle, cand, graph)
-            if not infinite_energy:
-                if total * params.consume_rate > vehicle.energy - params.e_min:
-                    continue
+            if total * params.consume_rate > vehicle.energy - params.e_min:
+                continue
             if not _detours_ok(vehicle, cand, requests, params, graph, request):
                 continue
             delta = total - base

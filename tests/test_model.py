@@ -127,7 +127,7 @@ class TestValidation:
         p = GameParams()
         assert (p.alpha1, p.alpha2) == (20.0, 5.0)
         assert (p.gamma1, p.gamma2, p.gamma3) == (0.4, 0.5, 1.5)
-        assert (p.mu_init, p.eta_init, p.epsilon) == (1.0, 1.0, 1e-3)
+        assert (p.eta_init, p.epsilon) == (1.0, 1e-3)
         assert (p.e_min, p.rho) == (3.0, 0.2)
         assert (p.c, p.r) == (45.0, 5.625)
         assert (p.speed, p.consume_rate, p.seats) == (30.0, 0.3, 16)
@@ -144,7 +144,6 @@ class TestValidation:
             {"gamma1": 1.0},
             {"gamma2": 1.5},
             {"gamma3": 1.0},
-            {"mu_init": 0.0},
             {"epsilon": -1e-3},
             {"rho": 0.0},
             {"r": 50.0},

@@ -1,4 +1,4 @@
-"""Whole-day runs: ledger conservation, scheme behavior, reproducibility."""
+"""Whole-day runs: energy conservation, scheme behavior, reproducibility."""
 
 import json
 import math
@@ -140,6 +140,18 @@ class TestDayAhead:
         # the engine runs on its own clone of the fleet
         assert [(v.node, v.energy) for v in fleet] == start
 
+    def test_infinite_run_ignores_low_energy(self):
+        # every vehicle starts below the slot's worst-case consumption and
+        # the insertion reserve, which would bar all of them from serving
+        sc = make_scenario(requests=sprinkle_requests(make_grid_graph(), 8),
+                           energies=[5.0] * 6)
+        assert 5.0 < sc.params.slot_consumption
+        fleet = sc.build_fleet()
+        consumed, transports = infinite_energy_dry_run(sc, fleet)
+        assert sum(transports) > 0
+        assert sum(consumed) > 0.0
+        assert [v.energy for v in fleet] == [5.0] * 6
+
     def test_plan_respects_каps(self):
         sc = make_scenario(requests=sprinkle_requests(make_grid_graph(), 8))
         fleet = sc.build_fleet()
@@ -173,14 +185,14 @@ class TestFullRuns:
         assert len(built) == 1
 
     def test_ledger_conserves_energy(self):
-        summary = run_jtcs(self.make_busy_scenario())
-        led = summary.ledger
-        for t in range(len(led.e_minus) - 1):
-            nxt = led.e_remaining[t] - led.e_minus[t] + led.e_plus[t]
-            assert nxt == pytest.approx(led.e_remaining[t + 1], abs=1e-9)
-        assert summary.final_fleet_energy == pytest.approx(
-            led.e_remaining[-1] - led.e_minus[-1] + led.e_plus[-1], abs=1e-9
-        )
+        sc = self.make_busy_scenario()
+        summary = run_jtcs(sc)
+        energy = sum(v.energy for v in sc.build_fleet())
+        for s in summary.slots:
+            nxt = energy - s.consumed_kwh + s.charged_kwh
+            assert nxt == pytest.approx(s.fleet_energy_kwh, abs=1e-9)
+            energy = s.fleet_energy_kwh
+        assert summary.final_fleet_energy == pytest.approx(energy, abs=1e-9)
 
     def test_energy_stays_in_battery_bounds(self):
         sc = self.make_busy_scenario()
@@ -192,10 +204,13 @@ class TestFullRuns:
             )
 
     def test_charged_accounting(self):
-        summary = run_tgc(self.make_busy_scenario())
-        assert summary.total_charged_kwh == pytest.approx(sum(summary.ledger.e_plus))
+        sc = self.make_busy_scenario()
+        summary = run_tgc(sc)
+        assert summary.total_charged_kwh == pytest.approx(
+            sum(s.charged_kwh for s in summary.slots)
+        )
         assert summary.total_payment_cents == pytest.approx(
-            sum(summary.ledger.payments)
+            sum(sc.prices[s.slot] * s.charged_kwh for s in summary.slots)
         )
         if summary.total_charged_kwh > 0:
             assert summary.average_price == pytest.approx(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -107,7 +108,9 @@ def insertion_cases(draw):
         detour_max=draw(st.one_of(st.sampled_from([1.0, 1.5, 10.0]),
                                   st.floats(min_value=1.0, max_value=3.0))),
     )
-    return veh, new, params, requests, draw(st.booleans())
+    if draw(st.booleans()):  # the day-ahead forecast's fleet
+        veh.energy = math.inf
+    return veh, new, params, requests
 
 
 class TestInsertionCost:
@@ -203,10 +206,10 @@ class TestInsertionCost:
     @settings(max_examples=400, deadline=None)
     @given(case=insertion_cases())
     def test_matches_brute_force_reference(self, case):
-        veh, new, params, requests, infinite_energy = case
+        veh, new, params, requests = case
         stops_before = list(veh.plan.stops)
-        out = insertion_cost(veh, new, GRID, params, requests, infinite_energy)
-        ref = brute_force_insertion(veh, new, GRID, params, requests, infinite_energy)
+        out = insertion_cost(veh, new, GRID, params, requests)
+        ref = brute_force_insertion(veh, new, GRID, params, requests)
         assert veh.plan.stops == stops_before
         assert (out is None) == (ref is None)
         if out is not None:

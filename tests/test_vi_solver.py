@@ -350,3 +350,9 @@ class TestTraceExport:
         assert len(lines) == len(trace) + 1
         first = lines[1].split(",")
         assert float(first[1]) == trace.residual_norms[0]
+        # every strategy and payoff cell parses back to the traced float
+        n = len(trace.iterates[0])
+        for k, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert [float(v) for v in cells[3:3 + n]] == list(trace.iterates[k])
+            assert [float(v) for v in cells[3 + n:]] == list(trace.utilities[k])
