@@ -193,7 +193,8 @@ def cmd_solve_vi(args) -> int:
             "charging demand clamped from %.6g to %.6g", report.original, report.adjusted
         )
     x, trace = sspm_solve(
-        groups, fset, float(doc["price"]), params, x0=doc.get("x0")
+        groups, fset, float(doc["price"]), params, x0=doc.get("x0"),
+        keep_iterates=args.trace is not None,
     )
     kkt = kkt_verify(x, groups, fset, float(doc["price"]), params)
     print(f"x_star = {np.array2string(x, precision=6)}")

@@ -279,7 +279,9 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
                     "slot %d: charging demand clamped %.3f -> %.3f kwh",
                     t, report.original, report.adjusted,
                 )
-            x_star, trace = sspm_solve(game_groups, fset, price, params)
+            x_star, trace = sspm_solve(
+                game_groups, fset, price, params, keep_iterates=collect_traces
+            )
             vi_iterations.append(len(trace))
             if collect_traces:
                 vi_traces[t] = trace

@@ -214,14 +214,48 @@ def insertion_cost(
 ) -> tuple[float, VehiclePlan] | None:
     """Cheapest feasible insertion of ``request`` into the vehicle's plan.
 
+    Returns the minimum added distance with the new plan, or None.  The
+    search is ``_best_insertion``; this wrapper computes its per-request
+    inputs and builds the winning plan.  ``pci_assign`` calls the core
+    directly and builds only the fleet-wide winner's plan.
+    """
+    pick_to_drop = distance(graph, request.origin, request.destination)
+    best = _best_insertion(
+        vehicle, request, pick_to_drop, _ride_limit(request, params),
+        graph, params, requests,
+    )
+    if best is None:
+        return None
+    delta, i, j = best
+    return delta, _with_trip(vehicle.plan, request, i, j)
+
+
+def _ride_limit(request: TripRequest, params: GameParams) -> float:
+    """Longest on-vehicle distance the detour bound allows the request."""
+    return params.detour_max * max(request.direct_km, 1e-9) + 1e-9
+
+
+def _best_insertion(
+    vehicle: Vehicle,
+    request: TripRequest,
+    pick_to_drop: float,
+    new_limit: float,
+    graph: RoadGraph,
+    params: GameParams,
+    requests: dict[int, RequestState],
+) -> tuple[float, int, int] | None:
+    """``(delta, i, j)`` of the cheapest feasible insertion, or None: the
+    pickup goes before stop i, the dropoff before stop j >= i, and delta is
+    the added distance.  ``pick_to_drop`` (origin to destination) and
+    ``new_limit`` (``_ride_limit``) depend only on the request.
+
     Tries every pickup position i and dropoff position j >= i, keeping
     candidates that respect seat capacity at every prefix, the detour bound
-    for every affected passenger, and the vehicle's energy reserve.  Returns
-    the minimum added distance with the new plan, or None.
-
-    Candidates are checked by index; only the winner's plan is built.  For
-    k planned stops one call makes O(k) distance lookups (legs between the
-    anchor and the stops, and to and from the new pickup and dropoff).  A
+    for every affected passenger, and the vehicle's energy reserve; no plan
+    is built.  For k > 0 planned stops one call fetches k + 3 cached
+    distance rows (the anchor's, each stop's, the origin's and the
+    destination's) and makes O(k) lookups in them: legs between the anchor
+    and the stops, and to and from the new pickup and dropoff.  A
     candidate's added distance is then O(1) arithmetic.  Its checks use the
     old plan's loads and each old drop's detour slack (how far its ride may
     still grow), with running extrema over the stops between pickup and
@@ -232,30 +266,37 @@ def insertion_cost(
     origin, dest, pax = request.origin, request.destination, request.passengers
     seats = params.seats
     inf = float("inf")
-    new_limit = params.detour_max * max(request.direct_km, 1e-9) + 1e-9
     budget = vehicle.energy - params.e_min
 
     if not stops:
         # an idle vehicle has one candidate: to the pickup, then the dropoff
         if vehicle.plan.onboard + pax > seats:
             return None
-        to_pick = distance(graph, vehicle.anchor(), origin)
-        pick_to_drop = distance(graph, origin, dest)
+        anchor = vehicle.anchor()
+        to_pick = graph.single_source(anchor)[0].get(origin)
+        if to_pick is None:
+            to_pick = distance(graph, anchor, origin)  # raises its error
         delta = to_pick + pick_to_drop
         base = _edge_remainder(vehicle, graph)
         if (base + delta) * params.consume_rate > budget or pick_to_drop > new_limit:
             return None
-        return delta, _with_trip(vehicle.plan, request, 0, 0)
+        return delta, 0, 0
 
     # nodes[0] is the anchor, nodes[m + 1] the node of stop m; index 0 of
     # from_pick, to_drop and from_drop is never read
     nodes = [vehicle.anchor()] + [s.node for s in stops]
-    to_pick = [distance(graph, n, origin) for n in nodes]
-    from_pick = [0.0] + [distance(graph, origin, n) for n in nodes[1:]]
-    to_drop = [0.0] + [distance(graph, n, dest) for n in nodes[1:]]
-    from_drop = [0.0] + [distance(graph, dest, n) for n in nodes[1:]]
-    pick_to_drop = distance(graph, origin, dest)
-    legs = [distance(graph, nodes[m], nodes[m + 1]) for m in range(k)]
+    rows = [graph.single_source(n)[0] for n in nodes]  # KeyError: unknown node
+    from_origin = graph.single_source(origin)[0]
+    from_dest = graph.single_source(dest)[0]
+    try:
+        to_pick = [row[origin] for row in rows]
+        from_pick = [0.0] + [from_origin[n] for n in nodes[1:]]
+        to_drop = [0.0] + [row[dest] for row in rows[1:]]
+        from_drop = [0.0] + [from_dest[n] for n in nodes[1:]]
+        legs = [row[n] for row, n in zip(rows, nodes[1:])]
+    except KeyError as missing:
+        # every node has a row, so a missing entry is a node it cannot reach
+        raise UnreachableNodeError(f"no path to node {missing.args[0]}") from None
     prefix = [_edge_remainder(vehicle, graph)]  # km to reach nodes[m]
     for leg in legs:
         prefix.append(prefix[-1] + leg)
@@ -282,7 +323,7 @@ def insertion_cost(
         else:
             ride = prefix[m + 1] - prefix[q + 1]
             picked_at[m] = q
-        slack[m] = params.detour_max * max(rs.request.direct_km, 1e-9) + 1e-9 - ride
+        slack[m] = _ride_limit(rs.request, params) - ride
         if slack[m] < 0.0:
             return None  # the old plan already breaks a detour bound
         slack_of[stop.request_id] = slack[m]
@@ -354,10 +395,7 @@ def insertion_cost(
                 continue
             best = (delta, i, j)
 
-    if best is None:
-        return None
-    delta, i, j = best
-    return delta, _with_trip(vehicle.plan, request, i, j)
+    return best
 
 
 def _with_trip(plan: VehiclePlan, request: TripRequest, i: int, j: int) -> VehiclePlan:
@@ -381,27 +419,48 @@ def pci_assign(
     """Assign pending requests to vehicles, longest wait first.
 
     Each request goes to the fleet-wide minimum insertion cost (vehicle-id
-    ties downward) or onto the returned waiting list.  Returns the
-    (request id, vehicle id) assignments made.
+    ties downward: a later vehicle wins only by more than 1e-12) or onto the
+    returned waiting list.  Returns the (request id, vehicle id) assignments
+    made.
+
+    Only the winner's plan is built.  Idle vehicles at one anchor are
+    skipped after the first feasible one: their one candidate costs the same
+    bit-equal ``to_pick + pick_to_drop``, and the best cost seen never rises,
+    so none of them could beat it by more than 1e-12.  An infeasible vehicle
+    marks nothing, because energy and the remainder of the edge being driven
+    differ between vehicles at one anchor.
     """
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
     by_id = sorted(fleet, key=lambda v: v.id)
     assignments: list[tuple[int, int]] = []
     waiting: list[TripRequest] = []
     for request in order:
+        pick_to_drop = distance(graph, request.origin, request.destination)
+        new_limit = _ride_limit(request, params)
         best_vehicle = None
         best = None
+        done_anchors: set[int] = set()  # an idle vehicle there was feasible
         for veh in by_id:
-            out = insertion_cost(veh, request, graph, params, requests)
+            idle = not veh.plan.stops
+            if idle:
+                anchor = veh.anchor()
+                if anchor in done_anchors:
+                    continue
+            out = _best_insertion(
+                veh, request, pick_to_drop, new_limit, graph, params, requests
+            )
             if out is None:
                 continue
+            if idle:
+                done_anchors.add(anchor)
             if best is None or out[0] < best[0] - 1e-12:
                 best = out
                 best_vehicle = veh
         if best_vehicle is None:
             waiting.append(request)
             continue
-        best_vehicle.plan = best[1]
+        _, i, j = best
+        best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
         best_vehicle.status = SERVING
         best_vehicle.route = []  # plan changed: reroute from the anchor
         rs = requests[request.id]
@@ -526,8 +585,8 @@ class FleetEngine:
             veh.station_target = station
             self._retarget(veh, station)
 
-        for vid in sorted(pool_ids):
-            veh = state.vehicle(vid)
+        pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
+        for veh in pool:
             if veh.status == CHARGING:
                 veh.status = SERVING if veh.plan.stops else IDLE
                 veh.station_target = None
@@ -539,6 +598,7 @@ class FleetEngine:
         # forward within the slot.
         requests = state.requests
         first_open = 0
+        need = self.params.slot_consumption
         n_batches = max(1, round((t1 - t0) / self.batch_seconds))
         for k in range(n_batches):
             b0 = t0 + k * self.batch_seconds
@@ -555,16 +615,15 @@ class FleetEngine:
                 if requests[r.id].status == WAITING
             ]
             if pending:
-                pool = [
-                    state.vehicle(vid)
-                    for vid in sorted(pool_ids)
-                    if state.vehicle(vid).energy >= self.params.slot_consumption
-                ]
+                # energy falls within the slot, so the filter runs per batch
+                able = [v for v in pool if v.energy >= need]
                 pci_assign(
-                    pending, pool, self.graph, self.params, b0, state.requests
+                    pending, able, self.graph, self.params, b0, state.requests
                 )
             for veh in state.vehicles:
-                self._advance(veh, b0, b1, stats)
+                # ``_advance`` returns at once for any other vehicle
+                if veh.plan.stops or veh.status == CHARGING:
+                    self._advance(veh, b0, b1, stats)
 
         for vid in sorted(charger_ids):
             veh = state.vehicle(vid)

@@ -43,7 +43,12 @@ class SspmConvergenceError(RuntimeError):
 
 @dataclass
 class SspmTrace:
-    """Per-iteration record of the extragradient run."""
+    """Per-iteration record of the extragradient run.
+
+    ``iterates`` and ``utilities`` stay empty unless the solve was asked to
+    keep them (``sspm_solve(..., keep_iterates=True)``): they cost an array
+    copy and n payoff evaluations per iteration.
+    """
 
     iterates: list = field(default_factory=list)          # strategy vectors
     residual_norms: list = field(default_factory=list)    # ||nu|| per iteration
@@ -123,13 +128,15 @@ def sspm_solve(
     params: GameParams,
     x0: Sequence[float] | None = None,
     max_iterations: int = 100_000,
+    keep_iterates: bool = False,
 ) -> tuple[np.ndarray, SspmTrace]:
     """Solve the slot game to its normalized equilibrium.
 
     Starting from the projected per-group transportation optimum d/m (or a
     caller-supplied start), iterates the two-projection extragradient scheme
     until the projected residual norm drops below ``params.epsilon``.  The
-    returned trace carries every iterate, residual, step size and payoff for
+    returned trace carries every residual, step size and projection count;
+    with ``keep_iterates`` also every iterate and its payoffs, for
     inspection or CSV export.
 
     The loop works on plain floats: instances have a handful of groups, and
@@ -168,9 +175,10 @@ def sspm_solve(
         nu_sq = sum(v * v for v in nu)
         nu_norm = math.sqrt(nu_sq)
 
-        trace.iterates.append(np.array(x))
         trace.residual_norms.append(nu_norm)
-        trace.utilities.append(u(x))
+        if keep_iterates:
+            trace.iterates.append(np.array(x))
+            trace.utilities.append(u(x))
 
         if nu_norm < params.epsilon:
             # The adaptive-step residual scales with mu, so a small mu can
@@ -306,7 +314,12 @@ def kkt_verify(
 
 
 def write_trace_csv(trace: SspmTrace, stream: IO[str]) -> None:
-    """Dump a solver trace: iteration, residual, eta, per-group x and payoff."""
+    """Dump a solver trace: iteration, residual, eta, per-group x and payoff.
+
+    The trace must come from ``sspm_solve(..., keep_iterates=True)``.
+    """
+    if len(trace.iterates) != len(trace):
+        raise ValueError("trace has no iterates: solve with keep_iterates=True")
     n_groups = len(trace.iterates[0]) if trace.iterates else 0
     writer = csv.writer(stream)
     writer.writerow(

@@ -6,10 +6,12 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Two are the production kernels' former element-by-element loops, kept as
-bit-exact references for the bulk versions: ``loop_solve_lp`` (the dense
-simplex with a row-by-row pivot and ratio test) and ``linear_scan_dual``
-(the box-hyperplane projection that evaluates every breakpoint in turn).
+Three are former production loops, kept as bit-exact references for the
+faster versions: ``loop_solve_lp`` (the dense simplex with a row-by-row
+pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
+that evaluates every breakpoint in turn) and ``full_scan_assign`` (ride
+assignment that evaluates every vehicle through ``insertion_cost`` and
+keeps each returned plan).
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ from pvjtcs.simplex import (
     LpSolution,
     LpUnboundedError,
 )
-from pvjtcs.transport_scheduler import DROPOFF, PICKUP, Stop
+from pvjtcs.model import SERVING
+from pvjtcs.transport_scheduler import (
+    ASSIGNED,
+    DROPOFF,
+    PICKUP,
+    Stop,
+    insertion_cost,
+)
 
 _TOL = 1e-9
 
@@ -326,6 +335,38 @@ def brute_force_insertion(vehicle, request, graph, params, requests):
             if best is None or delta < best[0] - 1e-12:
                 best = (delta, cand)
     return best
+
+
+def full_scan_assign(pending, fleet, graph, params, now, requests):
+    """``pci_assign`` as a scan of the whole fleet: every vehicle's
+    insertion is evaluated through ``insertion_cost``, which builds its
+    plan, and the first one cheaper than the best so far by more than 1e-12
+    wins.  Returns (assignments, waiting list) like ``pci_assign``."""
+    order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
+    by_id = sorted(fleet, key=lambda v: v.id)
+    assignments = []
+    waiting = []
+    for request in order:
+        best_vehicle = None
+        best = None
+        for veh in by_id:
+            out = insertion_cost(veh, request, graph, params, requests)
+            if out is None:
+                continue
+            if best is None or out[0] < best[0] - 1e-12:
+                best = out
+                best_vehicle = veh
+        if best_vehicle is None:
+            waiting.append(request)
+            continue
+        best_vehicle.plan = best[1]
+        best_vehicle.status = SERVING
+        best_vehicle.route = []
+        rs = requests[request.id]
+        rs.status = ASSIGNED
+        rs.vehicle = best_vehicle.id
+        assignments.append((request.id, best_vehicle.id))
+    return assignments, waiting
 
 
 def linear_scan_dual(point, m, S):

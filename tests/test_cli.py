@@ -285,6 +285,22 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert "x_star" in out and "0.6" in out
 
+    def test_solve_vi_writes_trace(self, tmp_path):
+        instance = tmp_path / "instance.json"
+        instance.write_text(
+            json.dumps(
+                {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
+                 "r": 1.0, "price": 2.0}
+            )
+        )
+        trace = tmp_path / "trace.csv"
+        rc = main(["solve-vi", "--instance", str(instance), "--trace", str(trace)])
+        assert rc == 0
+        rows = trace.read_text().strip().splitlines()
+        assert rows[0].split(",") == ["iteration", "residual", "eta",
+                                      "x_0", "x_1", "u_0", "u_1"]
+        assert len(rows) > 1 and all(len(r.split(",")) == 7 for r in rows[1:])
+
     def test_plan_charging_subcommand(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from pvjtcs import transport_scheduler
 from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams
-from pvjtcs.network import RegionMap, StationSet, shortest_path
+from pvjtcs.network import (
+    RegionMap,
+    RoadGraph,
+    StationSet,
+    UnreachableNodeError,
+    shortest_path,
+)
 from pvjtcs.transport_scheduler import (
     ASSIGNED,
     DROPOFF,
@@ -33,7 +39,7 @@ from pvjtcs.transport_scheduler import (
 )
 from pvjtcs.simulator import set_demand
 from conftest import make_grid_graph, make_request, small_params
-from oracles import brute_force_insertion, plan_distance
+from oracles import brute_force_insertion, full_scan_assign, plan_distance
 
 PARAMS = small_params()
 
@@ -203,6 +209,26 @@ class TestInsertionCost:
         assert best is not None
         assert delta == pytest.approx(best, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "node, stops, error",
+        [
+            (2, [], UnreachableNodeError),  # 2 cannot reach the pickup at 0
+            (1, [Stop(2, DROPOFF, 2)], UnreachableNodeError),
+            (99, [], KeyError),
+            (99, [Stop(2, DROPOFF, 2)], KeyError),
+        ],
+    )
+    def test_lookup_errors_match_network_distance(self, node, stops, error):
+        line = RoadGraph.from_edges(
+            {n: (0.0, 0.0) for n in (0, 1, 2)}, [(0, 1, 1.0), (1, 2, 1.0)]
+        )
+        old = make_request(line, 2, 0.0, 1, 2)
+        req = make_request(line, 1, 0.0, 0, 2)
+        veh = fresh_vehicle(node=node)
+        veh.plan = VehiclePlan(stops=stops, onboard=len(stops))
+        with pytest.raises(error):
+            insertion_cost(veh, req, line, PARAMS, states_for(old, req))
+
     @settings(max_examples=400, deadline=None)
     @given(case=insertion_cases())
     def test_matches_brute_force_reference(self, case):
@@ -281,7 +307,105 @@ class TestInsertionCost:
         assert delta_tight == pytest.approx(2.5)
 
 
+@st.composite
+def assign_batches(draw):
+    """A batch of requests and a fleet on the 4x4 grid that reach
+    ``pci_assign``'s anchor skip: 4-12 idle vehicles on 1-3 neighbouring
+    shared anchors, some mid-edge into their anchor (so their edge
+    remainders differ), energies on both sides of the reserve, and busy
+    vehicles interleaved by id.  Returns (batch, fleet state, params, now)."""
+    nodes = st.integers(min_value=0, max_value=15)
+    # neighbouring anchors: a vehicle mid-edge between two of them sits on
+    # one and is anchored at the other
+    first = draw(nodes)
+    anchors = [first] + draw(st.lists(
+        st.sampled_from([to for to, _ in GRID.adjacency[first]]),
+        max_size=2, unique=True,
+    ))
+    n_idle = draw(st.integers(min_value=4, max_value=12))
+    n_busy = draw(st.integers(min_value=0, max_value=4))
+    ids = draw(st.permutations(range(n_idle + n_busy)))
+    energies = st.one_of(st.floats(min_value=3.0, max_value=4.5), st.just(40.0))
+    requests = {}
+    vehicles = []
+    for vid in ids[:n_idle]:
+        anchor = draw(st.sampled_from(anchors))
+        veh = Vehicle(id=vid, node=anchor, energy=draw(energies))
+        if draw(st.booleans()):  # driving into the anchor from a neighbour
+            veh.node = draw(st.sampled_from([to for to, _ in GRID.adjacency[anchor]]))
+            veh.edge_head = anchor
+            veh.edge_progress = draw(st.integers(min_value=0, max_value=7)) / 16
+        vehicles.append(veh)
+    for vid in ids[n_idle:]:
+        rid = 100 + vid
+        origin = draw(nodes)
+        dest = draw(nodes.filter(lambda n: n != origin))
+        rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest),
+                          status=ASSIGNED, vehicle=vid)
+        requests[rid] = rs
+        vehicles.append(Vehicle(
+            id=vid, node=draw(nodes), energy=draw(energies), status=SERVING,
+            plan=VehiclePlan(stops=list(rs.request.trip_stops)),
+        ))
+    batch = []
+    for rid in range(1, draw(st.integers(min_value=1, max_value=5)) + 1):
+        origin = draw(nodes)
+        dest = draw(nodes.filter(lambda n: n != origin))
+        new = make_request(GRID, rid, 60.0 * draw(st.integers(0, 2)), origin, dest,
+                           draw(st.integers(1, 3)))
+        requests[rid] = RequestState(request=new)
+        batch.append(new)
+    params = small_params(
+        seats=draw(st.integers(min_value=2, max_value=5)),
+        detour_max=draw(st.sampled_from([1.0, 1.5, 10.0])),
+    )
+    return batch, FleetState(vehicles=vehicles, requests=requests), params, 600.0
+
+
 class TestPciAssign:
+    @settings(max_examples=300, deadline=None)
+    @given(case=assign_batches())
+    def test_matches_full_fleet_scan(self, case):
+        batch, state, params, now = case
+        ref = state.clone()
+        out = pci_assign(batch, state.vehicles, GRID, params, now, state.requests)
+        expected = full_scan_assign(batch, ref.vehicles, GRID, params, now, ref.requests)
+        assert out == expected
+        # every vehicle's plan, status and route, every request's state
+        assert fingerprint(state) == fingerprint(ref)
+
+    def test_short_vehicle_does_not_hide_its_anchor(self, grid_graph):
+        # vehicles 1 and 2 wait at node 5, but 1 lacks the energy for the
+        # 1 km trip; its anchor stays open, so 2 wins over the farther 3
+        req = make_request(grid_graph, 1, 0.0, 5, 7)
+        short = fresh_vehicle(vid=1, node=5, energy=PARAMS.e_min + 0.1)
+        twin = fresh_vehicle(vid=2, node=5)
+        far = fresh_vehicle(vid=3, node=15)
+        requests = states_for(req)
+        assigned, waiting = pci_assign(
+            [req], [far, twin, short], grid_graph, PARAMS, 1.0, requests
+        )
+        assert assigned == [(1, 2)] and not waiting
+
+    def test_builds_one_plan_per_assignment(self, grid_graph, monkeypatch):
+        built = []
+        original = transport_scheduler._with_trip
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(transport_scheduler, "_with_trip", counting)
+        old = make_request(grid_graph, 9, 0.0, 1, 14)
+        batch = [make_request(grid_graph, rid, 0.0, rid, 15 - rid) for rid in range(1, 5)]
+        requests = states_for(old, *batch)
+        busy = fresh_vehicle(vid=0, node=0)
+        busy.plan = VehiclePlan(stops=list(old.trip_stops))
+        fleet = [busy] + [fresh_vehicle(vid=i, node=5 * i % 16) for i in range(1, 6)]
+        assigned, waiting = pci_assign(batch, fleet, grid_graph, PARAMS, 1.0, requests)
+        assert len(assigned) == len(batch) and not waiting
+        assert len(built) == len(assigned)
+
     def test_single_assignment(self, grid_graph):
         req = make_request(grid_graph, 1, 0.0, 1, 2)
         veh = fresh_vehicle()

@@ -235,13 +235,21 @@ class TestSspmSolve:
 
     def test_trace_shapes(self):
         groups, fset = SYMMETRIC
-        x, trace = sspm_solve(groups, fset, 2.0, PARAMS)
+        x, trace = sspm_solve(groups, fset, 2.0, PARAMS, keep_iterates=True)
         k = len(trace)
         assert len(trace.iterates) == k
         assert len(trace.etas) == k
         assert len(trace.zetas) == k
         assert len(trace.utilities) == k
         assert trace.residual_norms[-1] < PARAMS.epsilon
+        # by default the same solve keeps every record but the iterates
+        x_bare, bare = sspm_solve(groups, fset, 2.0, PARAMS)
+        assert bare.iterates == [] and bare.utilities == []
+        assert np.array_equal(x_bare, x)
+        assert bare.residual_norms == trace.residual_norms
+        assert (bare.etas, bare.zetas) == (trace.etas, trace.zetas)
+        assert bare.projection_calls == trace.projection_calls
+        assert bare.exit_checks == trace.exit_checks
 
     def test_cap_exhaustion_carries_trace(self):
         groups, fset = make_instance([1, 76, 57], [0, 59, 38], e_plus=0.0,
@@ -341,7 +349,7 @@ class TestKktVerify:
 class TestTraceExport:
     def test_csv_round_trip(self):
         groups, fset = SYMMETRIC
-        _, trace = sspm_solve(groups, fset, 2.0, PARAMS)
+        _, trace = sspm_solve(groups, fset, 2.0, PARAMS, keep_iterates=True)
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -356,3 +364,9 @@ class TestTraceExport:
             cells = line.split(",")
             assert [float(v) for v in cells[3:3 + n]] == list(trace.iterates[k])
             assert [float(v) for v in cells[3 + n:]] == list(trace.utilities[k])
+
+    def test_csv_refuses_trace_without_iterates(self):
+        groups, fset = SYMMETRIC
+        _, trace = sspm_solve(groups, fset, 2.0, PARAMS)
+        with pytest.raises(ValueError, match="keep_iterates"):
+            write_trace_csv(trace, io.StringIO())
