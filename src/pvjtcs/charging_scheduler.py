@@ -66,6 +66,23 @@ class DayAheadInputs:
     def T(self) -> int:
         return len(self.consumed)
 
+    def cap(self, t: int) -> float:
+        """Most slot t can charge: r per vehicle not needed to transport."""
+        return max(self.params.J - self.demand_counts[t], 0) * self.params.r
+
+    def reserve_floor(self, t: int) -> float:
+        """Least fleet energy entering slot t: (1 + rho) times the larger of
+        the slot's driving and every vehicle's minimum energy."""
+        par = self.params
+        return (1.0 + par.rho) * max(self.consumed[t], par.J * par.e_min)
+
+    @property
+    def terminal_floor(self) -> float:
+        """Least fleet energy at the end of the day."""
+        if self.terminal_reserve_kwh is None:
+            return self.e_init
+        return self.terminal_reserve_kwh
+
 
 @dataclass
 class ChargingPlan:
@@ -85,8 +102,6 @@ def build_lp(inputs: DayAheadInputs) -> LinearProgram:
     fleet capacity are variable bounds.
     """
     T = inputs.T
-    par = inputs.params
-    J, r, c, rho, e_min = par.J, par.r, par.c, par.rho, par.e_min
     n_rem = T - 1  # Er[1..T-1]
     n = T + n_rem
 
@@ -99,9 +114,9 @@ def build_lp(inputs: DayAheadInputs) -> LinearProgram:
     var_names = [f"E+[{t}]" for t in range(T)] + [f"Er[{t}]" for t in range(1, T)]
     upper = np.empty(n)
     for t in range(T):
-        upper[e_plus_col(t)] = max(J - inputs.demand_counts[t], 0) * r
+        upper[e_plus_col(t)] = inputs.cap(t)
     for t in range(1, T):
-        upper[e_rem_col(t)] = J * c
+        upper[e_rem_col(t)] = inputs.params.J * inputs.params.c
 
     rows, senses, rhs, row_names = [], [], [], []
 
@@ -126,17 +141,11 @@ def build_lp(inputs: DayAheadInputs) -> LinearProgram:
 
     # reserve: Er[t] >= (1+rho) * max(E-[t], J*e_min)
     for t in range(1, T):
-        floor = (1.0 + rho) * max(inputs.consumed[t], J * e_min)
-        add_row({e_rem_col(t): 1.0}, GE, floor, f"reserve[{t}]")
+        add_row({e_rem_col(t): 1.0}, GE, inputs.reserve_floor(t), f"reserve[{t}]")
 
     # terminal: Er[T-1] - E-[T-1] + E+[T-1] >= end-of-day floor
-    terminal_floor = (
-        inputs.e_init
-        if inputs.terminal_reserve_kwh is None
-        else inputs.terminal_reserve_kwh
-    )
     coeffs = {e_plus_col(T - 1): 1.0}
-    b = terminal_floor + inputs.consumed[T - 1]
+    b = inputs.terminal_floor + inputs.consumed[T - 1]
     if T > 1:
         coeffs[e_rem_col(T - 1)] = 1.0
     else:
@@ -188,35 +197,26 @@ def _verify(inputs: DayAheadInputs, plan: ChargingPlan, tol: float = 1e-6) -> No
     par = inputs.params
     T = inputs.T
     for t in range(T):
-        cap = max(par.J - inputs.demand_counts[t], 0) * par.r
-        if not -tol <= plan.e_plus[t] <= cap + tol:
+        if not -tol <= plan.e_plus[t] <= inputs.cap(t) + tol:
             raise AssertionError(f"charging cap violated in slot {t}")
         if not -tol <= plan.e_remaining[t] <= par.J * par.c + tol:
             raise AssertionError(f"fleet capacity violated in slot {t}")
     for t in range(1, T):
-        floor = (1.0 + par.rho) * max(inputs.consumed[t], par.J * par.e_min)
-        if plan.e_remaining[t] < floor - tol:
+        if plan.e_remaining[t] < inputs.reserve_floor(t) - tol:
             raise AssertionError(f"reserve violated in slot {t}")
-    terminal_floor = (
-        inputs.e_init
-        if inputs.terminal_reserve_kwh is None
-        else inputs.terminal_reserve_kwh
-    )
     end = plan.e_remaining[T - 1] - inputs.consumed[T - 1] + plan.e_plus[T - 1]
-    if end < terminal_floor - tol:
+    if end < inputs.terminal_floor - tol:
         raise AssertionError("terminal energy floor violated")
 
 
 def _diagnose(inputs: DayAheadInputs, err: LpInfeasibleError) -> str:
-    par = inputs.params
     parts = []
     for name, short in err.residuals.items():
         if name.startswith("reserve["):
             t = int(name[len("reserve[") : -1])
-            floor = (1.0 + par.rho) * max(inputs.consumed[t], par.J * par.e_min)
             parts.append(
-                f"slot {t} needs {floor:.1f} kwh in reserve but charging caps "
-                f"leave it {short:.1f} kwh short"
+                f"slot {t} needs {inputs.reserve_floor(t):.1f} kwh in reserve but "
+                f"charging caps leave it {short:.1f} kwh short"
             )
         elif name == "terminal":
             parts.append(

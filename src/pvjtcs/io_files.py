@@ -18,11 +18,12 @@ import json
 import logging
 import os
 import tempfile
+from dataclasses import fields
 from typing import Sequence
 
 from pvjtcs.model import PriceCurve
 from pvjtcs.network import RegionMap, RoadGraph, StationSet, shortest_path
-from pvjtcs.simulator import RunSummary
+from pvjtcs.simulator import RunSummary, SlotMetrics
 from pvjtcs.transport_scheduler import TripRequest
 
 LOG = logging.getLogger(__name__)
@@ -219,15 +220,12 @@ def atomic_write(path: str, content: str) -> None:
 
 
 def slots_csv(summary: RunSummary) -> str:
-    lines = [
-        "slot,transport_pvs,consumed_kwh,charged_kwh,payment_cents,"
-        "fleet_energy_kwh,served,waiting"
-    ]
+    """One row per slot: the ``SlotMetrics`` fields in order, each cell its
+    value's ``repr``."""
+    names = [f.name for f in fields(SlotMetrics)]
+    lines = [",".join(names)]
     for s in summary.slots:
-        lines.append(
-            f"{s.slot},{s.transport_pvs},{s.consumed_kwh!r},{s.charged_kwh!r},"
-            f"{s.payment_cents!r},{s.fleet_energy_kwh!r},{s.served},{s.waiting}"
-        )
+        lines.append(",".join(repr(getattr(s, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 

@@ -91,11 +91,11 @@ class RoadGraph:
 
     def single_source(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
         """Cached Dijkstra: distances and smallest-id predecessors."""
-        if not self.has_node(source):
-            raise KeyError(f"unknown node {source}")
         cached = self._sp_cache.get(source)
         if cached is not None:
             return cached
+        if not self.has_node(source):
+            raise KeyError(f"unknown node {source}")
         dist: dict[int, float] = {source: 0.0}
         pred: dict[int, int] = {}
         heap: list[tuple[float, int]] = [(0.0, source)]

@@ -8,10 +8,13 @@ Two schemes over the same scenario:
 * the greedy baseline: everyone serves on demand and every idle unfully
   charged vehicle charges, whatever the price.
 
-Both execute each slot through one shared tail (the fleet engine's
-``run_slot``, an energy-balance check, one ``SlotMetrics`` record) and total
-the same records, so their energy bills and service levels are directly
-comparable.
+Both run each slot the same way: a dry run of the slot with every eligible
+vehicle serving says who would transport, the scheme picks its chargers, and
+one shared tail executes the slot (the fleet engine's ``run_slot``, which
+also ends it), checks the energy balance and records one ``SlotMetrics``.
+Both total the same records, so their energy bills and service levels are
+directly comparable.  ``SlotMetrics`` is the one per-slot schema: the
+``summary.json`` slot list and the slot CSVs are its fields.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
@@ -73,6 +76,8 @@ class Scenario:
             raise ValueError("initial energy range outside [0, battery capacity]")
         if self.initial_energies is not None and len(self.initial_energies) != self.params.J:
             raise ValueError("initial_energies length must equal fleet size J")
+        if not self.batch_minutes > 0.0:
+            raise ValueError(f"batch_minutes {self.batch_minutes} is not positive")
 
     def build_fleet(self) -> list[Vehicle]:
         """Seeded initial fleet: positions and energies."""
@@ -89,12 +94,13 @@ class Scenario:
             Vehicle(id=i, node=starts[i], energy=energies[i]) for i in range(J)
         ]
 
-    def engine(self) -> FleetEngine:
+    def engine(self, fleet: Sequence[Vehicle]) -> FleetEngine:
+        """A fleet engine running a clone of ``fleet``."""
         return FleetEngine(
             graph=self.graph,
-            region_map=self.region_map,
             stations=self.stations,
             requests=self.requests,
+            vehicles=fleet,
             params=self.params,
             start_epoch=self.start_epoch,
             batch_minutes=self.batch_minutes,
@@ -103,6 +109,9 @@ class Scenario:
 
 @dataclass
 class SlotMetrics:
+    """One executed slot; its fields are the columns of the slot CSV and the
+    keys of ``summary.json``'s slot list, in this order."""
+
     slot: int
     transport_pvs: int
     consumed_kwh: float
@@ -150,19 +159,7 @@ class RunSummary:
             "clamp_shortfall_kwh": self.clamp_shortfall_kwh,
             "planned_e_plus": list(self.plan.e_plus) if self.plan else None,
             "vi_iterations": self.vi_iterations,
-            "slots": [
-                {
-                    "slot": s.slot,
-                    "transport_pvs": s.transport_pvs,
-                    "consumed_kwh": s.consumed_kwh,
-                    "charged_kwh": s.charged_kwh,
-                    "payment_cents": s.payment_cents,
-                    "fleet_energy_kwh": s.fleet_energy_kwh,
-                    "served": s.served,
-                    "waiting": s.waiting,
-                }
-                for s in self.slots
-            ],
+            "slots": [asdict(s) for s in self.slots],
         }
 
 
@@ -179,8 +176,7 @@ def infinite_energy_dry_run(
     consumed kwh and transporting vehicle counts (the day-ahead demand
     signals).  The engine's clone of ``fleet`` holds ``math.inf`` kwh per
     vehicle; ``fleet`` itself is left untouched."""
-    engine = scenario.engine()
-    engine.reset(fleet)
+    engine = scenario.engine(fleet)
     for veh in engine.state.vehicles:
         veh.energy = math.inf
     consumed: list[float] = []
@@ -188,7 +184,6 @@ def infinite_energy_dry_run(
     all_ids = {v.id for v in engine.state.vehicles}
     for t in range(scenario.T):
         stats = engine.run_slot(t, all_ids, set())
-        engine.end_slot()
         consumed.append(stats.consumed_kwh)
         transports.append(len(stats.transporting_ids))
     return consumed, transports
@@ -234,21 +229,11 @@ def _split_group(
     return transport, chargers
 
 
-def set_demand(census: list[PvGroup], n: list[int]) -> int:
-    """Give each group its dry-run transporting count n_i and charging-side
-    demand d_i = max(n_i - f_i, 0); returns the total demand."""
-    for g in census:
-        g.n = n[g.region]
-        g.d = max(g.n - g.f, 0)
-    return sum(g.d for g in census)
-
-
 def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
     fleet = scenario.build_fleet()
     plan, plan_inputs = plan_day_ahead(scenario, fleet)
-    engine = scenario.engine()
-    engine.reset(fleet)
+    engine = scenario.engine(fleet)
     params = scenario.params
     slots: list[SlotMetrics] = []
     vi_iterations: list[int] = []
@@ -256,10 +241,10 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
 
     for t in range(scenario.T):
         price = scenario.prices[t]
-        census = group_census(engine.state, scenario.region_map, params)
         eligible = eligibility_filter(engine.state.vehicles, params)
-        n, _ = engine.dry_run_demand(t, eligible)
-        d_total = set_demand(census, n)
+        moving = engine.dry_run_demand(t, eligible).transporting_ids
+        census = group_census(engine.state, scenario.region_map, params, moving)
+        d_total = sum(g.d for g in census)
 
         game_groups = [g for g in census if g.m > 0]
         planned = plan.e_plus[t]
@@ -326,15 +311,13 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
 
 def run_tgc(scenario: Scenario) -> RunSummary:
     """Greedy baseline: serve first, then charge every idle unfull vehicle."""
-    engine = scenario.engine()
-    engine.reset(scenario.build_fleet())
+    engine = scenario.engine(scenario.build_fleet())
     params = scenario.params
     slots: list[SlotMetrics] = []
 
     for t in range(scenario.T):
         eligible = eligibility_filter(engine.state.vehicles, params)
-        _, dry_stats = engine.dry_run_demand(t, eligible)
-        moving = dry_stats.transporting_ids
+        moving = engine.dry_run_demand(t, eligible).transporting_ids
         chargers = {
             v.id
             for v in engine.state.vehicles
@@ -353,7 +336,6 @@ def _execute_slot(engine, scenario, t, chargers: set[int]) -> SlotMetrics:
     pool = {v.id for v in engine.state.vehicles} - chargers
     before = engine.fleet_energy()
     stats = engine.run_slot(t, pool, chargers)
-    engine.end_slot()
     after = engine.fleet_energy()
     drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
     if abs(drift) > 1e-9:

@@ -3,13 +3,16 @@
 Requests are batched every few simulated minutes, sorted by how long their
 passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
-reserve gate every candidate).  Every slot, realized or planned, runs through
-the one ``FleetEngine.run_slot``.  The engine answers the planning question
-"who would transport where this slot" as a dry run: snapshot the fleet,
-simulate the slot, count the transporting vehicles per region, restore the
-snapshot and check its fingerprint.  A forecast that ignores energy needs no
-mode of its own: its vehicles hold ``math.inf`` kwh, so every energy check
-passes and driving leaves them at inf.
+reserve gate every candidate).  An engine is built with its fleet, and every
+slot, realized or planned, runs through the one ``FleetEngine.run_slot``,
+which also ends the slot: chargers book their charge and fall back to idle,
+so the next slot starts from a fleet with no charging targets.  The engine
+answers the planning question "who would transport this slot" as a dry run:
+snapshot the fleet, simulate the slot, keep its statistics, restore the
+snapshot and check its fingerprint; ``group_census`` counts the moving
+vehicles per region.  A forecast that ignores energy needs no mode of its
+own: its vehicles hold ``math.inf`` kwh, so every energy check passes and
+driving leaves them at inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -19,6 +22,7 @@ finishes it before rerouting.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -471,19 +475,27 @@ def pci_assign(
 
 
 def group_census(
-    state: FleetState, region_map: RegionMap, params: GameParams
+    state: FleetState, region_map: RegionMap, params: GameParams, moving: set[int]
 ) -> list[PvGroup]:
-    """Per-region counts: all vehicles, fully charged ones, group members."""
+    """Per-region counts: all vehicles a, fully charged ones f, group
+    members m = a - f, the ``moving`` vehicles n (those the slot's dry run
+    saw transporting, by their region at the slot start) and the demand
+    d = max(n - f, 0)."""
     n_regions = region_map.n_regions
     a = [0] * n_regions
     f = [0] * n_regions
+    n = [0] * n_regions
     for veh in state.vehicles:
         region = region_map.region_of(veh.node)
         a[region] += 1
         if veh.energy > params.full_threshold:
             f[region] += 1
+        if veh.id in moving:
+            n[region] += 1
     return [
-        PvGroup(region=i, m=a[i] - f[i], d=0, a=a[i], f=f[i])
+        PvGroup(
+            region=i, m=a[i] - f[i], d=max(n[i] - f[i], 0), a=a[i], f=f[i], n=n[i]
+        )
         for i in range(n_regions)
     ]
 
@@ -495,7 +507,6 @@ class SlotStats:
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
     transporting_ids: set = field(default_factory=set)
-    served_ids: list = field(default_factory=list)
     chargers_short: int = 0  # assigned to charge but never reached a station
 
 
@@ -505,32 +516,28 @@ class FleetEngine:
     def __init__(
         self,
         graph: RoadGraph,
-        region_map: RegionMap,
         stations: StationSet,
         requests: Sequence[TripRequest],
+        vehicles: Sequence[Vehicle],
         params: GameParams,
         start_epoch: float,
         batch_minutes: float = 5.0,
     ):
         self.graph = graph
-        self.region_map = region_map
         self.stations = stations
         self.params = params
         self.start_epoch = float(start_epoch)
         self.batch_seconds = batch_minutes * 60.0
         self.all_requests = sorted(requests, key=lambda r: (r.request_time, r.id))
         self._release_times = [r.request_time for r in self.all_requests]
-        self.state: FleetState | None = None
-
-    # -- state management ----------------------------------------------
-
-    def reset(self, vehicles: list[Vehicle]) -> None:
         # cloned: dry runs swap out the state wholesale, so caller-held
         # vehicle objects must not alias the live fleet
         self.state = FleetState(
             vehicles=sorted((v.clone() for v in vehicles), key=lambda v: v.id),
             requests={r.id: RequestState(request=r) for r in self.all_requests},
         )
+
+    # -- state management ----------------------------------------------
 
     def snapshot(self) -> Snapshot:
         return Snapshot(state=self.state.clone(), fingerprint=fingerprint(self.state))
@@ -554,7 +561,10 @@ class FleetEngine:
         self, t: int, pool_ids: set[int], charger_ids: set[int]
     ) -> SlotStats:
         """Serve the slot's requests with the pool while chargers head to
-        stations; returns energy/serving statistics."""
+        stations, then end the slot: a charger on its station gains its
+        charge, and every charger falls back to idle with no station target
+        (its route kept only to finish an edge it is on).  Returns
+        energy/serving statistics."""
         if pool_ids & charger_ids:
             raise ValueError("a vehicle cannot both transport and charge")
         t0, t1 = self.slot_bounds(t)
@@ -586,12 +596,6 @@ class FleetEngine:
             self._retarget(veh, station)
 
         pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
-        for veh in pool:
-            if veh.status == CHARGING:
-                veh.status = SERVING if veh.plan.stops else IDLE
-                veh.station_target = None
-                if not veh.plan.stops and veh.edge_head is None:
-                    veh.route = []
 
         # Requests are released in ``all_requests`` order and never return
         # to waiting, so the first one that can still be waiting only moves
@@ -599,7 +603,8 @@ class FleetEngine:
         requests = state.requests
         first_open = 0
         need = self.params.slot_consumption
-        n_batches = max(1, round((t1 - t0) / self.batch_seconds))
+        # the last batch is clipped to the slot end
+        n_batches = max(1, math.ceil((t1 - t0) / self.batch_seconds - 1e-9))
         for k in range(n_batches):
             b0 = t0 + k * self.batch_seconds
             b1 = min(b0 + self.batch_seconds, t1)
@@ -635,41 +640,25 @@ class FleetEngine:
                 stats.charged_kwh += gain
             else:
                 stats.chargers_short += 1
+            veh.status = IDLE
+            veh.station_target = None
+            if veh.edge_head is None:
+                veh.route = []
 
         for veh in state.vehicles:
             if veh.plan.stops:
                 stats.transporting_ids.add(veh.id)
         return stats
 
-    def end_slot(self) -> None:
-        """Dissolve slot-scoped activity markers (charging targets)."""
-        for veh in self.state.vehicles:
-            if veh.status == CHARGING:
-                veh.status = IDLE
-                veh.station_target = None
-                if veh.edge_head is None:
-                    veh.route = []
-
     # -- dry runs ---------------------------------------------------------
 
-    def dry_run_demand(
-        self, t: int, eligible_ids: set[int]
-    ) -> tuple[list[int], SlotStats]:
-        """Simulate the slot with every eligible vehicle serving; restore.
-
-        Returns the per-region counts n of transporting vehicles (by the
-        region they start the slot in) and the dry run's statistics.
-        """
+    def dry_run_demand(self, t: int, eligible_ids: set[int]) -> SlotStats:
+        """Simulate the slot with every eligible vehicle serving, restore the
+        fleet and return the dry run's statistics."""
         before = self.snapshot()
-        start_region = {
-            v.id: self.region_map.region_of(v.node) for v in self.state.vehicles
-        }
         stats = self.run_slot(t, eligible_ids, set())
-        n = [0] * self.region_map.n_regions
-        for vid in stats.transporting_ids:
-            n[start_region[vid]] += 1
         self.restore(before)
-        return n, stats
+        return stats
 
     # -- movement ---------------------------------------------------------
 
@@ -715,7 +704,6 @@ class FleetEngine:
                     rs.status = SERVED
                     rs.dropoff_time = now
                     veh.plan.onboard -= rs.request.passengers
-                    stats.served_ids.append(stop.request_id)
                 veh.plan.stops.pop(0)
                 stats.transporting_ids.add(veh.id)
                 if not veh.plan.stops:

@@ -350,6 +350,18 @@ class TestCliSurface:
         assert len(calls) == 1
         assert (tmp_path / "charging_plan.csv").exists()
 
+    @pytest.mark.parametrize("batch_minutes", [0.0, -5.0])
+    def test_nonpositive_batch_rejected(self, tmp_path, batch_minutes):
+        config = json.loads((MINI / "config.json").read_text())
+        for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
+            config[key] = str(MINI / config.get(key, cli.CONFIG_DEFAULTS[key]))
+        config["batch_minutes"] = batch_minutes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"fleet": 3}))
@@ -369,26 +381,54 @@ def test_bundled_scenario_files_parse():
     assert len(prices) == 24
 
 
-# SHA-256 of `pvjtcs run` on the bundled scenario at seed 1, both schemes.
+# SHA-256 of `pvjtcs run` on the bundled scenario at seeds 1-5, both schemes.
 # Every output is a pure function of the scenario and the seed, so any
 # change to these bytes is a change of behaviour.
-PINNED_SEED_1 = {
-    "summary.json": "eff3184f537ae8515d8ba5321b08d23c8c09004d00deb5868a9706be5dea798f",
-    "slots_jtcs.csv": "1bc6ce67a4cd712cae793c95a6ea438eafdeab3acc9979f2f93b274736660490",
-    "slots_tgc.csv": "097064711de6fa72b03438f2845d3e98e08619c3c5f4bba940a8f99533e88437",
-    "charging_plan.csv": "cd7e9bf33e73b1668ef7e8566f26188f822f32be5108eecf7c7f893c70f49c6b",
+PINNED_BUNDLED = {
+    1: {
+        "summary.json": "eff3184f537ae8515d8ba5321b08d23c8c09004d00deb5868a9706be5dea798f",
+        "slots_jtcs.csv": "1bc6ce67a4cd712cae793c95a6ea438eafdeab3acc9979f2f93b274736660490",
+        "slots_tgc.csv": "097064711de6fa72b03438f2845d3e98e08619c3c5f4bba940a8f99533e88437",
+        "charging_plan.csv": "cd7e9bf33e73b1668ef7e8566f26188f822f32be5108eecf7c7f893c70f49c6b",
+    },
+    2: {
+        "summary.json": "fa1645924e3d6010f323c2e62c94bc3cc0b9b27e4808e049b77305cf01625410",
+        "slots_jtcs.csv": "8663d876d24bd4778fb6ad26ee17095171e83bf77e8699cea3ea2cf8f7405232",
+        "slots_tgc.csv": "7224e7855b3f0726e9190a5be2c2ac279734480edc1a38c3f8ba2b8c908e030d",
+        "charging_plan.csv": "e6350f5f0cb9b01fc58b5966c0b7e1fdd135267ee4b5b7d2ba1631d00b8a7786",
+    },
+    3: {
+        "summary.json": "d447514b345a424c7b22e4f715119707f919fb02a05fb780e58f2c552f1b1794",
+        "slots_jtcs.csv": "62dc53fb4acb944a1737d3cf5e2051cde2080fa2967b1eee2ad98d6019deb944",
+        "slots_tgc.csv": "cecca61740d1058d1eac8e48565d9323543f5d1ed4bf0a902205296634e6abb2",
+        "charging_plan.csv": "aaf013739a30c4fe5ab0fe348870f65da201f1a7a4379b58ce9fede7840a4ec3",
+    },
+    4: {
+        "summary.json": "02648948a71c3c4577711930799267f962b72e35b06a0e65b7c50db6d26d664c",
+        "slots_jtcs.csv": "e8538157c435538d03ae9db5c297493108234798962ed469c883161bb0f57eac",
+        "slots_tgc.csv": "c1821be2e9164f55fc647456053bda87a7b0090bb12733d4cf92aa7116e5b534",
+        "charging_plan.csv": "737b92746f73380b30d2b2bca898c732812c4b408e0bb51f0785181bd7846024",
+    },
+    5: {
+        "summary.json": "de610763910d2167e80fb75798af0033da925f8be86976b122bf2437bf0e875c",
+        "slots_jtcs.csv": "5ce62b40b89e9474818e068659e4ada4810e760c2068831c9402c99ea951ad7d",
+        "slots_tgc.csv": "cdd7c28f9354717e001a4551787da4b3be6728714c1a4137ffe59a94d48aa3d8",
+        "charging_plan.csv": "4413700618574b56c8b0c728319b3e4ee6321c353cc8fcc1eaa6d7f6e9045bff",
+    },
 }
 
 
-def test_bundled_run_outputs_are_pinned(tmp_path):
-    rc = main(["run", "--config", str(MINI / "config.json"), "--seed", "1",
+@pytest.mark.parametrize("seed", sorted(PINNED_BUNDLED))
+def test_bundled_run_outputs_are_pinned(tmp_path, seed):
+    rc = main(["run", "--config", str(MINI / "config.json"), "--seed", str(seed),
                "--out", str(tmp_path)])
     assert rc == 0
+    pinned = PINNED_BUNDLED[seed]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in PINNED_SEED_1
+        for name in pinned
     }
-    assert digests == PINNED_SEED_1
+    assert digests == pinned
 
 
 def load_generator():

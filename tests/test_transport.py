@@ -37,7 +37,6 @@ from pvjtcs.transport_scheduler import (
     insertion_cost,
     pci_assign,
 )
-from pvjtcs.simulator import set_demand
 from conftest import make_grid_graph, make_request, small_params
 from oracles import brute_force_insertion, full_scan_assign, plan_distance
 
@@ -63,6 +62,8 @@ class TestTripRequest:
 
 
 GRID = make_grid_graph()
+# the left and right halves of the grid
+HALVES = RegionMap({nid: (0 if nid % 4 < 2 else 1) for nid in GRID.nodes})
 
 
 @st.composite
@@ -452,11 +453,7 @@ class TestPciAssign:
 
 
 class TestGroupCensus:
-    def region_map(self, graph):
-        return RegionMap({nid: (0 if nid % 4 < 2 else 1) for nid in graph.nodes})
-
-    def test_counts(self, grid_graph):
-        rm = self.region_map(grid_graph)
+    def test_counts(self):
         vehicles = [
             Vehicle(id=0, node=0, energy=40.0),   # region 0, full (>39.375)
             Vehicle(id=1, node=1, energy=30.0),   # region 0
@@ -465,33 +462,28 @@ class TestGroupCensus:
             Vehicle(id=4, node=3, energy=39.3),   # region 1, not full
         ]
         state = FleetState(vehicles=vehicles, requests={})
-        groups = group_census(state, rm, GameParams())
+        groups = group_census(state, HALVES, GameParams(), set())
         assert (groups[0].a, groups[0].f, groups[0].m) == (2, 1, 1)
         assert (groups[1].a, groups[1].f, groups[1].m) == (3, 1, 2)
 
-    def test_all_full(self, grid_graph):
-        rm = self.region_map(grid_graph)
+    def test_all_full(self):
         vehicles = [Vehicle(id=i, node=i, energy=45.0) for i in range(4)]
         state = FleetState(vehicles=vehicles, requests={})
-        assert all(g.m == 0 for g in group_census(state, rm, GameParams()))
+        assert all(g.m == 0 for g in group_census(state, HALVES, GameParams(), set()))
 
 
 def build_engine(graph, requests, params=PARAMS, vehicles=None, batch_minutes=5.0):
-    rm = RegionMap({nid: (0 if nid % 4 < 2 else 1) for nid in graph.nodes})
-    stations = StationSet([0, 15])
-    engine = FleetEngine(
+    if vehicles is None:
+        vehicles = [fresh_vehicle(vid=i, node=5 * i % 16) for i in range(4)]
+    return FleetEngine(
         graph=graph,
-        region_map=rm,
-        stations=stations,
+        stations=StationSet([0, 15]),
         requests=requests,
+        vehicles=vehicles,
         params=params,
         start_epoch=0.0,
         batch_minutes=batch_minutes,
     )
-    if vehicles is None:
-        vehicles = [fresh_vehicle(vid=i, node=5 * i % 16) for i in range(4)]
-    engine.reset(vehicles)
-    return engine
 
 
 class TestEngine:
@@ -499,10 +491,9 @@ class TestEngine:
         req = make_request(grid_graph, 1, 60.0, 1, 3)
         engine = build_engine(grid_graph, [req],
                               vehicles=[fresh_vehicle(vid=0, node=1)])
-        stats = engine.run_slot(0, {0}, set())
+        engine.run_slot(0, {0}, set())
         rs = engine.state.requests[1]
         assert rs.status == "served"
-        assert stats.served_ids == [1]
         assert rs.pickup_time >= 60.0
         assert rs.dropoff_time > rs.pickup_time
         # 1 km trip at 30 km/h = 120 s
@@ -539,7 +530,6 @@ class TestEngine:
         monkeypatch.setattr(transport_scheduler, "pci_assign", checking)
         for t in range(3):
             engine.run_slot(t, {0, 1}, set())
-            engine.end_slot()
         # some requests waited through several batches while later ones
         # were served
         states = engine.state.requests
@@ -612,6 +602,41 @@ class TestEngine:
         assert stats.chargers_short == 1
         assert engine.state.vehicle(0).energy == pytest.approx(0.1)
 
+    def test_slot_ends_with_no_charger_standing(self, grid_graph):
+        # a slot too short for vehicle 1 to reach its station: vehicle 0
+        # charges where it stands, vehicle 1 stops mid-edge; both end the
+        # slot idle with no station target, and only vehicle 1 keeps the
+        # route it needs to finish its edge
+        params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
+        vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
+                    fresh_vehicle(vid=1, node=5, energy=20.0)]
+        engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
+        stats = engine.run_slot(0, set(), {0, 1})
+        assert stats.charged_kwh == pytest.approx(params.r)
+        assert stats.chargers_short == 1
+        for veh in engine.state.vehicles:
+            assert veh.status == IDLE
+            assert veh.station_target is None
+        on_station, mid_edge = engine.state.vehicles
+        assert on_station.route == [] and on_station.edge_head is None
+        assert mid_edge.edge_head is not None and mid_edge.route
+
+    @pytest.mark.parametrize("batch_minutes", [25.0, 50.0])
+    def test_batches_cover_the_whole_slot(self, batch_minutes):
+        # a 40 km trip outlasts the hour, so the vehicle drives through the
+        # whole slot: 30 km at 30 km/h, whether or not the batch length
+        # divides the slot
+        graph = RoadGraph.from_edges(
+            {0: (0.0, 0.0), 1: (0.4, 0.0)}, [(0, 1, 40.0), (1, 0, 40.0)]
+        )
+        req = make_request(graph, 1, 0.0, 0, 1)
+        engine = build_engine(graph, [req], vehicles=[fresh_vehicle(vid=0, node=0)],
+                              batch_minutes=batch_minutes)
+        stats = engine.run_slot(0, {0}, set())
+        driven = PARAMS.speed * PARAMS.slot_hours
+        assert stats.consumed_kwh == pytest.approx(driven * PARAMS.consume_rate)
+        assert engine.state.vehicle(0).edge_progress == pytest.approx(driven)
+
     def test_pool_and_charger_disjoint(self, grid_graph):
         engine = build_engine(grid_graph, [])
         with pytest.raises(ValueError):
@@ -626,7 +651,6 @@ class TestEngine:
         for _ in range(2):
             engine = build_engine(grid_graph, reqs)
             engine.run_slot(0, {0, 1, 2, 3}, set())
-            engine.end_slot()
             fps.append(fingerprint(engine.state))
         assert fps[0] == fps[1]
 
@@ -634,9 +658,10 @@ class TestEngine:
 class TestDryRun:
     def test_no_requests_zero_demand(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        n, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
-        census = group_census(engine.state, engine.region_map, PARAMS)
-        d_total = set_demand(census, n)
+        moving = engine.dry_run_demand(0, {0, 1, 2, 3}).transporting_ids
+        census = group_census(engine.state, HALVES, PARAMS, moving)
+        n = [g.n for g in census]
+        d_total = sum(g.d for g in census)
         assert n == [0, 0] and [g.d for g in census] == [0, 0] and d_total == 0
 
     def test_state_restored_exactly(self, grid_graph):
@@ -659,10 +684,15 @@ class TestDryRun:
             for i, node in enumerate([1, 4, 5, 8], start=1)
         ]
         engine = build_engine(grid_graph, reqs, vehicles=vehicles)
-        n, _ = engine.dry_run_demand(0, {0, 1, 2, 3})
+        moving = engine.dry_run_demand(0, {0, 1, 2, 3}).transporting_ids
+        # n counts the moving vehicles by the region they start the slot in
+        n = [0, 0]
+        for v in engine.state.vehicles:
+            if v.id in moving:
+                n[0 if v.node % 4 < 2 else 1] += 1
         assert sum(n) > 0
-        census = group_census(engine.state, engine.region_map, PARAMS)
-        d_total = set_demand(census, n)
+        census = group_census(engine.state, HALVES, PARAMS, moving)
+        d_total = sum(g.d for g in census)
         d = [g.d for g in census]
         # recompute f from the (restored) engine state
         for i in range(2):
@@ -678,7 +708,8 @@ class TestDryRun:
 
 def mid_day_engine():
     """An engine stopped at a slot boundary with a vehicle mid-edge carrying
-    passengers, a multi-stop plan, a route, and a charger on its station."""
+    passengers, a multi-stop plan and a route, and a charger given a
+    station target (``run_slot`` itself leaves none standing)."""
     graph = make_grid_graph()
     reqs = [
         make_request(graph, 1, 3000.0, 1, 14),
@@ -688,6 +719,9 @@ def mid_day_engine():
     ]
     engine = build_engine(graph, reqs)
     engine.run_slot(0, {0, 1, 2}, {3})
+    charger = engine.state.vehicle(3)
+    charger.status = CHARGING
+    charger.station_target = 15
     return engine
 
 
@@ -762,7 +796,7 @@ class TestSnapshotClone:
 class TestCensusIdentity:
     def test_population_conserved(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        groups = group_census(engine.state, engine.region_map, PARAMS)
+        groups = group_census(engine.state, HALVES, PARAMS, set())
         assert sum(g.a for g in groups) == len(engine.state.vehicles)
         for g in groups:
             assert g.m == g.a - g.f
