@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scale series: wall time of ``pvjtcs run --mode both`` per scale and scheme.
 
-For each scale S it generates a scenario with ``make_manhattan_mini.py
---fleet 20S --trips 200S`` (the bundled 60-node grid, S times the fleet and
-the trips) in a temporary directory, and runs ``pvjtcs run --mode both
+For each scale S it generates a scenario with the benchmark's generator
+(``perfbench/scenario_gen.py``, as ``make_manhattan_mini.py --fleet 20S
+--trips 200S`` does: the bundled 60-node grid, S times the fleet and the
+trips) in a temporary directory, and runs ``pvjtcs run --mode both
 --seed 1`` on it in this process, N times.  Each run is timed as a whole
 and per scheme (``run_jtcs`` and ``run_tgc``); every time kept is the
 fastest of the N repeats.  The outputs' SHA-256 is kept too, so two
@@ -30,13 +31,15 @@ import io
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-BASE_FLEET, BASE_TRIPS = 20, 200
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench"))
+from scenario_gen import GridSpec, write  # noqa: E402
+
+BASE_FLEET, BASE_TRIPS = GridSpec.fleet, GridSpec.trips
 OUTPUTS = ("summary.json", "slots_jtcs.csv", "slots_tgc.csv", "charging_plan.csv")
 
 
@@ -50,12 +53,7 @@ def host() -> dict:
 
 def generate(scale: int, out_dir: str) -> str:
     """Write the scale's scenario to ``out_dir``; returns its config path."""
-    subprocess.run(
-        [sys.executable, os.path.join(HERE, "make_manhattan_mini.py"), out_dir,
-         "--fleet", str(BASE_FLEET * scale), "--trips", str(BASE_TRIPS * scale)],
-        check=True, stdout=subprocess.DEVNULL,
-    )
-    return os.path.join(out_dir, "config.json")
+    return write(GridSpec(fleet=BASE_FLEET * scale, trips=BASE_TRIPS * scale), out_dir)
 
 
 def run_once(config: str, out_dir: str) -> dict:

@@ -13,7 +13,7 @@ and a command-line front end (`io_files`, `cli`).
 """
 
 from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
-from pvjtcs.model import GameParams, PvGroup, PvState, PriceCurve
+from pvjtcs.model import GameParams, PvGroup, PriceCurve
 from pvjtcs.projection import FeasibleSet, clamp_demand
 from pvjtcs.simulator import RunSummary, Scenario, run_jtcs, run_tgc
 from pvjtcs.transport_scheduler import TripRequest
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GameParams",
     "PvGroup",
-    "PvState",
     "PriceCurve",
     "FeasibleSet",
     "clamp_demand",

@@ -6,7 +6,9 @@ passengers this slot (the rest charges).  Each group's payoff trades off
 meeting its transportation demand, satisfaction with the energy it banks, and
 the charging fee at the current electricity price.  The stacked negated
 gradients of the payoffs form the operator that the equilibrium solver works
-on.
+on.  The game sees vehicles only as the per-region counts of ``PvGroup``;
+the vehicles themselves live in the fleet engine
+(``transport_scheduler.Vehicle``).
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-IDLE = "idle"
-SERVING = "serving"
-CHARGING = "charging"
-
-_STATUSES = (IDLE, SERVING, CHARGING)
 
 
 @dataclass
@@ -90,48 +86,30 @@ class GameParams:
 
 
 @dataclass
-class PvState:
-    """One vehicle: where it is, how much energy remains, what it is doing."""
-
-    id: int
-    node: int
-    energy: float
-    status: str = IDLE
-
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.energy < 0.0:
-            raise ValueError(f"PV {self.id} has negative energy {self.energy}")
-
-
-@dataclass
 class PvGroup:
     """Per-region census for one slot: the players of the slot game.
 
-    ``a`` vehicles sit in the region, ``f`` of them fully charged, leaving
-    ``m = a - f`` group members.  ``n`` vehicles transported in the dry run,
-    so ``d = max(n - f, 0)`` members are demanded for transportation.  The
-    group's strategy, the fraction of members that will transport, lives
-    with the solver, not here.
+    ``m`` group members (unfully charged vehicles) and ``f`` fully charged
+    vehicles sit in the region, ``a = m + f`` in all.  ``n`` vehicles
+    transported in the dry run, so ``d = max(n - f, 0)`` members are
+    demanded for transportation.  The group's strategy, the fraction of
+    members that will transport, lives with the solver, not here.
     """
 
     region: int
     m: int
     d: int
-    a: int | None = None
     f: int = 0
     n: int = 0
 
     def __post_init__(self) -> None:
-        if self.a is None:
-            self.a = self.m + self.f
-        if min(self.a, self.f, self.m, self.n, self.d) < 0:
+        if min(self.f, self.m, self.n, self.d) < 0:
             raise ValueError(f"group {self.region}: counts must be nonnegative")
-        if self.m != self.a - self.f:
-            raise ValueError(
-                f"group {self.region}: m={self.m} != a-f={self.a - self.f}"
-            )
+
+    @property
+    def a(self) -> int:
+        """Every vehicle in the region."""
+        return self.m + self.f
 
 
 @dataclass

@@ -203,30 +203,20 @@ def plan_day_ahead(scenario: Scenario, fleet: list[Vehicle]):
     return schedule_charging(inputs), inputs
 
 
-def _split_group(
-    group: PvGroup,
-    x_star: float,
-    members: list,
-) -> tuple[list[int], list[int]]:
-    """Transportation/charging split of one group's members.
+def _split_group(group: PvGroup, x_star: float, members: list) -> list[int]:
+    """The chargers of one group: the members that do not transport.
 
     The ceil(m*x) vehicles with the highest remaining energy transport;
     vehicles already carrying passengers are committed and counted first.
     If commitments exceed the quota, the charging side shrinks; nothing
-    reports the excess (the caller uses only the charging list).
+    reports the excess.
     """
     phi = math.ceil(group.m * x_star - 1e-12)
-    busy = [v for v in members if v.plan.stops]
-    idle = [v for v in members if not v.plan.stops]
-    idle_by_energy = sorted(idle, key=lambda v: (-v.energy, v.id))
-    transport = [v.id for v in busy]
-    for v in idle_by_energy:
-        if len(transport) >= phi:
-            break
-        transport.append(v.id)
-    taken = set(transport)
-    chargers = [v.id for v in idle_by_energy if v.id not in taken]
-    return transport, chargers
+    busy = sum(1 for v in members if v.plan.stops)
+    idle_by_energy = sorted(
+        (v for v in members if not v.plan.stops), key=lambda v: (-v.energy, v.id)
+    )
+    return [v.id for v in idle_by_energy[max(phi - busy, 0):]]
 
 
 def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
@@ -286,8 +276,7 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
             if g.m <= 0:
                 continue
             x_val = x_by_region.get(g.region, 1.0)  # no-charging slots transport
-            _, group_charge = _split_group(g, x_val, members_by_region[g.region])
-            chargers.update(group_charge)
+            chargers.update(_split_group(g, x_val, members_by_region[g.region]))
 
         slot = _execute_slot(engine, scenario, t, chargers)
         slots.append(slot)

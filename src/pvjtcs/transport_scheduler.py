@@ -5,8 +5,11 @@ passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
 reserve gate every candidate).  An engine is built with its fleet, and every
 slot, realized or planned, runs through the one ``FleetEngine.run_slot``,
-which also ends the slot: chargers book their charge and fall back to idle,
-so the next slot starts from a fleet with no charging targets.  The engine
+which also ends the slot: chargers book their charge and drop their station
+targets, so the next slot starts from a fleet with no charging targets.  A
+vehicle's activity is read, never stored: it serves while its plan has
+stops, heads to a charger while it has a station target, and is idle
+otherwise (an idle vehicle still finishes the edge it is on).  The engine
 answers the planning question "who would transport this slot" as a dry run:
 snapshot the fleet, simulate the slot, keep its statistics, restore the
 snapshot and check its fingerprint; ``group_census`` counts the moving
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams, PvGroup, PvState
+from pvjtcs.model import GameParams, PvGroup
 from pvjtcs.network import (
     RegionMap,
     RoadGraph,
@@ -110,15 +113,27 @@ def _shallow_copy(obj):
 
 
 @dataclass
-class Vehicle(PvState):
-    """One PV's core record extended with live plan and movement state."""
+class Vehicle:
+    """One PV: where it is, its energy, its plan and its movement.
 
+    What it is doing is read from the plan and the station target, never
+    stored: it serves while ``plan.stops`` is non-empty and heads to a
+    charger while ``station_target`` is set.
+    """
+
+    id: int
+    node: int
+    energy: float
     plan: VehiclePlan = field(default_factory=VehiclePlan)
     # movement: committed edge (must be finished before rerouting) + route
     edge_head: int | None = None
     edge_progress: float = 0.0
     route: list[int] = field(default_factory=list)
     station_target: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.energy < 0.0:
+            raise ValueError(f"PV {self.id} has negative energy {self.energy}")
 
     def anchor(self) -> int:
         """Node all route planning starts from."""
@@ -179,7 +194,6 @@ def fingerprint(state: FleetState) -> tuple:
             v.id,
             v.node,
             v.energy,
-            v.status,
             tuple(v.plan.stops),
             v.plan.onboard,
             v.edge_head,
@@ -465,7 +479,6 @@ def pci_assign(
             continue
         _, i, j = best
         best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
-        best_vehicle.status = SERVING
         best_vehicle.route = []  # plan changed: reroute from the anchor
         rs = requests[request.id]
         rs.status = ASSIGNED
@@ -477,25 +490,24 @@ def pci_assign(
 def group_census(
     state: FleetState, region_map: RegionMap, params: GameParams, moving: set[int]
 ) -> list[PvGroup]:
-    """Per-region counts: all vehicles a, fully charged ones f, group
-    members m = a - f, the ``moving`` vehicles n (those the slot's dry run
-    saw transporting, by their region at the slot start) and the demand
+    """Per-region counts: unfully charged group members m, fully charged
+    vehicles f, the ``moving`` vehicles n (those the slot's dry run saw
+    transporting, by their region at the slot start) and the demand
     d = max(n - f, 0)."""
     n_regions = region_map.n_regions
-    a = [0] * n_regions
+    m = [0] * n_regions
     f = [0] * n_regions
     n = [0] * n_regions
     for veh in state.vehicles:
         region = region_map.region_of(veh.node)
-        a[region] += 1
         if veh.energy > params.full_threshold:
             f[region] += 1
+        else:
+            m[region] += 1
         if veh.id in moving:
             n[region] += 1
     return [
-        PvGroup(
-            region=i, m=a[i] - f[i], d=max(n[i] - f[i], 0), a=a[i], f=f[i], n=n[i]
-        )
+        PvGroup(region=i, m=m[i], d=max(n[i] - f[i], 0), f=f[i], n=n[i])
         for i in range(n_regions)
     ]
 
@@ -506,6 +518,7 @@ class SlotStats:
 
     consumed_kwh: float = 0.0
     charged_kwh: float = 0.0
+    # vehicles that ran a stop in the slot or end it with stops planned
     transporting_ids: set = field(default_factory=set)
     chargers_short: int = 0  # assigned to charge but never reached a station
 
@@ -562,9 +575,9 @@ class FleetEngine:
     ) -> SlotStats:
         """Serve the slot's requests with the pool while chargers head to
         stations, then end the slot: a charger on its station gains its
-        charge, and every charger falls back to idle with no station target
-        (its route kept only to finish an edge it is on).  Returns
-        energy/serving statistics."""
+        charge, and every charger drops its station target and route (one
+        left mid-edge finishes that edge next slot, like any idle vehicle).
+        Returns energy/serving statistics."""
         if pool_ids & charger_ids:
             raise ValueError("a vehicle cannot both transport and charge")
         t0, t1 = self.slot_bounds(t)
@@ -579,7 +592,6 @@ class FleetEngine:
                 station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
             except UnreachableNodeError:
                 LOG.warning("vehicle %d: no station reachable; holding idle", vid)
-                veh.status = IDLE
                 stats.chargers_short += 1
                 continue
             if dist * self.params.consume_rate > veh.energy:
@@ -588,10 +600,8 @@ class FleetEngine:
                     "vehicle %d: %.1f kwh cannot cover %.1f km to a station; "
                     "holding idle", vid, veh.energy, dist,
                 )
-                veh.status = IDLE
                 stats.chargers_short += 1
                 continue
-            veh.status = CHARGING
             veh.station_target = station
             self._retarget(veh, station)
 
@@ -627,23 +637,25 @@ class FleetEngine:
                 )
             for veh in state.vehicles:
                 # ``_advance`` returns at once for any other vehicle
-                if veh.plan.stops or veh.status == CHARGING:
+                if (
+                    veh.plan.stops
+                    or veh.station_target is not None
+                    or veh.edge_head is not None
+                ):
                     self._advance(veh, b0, b1, stats)
 
         for vid in sorted(charger_ids):
             veh = state.vehicle(vid)
-            if veh.status != CHARGING:
-                continue
+            if veh.station_target is None:
+                continue  # held idle, already counted short
             if veh.node == veh.station_target and veh.edge_head is None:
                 gain = min(self.params.r, self.params.c - veh.energy)
                 veh.energy += gain
                 stats.charged_kwh += gain
             else:
                 stats.chargers_short += 1
-            veh.status = IDLE
             veh.station_target = None
-            if veh.edge_head is None:
-                veh.route = []
+            veh.route = []
 
         for veh in state.vehicles:
             if veh.plan.stops:
@@ -673,23 +685,25 @@ class FleetEngine:
     def _advance(
         self, veh: Vehicle, b0: float, b1: float, stats: SlotStats
     ) -> None:
-        """Move one vehicle through the batch window, executing stops."""
+        """Move one vehicle through the batch window, executing stops.  A
+        serving vehicle heads to its next stop, a charger to its station,
+        and an idle vehicle mid-edge finishes the edge and stops there."""
         now = b0
         state = self.state
         while True:
-            # charging vehicles just follow their route
-            target_node = None
-            if veh.status == CHARGING:
-                target_node = veh.station_target
-            elif veh.plan.stops:
+            if veh.plan.stops:
                 target_node = veh.plan.stops[0].node
+            elif veh.station_target is not None:
+                target_node = veh.station_target
+            elif veh.edge_head is not None:
+                target_node = veh.edge_head
             else:
                 return
 
             at_target = veh.edge_head is None and veh.node == target_node
             if at_target:
-                if veh.status == CHARGING:
-                    return
+                if not veh.plan.stops:
+                    return  # a charger on its station
                 stop = veh.plan.stops[0]
                 rs = state.requests[stop.request_id]
                 if stop.action == PICKUP:
@@ -707,7 +721,6 @@ class FleetEngine:
                 veh.plan.stops.pop(0)
                 stats.transporting_ids.add(veh.id)
                 if not veh.plan.stops:
-                    veh.status = IDLE
                     veh.route = []
                     return
                 continue
@@ -750,10 +763,8 @@ class FleetEngine:
                 f"vehicle {veh.id} fell to {veh.energy:.3f} kwh"
             )
         veh.energy = max(veh.energy, 0.0)
-        if veh.status == SERVING:
-            stats.transporting_ids.add(veh.id)
-            for stop in veh.plan.stops:
-                if stop.action == DROPOFF:
-                    rs = self.state.requests[stop.request_id]
-                    if rs.status == ONBOARD:
-                        rs.ride_km += km
+        for stop in veh.plan.stops:
+            if stop.action == DROPOFF:
+                rs = self.state.requests[stop.request_id]
+                if rs.status == ONBOARD:
+                    rs.ride_km += km

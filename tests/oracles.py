@@ -30,7 +30,6 @@ from pvjtcs.simplex import (
     LpSolution,
     LpUnboundedError,
 )
-from pvjtcs.model import SERVING
 from pvjtcs.transport_scheduler import (
     ASSIGNED,
     DROPOFF,
@@ -360,7 +359,6 @@ def full_scan_assign(pending, fleet, graph, params, now, requests):
             waiting.append(request)
             continue
         best_vehicle.plan = best[1]
-        best_vehicle.status = SERVING
         best_vehicle.route = []
         rs = requests[request.id]
         rs.status = ASSIGNED

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pvjtcs.model import GameParams, PriceCurve, PvGroup, PvState, payoff_functions
+from pvjtcs.model import GameParams, PriceCurve, PvGroup, payoff_functions
 from oracles import central_difference
 
 PARAMS = GameParams()
@@ -155,10 +155,8 @@ class TestValidation:
             GameParams(**kwargs)
 
     def test_group_census_identity(self):
-        g = PvGroup(region=1, m=7, d=3, a=10, f=3)
-        assert g.m == g.a - g.f
-        with pytest.raises(ValueError):
-            PvGroup(region=1, m=8, d=3, a=10, f=3)
+        g = PvGroup(region=1, m=7, d=3, f=3)
+        assert g.a == 10
         with pytest.raises(ValueError):
             PvGroup(region=1, m=5, d=-1)
 
@@ -167,12 +165,6 @@ class TestValidation:
         assert len(curve) == 3 and curve[1] == 2.0
         with pytest.raises(ValueError):
             PriceCurve([1.0, -0.5])
-
-    def test_pv_state(self):
-        with pytest.raises(ValueError):
-            PvState(id=0, node=1, energy=5.0, status="sleeping")
-        with pytest.raises(ValueError):
-            PvState(id=0, node=1, energy=-1.0)
 
 
 def test_log_term_never_needs_guard():

@@ -96,10 +96,8 @@ class TestScheduleBasics:
         # m=7 at x=0.5: ceil(3.5)=4 transport, 3 charge
         vehicles = [Vehicle(id=i, node=0, energy=30.0 - i) for i in range(7)]
         group = PvGroup(region=0, m=7, d=0)
-        transport, chargers = _split_group(group, 0.5, vehicles)
-        assert len(transport) == 4 and len(chargers) == 3
-        # max-energy members transport
-        assert transport == [0, 1, 2, 3]
+        # max-energy members transport, the rest charge
+        assert _split_group(group, 0.5, vehicles) == [4, 5, 6]
 
     def test_split_group_respects_commitments(self):
         vehicles = [Vehicle(id=i, node=0, energy=20.0 + i) for i in range(4)]
@@ -107,9 +105,8 @@ class TestScheduleBasics:
 
         vehicles[0].plan.stops.append(Stop(3, "dropoff", 9))
         group = PvGroup(region=0, m=4, d=0)
-        transport, chargers = _split_group(group, 0.25, vehicles)  # phi = 1
-        assert transport == [0]  # the busy one is committed
-        assert set(chargers) == {1, 2, 3}
+        chargers = _split_group(group, 0.25, vehicles)  # phi = 1
+        assert chargers == [3, 2, 1]  # the busy one is committed to transport
 
 
 class TestEligibility:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvjtcs import transport_scheduler
-from pvjtcs.model import CHARGING, IDLE, SERVING, GameParams
+from pvjtcs.model import GameParams
 from pvjtcs.network import (
     RegionMap,
     RoadGraph,
@@ -28,6 +28,7 @@ from pvjtcs.transport_scheduler import (
     FleetEngine,
     RequestState,
     FleetState,
+    SnapshotError,
     Stop,
     TripRequest,
     Vehicle,
@@ -49,6 +50,13 @@ def fresh_vehicle(vid=0, node=0, energy=40.0):
 
 def states_for(*requests):
     return {r.id: RequestState(request=r) for r in requests}
+
+
+class TestVehicle:
+    def test_negative_energy_rejected(self):
+        with pytest.raises(ValueError):
+            Vehicle(id=0, node=1, energy=-1.0)
+        assert Vehicle(id=0, node=1, energy=0.0).energy == 0.0
 
 
 class TestTripRequest:
@@ -100,7 +108,6 @@ def insertion_cases(draw):
         node=node,
         energy=draw(st.one_of(st.floats(min_value=2.5, max_value=10.0),
                               st.just(40.0))),
-        status=SERVING if keyed else IDLE,
         plan=VehiclePlan(stops=[s for _, _, s in sorted(keyed)], onboard=onboard),
     )
     if draw(st.booleans()):  # mid-edge: planning starts from the edge head
@@ -345,7 +352,7 @@ def assign_batches(draw):
                           status=ASSIGNED, vehicle=vid)
         requests[rid] = rs
         vehicles.append(Vehicle(
-            id=vid, node=draw(nodes), energy=draw(energies), status=SERVING,
+            id=vid, node=draw(nodes), energy=draw(energies),
             plan=VehiclePlan(stops=list(rs.request.trip_stops)),
         ))
     batch = []
@@ -605,8 +612,7 @@ class TestEngine:
     def test_slot_ends_with_no_charger_standing(self, grid_graph):
         # a slot too short for vehicle 1 to reach its station: vehicle 0
         # charges where it stands, vehicle 1 stops mid-edge; both end the
-        # slot idle with no station target, and only vehicle 1 keeps the
-        # route it needs to finish its edge
+        # slot idle, with no station target and no route
         params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
@@ -615,11 +621,28 @@ class TestEngine:
         assert stats.charged_kwh == pytest.approx(params.r)
         assert stats.chargers_short == 1
         for veh in engine.state.vehicles:
-            assert veh.status == IDLE
-            assert veh.station_target is None
+            assert veh.station_target is None and veh.route == []
         on_station, mid_edge = engine.state.vehicles
-        assert on_station.route == [] and on_station.edge_head is None
-        assert mid_edge.edge_head is not None and mid_edge.route
+        assert on_station.edge_head is None
+        assert mid_edge.edge_head is not None
+
+    def test_idle_vehicle_finishes_its_edge(self, grid_graph):
+        # vehicle 1 ends a short charging slot mid-edge; in the next slot,
+        # idle, it drives on to the edge's head and stops there
+        params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
+        vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
+                    fresh_vehicle(vid=1, node=5, energy=20.0)]
+        engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
+        engine.run_slot(0, set(), {0, 1})
+        head = engine.state.vehicle(1).edge_head
+        assert head is not None
+        before = engine.fleet_energy()
+        stats = engine.run_slot(1, {0, 1}, set())
+        veh = engine.state.vehicle(1)
+        assert (veh.node, veh.edge_head, veh.edge_progress) == (head, None, 0.0)
+        assert stats.consumed_kwh > 0.0 and stats.charged_kwh == 0.0
+        assert engine.fleet_energy() == pytest.approx(before - stats.consumed_kwh)
+        assert 1 not in stats.transporting_ids
 
     @pytest.mark.parametrize("batch_minutes", [25.0, 50.0])
     def test_batches_cover_the_whole_slot(self, batch_minutes):
@@ -719,9 +742,7 @@ def mid_day_engine():
     ]
     engine = build_engine(graph, reqs)
     engine.run_slot(0, {0, 1, 2}, {3})
-    charger = engine.state.vehicle(3)
-    charger.status = CHARGING
-    charger.station_target = 15
+    engine.state.vehicle(3).station_target = 15
     return engine
 
 
@@ -737,15 +758,13 @@ class TestSnapshotClone:
     @given(
         km=st.floats(min_value=1e-6, max_value=5.0),
         node=st.integers(min_value=0, max_value=15),
-        status=st.sampled_from([IDLE, SERVING, CHARGING]),
         request_status=st.sampled_from(["waiting", "assigned", ONBOARD, SERVED]),
     )
-    def test_snapshot_unaffected_by_live_mutation(self, km, node, status, request_status):
+    def test_snapshot_unaffected_by_live_mutation(self, km, node, request_status):
         engine = mid_day_engine()
         snap = engine.snapshot()
         for veh in engine.state.vehicles:
             veh.energy -= km
-            veh.status = status
             veh.plan.stops.append(Stop(node, DROPOFF, 1))
             veh.plan.onboard += 1
             veh.route.append(node)
@@ -766,7 +785,7 @@ class TestSnapshotClone:
         req = TripRequest(id=1, request_time=0.0, earliest_start=5.0, origin=2,
                           destination=7, passengers=2, direct_km=1.5)
         veh = Vehicle(
-            id=3, node=6, energy=12.5, status=SERVING,
+            id=3, node=6, energy=12.5,
             plan=VehiclePlan(stops=[Stop(7, DROPOFF, 1)], onboard=2),
             edge_head=7, edge_progress=0.25, route=[11, 15], station_target=15,
         )
@@ -791,6 +810,60 @@ class TestSnapshotClone:
         # frozen objects are shared, not copied
         assert dup.requests[1].request is req
         assert copied.plan.stops[0] is veh.plan.stops[0]
+
+    def test_restore_rejects_a_changed_snapshot(self):
+        engine = mid_day_engine()
+        snap = engine.snapshot()
+        snap.state.vehicles[0].energy -= 1.0
+        with pytest.raises(SnapshotError):
+            engine.restore(snap)
+
+    def test_fingerprint_sees_every_field(self):
+        # the fingerprint lists its fields by hand: a new value in any field
+        # of a vehicle or a request state (the frozen request aside) must
+        # change it, and a field added to either class fails here until
+        # both these tables and the fingerprint know it
+        vehicle_values = {
+            "id": lambda v: v.id + 100,
+            "node": lambda v: v.node + 1,
+            "energy": lambda v: v.energy - 0.5,
+            "plan": lambda v: VehiclePlan(stops=v.plan.stops + [Stop(0, DROPOFF, 1)],
+                                          onboard=v.plan.onboard),
+            "edge_head": lambda v: 99,
+            "edge_progress": lambda v: v.edge_progress + 0.1,
+            "route": lambda v: v.route + [3],
+            "station_target": lambda v: 99,
+        }
+        request_values = {
+            "status": lambda rs: WAITING if rs.status == SERVED else SERVED,
+            "vehicle": lambda rs: 99,
+            "pickup_time": lambda rs: -1.0,
+            "dropoff_time": lambda rs: -1.0,
+            "ride_km": lambda rs: rs.ride_km + 0.1,
+        }
+        assert set(vehicle_values) == {f.name for f in dataclasses.fields(Vehicle)}
+        assert set(request_values) == {
+            f.name for f in dataclasses.fields(RequestState)
+        } - {"request"}
+        state = mid_day_engine().state
+        base = fingerprint(state)
+
+        def changed(pick, name, value):
+            dup = state.clone()
+            obj = pick(dup)
+            setattr(obj, name, value(obj))
+            return fingerprint(dup) != base
+
+        for k in range(len(state.vehicles)):
+            pick = lambda s, k=k: s.vehicles[k]
+            for name, value in vehicle_values.items():
+                assert changed(pick, name, value), (k, name)
+            onboard = lambda v: VehiclePlan(list(v.plan.stops), v.plan.onboard + 1)
+            assert changed(pick, "plan", onboard), (k, "plan.onboard")
+        for rid in state.requests:
+            pick = lambda s, rid=rid: s.requests[rid]
+            for name, value in request_values.items():
+                assert changed(pick, name, value), (rid, name)
 
 
 class TestCensusIdentity:
