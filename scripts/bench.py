@@ -5,20 +5,23 @@ For each scale S it generates a scenario with the benchmark's generator
 (``perfbench/scenario_gen.py``, as ``make_manhattan_mini.py --fleet 20S
 --trips 200S`` does: the bundled 60-node grid, S times the fleet and the
 trips) in a temporary directory, and runs ``pvjtcs run --mode both
---seed 1`` on it in this process, N times.  Each run is timed as a whole
-and per scheme (``run_jtcs`` and ``run_tgc``); every time kept is the
+--seed 1`` on it N times per measured tree.  Each run is a child process
+whose ``PYTHONPATH`` starts with the tree's ``src``, and it is timed as a
+whole and per scheme (``run_jtcs`` and ``run_tgc``); every time kept is the
 fastest of the N repeats.  The outputs' SHA-256 is kept too, so two
 measured versions can be checked to compute the same day.
 
-The results go to a JSON file under ``runs[<label>]``, next to the host
-(CPU count, Python version, machine).  A file that already exists keeps
-its other labels, so one file can hold a parent and a change measured on
-the same host; a file from another host is refused.  The pvjtcs package
-measured is whichever one Python imports:
+Several trees given with ``--tree`` are measured in one invocation on the
+same generated scenarios, their repeats interleaved and alternating which
+tree runs first, so that a slow spell of the host falls on both:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json
-    PYTHONPATH=/path/to/parent/src python3 scripts/bench.py \\
-        --label parent --out BENCH.json
+    python3 scripts/bench.py --tree parent=/path/to/parent \\
+        --tree change=. --out BENCH.json
+
+Without ``--tree`` the checkout holding this script is measured under the
+label ``current``.  The results go to a JSON file under ``runs[<label>]``, next
+to the host (CPU count, Python version, machine).  A file that already
+exists keeps its other labels; a file from another host is refused.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
 
-sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             os.pardir, "perfbench"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.append(os.path.join(REPO, "perfbench"))
 from scenario_gen import GridSpec, write  # noqa: E402
 
 BASE_FLEET, BASE_TRIPS = GridSpec.fleet, GridSpec.trips
@@ -57,7 +61,8 @@ def generate(scale: int, out_dir: str) -> str:
 
 
 def run_once(config: str, out_dir: str) -> dict:
-    """One ``pvjtcs run --mode both --seed 1``: wall and per-scheme seconds."""
+    """One ``pvjtcs run --mode both --seed 1`` of the pvjtcs that Python
+    imports: wall and per-scheme seconds."""
     from pvjtcs import cli
 
     times: dict[str, float] = {}
@@ -89,6 +94,24 @@ def run_once(config: str, out_dir: str) -> dict:
     return {"wall_s": wall, **times}
 
 
+def run_child(tree: str, config: str, out_dir: str) -> dict:
+    """``run_once`` in a child process that imports pvjtcs from ``tree``."""
+    src = os.path.realpath(os.path.join(tree, "src"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--run-once", config, out_dir],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"run of {tree} exited {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    package = os.path.realpath(result.pop("package"))
+    if os.path.commonpath([package, src]) != src:
+        raise SystemExit(f"run of {tree} imported pvjtcs from {package}")
+    return result
+
+
 def outputs_digest(out_dir: str) -> str:
     digest = hashlib.sha256()
     for name in OUTPUTS:
@@ -97,22 +120,32 @@ def outputs_digest(out_dir: str) -> str:
     return digest.hexdigest()
 
 
-def measure(scales: list[int], repeats: int) -> dict:
-    results = {}
+def measure(trees: dict[str, str], scales: list[int], repeats: int) -> dict:
+    """Per label, per scale: the fastest times and the outputs' digest.
+    Repeat r runs the trees in the given order when r is even and in
+    reverse when it is odd."""
+    results: dict[str, dict] = {label: {} for label in trees}
+    labels = list(trees)
     with tempfile.TemporaryDirectory() as tmp:
         for scale in scales:
             config = generate(scale, os.path.join(tmp, f"scen{scale}"))
-            out_dir = os.path.join(tmp, f"out{scale}")
-            runs = [run_once(config, out_dir) for _ in range(repeats)]
-            best = {key: round(min(r[key] for r in runs), 4) for key in runs[0]}
-            results[f"{scale}x"] = {
-                "fleet": BASE_FLEET * scale,
-                "trips": BASE_TRIPS * scale,
-                **best,
-                "outputs_sha256": outputs_digest(out_dir),
-            }
-            print(f"{scale}x: " + ", ".join(
-                f"{k} {v}" for k, v in best.items()), file=sys.stderr)
+            runs: dict[str, list[dict]] = {label: [] for label in labels}
+            for r in range(repeats):
+                for label in labels if r % 2 == 0 else labels[::-1]:
+                    out_dir = os.path.join(tmp, f"out{scale}-{label}")
+                    runs[label].append(run_child(trees[label], config, out_dir))
+            for label in labels:
+                best = {key: round(min(run[key] for run in runs[label]), 4)
+                        for key in runs[label][0]}
+                results[label][f"{scale}x"] = {
+                    "fleet": BASE_FLEET * scale,
+                    "trips": BASE_TRIPS * scale,
+                    **best,
+                    "outputs_sha256": outputs_digest(
+                        os.path.join(tmp, f"out{scale}-{label}")),
+                }
+                print(f"{scale}x {label}: " + ", ".join(
+                    f"{k} {v}" for k, v in best.items()), file=sys.stderr)
     return results
 
 
@@ -120,11 +153,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--scales", type=int, nargs="+", default=[1, 5, 10, 20])
     parser.add_argument("--repeats", type=int, default=3, help="best of N")
-    parser.add_argument("--label", default="current")
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
+                        help="measure the pvjtcs in DIR/src under LABEL; "
+                             "repeat to interleave trees")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--run-once", nargs=2, metavar=("CONFIG", "OUT_DIR"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.run_once:
+        from pvjtcs import cli
+
+        print(json.dumps({**run_once(*args.run_once), "package": cli.__file__}))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     if args.repeats < 1 or min(args.scales) < 1:
         parser.error("--repeats and every scale must be >= 1")
+    trees: dict[str, str] = {}
+    for spec in args.tree or [f"current={REPO}"]:
+        label, sep, tree = spec.partition("=")
+        if not (label and sep and tree) or label in trees:
+            parser.error(f"--tree {spec!r}: want a new LABEL=DIR")
+        trees[label] = tree
 
     doc = {"command": "pvjtcs run --mode both --seed 1", "host": host(), "runs": {}}
     if os.path.exists(args.out):
@@ -133,10 +183,12 @@ def main(argv=None) -> int:
         if old.get("host") != doc["host"]:
             raise SystemExit(f"{args.out} was measured on another host: {old.get('host')}")
         doc["runs"] = old.get("runs", {})
-    doc["runs"][args.label] = {
-        "repeats": args.repeats,
-        "scales": measure(args.scales, args.repeats),
-    }
+    for label, scales in measure(trees, args.scales, args.repeats).items():
+        doc["runs"][label] = {
+            "repeats": args.repeats,
+            "interleaved_with": sorted(set(trees) - {label}),
+            "scales": scales,
+        }
     with open(args.out, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -10,8 +10,11 @@ Two schemes over the same scenario:
 
 Both run each slot the same way: a dry run of the slot with every eligible
 vehicle serving says who would transport, the scheme picks its chargers, and
-one shared tail executes the slot (the fleet engine's ``run_slot``, which
-also ends it), checks the energy balance and records one ``SlotMetrics``.
+one shared tail executes the slot, checks the energy balance and records one
+``SlotMetrics``.  The realized slot's pool is the eligible vehicles that do
+not charge, so a slot without chargers is its own dry run: the tail adopts
+the dry run's end state instead of simulating the slot again.  Otherwise it
+runs the fleet engine's ``run_slot``, which also ends the slot.
 Both total the same records, so their energy bills and service levels are
 directly comparable.  ``SlotMetrics`` is the one per-slot schema: the
 ``summary.json`` slot list and the slot CSVs are its fields.
@@ -232,7 +235,8 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     for t in range(scenario.T):
         price = scenario.prices[t]
         eligible = eligibility_filter(engine.state.vehicles, params)
-        moving = engine.dry_run_demand(t, eligible).transporting_ids
+        dry_run = engine.dry_run_demand(t, eligible)
+        moving = dry_run[0].transporting_ids
         census = group_census(engine.state, scenario.region_map, params, moving)
         d_total = sum(g.d for g in census)
 
@@ -278,7 +282,7 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
             x_val = x_by_region.get(g.region, 1.0)  # no-charging slots transport
             chargers.update(_split_group(g, x_val, members_by_region[g.region]))
 
-        slot = _execute_slot(engine, scenario, t, chargers)
+        slot = _execute_slot(engine, scenario, t, eligible, dry_run, chargers)
         slots.append(slot)
 
         # realized charge can trail the plan (clamping, the ceil split,
@@ -306,7 +310,8 @@ def run_tgc(scenario: Scenario) -> RunSummary:
 
     for t in range(scenario.T):
         eligible = eligibility_filter(engine.state.vehicles, params)
-        moving = engine.dry_run_demand(t, eligible).transporting_ids
+        dry_run = engine.dry_run_demand(t, eligible)
+        moving = dry_run[0].transporting_ids
         chargers = {
             v.id
             for v in engine.state.vehicles
@@ -314,17 +319,28 @@ def run_tgc(scenario: Scenario) -> RunSummary:
             and v.id not in moving
             and not v.plan.stops
         }
-        slots.append(_execute_slot(engine, scenario, t, chargers))
+        slots.append(_execute_slot(engine, scenario, t, eligible, dry_run, chargers))
 
     return _summarize(TGC, scenario, engine, slots)
 
 
-def _execute_slot(engine, scenario, t, chargers: set[int]) -> SlotMetrics:
-    """Run slot t with ``chargers`` charging and everyone else in the pool;
-    check that the fleet's energy balances and record the slot."""
-    pool = {v.id for v in engine.state.vehicles} - chargers
+def _execute_slot(
+    engine, scenario, t, eligible: set[int], dry_run, chargers: set[int]
+) -> SlotMetrics:
+    """Run slot t with ``chargers`` charging and the other eligible vehicles
+    in the pool; check that the fleet's energy balances and record the slot.
+
+    ``dry_run`` is ``engine.dry_run_demand(t, eligible)``.  Without chargers
+    the slot has the dry run's inputs, so its stats and end state are the
+    slot.  A vehicle below ``slot_consumption`` is left out of the pool at
+    no cost: ``run_slot`` assigns no trip to it in any batch, and energy
+    only falls within a slot."""
     before = engine.fleet_energy()
-    stats = engine.run_slot(t, pool, chargers)
+    if chargers:
+        stats = engine.run_slot(t, eligible - chargers, chargers)
+    else:
+        stats, end_state = dry_run
+        engine.restore(end_state)
     after = engine.fleet_energy()
     drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
     if abs(drift) > 1e-9:

@@ -11,8 +11,9 @@ vehicle's activity is read, never stored: it serves while its plan has
 stops, heads to a charger while it has a station target, and is idle
 otherwise (an idle vehicle still finishes the edge it is on).  The engine
 answers the planning question "who would transport this slot" as a dry run:
-snapshot the fleet, simulate the slot, keep its statistics, restore the
-snapshot and check its fingerprint; ``group_census`` counts the moving
+clone the fleet, simulate the slot on the live state, then make the clone
+live again and hand back the dry run's statistics and end state, which the
+caller may adopt as the slot itself; ``group_census`` counts the moving
 vehicles per region.  A forecast that ignores energy needs no mode of its
 own: its vehicles hold ``math.inf`` kwh, so every energy check passes and
 driving leaves them at inf.
@@ -55,10 +56,6 @@ SERVED = "served"
 
 class EnergyUnderflowError(RuntimeError):
     """A vehicle was driven below zero energy; eligibility filtering failed."""
-
-
-class SnapshotError(RuntimeError):
-    """State after a dry run does not match the snapshot taken before it."""
 
 
 @dataclass(frozen=True)
@@ -176,38 +173,6 @@ class FleetState:
             vehicles=[v.clone() for v in self.vehicles],
             requests={rid: _shallow_copy(rs) for rid, rs in self.requests.items()},
         )
-
-
-@dataclass
-class Snapshot:
-    """A clone of the fleet/request state plus its fingerprint."""
-
-    state: FleetState
-    fingerprint: tuple
-
-
-def fingerprint(state: FleetState) -> tuple:
-    """Every field that the simulation can mutate, as one tuple compared by
-    value (so ``-0.0 == 0.0``); requests in id order."""
-    vehicles = tuple(
-        (
-            v.id,
-            v.node,
-            v.energy,
-            tuple(v.plan.stops),
-            v.plan.onboard,
-            v.edge_head,
-            v.edge_progress,
-            tuple(v.route),
-            v.station_target,
-        )
-        for v in state.vehicles
-    )
-    requests = tuple(
-        (rid, rs.status, rs.vehicle, rs.pickup_time, rs.dropoff_time, rs.ride_km)
-        for rid, rs in sorted(state.requests.items())
-    )
-    return vehicles + requests
 
 
 def _edge_remainder(vehicle: Vehicle, graph: RoadGraph) -> float:
@@ -552,14 +517,12 @@ class FleetEngine:
 
     # -- state management ----------------------------------------------
 
-    def snapshot(self) -> Snapshot:
-        return Snapshot(state=self.state.clone(), fingerprint=fingerprint(self.state))
+    def snapshot(self) -> FleetState:
+        return self.state.clone()
 
-    def restore(self, snap: Snapshot) -> None:
-        """Adopt the snapshot's state (not a copy: restore a snapshot once)."""
-        if fingerprint(snap.state) != snap.fingerprint:
-            raise SnapshotError("restored state does not match its snapshot")
-        self.state = snap.state
+    def restore(self, state: FleetState) -> None:
+        """Make ``state`` live (adopted, not copied: restore a state once)."""
+        self.state = state
 
     def slot_bounds(self, t: int) -> tuple[float, float]:
         seconds = self.params.slot_hours * 3600.0
@@ -664,13 +627,18 @@ class FleetEngine:
 
     # -- dry runs ---------------------------------------------------------
 
-    def dry_run_demand(self, t: int, eligible_ids: set[int]) -> SlotStats:
-        """Simulate the slot with every eligible vehicle serving, restore the
-        fleet and return the dry run's statistics."""
-        before = self.snapshot()
+    def dry_run_demand(
+        self, t: int, eligible_ids: set[int]
+    ) -> tuple[SlotStats, FleetState]:
+        """Simulate the slot with every eligible vehicle serving and leave the
+        live state at the slot start.  Returns the dry run's statistics and
+        end state: ``run_slot(t, eligible_ids, set())`` from the slot start,
+        which the caller may ``restore`` instead of running it again."""
+        start = self.snapshot()
         stats = self.run_slot(t, eligible_ids, set())
-        self.restore(before)
-        return stats
+        end = self.state
+        self.restore(start)
+        return stats, end
 
     # -- movement ---------------------------------------------------------
 

@@ -22,15 +22,16 @@ def test_one_scale_one_repeat(tmp_path):
     out = tmp_path / "BENCH.json"
     earlier = {"parent": {"repeats": 5, "scales": {}}}
     out.write_text(json.dumps({"host": bench.host(), "runs": earlier}))
-    rc = bench.main(["--scales", "1", "--repeats", "1", "--label", "change",
-                     "--out", str(out)])
+    # without --tree: this checkout, labelled "current"
+    rc = bench.main(["--scales", "1", "--repeats", "1", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"command", "host", "runs"}
     assert set(doc["host"]) == {"cpu_count", "python", "machine"}
     assert doc["runs"]["parent"] == earlier["parent"]  # other labels kept
-    run = doc["runs"]["change"]
+    run = doc["runs"]["current"]
     assert run["repeats"] == 1 and set(run["scales"]) == {"1x"}
+    assert run["interleaved_with"] == []
     one = run["scales"]["1x"]
     assert set(one) == {"fleet", "trips", "wall_s", "jtcs_s", "tgc_s",
                         "outputs_sha256"}
@@ -46,3 +47,52 @@ def test_refuses_a_file_from_another_host(tmp_path):
     out.write_text(json.dumps({"host": {"cpu_count": -1}, "runs": {}}))
     with pytest.raises(SystemExit, match="another host"):
         bench.main(["--scales", "1", "--repeats", "1", "--out", str(out)])
+
+
+def test_trees_interleave_in_child_processes(tmp_path, monkeypatch):
+    bench = load_bench()
+    out = tmp_path / "BENCH.json"
+    rc = bench.main(["--scales", "1", "--repeats", "1", "--tree", f"parent={REPO}",
+                     "--tree", f"change={REPO}", "--out", str(out)])
+    assert rc == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"parent", "change"}
+    assert runs["parent"]["interleaved_with"] == ["change"]
+    assert runs["change"]["interleaved_with"] == ["parent"]
+    parent, change = runs["parent"]["scales"]["1x"], runs["change"]["scales"]["1x"]
+    assert set(parent) == set(change) == {"fleet", "trips", "wall_s", "jtcs_s",
+                                          "tgc_s", "outputs_sha256"}
+    assert parent["outputs_sha256"] == change["outputs_sha256"]
+
+    # repeats alternate which tree runs first
+    order = []
+
+    def fake_child(tree, config, out_dir):
+        order.append(tree)
+        for name in bench.OUTPUTS:
+            (Path(out_dir) / name).parent.mkdir(parents=True, exist_ok=True)
+            (Path(out_dir) / name).write_text(tree)
+        return {"wall_s": 1.0, "jtcs_s": 0.5, "tgc_s": 0.5}
+
+    monkeypatch.setattr(bench, "run_child", fake_child)
+    bench.main(["--scales", "1", "--repeats", "3", "--tree", "a=A", "--tree", "b=B",
+                "--out", str(tmp_path / "fake.json")])
+    assert order == ["A", "B", "B", "A", "A", "B"]
+
+
+def test_tree_without_the_package_is_refused(tmp_path):
+    # the child either fails to import pvjtcs or finds another copy
+    bench = load_bench()
+    with pytest.raises(SystemExit, match=f"run of {tmp_path}"):
+        bench.main(["--scales", "1", "--repeats", "1", "--tree", f"empty={tmp_path}",
+                    "--out", str(tmp_path / "BENCH.json")])
+
+
+@pytest.mark.parametrize("args", [
+    ["--tree", "noequals"],
+    ["--tree", "a=x", "--tree", "a=y"],
+])
+def test_bad_tree_arguments(tmp_path, args):
+    bench = load_bench()
+    with pytest.raises(SystemExit):
+        bench.main(args + ["--out", str(tmp_path / "BENCH.json")])

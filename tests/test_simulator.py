@@ -2,9 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from pvjtcs import simulator
+from pvjtcs.cli import build_scenario, load_config
 from pvjtcs.model import GameParams, PriceCurve, PvGroup
 from pvjtcs.projection import FeasibleSet
 from pvjtcs.simulator import (
@@ -15,12 +18,14 @@ from pvjtcs.simulator import (
     run_jtcs,
     run_tgc,
 )
-from pvjtcs.transport_scheduler import Vehicle
+from pvjtcs.transport_scheduler import FleetEngine, Vehicle
 from pvjtcs.vi_solver import sspm_solve
 from pvjtcs.simulator import _split_group
 from conftest import make_grid_graph, make_request, small_params
 from pvjtcs.network import RegionMap, StationSet
 
+MINI_CONFIG = (Path(__file__).resolve().parent.parent
+               / "scenarios" / "manhattan-mini" / "config.json")
 
 def make_scenario(requests=None, T=4, J=6, seed=7, energies=None, **param_over):
     graph = make_grid_graph()
@@ -237,6 +242,47 @@ class TestFullRuns:
         charged_slots = [t for t, s in enumerate(summary.slots) if s.charged_kwh > 0]
         for t in charged_slots:
             assert t in summary.vi_traces
+
+    @pytest.mark.parametrize("run, simulated", [(run_jtcs, 3), (run_tgc, 23)])
+    def test_slot_without_chargers_adopts_its_dry_run(
+        self, monkeypatch, run, simulated
+    ):
+        # bundled day, seed 1: a realized slot calls run_slot only when it
+        # has chargers; the other slots keep their dry run's end state
+        scenario = build_scenario(load_config(str(MINI_CONFIG)))
+        orig_run_slot = FleetEngine.run_slot
+        orig_dry = FleetEngine.dry_run_demand
+        orig_execute = simulator._execute_slot
+        in_dry = []
+        realized = []  # slot and charger count of each realized run_slot
+        with_chargers = []  # slots whose scheme picked chargers
+
+        def run_slot(self, t, pool_ids, charger_ids):
+            forecast = math.isinf(self.state.vehicles[0].energy)
+            if not in_dry and not forecast:
+                realized.append((t, len(charger_ids)))
+            return orig_run_slot(self, t, pool_ids, charger_ids)
+
+        def dry_run_demand(self, t, eligible_ids):
+            in_dry.append(t)
+            try:
+                return orig_dry(self, t, eligible_ids)
+            finally:
+                in_dry.pop()
+
+        def execute(engine, scenario, t, eligible, dry_run, chargers):
+            if chargers:
+                with_chargers.append(t)
+            return orig_execute(engine, scenario, t, eligible, dry_run, chargers)
+
+        monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
+        monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
+        monkeypatch.setattr(simulator, "_execute_slot", execute)
+        summary = run(scenario)
+        assert len(summary.slots) == scenario.T == 24
+        assert len(with_chargers) == simulated
+        assert [t for t, n in realized] == with_chargers
+        assert all(n > 0 for _, n in realized)
 
 
 class TestScenarioValidation:

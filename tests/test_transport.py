@@ -28,12 +28,10 @@ from pvjtcs.transport_scheduler import (
     FleetEngine,
     RequestState,
     FleetState,
-    SnapshotError,
     Stop,
     TripRequest,
     Vehicle,
     VehiclePlan,
-    fingerprint,
     group_census,
     insertion_cost,
     pci_assign,
@@ -379,8 +377,8 @@ class TestPciAssign:
         out = pci_assign(batch, state.vehicles, GRID, params, now, state.requests)
         expected = full_scan_assign(batch, ref.vehicles, GRID, params, now, ref.requests)
         assert out == expected
-        # every vehicle's plan, status and route, every request's state
-        assert fingerprint(state) == fingerprint(ref)
+        # every vehicle's plan and route, every request's state
+        assert state == ref
 
     def test_short_vehicle_does_not_hide_its_anchor(self, grid_graph):
         # vehicles 1 and 2 wait at node 5, but 1 lacks the energy for the
@@ -670,18 +668,18 @@ class TestEngine:
             make_request(grid_graph, i, 60.0 * i, (3 * i) % 16, (3 * i + 5) % 16)
             for i in range(1, 7)
         ]
-        fps = []
+        states = []
         for _ in range(2):
             engine = build_engine(grid_graph, reqs)
             engine.run_slot(0, {0, 1, 2, 3}, set())
-            fps.append(fingerprint(engine.state))
-        assert fps[0] == fps[1]
+            states.append(engine.state)
+        assert states[0] == states[1]
 
 
 class TestDryRun:
     def test_no_requests_zero_demand(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        moving = engine.dry_run_demand(0, {0, 1, 2, 3}).transporting_ids
+        moving = engine.dry_run_demand(0, {0, 1, 2, 3})[0].transporting_ids
         census = group_census(engine.state, HALVES, PARAMS, moving)
         n = [g.n for g in census]
         d_total = sum(g.d for g in census)
@@ -690,9 +688,34 @@ class TestDryRun:
     def test_state_restored_exactly(self, grid_graph):
         reqs = [make_request(grid_graph, i, 30.0 * i, i, i + 4) for i in range(1, 5)]
         engine = build_engine(grid_graph, reqs)
-        before = fingerprint(engine.state)
-        engine.dry_run_demand(0, {0, 1, 2, 3})
-        assert fingerprint(engine.state) == before
+        before = engine.state.clone()
+        _, end_state = engine.dry_run_demand(0, {0, 1, 2, 3})
+        assert end_state != before  # the dry run did move the fleet
+        assert engine.state == before
+
+    def test_dry_run_is_the_slot_without_chargers(self, grid_graph):
+        # vehicle 0 waits on every pickup but holds less than a slot's
+        # driving: the dry run ends exactly as the slot run on the eligible
+        # vehicles, and as one on the whole fleet, since run_slot itself
+        # never assigns vehicle 0 a trip
+        reqs = [make_request(grid_graph, i, 300.0 * i, 5, (5 + 3 * i) % 16)
+                for i in range(1, 5)]
+
+        def engine():
+            short = fresh_vehicle(vid=0, node=5, energy=PARAMS.slot_consumption - 0.5)
+            others = [fresh_vehicle(vid=i, node=5 * i % 16) for i in range(1, 4)]
+            return build_engine(grid_graph, reqs, vehicles=[short] + others)
+
+        dry = engine()
+        eligible = {v.id for v in dry.state.vehicles
+                    if v.energy >= PARAMS.slot_consumption}
+        assert eligible == {1, 2, 3}
+        stats, end_state = dry.dry_run_demand(0, eligible)
+        assert stats.transporting_ids
+        for pool in (eligible, {0, 1, 2, 3}):
+            ref = engine()
+            assert ref.run_slot(0, pool, set()) == stats
+            assert ref.state == end_state
 
     def test_demand_formula(self, grid_graph):
         # region 0 nodes: {0,1,4,5,8,9,12,13}; 3 unfull + 1 full vehicle there
@@ -707,7 +730,7 @@ class TestDryRun:
             for i, node in enumerate([1, 4, 5, 8], start=1)
         ]
         engine = build_engine(grid_graph, reqs, vehicles=vehicles)
-        moving = engine.dry_run_demand(0, {0, 1, 2, 3}).transporting_ids
+        moving = engine.dry_run_demand(0, {0, 1, 2, 3})[0].transporting_ids
         # n counts the moving vehicles by the region they start the slot in
         n = [0, 0]
         for v in engine.state.vehicles:
@@ -762,6 +785,7 @@ class TestSnapshotClone:
     )
     def test_snapshot_unaffected_by_live_mutation(self, km, node, request_status):
         engine = mid_day_engine()
+        before = engine.state.clone()
         snap = engine.snapshot()
         for veh in engine.state.vehicles:
             veh.energy -= km
@@ -777,9 +801,10 @@ class TestSnapshotClone:
             rs.pickup_time = km
             rs.dropoff_time = km
             rs.ride_km += km
-        assert fingerprint(snap.state) == snap.fingerprint
+        assert engine.state != before
+        assert snap == before
         engine.restore(snap)
-        assert fingerprint(engine.state) == snap.fingerprint
+        assert engine.state is snap  # adopted, not copied
 
     def test_clone_keeps_every_field(self):
         req = TripRequest(id=1, request_time=0.0, earliest_start=5.0, origin=2,
@@ -811,18 +836,10 @@ class TestSnapshotClone:
         assert dup.requests[1].request is req
         assert copied.plan.stops[0] is veh.plan.stops[0]
 
-    def test_restore_rejects_a_changed_snapshot(self):
-        engine = mid_day_engine()
-        snap = engine.snapshot()
-        snap.state.vehicles[0].energy -= 1.0
-        with pytest.raises(SnapshotError):
-            engine.restore(snap)
-
-    def test_fingerprint_sees_every_field(self):
-        # the fingerprint lists its fields by hand: a new value in any field
-        # of a vehicle or a request state (the frozen request aside) must
-        # change it, and a field added to either class fails here until
-        # both these tables and the fingerprint know it
+    def test_state_equality_sees_every_field(self):
+        # a new value in any field of a vehicle or a request state (the
+        # frozen request aside) must make two states unequal, and a field
+        # added to either class fails here until these tables know it
         vehicle_values = {
             "id": lambda v: v.id + 100,
             "node": lambda v: v.node + 1,
@@ -846,13 +863,13 @@ class TestSnapshotClone:
             f.name for f in dataclasses.fields(RequestState)
         } - {"request"}
         state = mid_day_engine().state
-        base = fingerprint(state)
+        assert state.clone() == state
 
         def changed(pick, name, value):
             dup = state.clone()
             obj = pick(dup)
             setattr(obj, name, value(obj))
-            return fingerprint(dup) != base
+            return dup != state
 
         for k in range(len(state.vehicles)):
             pick = lambda s, k=k: s.vehicles[k]
