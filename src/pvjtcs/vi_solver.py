@@ -3,8 +3,14 @@
 The game's stacked negated payoff gradients form a strictly monotone operator
 on the slot feasible set, so the shared-constraint equilibrium with equal
 multiplier weights is exactly the solution of the corresponding variational
-inequality.  That solution is computed with a two-projection extragradient
-scheme (``sspm_solve``): each iteration measures the projected residual
+inequality.  The game is separable: each group's per-vehicle marginal cost
+``F_i/m_i`` rises with its own strategy alone, so the solution is every
+group's clipped best response to one shared multiplier, and bisection on
+that multiplier finds it (``_equilibrium``).  That point is the default
+start of the two-projection extragradient scheme (``sspm_solve``), whose
+first unit-step residual check then certifies it: with the default step
+constants the solve returns after one iteration.  From any other start
+the scheme iterates: each iteration measures the projected residual
 ``nu = x - P(x - mu*F(x))`` inline, backtracks a probe step until the
 operator at the probe correlates enough with the residual (``line_search``),
 builds the separating halfspace through the probe point, and projects the
@@ -121,6 +127,46 @@ def line_search(
     )
 
 
+def _equilibrium(
+    m: list[float], d: list[float], S: float, alpha1: float, a2p: float
+) -> list[float]:
+    """The exact equilibrium, by bisection on the shared multiplier.
+
+    Every group plays its best response to one per-vehicle multiplier
+    ``w``: ``F_i/m_i = 2(m x - d) + alpha1/(2 - x) - a2p`` equals ``w``
+    inside the box.  With ``y = 2 - x`` that is the positive root of
+    ``2m y^2 - B y - alpha1 = 0``, ``B = 4m - 2d - a2p - w``, clipped to the
+    box.  The responses' weighted sum rises with ``w``, so bisection between
+    the smallest ``F_i/m_i`` at x = 0 and the largest at x = 1 meets the
+    hyperplane ``sum(m x) = S``, until the float bracket collapses.
+    """
+    if S <= 0.0:
+        return [0.0] * len(m)
+    if S >= sum(m):
+        return [1.0] * len(m)
+
+    def respond(w: float) -> list[float]:
+        x = []
+        for mi, di in zip(m, d):
+            b = 4.0 * mi - 2.0 * di - a2p - w
+            root = math.sqrt(b * b + 8.0 * mi * alpha1)
+            # the form without cancellation on each side of b = 0
+            y = (b + root) / (4.0 * mi) if b >= 0.0 else 2.0 * alpha1 / (root - b)
+            x.append(min(max(2.0 - y, 0.0), 1.0))
+        return x
+
+    lo = min(-2.0 * di + 0.5 * alpha1 - a2p for di in d)
+    hi = max(2.0 * (mi - di) + alpha1 - a2p for mi, di in zip(m, d))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if sum(mi * xi for mi, xi in zip(m, respond(mid))) < S:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return respond(hi)
+
+
 def sspm_solve(
     groups: Sequence[PvGroup],
     fset: FeasibleSet,
@@ -132,17 +178,17 @@ def sspm_solve(
 ) -> tuple[np.ndarray, SspmTrace]:
     """Solve the slot game to its normalized equilibrium.
 
-    Starting from the projected per-group transportation optimum d/m (or a
-    caller-supplied start), iterates the two-projection extragradient scheme
+    Starting from the exact equilibrium (or a caller-supplied ``x0`` of n
+    finite entries), iterates the two-projection extragradient scheme
     until the projected residual norm drops below ``params.epsilon``.  The
     returned trace carries every residual, step size and projection count;
     with ``keep_iterates`` also every iterate and its payoffs, for
     inspection or CSV export.
 
     The loop works on plain floats: instances have a handful of groups, and
-    ill-conditioned ones (group sizes spanning 1..100) genuinely need
-    thousands of the cheap iterations, so per-call array overhead matters
-    more than vectorization.
+    ill-conditioned ones (group sizes spanning 1..100) need thousands of
+    the cheap iterations from a poor start, so per-call array overhead
+    matters more than vectorization.
     """
     if any(g.m <= 0 for g in groups):
         raise ValueError("groups with m=0 must be excluded from the game")
@@ -160,9 +206,12 @@ def sspm_solve(
     u, F = payoff_functions(groups, p_t, params)
 
     if x0 is None:
-        start = [min(max(d[i] / m[i], 0.0), 1.0) for i in range(n)]
+        start = _equilibrium(m, d, S, params.alpha1, params.alpha2 * p_t)
     else:
-        start = [float(v) for v in x0]
+        given = np.asarray(x0, dtype=float)  # a None entry reads as NaN
+        if given.shape != (n,) or not np.isfinite(given).all():
+            raise ValueError(f"x0 must hold {n} finite entries, got {x0!r}")
+        start = given.tolist()
     x = _dual_scan(start, m, S)
 
     trace = SspmTrace()

@@ -3,7 +3,9 @@
 Every tolerance is pinned here; nothing is deferred to later calibration.
 
 1. equilibrium solver correctness vs a projected-gradient oracle (100 seeded
-   instances, match <= 1e-3, residual < 1e-3, < 1 s per instance)
+   instances, match <= 1e-3, residual < 1e-3, < 1 s per instance); the
+   default start is the exact equilibrium, confirmed in one iteration (KKT
+   <= 1e-12, within 1e-3 of the iteration started from clip(d/m))
 2. common-multiplier verification on every solved instance (<= 1e-3)
 3. equilibrium uniqueness from different starts (<= 1e-3)
 4. projections vs the brute-force active-set oracle (200 instances, <= 1e-6;
@@ -93,6 +95,23 @@ def test_criterion_1_equilibrium_matches_potential_maximizer(solved_instances):
     print(
         f"\n[criterion 1] PASS: 100/100 converged, worst |x-oracle| "
         f"{worst_err:.2e} <= 1e-3, worst runtime {worst_time * 1e3:.0f} ms < 1 s"
+    )
+
+
+def test_criterion_1_exact_start_confirmed_in_one_check(solved_instances):
+    worst_kkt = worst_gap = 0.0
+    for trial, groups, fset, price, x, trace, _, _ in solved_instances:
+        assert len(trace) == 1, f"instance {trial}: {len(trace)} iterations"
+        kkt = kkt_verify(x, groups, fset, price, TABLE_PARAMS).worst()
+        assert kkt <= 1e-12, f"instance {trial}: kkt {kkt:.2e}"
+        start = [min(max(g.d / g.m, 0.0), 1.0) for g in groups]
+        iterated, _ = sspm_solve(groups, fset, price, TABLE_PARAMS, x0=start)
+        gap = float(np.max(np.abs(x - iterated)))
+        assert gap <= 1e-3, f"instance {trial}: |x - iterated| = {gap:.2e}"
+        worst_kkt, worst_gap = max(worst_kkt, kkt), max(worst_gap, gap)
+    print(
+        f"\n[criterion 1] PASS: 100/100 confirmed in one iteration, worst kkt "
+        f"{worst_kkt:.2e} <= 1e-12, worst |x - iterated| {worst_gap:.2e} <= 1e-3"
     )
 
 

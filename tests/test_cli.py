@@ -301,6 +301,31 @@ class TestCliSurface:
                                       "x_0", "x_1", "u_0", "u_1"]
         assert len(rows) > 1 and all(len(r.split(",")) == 7 for r in rows[1:])
 
+    def test_solve_vi_on_the_line_search_failure_game(self, tmp_path, capsys):
+        # 20 small groups on which the extragradient iteration from clip(d/m)
+        # exhausts its backtracking; the exact start needs no step at all
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({
+            "m": [2, 1, 3, 1, 2, 1, 5, 2, 2, 3, 2, 2, 1, 2, 1, 3, 2, 2, 3, 2],
+            "d": [2, 1, 2, 0, 0, 1, 3, 0, 0, 2, 1, 0, 0, 0, 0, 3, 1, 2, 2, 0],
+            "e_plus": 8.8563,
+            "price": 1.6588,
+        }))
+        assert main(["solve-vi", "--instance", str(instance)]) == 0
+        out = capsys.readouterr().out
+        assert "iterations = 1\n" in out
+        kkt = float(out.split("kkt worst residual = ")[1].split()[0])
+        assert kkt <= 1e-12
+
+    def test_solve_vi_rejects_a_short_start(self, tmp_path, caplog):
+        instance = tmp_path / "instance.json"
+        instance.write_text(
+            json.dumps({"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0,
+                        "x0": [0.5]})
+        )
+        assert main(["solve-vi", "--instance", str(instance)]) == 1
+        assert "x0 must hold 2 finite entries" in caplog.text
+
     def test_plan_charging_subcommand(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(
@@ -386,31 +411,31 @@ def test_bundled_scenario_files_parse():
 # change to these bytes is a change of behaviour.
 PINNED_BUNDLED = {
     1: {
-        "summary.json": "eff3184f537ae8515d8ba5321b08d23c8c09004d00deb5868a9706be5dea798f",
+        "summary.json": "7991ffc94adc1169c012a62c04c60e5861e176d09102cd732e77d3e003fdcdad",
         "slots_jtcs.csv": "1bc6ce67a4cd712cae793c95a6ea438eafdeab3acc9979f2f93b274736660490",
         "slots_tgc.csv": "097064711de6fa72b03438f2845d3e98e08619c3c5f4bba940a8f99533e88437",
         "charging_plan.csv": "cd7e9bf33e73b1668ef7e8566f26188f822f32be5108eecf7c7f893c70f49c6b",
     },
     2: {
-        "summary.json": "fa1645924e3d6010f323c2e62c94bc3cc0b9b27e4808e049b77305cf01625410",
+        "summary.json": "9d5f8136543971f81845bb32168eac249b2ae9a9ff8c068663ec19694653eacc",
         "slots_jtcs.csv": "8663d876d24bd4778fb6ad26ee17095171e83bf77e8699cea3ea2cf8f7405232",
         "slots_tgc.csv": "7224e7855b3f0726e9190a5be2c2ac279734480edc1a38c3f8ba2b8c908e030d",
         "charging_plan.csv": "e6350f5f0cb9b01fc58b5966c0b7e1fdd135267ee4b5b7d2ba1631d00b8a7786",
     },
     3: {
-        "summary.json": "d447514b345a424c7b22e4f715119707f919fb02a05fb780e58f2c552f1b1794",
+        "summary.json": "3a177d54533b4e08d830aceeae5dbfc2fb2989b7852cb0f41042206cc6a146aa",
         "slots_jtcs.csv": "62dc53fb4acb944a1737d3cf5e2051cde2080fa2967b1eee2ad98d6019deb944",
         "slots_tgc.csv": "cecca61740d1058d1eac8e48565d9323543f5d1ed4bf0a902205296634e6abb2",
         "charging_plan.csv": "aaf013739a30c4fe5ab0fe348870f65da201f1a7a4379b58ce9fede7840a4ec3",
     },
     4: {
-        "summary.json": "02648948a71c3c4577711930799267f962b72e35b06a0e65b7c50db6d26d664c",
+        "summary.json": "34fae9ae62d8a87909530e52d008624a8e3d4f254d2545e7565dae48b3af8b7a",
         "slots_jtcs.csv": "e8538157c435538d03ae9db5c297493108234798962ed469c883161bb0f57eac",
         "slots_tgc.csv": "c1821be2e9164f55fc647456053bda87a7b0090bb12733d4cf92aa7116e5b534",
         "charging_plan.csv": "737b92746f73380b30d2b2bca898c732812c4b408e0bb51f0785181bd7846024",
     },
     5: {
-        "summary.json": "de610763910d2167e80fb75798af0033da925f8be86976b122bf2437bf0e875c",
+        "summary.json": "122070c3cadb13a442335f371de7fc74d341862c630ace010702d0a76c19cbb3",
         "slots_jtcs.csv": "5ce62b40b89e9474818e068659e4ada4810e760c2068831c9402c99ea951ad7d",
         "slots_tgc.csv": "cdd7c28f9354717e001a4551787da4b3be6728714c1a4137ffe59a94d48aa3d8",
         "charging_plan.csv": "4413700618574b56c8b0c728319b3e4ee6321c353cc8fcc1eaa6d7f6e9045bff",
@@ -450,7 +475,7 @@ def test_generator_defaults_write_the_bundled_scenario(tmp_path):
 # The same for a generated 2x scenario (40 vehicles, 400 trips), whose plans
 # are long enough to exercise multi-stop insertion.
 PINNED_2X_SEED_1 = {
-    "summary.json": "af9531636ee6354b9fb189d5a66330554a2228f30b9bcc7ff45ef8541836a926",
+    "summary.json": "330af75e79e9630cc449a687048bd4ac3b808a055d5b5006b6c3cd0dcd967389",
     "slots_jtcs.csv": "a404d5282ce8de614728b0becef0a1a5581d7585722a929d731e28760dafd806",
     "slots_tgc.csv": "654aaef5ca0a4d2cebfbaa625c57bf4aca35573b20583fc94b91ef79d4d31be7",
     "charging_plan.csv": "00329531c7adf19587ddc485c52b14e704e31e7501a6fa324c6559294923b394",

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs.model import GameParams, PvGroup
 from pvjtcs.projection import FeasibleSet
@@ -31,6 +33,12 @@ def make_instance(m, d, e_plus, r=1.0, d_total=None):
     return groups, fset
 
 
+def clip_start(groups):
+    """The per-group transportation optimum d/m, clipped to the box: a start
+    that keeps the solve on the extragradient iteration path."""
+    return [min(max(g.d / g.m, 0.0), 1.0) for g in groups]
+
+
 SYMMETRIC = make_instance([10, 10], [5, 5], e_plus=8.0, d_total=8.0)
 ASYMMETRIC = make_instance([10, 20], [8, 4], e_plus=6.0, d_total=12.0)
 SINGLETON = make_instance([10], [0], e_plus=4.0, d_total=0.0)
@@ -47,6 +55,11 @@ def pinned_game(seed):
     e_plus = rng.uniform(0.0, r * (sum(m) - sum(d)))
     groups, fset = make_instance(m, d, e_plus, r=r)
     return groups, fset, rng.uniform(1.0, 10.0)
+
+
+# Three groups whose clip_start is not the equilibrium (SYMMETRIC's and
+# ASYMMETRIC's are): from there the iteration takes 17 extragradient steps.
+ITERATING = pinned_game(2)
 
 
 # SHA-256 (first 16 hex digits) of the bits of x* and of len(trace) from
@@ -227,23 +240,26 @@ class TestSspmSolve:
         assert np.max(np.abs(x1 - x2)) <= 1e-3
 
     def test_two_projections_per_update_iteration(self):
-        groups, fset = make_instance([15, 40, 8], [12, 10, 8], e_plus=30.0,
-                                     d_total=30.0, r=5.625)
-        _, trace = sspm_solve(groups, fset, 4.0, PARAMS)
+        groups, fset, price = ITERATING
+        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
+        assert len(trace) > 1
         assert all(calls == 2 for calls in trace.projection_calls[:-1])
         assert trace.projection_calls[-1] in (1, 2)
 
     def test_trace_shapes(self):
-        groups, fset = SYMMETRIC
-        x, trace = sspm_solve(groups, fset, 2.0, PARAMS, keep_iterates=True)
+        groups, fset, price = ITERATING
+        start = clip_start(groups)
+        x, trace = sspm_solve(groups, fset, price, PARAMS, x0=start,
+                              keep_iterates=True)
         k = len(trace)
+        assert k > 1
         assert len(trace.iterates) == k
         assert len(trace.etas) == k
         assert len(trace.zetas) == k
         assert len(trace.utilities) == k
         assert trace.residual_norms[-1] < PARAMS.epsilon
         # by default the same solve keeps every record but the iterates
-        x_bare, bare = sspm_solve(groups, fset, 2.0, PARAMS)
+        x_bare, bare = sspm_solve(groups, fset, price, PARAMS, x0=start)
         assert bare.iterates == [] and bare.utilities == []
         assert np.array_equal(x_bare, x)
         assert bare.residual_norms == trace.residual_norms
@@ -256,7 +272,8 @@ class TestSspmSolve:
                                      d_total=0.0)
         fset.e_plus = (fset.m_total - 101.4684) * 1.0
         with pytest.raises(SspmConvergenceError) as err:
-            sspm_solve(groups, fset, 7.7, PARAMS, max_iterations=3)
+            sspm_solve(groups, fset, 7.7, PARAMS, x0=clip_start(groups),
+                       max_iterations=3)
         assert len(err.value.trace) == 3
 
     def test_iterates_match_pinned_digests(self):
@@ -265,7 +282,8 @@ class TestSspmSolve:
         moved = {}
         for seed, expected in PINNED_DIGESTS.items():
             groups, fset, price = pinned_game(seed)
-            x, trace = sspm_solve(groups, fset, price, PARAMS)
+            x, trace = sspm_solve(groups, fset, price, PARAMS,
+                                  x0=clip_start(groups))
             digest = hashlib.sha256(
                 x.tobytes() + struct.pack("<q", len(trace))
             ).hexdigest()[:16]
@@ -279,6 +297,15 @@ class TestSspmSolve:
         with pytest.raises(ValueError):
             sspm_solve(groups, fset, 1.0, PARAMS)
 
+    @pytest.mark.parametrize(
+        "x0", [[0.5], [0.5, 0.5, 0.5], [0.5, float("nan")], 0.5, [None, 0.5]],
+        ids=["short", "long", "nan", "scalar", "null"],
+    )
+    def test_rejects_malformed_start(self, x0):
+        groups, fset = SYMMETRIC
+        with pytest.raises(ValueError, match="2 finite entries"):
+            sspm_solve(groups, fset, 2.0, PARAMS, x0=x0)
+
     def test_rejects_weight_mismatch(self):
         groups, _ = SYMMETRIC
         fset = FeasibleSet(m=[10.0, 11.0], d_total=8.0, e_plus=8.0, r=1.0)
@@ -286,12 +313,61 @@ class TestSspmSolve:
             sspm_solve(groups, fset, 2.0, PARAMS)
 
 
+@st.composite
+def slot_games(draw):
+    """A slot game of 1-20 groups of 1-100 vehicles whose hyperplane sits
+    at S = 0 (everyone charges), S = sum(m) (nobody does) or in between."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    d = [draw(st.integers(0, mi)) for mi in m]
+    charging = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    groups, fset = make_instance(m, d, e_plus=PARAMS.r * sum(m) * charging,
+                                 r=PARAMS.r)
+    # the demand floor only gates feasibility; the equilibrium never reads it
+    fset.d_total = min(float(sum(d)), fset.S)
+    return groups, fset, draw(st.floats(0.0, 20.0))
+
+
+class TestExactStart:
+    """The default start is the equilibrium, so SSPM confirms it at once."""
+
+    def check(self, groups, fset, price, params=PARAMS):
+        x, trace = sspm_solve(groups, fset, price, params)
+        assert len(trace) == 1 and trace.converged
+        assert kkt_verify(x, groups, fset, price, params).worst() <= 1e-12
+        return x, trace
+
+    def test_pinned_games_including_the_slow_ones(self):
+        for seed in range(32):  # PINNED_DIGESTS' seeds plus 9, 12 and 30
+            groups, fset, price = pinned_game(seed)
+            x, _ = self.check(groups, fset, price)
+            iterated, _ = sspm_solve(groups, fset, price, PARAMS,
+                                     x0=clip_start(groups))
+            assert np.max(np.abs(x - iterated)) <= 1e-3, seed
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=slot_games())
+    def test_generated_games(self, game):
+        groups, fset, price = game
+        x, _ = self.check(groups, fset, price)
+        assert np.all((0.0 <= x) & (x <= 1.0))
+        if fset.S <= 0.0 or fset.S >= fset.m_total:
+            assert np.all(x == (fset.S > 0.0))
+
+    def test_small_first_step_adds_one_unit_step_check(self):
+        # with eta_init = 0.1 the first step is 0.15 < 1, so the residual
+        # is confirmed at the unit step before the solve returns
+        groups, fset, price = ITERATING
+        _, trace = self.check(groups, fset, price, GameParams(eta_init=0.1))
+        assert trace.exit_checks == 1 and trace.projection_calls == [2]
+
+
 class TestKktVerify:
     def test_audit_matches_pinned_digests(self):
         moved = {}
         for seed, expected in PINNED_KKT_DIGESTS.items():
             groups, fset, price = pinned_game(seed)
-            x, _ = sspm_solve(groups, fset, price, PARAMS)
+            x, _ = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
             report = kkt_verify(x, groups, fset, price, PARAMS)
             digest = hashlib.sha256(
                 report.lambda_bar.tobytes()
@@ -348,8 +424,10 @@ class TestKktVerify:
 
 class TestTraceExport:
     def test_csv_round_trip(self):
-        groups, fset = SYMMETRIC
-        _, trace = sspm_solve(groups, fset, 2.0, PARAMS, keep_iterates=True)
+        groups, fset, price = ITERATING
+        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups),
+                              keep_iterates=True)
+        assert len(trace) > 1
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -366,7 +444,7 @@ class TestTraceExport:
             assert [float(v) for v in cells[3 + n:]] == list(trace.utilities[k])
 
     def test_csv_refuses_trace_without_iterates(self):
-        groups, fset = SYMMETRIC
-        _, trace = sspm_solve(groups, fset, 2.0, PARAMS)
+        groups, fset, price = ITERATING
+        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
         with pytest.raises(ValueError, match="keep_iterates"):
             write_trace_csv(trace, io.StringIO())
