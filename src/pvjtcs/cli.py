@@ -77,12 +77,23 @@ def load_config(path: str) -> dict:
     return config
 
 
-def build_params(config: dict) -> GameParams:
-    overrides = dict(config.get("params", {}))
+def param_overrides(doc: dict) -> dict:
+    """A copy of ``doc``'s ``params`` object, whose keys must be
+    ``GameParams`` fields."""
+    overrides = doc.get("params", {})
+    if not isinstance(overrides, dict):
+        raise ValueError(
+            f"params must be a JSON object, not {type(overrides).__name__}"
+        )
     known = {f.name for f in dataclasses.fields(GameParams)}
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown parameter overrides: {sorted(unknown)}")
+    return dict(overrides)
+
+
+def build_params(config: dict) -> GameParams:
+    overrides = param_overrides(config)
     overrides["J"] = int(config["fleet_size"])
     return GameParams(**overrides)
 
@@ -176,9 +187,13 @@ def cmd_run(args) -> int:
 def cmd_solve_vi(args) -> int:
     with open(args.instance) as handle:
         doc = json.load(handle)
-    params = GameParams(**doc.get("params", {}))
+    params = GameParams(**param_overrides(doc))
     m = [int(v) for v in doc["m"]]
     d = [int(v) for v in doc["d"]]
+    if len(d) != len(m):
+        raise ValueError(
+            f"d must hold one entry per group: {len(d)} entries for {len(m)} groups"
+        )
     groups = [PvGroup(region=i, m=m[i], d=d[i]) for i in range(len(m))]
     r = float(doc.get("r", params.r))
     fset = FeasibleSet(
@@ -211,7 +226,7 @@ def cmd_solve_vi(args) -> int:
 def cmd_plan_charging(args) -> int:
     with open(args.inputs) as handle:
         doc = json.load(handle)
-    params = GameParams(**doc.get("params", {}))
+    params = GameParams(**param_overrides(doc))
     inputs = DayAheadInputs(
         consumed=doc["consumed"],
         demand_counts=doc["demand_counts"],

@@ -206,13 +206,16 @@ def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[flo
     return out
 
 
+# Illinois rounds of the halfspace multiplier search before giving up
+_MAX_ROUNDS = 200
+
+
 def _intersection_core(
     point: list[float],
     m: list[float],
     S: float,
     g: list[float],
     c: float,
-    max_rounds: int,
 ) -> list[float]:
     """Projection onto box-hyperplane-halfspace, all plain floats.
 
@@ -333,7 +336,7 @@ def _intersection_core(
     z = z_hi
     side = 0
     w_lo, w_hi = h_lo, h_hi
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if w_lo - w_hi > 0.0:
             tau = tau_lo + (tau_hi - tau_lo) * w_lo / (w_lo - w_hi)
             width = tau_hi - tau_lo
@@ -362,7 +365,7 @@ def _intersection_core(
         viol += g[i] * z[i]
     if viol > 1e-8 * hscale:
         raise ProjectionConvergenceError(
-            f"halfspace multiplier search did not settle within {max_rounds} "
+            f"halfspace multiplier search did not settle within {_MAX_ROUNDS} "
             f"rounds (violation {viol:.3e})"
         )
     return z

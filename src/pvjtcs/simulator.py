@@ -237,7 +237,9 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
         eligible = eligibility_filter(engine.state.vehicles, params)
         dry_run = engine.dry_run_demand(t, eligible)
         moving = dry_run[0].transporting_ids
-        census = group_census(engine.state, scenario.region_map, params, moving)
+        census, members = group_census(
+            engine.state, scenario.region_map, params, moving
+        )
         d_total = sum(g.d for g in census)
 
         game_groups = [g for g in census if g.m > 0]
@@ -272,15 +274,11 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
             # feasible set degenerates to everyone transporting
             vi_iterations.append(0)
 
-        members_by_region: dict[int, list] = {g.region: [] for g in census}
-        for veh in engine.state.vehicles:
-            if veh.energy <= params.full_threshold:
-                members_by_region[scenario.region_map.region_of(veh.node)].append(veh)
         for g in census:
             if g.m <= 0:
                 continue
             x_val = x_by_region.get(g.region, 1.0)  # no-charging slots transport
-            chargers.update(_split_group(g, x_val, members_by_region[g.region]))
+            chargers.update(_split_group(g, x_val, members[g.region]))
 
         slot = _execute_slot(engine, scenario, t, eligible, dry_run, chargers)
         slots.append(slot)

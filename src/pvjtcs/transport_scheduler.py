@@ -13,10 +13,10 @@ otherwise (an idle vehicle still finishes the edge it is on).  The engine
 answers the planning question "who would transport this slot" as a dry run:
 clone the fleet, simulate the slot on the live state, then make the clone
 live again and hand back the dry run's statistics and end state, which the
-caller may adopt as the slot itself; ``group_census`` counts the moving
-vehicles per region.  A forecast that ignores energy needs no mode of its
-own: its vehicles hold ``math.inf`` kwh, so every energy check passes and
-driving leaves them at inf.
+caller may adopt as the slot itself; ``group_census`` builds each region's
+group with its members and counts the moving vehicles.  A forecast that
+ignores energy needs no mode of its own: its vehicles hold ``math.inf`` kwh,
+so every energy check passes and driving leaves them at inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -149,7 +149,6 @@ class Vehicle:
 class RequestState:
     request: TripRequest
     status: str = WAITING
-    vehicle: int | None = None
     pickup_time: float | None = None
     dropoff_time: float | None = None
     ride_km: float = 0.0
@@ -188,37 +187,12 @@ def _edge_length(graph: RoadGraph, u: int, v: int) -> float:
     raise KeyError(f"no edge {u}->{v}")
 
 
-def insertion_cost(
-    vehicle: Vehicle,
-    request: TripRequest,
-    graph: RoadGraph,
-    params: GameParams,
-    requests: dict[int, RequestState],
-) -> tuple[float, VehiclePlan] | None:
-    """Cheapest feasible insertion of ``request`` into the vehicle's plan.
-
-    Returns the minimum added distance with the new plan, or None.  The
-    search is ``_best_insertion``; this wrapper computes its per-request
-    inputs and builds the winning plan.  ``pci_assign`` calls the core
-    directly and builds only the fleet-wide winner's plan.
-    """
-    pick_to_drop = distance(graph, request.origin, request.destination)
-    best = _best_insertion(
-        vehicle, request, pick_to_drop, _ride_limit(request, params),
-        graph, params, requests,
-    )
-    if best is None:
-        return None
-    delta, i, j = best
-    return delta, _with_trip(vehicle.plan, request, i, j)
-
-
 def _ride_limit(request: TripRequest, params: GameParams) -> float:
     """Longest on-vehicle distance the detour bound allows the request."""
     return params.detour_max * max(request.direct_km, 1e-9) + 1e-9
 
 
-def _best_insertion(
+def insertion_cost(
     vehicle: Vehicle,
     request: TripRequest,
     pick_to_drop: float,
@@ -229,8 +203,9 @@ def _best_insertion(
 ) -> tuple[float, int, int] | None:
     """``(delta, i, j)`` of the cheapest feasible insertion, or None: the
     pickup goes before stop i, the dropoff before stop j >= i, and delta is
-    the added distance.  ``pick_to_drop`` (origin to destination) and
-    ``new_limit`` (``_ride_limit``) depend only on the request.
+    the added distance; ``_with_trip`` builds that plan.  ``pick_to_drop``
+    (origin to destination) and ``new_limit`` (``_ride_limit``) depend only
+    on the request, so ``pci_assign`` computes them once per request.
 
     Tries every pickup position i and dropoff position j >= i, keeping
     candidates that respect seat capacity at every prefix, the detour bound
@@ -406,11 +381,12 @@ def pci_assign(
     returned waiting list.  Returns the (request id, vehicle id) assignments
     made.
 
-    Only the winner's plan is built.  Idle vehicles at one anchor are
-    skipped after the first feasible one: their one candidate costs the same
-    bit-equal ``to_pick + pick_to_drop``, and the best cost seen never rises,
-    so none of them could beat it by more than 1e-12.  An infeasible vehicle
-    marks nothing, because energy and the remainder of the edge being driven
+    Every vehicle evaluated runs ``insertion_cost``; only the winner's plan
+    is built.  Idle vehicles at one anchor are skipped after the first
+    feasible one: their one candidate costs the same bit-equal
+    ``to_pick + pick_to_drop``, and the best cost seen never rises, so none
+    of them could beat it by more than 1e-12.  An infeasible vehicle marks
+    nothing, because energy and the remainder of the edge being driven
     differ between vehicles at one anchor.
     """
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
@@ -429,7 +405,7 @@ def pci_assign(
                 anchor = veh.anchor()
                 if anchor in done_anchors:
                     continue
-            out = _best_insertion(
+            out = insertion_cost(
                 veh, request, pick_to_drop, new_limit, graph, params, requests
             )
             if out is None:
@@ -447,20 +423,22 @@ def pci_assign(
         best_vehicle.route = []  # plan changed: reroute from the anchor
         rs = requests[request.id]
         rs.status = ASSIGNED
-        rs.vehicle = best_vehicle.id
         assignments.append((request.id, best_vehicle.id))
     return assignments, waiting
 
 
 def group_census(
     state: FleetState, region_map: RegionMap, params: GameParams, moving: set[int]
-) -> list[PvGroup]:
-    """Per-region counts: unfully charged group members m, fully charged
-    vehicles f, the ``moving`` vehicles n (those the slot's dry run saw
-    transporting, by their region at the slot start) and the demand
-    d = max(n - f, 0)."""
+) -> tuple[list[PvGroup], list[list[Vehicle]]]:
+    """Per-region groups and their members.
+
+    Each region's group counts its unfully charged members m, its fully
+    charged vehicles f, the ``moving`` vehicles n (those the slot's dry run
+    saw transporting, by their region at the slot start) and the demand
+    d = max(n - f, 0).  ``members[i]`` lists region i's unfull vehicles in
+    fleet order, so ``groups[i].m == len(members[i])``."""
     n_regions = region_map.n_regions
-    m = [0] * n_regions
+    members: list[list[Vehicle]] = [[] for _ in range(n_regions)]
     f = [0] * n_regions
     n = [0] * n_regions
     for veh in state.vehicles:
@@ -468,13 +446,14 @@ def group_census(
         if veh.energy > params.full_threshold:
             f[region] += 1
         else:
-            m[region] += 1
+            members[region].append(veh)
         if veh.id in moving:
             n[region] += 1
-    return [
-        PvGroup(region=i, m=m[i], d=max(n[i] - f[i], 0), f=f[i], n=n[i])
+    groups = [
+        PvGroup(region=i, m=len(members[i]), d=max(n[i] - f[i], 0), f=f[i], n=n[i])
         for i in range(n_regions)
     ]
+    return groups, members
 
 
 @dataclass

@@ -34,6 +34,9 @@ import numpy as np
 from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
 from pvjtcs.projection import FeasibleSet, _dual_scan, _intersection_core
 
+# ``kkt_verify`` treats a strategy this close to 0 or 1 as on the box bound
+_BOUNDARY_TOL = 1e-6
+
 
 class LineSearchError(RuntimeError):
     """Backtracking produced no acceptable step; operator or projection bug."""
@@ -255,7 +258,7 @@ def sspm_solve(
         y = [x[i] - eta * nu[i] for i in range(n)]
         gvec = F(y)
         c = sum(gvec[i] * y[i] for i in range(n))
-        x = _intersection_core(x, m, S, gvec, c, max_rounds=200)
+        x = _intersection_core(x, m, S, gvec, c)
 
         trace.etas.append(eta)
         trace.zetas.append(zeta)
@@ -275,7 +278,6 @@ def kkt_verify(
     fset: FeasibleSet,
     p_t: float,
     params: GameParams,
-    boundary_tol: float = 1e-6,
 ) -> KktReport:
     """Fit one shared multiplier vector and measure the worst violation.
 
@@ -294,8 +296,8 @@ def kkt_verify(
     grad = -np.array(F(x.tolist()))  # du_i/dx_i
     scale = 1.0 + float(np.max(np.abs(grad))) if len(grad) else 1.0
 
-    lower = x <= boundary_tol
-    upper = x >= 1.0 - boundary_tol
+    lower = x <= _BOUNDARY_TOL
+    upper = x >= 1.0 - _BOUNDARY_TOL
     interior = ~(lower | upper)
 
     # Interior stationarity rows read grad_i + omega * m_i = 0 where omega

@@ -11,7 +11,7 @@ faster versions: ``loop_solve_lp`` (the dense simplex with a row-by-row
 pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
 that evaluates every breakpoint in turn) and ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
-keeps each returned plan).
+builds each returned plan, ``planned_insertion``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from pvjtcs.network import shortest_path
+from pvjtcs.network import distance, shortest_path
 from pvjtcs.simplex import (
     EQ,
     GE,
@@ -35,6 +35,8 @@ from pvjtcs.transport_scheduler import (
     DROPOFF,
     PICKUP,
     Stop,
+    _ride_limit,
+    _with_trip,
     insertion_cost,
 )
 
@@ -336,11 +338,24 @@ def brute_force_insertion(vehicle, request, graph, params, requests):
     return best
 
 
+def planned_insertion(vehicle, request, graph, params, requests):
+    """``insertion_cost`` with its per-request inputs computed as
+    ``pci_assign`` does, and the plan built: (added km, plan) or None."""
+    best = insertion_cost(
+        vehicle, request, distance(graph, request.origin, request.destination),
+        _ride_limit(request, params), graph, params, requests,
+    )
+    if best is None:
+        return None
+    delta, i, j = best
+    return delta, _with_trip(vehicle.plan, request, i, j)
+
+
 def full_scan_assign(pending, fleet, graph, params, now, requests):
     """``pci_assign`` as a scan of the whole fleet: every vehicle's
-    insertion is evaluated through ``insertion_cost``, which builds its
-    plan, and the first one cheaper than the best so far by more than 1e-12
-    wins.  Returns (assignments, waiting list) like ``pci_assign``."""
+    insertion is evaluated and its plan built (``planned_insertion``), and
+    the first one cheaper than the best so far by more than 1e-12 wins.
+    Returns (assignments, waiting list) like ``pci_assign``."""
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
     by_id = sorted(fleet, key=lambda v: v.id)
     assignments = []
@@ -349,7 +364,7 @@ def full_scan_assign(pending, fleet, graph, params, now, requests):
         best_vehicle = None
         best = None
         for veh in by_id:
-            out = insertion_cost(veh, request, graph, params, requests)
+            out = planned_insertion(veh, request, graph, params, requests)
             if out is None:
                 continue
             if best is None or out[0] < best[0] - 1e-12:
@@ -362,7 +377,6 @@ def full_scan_assign(pending, fleet, graph, params, now, requests):
         best_vehicle.route = []
         rs = requests[request.id]
         rs.status = ASSIGNED
-        rs.vehicle = best_vehicle.id
         assignments.append((request.id, best_vehicle.id))
     return assignments, waiting
 

@@ -152,7 +152,6 @@ def project_cut(point, fset, normal, anchor):
             fset.S,
             normal.tolist(),
             float(np.dot(normal, anchor)),
-            max_rounds=200,
         )
     )
 

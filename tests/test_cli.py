@@ -24,6 +24,11 @@ from pvjtcs.vi_solver import LineSearchError
 
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "scenarios" / "manhattan-mini"
+# a ``params`` value every subcommand rejects, with its error message
+BAD_PARAMS = [
+    ({"alpha": 1}, "unknown parameter overrides: ['alpha']"),
+    ([1], "params must be a JSON object, not list"),
+]
 
 
 def write(tmp_path, name, text):
@@ -325,6 +330,46 @@ class TestCliSurface:
         )
         assert main(["solve-vi", "--instance", str(instance)]) == 1
         assert "x0 must hold 2 finite entries" in caplog.text
+
+    @pytest.mark.parametrize("d", [[5], [5, 5, 5]], ids=["short", "long"])
+    def test_solve_vi_rejects_d_of_another_length(self, tmp_path, caplog, d):
+        instance = tmp_path / "instance.json"
+        instance.write_text(
+            json.dumps({"m": [10, 10], "d": d, "e_plus": 8.0, "price": 2.0})
+        )
+        assert main(["solve-vi", "--instance", str(instance)]) == 1
+        assert "d must hold one entry per group" in caplog.text
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMS)
+    def test_run_rejects_bad_params(self, tmp_path, caplog, params, message):
+        config = json.loads((MINI / "config.json").read_text())
+        for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
+            config[key] = str(MINI / config.get(key, cli.CONFIG_DEFAULTS[key]))
+        config["params"] = params
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMS)
+    def test_solve_vi_rejects_bad_params(self, tmp_path, caplog, params, message):
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(
+            {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0,
+             "params": params}
+        ))
+        assert main(["solve-vi", "--instance", str(instance)]) == 1
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("params, message", BAD_PARAMS)
+    def test_plan_charging_rejects_bad_params(self, tmp_path, caplog, params, message):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps(
+            {"consumed": [3.0, 1.0], "demand_counts": [0, 0], "prices": [1.0, 5.0],
+             "e_init": 6.0, "params": params}
+        ))
+        assert main(["plan-charging", "--inputs", str(inputs)]) == 1
+        assert message in caplog.text
 
     def test_plan_charging_subcommand(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"

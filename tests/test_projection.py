@@ -32,7 +32,6 @@ def project_cut(point, fset, normal, anchor):
             fset.S,
             [float(v) for v in normal],
             float(np.dot(normal, anchor)),
-            max_rounds=200,
         )
     )
 

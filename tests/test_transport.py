@@ -33,11 +33,15 @@ from pvjtcs.transport_scheduler import (
     Vehicle,
     VehiclePlan,
     group_census,
-    insertion_cost,
     pci_assign,
 )
 from conftest import make_grid_graph, make_request, small_params
-from oracles import brute_force_insertion, full_scan_assign, plan_distance
+from oracles import (
+    brute_force_insertion,
+    full_scan_assign,
+    plan_distance,
+    planned_insertion,
+)
 
 PARAMS = small_params()
 
@@ -89,13 +93,11 @@ def insertion_cases(draw):
         rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest, pax))
         if draw(st.booleans()):
             rs.status = ONBOARD
-            rs.vehicle = 0
             rs.ride_km = draw(st.integers(min_value=1, max_value=48)) / 16
             onboard += pax
             keyed.append((draw(keys), len(keyed), Stop(dest, DROPOFF, rid)))
         else:
             rs.status = ASSIGNED
-            rs.vehicle = 0
             first, second = sorted((draw(keys), draw(keys)))
             keyed.append((first, len(keyed), Stop(origin, PICKUP, rid)))
             keyed.append((second, len(keyed), Stop(dest, DROPOFF, rid)))
@@ -129,7 +131,7 @@ class TestInsertionCost:
     def test_empty_plan_direct_distance(self, grid_graph):
         veh = fresh_vehicle(node=0)
         req = make_request(grid_graph, 1, 0.0, 0, 3)
-        out = insertion_cost(veh, req, grid_graph, PARAMS, states_for(req))
+        out = planned_insertion(veh, req, grid_graph, PARAMS, states_for(req))
         assert out is not None
         delta, plan = out
         assert delta == pytest.approx(req.direct_km)
@@ -139,14 +141,15 @@ class TestInsertionCost:
         veh = fresh_vehicle()
         veh.plan.onboard = PARAMS.seats
         req = make_request(grid_graph, 1, 0.0, 0, 3)
-        assert insertion_cost(veh, req, grid_graph, PARAMS, states_for(req)) is None
+        assert planned_insertion(veh, req, grid_graph, PARAMS, states_for(req)) is None
 
     def test_energy_reserve_blocks(self, grid_graph):
         req = make_request(grid_graph, 1, 0.0, 0, 3)  # 1.5 km direct
+        requests = states_for(req)
         needy = fresh_vehicle(node=0, energy=PARAMS.e_min + 0.1)
-        assert insertion_cost(needy, req, grid_graph, PARAMS, states_for(req)) is None
+        assert planned_insertion(needy, req, grid_graph, PARAMS, requests) is None
         ok = fresh_vehicle(node=0, energy=PARAMS.e_min + 1.0)
-        assert insertion_cost(ok, req, grid_graph, PARAMS, states_for(req)) is not None
+        assert planned_insertion(ok, req, grid_graph, PARAMS, requests) is not None
 
     def test_matches_exhaustive_enumeration(self, grid_graph):
         old_a = make_request(grid_graph, 1, 0.0, 1, 14)
@@ -162,7 +165,7 @@ class TestInsertionCost:
             ]
         )
         requests = states_for(old_a, old_b, new)
-        out = insertion_cost(veh, new, grid_graph, PARAMS, requests)
+        out = planned_insertion(veh, new, grid_graph, PARAMS, requests)
         assert out is not None
         delta, plan = out
 
@@ -233,14 +236,14 @@ class TestInsertionCost:
         veh = fresh_vehicle(node=node)
         veh.plan = VehiclePlan(stops=stops, onboard=len(stops))
         with pytest.raises(error):
-            insertion_cost(veh, req, line, PARAMS, states_for(old, req))
+            planned_insertion(veh, req, line, PARAMS, states_for(old, req))
 
     @settings(max_examples=400, deadline=None)
     @given(case=insertion_cases())
     def test_matches_brute_force_reference(self, case):
         veh, new, params, requests = case
         stops_before = list(veh.plan.stops)
-        out = insertion_cost(veh, new, GRID, params, requests)
+        out = planned_insertion(veh, new, GRID, params, requests)
         ref = brute_force_insertion(veh, new, GRID, params, requests)
         assert veh.plan.stops == stops_before
         assert (out is None) == (ref is None)
@@ -260,7 +263,7 @@ class TestInsertionCost:
         veh = fresh_vehicle(node=0)
         veh.plan = VehiclePlan(stops=[Stop(1, PICKUP, 1), Stop(3, DROPOFF, 1)])
         params = GameParams(J=6, detour_max=1.0)
-        delta, plan = insertion_cost(veh, new, grid_graph, params, requests)
+        delta, plan = planned_insertion(veh, new, grid_graph, params, requests)
         assert [(s.request_id, s.action) for s in plan.stops] == [
             (2, PICKUP), (2, DROPOFF), (1, PICKUP), (1, DROPOFF)
         ]
@@ -281,7 +284,7 @@ class TestInsertionCost:
             onboard=1,
         )
         params = GameParams(J=6, detour_max=3.0)
-        delta, plan = insertion_cost(veh, new, grid_graph, params, requests)
+        delta, plan = planned_insertion(veh, new, grid_graph, params, requests)
         assert [(s.request_id, s.action) for s in plan.stops] == [
             (1, PICKUP), (1, DROPOFF), (2, DROPOFF), (3, PICKUP), (3, DROPOFF)
         ]
@@ -299,7 +302,7 @@ class TestInsertionCost:
             requests[1].status = "onboard"
             veh = fresh_vehicle(node=0)
             veh.plan = VehiclePlan(stops=[Stop(3, DROPOFF, 1)], onboard=1)
-            return insertion_cost(veh, b, grid_graph, params, requests)
+            return planned_insertion(veh, b, grid_graph, params, requests)
 
         delta_tight, plan_tight = best_plan(GameParams(J=6, detour_max=1.5))
         delta_loose, plan_loose = best_plan(GameParams(J=6, detour_max=3.0))
@@ -347,7 +350,7 @@ def assign_batches(draw):
         origin = draw(nodes)
         dest = draw(nodes.filter(lambda n: n != origin))
         rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest),
-                          status=ASSIGNED, vehicle=vid)
+                          status=ASSIGNED)
         requests[rid] = rs
         vehicles.append(Vehicle(
             id=vid, node=draw(nodes), energy=draw(energies),
@@ -449,6 +452,31 @@ class TestPciAssign:
         assigned, _ = pci_assign([b, a], [veh], grid_graph, PARAMS, 60.0, requests)
         assert [rid for rid, _ in assigned][0] == 2
 
+    def test_runs_insertion_cost_once_per_evaluated_vehicle(
+        self, grid_graph, monkeypatch
+    ):
+        # idle vehicles 1 and 3 share anchor 5, so 3 is skipped once 1 is
+        # feasible; every other vehicle is evaluated through insertion_cost
+        evaluated = []
+        original = transport_scheduler.insertion_cost
+
+        def counting(vehicle, *args):
+            evaluated.append(vehicle.id)
+            return original(vehicle, *args)
+
+        monkeypatch.setattr(transport_scheduler, "insertion_cost", counting)
+        old = [make_request(grid_graph, 10 + k, 0.0, k, 15 - k) for k in range(3)]
+        req = make_request(grid_graph, 1, 0.0, 6, 7)
+        requests = states_for(*old, req)
+        fleet = [fresh_vehicle(vid=1, node=5), fresh_vehicle(vid=3, node=5)]
+        for vid, trip in zip((0, 2, 4), old):
+            busy = fresh_vehicle(vid=vid, node=trip.origin)
+            busy.plan = VehiclePlan(stops=list(trip.trip_stops))
+            fleet.append(busy)
+        assigned, waiting = pci_assign([req], fleet, grid_graph, PARAMS, 1.0, requests)
+        assert assigned and not waiting
+        assert evaluated == [0, 1, 2, 4]
+
     def test_vehicle_tie_smaller_id(self, grid_graph):
         req = make_request(grid_graph, 1, 0.0, 5, 6)
         twins = [fresh_vehicle(vid=4, node=5), fresh_vehicle(vid=2, node=5)]
@@ -467,14 +495,20 @@ class TestGroupCensus:
             Vehicle(id=4, node=3, energy=39.3),   # region 1, not full
         ]
         state = FleetState(vehicles=vehicles, requests={})
-        groups = group_census(state, HALVES, GameParams(), set())
+        groups, members = group_census(state, HALVES, GameParams(), set())
         assert (groups[0].a, groups[0].f, groups[0].m) == (2, 1, 1)
         assert (groups[1].a, groups[1].f, groups[1].m) == (3, 1, 2)
+        # the members are exactly each region's unfull vehicles, in id order,
+        # as the state's own objects
+        assert [[v.id for v in ms] for ms in members] == [[1], [2, 4]]
+        assert all(v is vehicles[v.id] for ms in members for v in ms)
+        assert [len(ms) for ms in members] == [g.m for g in groups]
 
     def test_all_full(self):
         vehicles = [Vehicle(id=i, node=i, energy=45.0) for i in range(4)]
         state = FleetState(vehicles=vehicles, requests={})
-        assert all(g.m == 0 for g in group_census(state, HALVES, GameParams(), set()))
+        groups, members = group_census(state, HALVES, GameParams(), set())
+        assert all(g.m == 0 for g in groups) and members == [[], []]
 
 
 def build_engine(graph, requests, params=PARAMS, vehicles=None, batch_minutes=5.0):
@@ -680,7 +714,7 @@ class TestDryRun:
     def test_no_requests_zero_demand(self, grid_graph):
         engine = build_engine(grid_graph, [])
         moving = engine.dry_run_demand(0, {0, 1, 2, 3})[0].transporting_ids
-        census = group_census(engine.state, HALVES, PARAMS, moving)
+        census, _ = group_census(engine.state, HALVES, PARAMS, moving)
         n = [g.n for g in census]
         d_total = sum(g.d for g in census)
         assert n == [0, 0] and [g.d for g in census] == [0, 0] and d_total == 0
@@ -737,7 +771,7 @@ class TestDryRun:
             if v.id in moving:
                 n[0 if v.node % 4 < 2 else 1] += 1
         assert sum(n) > 0
-        census = group_census(engine.state, HALVES, PARAMS, moving)
+        census, _ = group_census(engine.state, HALVES, PARAMS, moving)
         d_total = sum(g.d for g in census)
         d = [g.d for g in census]
         # recompute f from the (restored) engine state
@@ -797,7 +831,6 @@ class TestSnapshotClone:
             veh.station_target = node
         for rs in engine.state.requests.values():
             rs.status = request_status
-            rs.vehicle = node
             rs.pickup_time = km
             rs.dropoff_time = km
             rs.ride_km += km
@@ -814,8 +847,8 @@ class TestSnapshotClone:
             plan=VehiclePlan(stops=[Stop(7, DROPOFF, 1)], onboard=2),
             edge_head=7, edge_progress=0.25, route=[11, 15], station_target=15,
         )
-        rs = RequestState(request=req, status=ONBOARD, vehicle=3,
-                          pickup_time=10.0, dropoff_time=20.0, ride_km=0.7)
+        rs = RequestState(request=req, status=ONBOARD, pickup_time=10.0,
+                          dropoff_time=20.0, ride_km=0.7)
         state = FleetState(vehicles=[veh], requests={1: rs})
         dup = state.clone()
         for original, copied in ((veh, dup.vehicles[0]), (rs, dup.requests[1])):
@@ -853,7 +886,6 @@ class TestSnapshotClone:
         }
         request_values = {
             "status": lambda rs: WAITING if rs.status == SERVED else SERVED,
-            "vehicle": lambda rs: 99,
             "pickup_time": lambda rs: -1.0,
             "dropoff_time": lambda rs: -1.0,
             "ride_km": lambda rs: rs.ride_km + 0.1,
@@ -886,7 +918,7 @@ class TestSnapshotClone:
 class TestCensusIdentity:
     def test_population_conserved(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        groups = group_census(engine.state, HALVES, PARAMS, set())
+        groups, _ = group_census(engine.state, HALVES, PARAMS, set())
         assert sum(g.a for g in groups) == len(engine.state.vehicles)
         for g in groups:
             assert g.m == g.a - g.f
