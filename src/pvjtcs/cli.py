@@ -19,19 +19,9 @@ import sys
 import numpy as np
 
 from pvjtcs import io_files
-from pvjtcs.charging_scheduler import (
-    ChargingInfeasibleError,
-    DayAheadInputs,
-    schedule_charging,
-    write_plan_csv,
-)
+from pvjtcs.charging_scheduler import DayAheadInputs, schedule_charging, write_plan_csv
 from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import (
-    FeasibleSet,
-    InfeasibleSetError,
-    ProjectionConvergenceError,
-    clamp_demand,
-)
+from pvjtcs.projection import FeasibleSet, ProjectionConvergenceError, clamp_demand
 from pvjtcs.simulator import JTCS, TGC, Scenario, run_jtcs, run_tgc
 from pvjtcs.vi_solver import (
     LineSearchError,
@@ -62,9 +52,17 @@ CONFIG_DEFAULTS = {
 }
 
 
-def load_config(path: str) -> dict:
+def read_object(path: str) -> dict:
+    """The JSON document at ``path``, which must be an object."""
     with open(path) as handle:
-        raw = json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def load_config(path: str) -> dict:
+    raw = read_object(path)
     unknown = set(raw) - set(CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -77,9 +75,10 @@ def load_config(path: str) -> dict:
     return config
 
 
-def param_overrides(doc: dict) -> dict:
-    """A copy of ``doc``'s ``params`` object, whose keys must be
-    ``GameParams`` fields."""
+def params_from(doc: dict, **fixed) -> GameParams:
+    """``GameParams`` from ``doc``'s ``params`` object, whose keys must be
+    ``GameParams`` fields and whose values must be numbers; ``fixed``
+    overrides it."""
     overrides = doc.get("params", {})
     if not isinstance(overrides, dict):
         raise ValueError(
@@ -89,17 +88,14 @@ def param_overrides(doc: dict) -> dict:
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown parameter overrides: {sorted(unknown)}")
-    return dict(overrides)
-
-
-def build_params(config: dict) -> GameParams:
-    overrides = param_overrides(config)
-    overrides["J"] = int(config["fleet_size"])
-    return GameParams(**overrides)
+    for key, value in overrides.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"parameter {key} must be a number, not {value!r}")
+    return GameParams(**{**overrides, **fixed})
 
 
 def build_scenario(config: dict) -> Scenario:
-    params = build_params(config)
+    params = params_from(config, J=int(config["fleet_size"]))
     graph = io_files.load_network(config["nodes"], config["network"])
     stations = io_files.load_stations(config["stations"], graph)
     regions = io_files.load_regions(config["regions"], graph)
@@ -185,9 +181,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve_vi(args) -> int:
-    with open(args.instance) as handle:
-        doc = json.load(handle)
-    params = GameParams(**param_overrides(doc))
+    doc = read_object(args.instance)
+    params = params_from(doc)
     m = [int(v) for v in doc["m"]]
     d = [int(v) for v in doc["d"]]
     if len(d) != len(m):
@@ -224,9 +219,8 @@ def cmd_solve_vi(args) -> int:
 
 
 def cmd_plan_charging(args) -> int:
-    with open(args.inputs) as handle:
-        doc = json.load(handle)
-    params = GameParams(**param_overrides(doc))
+    doc = read_object(args.inputs)
+    params = params_from(doc)
     inputs = DayAheadInputs(
         consumed=doc["consumed"],
         demand_counts=doc["demand_counts"],
@@ -287,13 +281,9 @@ def main(argv=None) -> int:
         OSError,
         ValueError,
         KeyError,
-        io_files.DataFormatError,
-        ChargingInfeasibleError,
-        InfeasibleSetError,
         SspmConvergenceError,
         LineSearchError,
         ProjectionConvergenceError,
-        json.JSONDecodeError,
     ) as err:
         LOG.error("%s", err)
         return 1

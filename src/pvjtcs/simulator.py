@@ -8,16 +8,17 @@ Two schemes over the same scenario:
 * the greedy baseline: everyone serves on demand and every idle unfully
   charged vehicle charges, whatever the price.
 
-Both run each slot the same way: a dry run of the slot with every eligible
-vehicle serving says who would transport, the scheme picks its chargers, and
-one shared tail executes the slot, checks the energy balance and records one
-``SlotMetrics``.  The realized slot's pool is the eligible vehicles that do
-not charge, so a slot without chargers is its own dry run: the tail adopts
-the dry run's end state instead of simulating the slot again.  Otherwise it
-runs the fleet engine's ``run_slot``, which also ends the slot.
-Both total the same records, so their energy bills and service levels are
-directly comparable.  ``SlotMetrics`` is the one per-slot schema: the
-``summary.json`` slot list and the slot CSVs are its fields.
+Both run the same day loop, ``_run_day``; a scheme is only its charger rule.
+Each slot, a dry run with every eligible vehicle serving says who would
+transport, the rule picks the chargers from that, and the loop executes the
+slot, checks the energy balance and records one ``SlotMetrics``.  The
+realized slot's pool is the eligible vehicles that do not charge, so a slot
+without chargers is its own dry run: the loop adopts the dry run's end state
+instead of simulating the slot again.  Otherwise it runs the fleet engine's
+``run_slot``, which also ends the slot.  Both total the same records, so
+their energy bills and service levels are directly comparable.
+``SlotMetrics`` is the one per-slot schema: the ``summary.json`` slot list
+and the slot CSVs are its fields.
 """
 
 from __future__ import annotations
@@ -226,70 +227,55 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
     fleet = scenario.build_fleet()
     plan, plan_inputs = plan_day_ahead(scenario, fleet)
-    engine = scenario.engine(fleet)
     params = scenario.params
-    slots: list[SlotMetrics] = []
     vi_iterations: list[int] = []
     vi_traces: dict[int, SspmTrace] = {}
 
-    for t in range(scenario.T):
-        price = scenario.prices[t]
-        eligible = eligibility_filter(engine.state.vehicles, params)
-        dry_run = engine.dry_run_demand(t, eligible)
-        moving = dry_run[0].transporting_ids
-        census, members = group_census(
-            engine.state, scenario.region_map, params, moving
-        )
-        d_total = sum(g.d for g in census)
-
-        game_groups = [g for g in census if g.m > 0]
+    def chargers_of(t, state, moving) -> set[int]:
         planned = plan.e_plus[t]
-        chargers: set[int] = set()
-        x_by_region: dict[int, float] = {}
-
-        if game_groups and planned > 1e-9:
-            fset = FeasibleSet(
-                m=[float(g.m) for g in game_groups],
-                d_total=float(d_total),
-                e_plus=planned,
-                r=params.r,
+        game_groups = []
+        if planned > 1e-9:
+            census, members = group_census(
+                state, scenario.region_map, params, moving
             )
-            fset, report = clamp_demand(fset)
-            if report.clamped:
-                LOG.debug(
-                    "slot %d: charging demand clamped %.3f -> %.3f kwh",
-                    t, report.original, report.adjusted,
-                )
-            x_star, trace = sspm_solve(
-                game_groups, fset, price, params, keep_iterates=collect_traces
-            )
-            vi_iterations.append(len(trace))
-            if collect_traces:
-                vi_traces[t] = trace
-            x_by_region = {
-                g.region: float(x_star[i]) for i, g in enumerate(game_groups)
-            }
-        else:
+            game_groups = [g for g in census if g.m > 0]
+        if not game_groups:
             # nothing to charge, or nobody unfully charged to do it: the
             # feasible set degenerates to everyone transporting
             vi_iterations.append(0)
+            return set()
+        fset = FeasibleSet(
+            m=[float(g.m) for g in game_groups],
+            d_total=float(sum(g.d for g in census)),
+            e_plus=planned,
+            r=params.r,
+        )
+        fset, report = clamp_demand(fset)
+        if report.clamped:
+            LOG.debug(
+                "slot %d: charging demand clamped %.3f -> %.3f kwh",
+                t, report.original, report.adjusted,
+            )
+        x_star, trace = sspm_solve(
+            game_groups, fset, scenario.prices[t], params,
+            keep_iterates=collect_traces,
+        )
+        vi_iterations.append(len(trace))
+        if collect_traces:
+            vi_traces[t] = trace
+        return {
+            vid
+            for g, x in zip(game_groups, x_star)
+            for vid in _split_group(g, float(x), members[g.region])
+        }
 
-        for g in census:
-            if g.m <= 0:
-                continue
-            x_val = x_by_region.get(g.region, 1.0)  # no-charging slots transport
-            chargers.update(_split_group(g, x_val, members[g.region]))
-
-        slot = _execute_slot(engine, scenario, t, eligible, dry_run, chargers)
-        slots.append(slot)
-
-        # realized charge can trail the plan (clamping, the ceil split,
-        # vehicles committed to passengers); it is never reconciled
+    summary = _run_day(JTCS, scenario, fleet, chargers_of)
+    # realized charge can trail the plan (clamping, the ceil split,
+    # vehicles committed to passengers); it is never reconciled
+    for slot, planned in zip(summary.slots, plan.e_plus):
         if planned - slot.charged_kwh > 1e-9:
             LOG.debug("slot %d: charged %.3f of planned %.3f kwh",
-                      t, slot.charged_kwh, planned)
-
-    summary = _summarize(JTCS, scenario, engine, slots)
+                      slot.slot, slot.charged_kwh, planned)
     summary.plan = plan
     summary.plan_inputs = plan_inputs
     summary.clamp_shortfall_kwh = max(
@@ -302,51 +288,44 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
 
 def run_tgc(scenario: Scenario) -> RunSummary:
     """Greedy baseline: serve first, then charge every idle unfull vehicle."""
-    engine = scenario.engine(scenario.build_fleet())
-    params = scenario.params
-    slots: list[SlotMetrics] = []
+    threshold = scenario.params.full_threshold
 
-    for t in range(scenario.T):
-        eligible = eligibility_filter(engine.state.vehicles, params)
-        dry_run = engine.dry_run_demand(t, eligible)
-        moving = dry_run[0].transporting_ids
-        chargers = {
+    def chargers_of(t, state, moving) -> set[int]:
+        return {
             v.id
-            for v in engine.state.vehicles
-            if v.energy <= params.full_threshold
-            and v.id not in moving
-            and not v.plan.stops
+            for v in state.vehicles
+            if v.energy <= threshold and v.id not in moving and not v.plan.stops
         }
-        slots.append(_execute_slot(engine, scenario, t, eligible, dry_run, chargers))
 
-    return _summarize(TGC, scenario, engine, slots)
-
-
-def _execute_slot(
-    engine, scenario, t, eligible: set[int], dry_run, chargers: set[int]
-) -> SlotMetrics:
-    """Run slot t with ``chargers`` charging and the other eligible vehicles
-    in the pool; check that the fleet's energy balances and record the slot.
-
-    ``dry_run`` is ``engine.dry_run_demand(t, eligible)``.  Without chargers
-    the slot has the dry run's inputs, so its stats and end state are the
-    slot.  A vehicle below ``slot_consumption`` is left out of the pool at
-    no cost: ``run_slot`` assigns no trip to it in any batch, and energy
-    only falls within a slot."""
-    before = engine.fleet_energy()
-    if chargers:
-        stats = engine.run_slot(t, eligible - chargers, chargers)
-    else:
-        stats, end_state = dry_run
-        engine.restore(end_state)
-    after = engine.fleet_energy()
-    drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
-    if abs(drift) > 1e-9:
-        raise AssertionError(f"energy ledger does not balance: drift {drift:.3e}")
-    return _slot_metrics(engine, scenario, t, stats, scenario.prices[t], after)
+    return _run_day(TGC, scenario, scenario.build_fleet(), chargers_of)
 
 
-def _slot_metrics(engine, scenario, t, stats, price, fleet_energy) -> SlotMetrics:
+def _run_day(mode, scenario, fleet, chargers_of) -> RunSummary:
+    """Run the day from ``fleet``.  ``chargers_of(t, state, moving)`` is the
+    scheme's charger rule, given the slot-start state and the ids the slot's
+    dry run saw transporting.  A vehicle below ``slot_consumption`` is left
+    out of the pool at no cost: ``run_slot`` assigns no trip to it in any
+    batch, and energy only falls within a slot."""
+    engine = scenario.engine(fleet)
+    slots: list[SlotMetrics] = []
+    for t in range(scenario.T):
+        eligible = eligibility_filter(engine.state.vehicles, scenario.params)
+        stats, end_state = engine.dry_run_demand(t, eligible)
+        chargers = chargers_of(t, engine.state, stats.transporting_ids)
+        before = engine.fleet_energy()
+        if chargers:
+            stats = engine.run_slot(t, eligible - chargers, chargers)
+        else:
+            engine.restore(end_state)
+        after = engine.fleet_energy()
+        drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
+        if abs(drift) > 1e-9:
+            raise AssertionError(f"energy ledger does not balance: drift {drift:.3e}")
+        slots.append(_slot_metrics(engine, scenario, t, stats, after))
+    return _summarize(mode, scenario, engine, slots)
+
+
+def _slot_metrics(engine, scenario, t, stats, fleet_energy) -> SlotMetrics:
     _, slot_end = engine.slot_bounds(t)
     served = 0
     waiting = 0
@@ -360,7 +339,7 @@ def _slot_metrics(engine, scenario, t, stats, price, fleet_energy) -> SlotMetric
         transport_pvs=len(stats.transporting_ids),
         consumed_kwh=stats.consumed_kwh,
         charged_kwh=stats.charged_kwh,
-        payment_cents=price * stats.charged_kwh,
+        payment_cents=scenario.prices[t] * stats.charged_kwh,
         fleet_energy_kwh=fleet_energy,
         served=served,
         waiting=waiting,

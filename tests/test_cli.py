@@ -28,6 +28,9 @@ MINI = REPO / "scenarios" / "manhattan-mini"
 BAD_PARAMS = [
     ({"alpha": 1}, "unknown parameter overrides: ['alpha']"),
     ([1], "params must be a JSON object, not list"),
+    ({"seats": "4"}, "parameter seats must be a number, not '4'"),
+    ({"alpha1": True}, "parameter alpha1 must be a number, not True"),
+    ({"rho": None}, "parameter rho must be a number, not None"),
 ]
 
 
@@ -370,6 +373,16 @@ class TestCliSurface:
         ))
         assert main(["plan-charging", "--inputs", str(inputs)]) == 1
         assert message in caplog.text
+
+    @pytest.mark.parametrize("argv, text", [
+        (["solve-vi", "--instance"], "[1, 2]"),
+        (["plan-charging", "--inputs"], "[1, 2]"),
+        (["run", "--config"], "5"),
+    ], ids=["solve-vi", "plan-charging", "run"])
+    def test_document_must_be_an_object(self, tmp_path, caplog, argv, text):
+        doc = write(tmp_path, "doc.json", text)
+        assert main(argv + [doc]) == 1
+        assert f"{doc} must hold a JSON object" in caplog.text
 
     def test_plan_charging_subcommand(self, tmp_path, capsys):
         inputs = tmp_path / "inputs.json"

@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs import simulator
 from pvjtcs.cli import build_scenario, load_config
@@ -248,14 +250,15 @@ class TestFullRuns:
         self, monkeypatch, run, simulated
     ):
         # bundled day, seed 1: a realized slot calls run_slot only when it
-        # has chargers; the other slots keep their dry run's end state
+        # has chargers; every other slot restores its dry run's end state
         scenario = build_scenario(load_config(str(MINI_CONFIG)))
         orig_run_slot = FleetEngine.run_slot
         orig_dry = FleetEngine.dry_run_demand
-        orig_execute = simulator._execute_slot
+        orig_restore = FleetEngine.restore
         in_dry = []
+        dry_slots = []  # the slot of each demand dry run
         realized = []  # slot and charger count of each realized run_slot
-        with_chargers = []  # slots whose scheme picked chargers
+        adopted = []  # slots whose dry run's end state was restored
 
         def run_slot(self, t, pool_ids, charger_ids):
             forecast = math.isinf(self.state.vehicles[0].energy)
@@ -265,24 +268,78 @@ class TestFullRuns:
 
         def dry_run_demand(self, t, eligible_ids):
             in_dry.append(t)
+            dry_slots.append(t)
             try:
                 return orig_dry(self, t, eligible_ids)
             finally:
                 in_dry.pop()
 
-        def execute(engine, scenario, t, eligible, dry_run, chargers):
-            if chargers:
-                with_chargers.append(t)
-            return orig_execute(engine, scenario, t, eligible, dry_run, chargers)
+        def restore(self, state):
+            if not in_dry:
+                adopted.append(dry_slots[-1])
+            return orig_restore(self, state)
 
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
         monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
-        monkeypatch.setattr(simulator, "_execute_slot", execute)
+        monkeypatch.setattr(FleetEngine, "restore", restore)
         summary = run(scenario)
         assert len(summary.slots) == scenario.T == 24
-        assert len(with_chargers) == simulated
-        assert [t for t, n in realized] == with_chargers
+        assert dry_slots == list(range(24))
+        assert len(realized) == simulated
         assert all(n > 0 for _, n in realized)
+        assert len(adopted) == 24 - simulated
+        assert sorted([t for t, _ in realized] + adopted) == list(range(24))
+
+    def test_joint_rule_plays_only_where_the_plan_buys(self, monkeypatch):
+        # bundled day, seed 1: the census runs only in slots whose plan buys
+        # energy, and groups are split only in slots that played a game
+        scenario = build_scenario(load_config(str(MINI_CONFIG)))
+        orig_dry = FleetEngine.dry_run_demand
+        orig_census = simulator.group_census
+        orig_split = simulator._split_group
+        dry_slots = []
+        census_slots = []
+        split_slots = set()
+
+        def dry_run_demand(self, t, eligible_ids):
+            dry_slots.append(t)
+            return orig_dry(self, t, eligible_ids)
+
+        def census(*args):
+            census_slots.append(dry_slots[-1])
+            return orig_census(*args)
+
+        def split(*args):
+            split_slots.add(dry_slots[-1])
+            return orig_split(*args)
+
+        monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
+        monkeypatch.setattr(simulator, "group_census", census)
+        monkeypatch.setattr(simulator, "_split_group", split)
+        summary = run_jtcs(scenario)
+        buying = [t for t, e in enumerate(summary.plan.e_plus) if e > 1e-9]
+        games = {t for t, n in enumerate(summary.vi_iterations) if n > 0}
+        assert 0 < len(buying) < scenario.T
+        assert census_slots == buying
+        assert split_slots == games
+        assert games <= set(buying)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members=st.lists(
+    st.tuples(st.floats(0.0, 39.375), st.booleans()), min_size=1, max_size=60
+))
+def test_split_at_one_charges_nobody(members):
+    # a group that transports entirely (x = 1) has no chargers, whoever is
+    # busy: the joint rule skips the split in slots without a game
+    from pvjtcs.transport_scheduler import Stop
+
+    vehicles = [Vehicle(id=i, node=0, energy=e) for i, (e, _) in enumerate(members)]
+    for veh, (_, busy) in zip(vehicles, members):
+        if busy:
+            veh.plan.stops.append(Stop(1, "dropoff", 3))
+    group = PvGroup(region=0, m=len(vehicles), d=0)
+    assert _split_group(group, 1.0, vehicles) == []
 
 
 class TestScenarioValidation:
