@@ -70,6 +70,8 @@ def load_config(path: str) -> dict:
     config.update(raw)
     base = os.path.dirname(os.path.abspath(path))
     for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
+        if not isinstance(config[key], str):
+            raise ValueError(f"config key {key!r} must be a path, not {config[key]!r}")
         if not os.path.isabs(config[key]):
             config[key] = os.path.join(base, config[key])
     return config
@@ -94,27 +96,45 @@ def params_from(doc: dict, **fixed) -> GameParams:
     return GameParams(**{**overrides, **fixed})
 
 
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+def _setting(config: dict, key: str, convert):
+    """``convert(config[key])``; a value it cannot convert is an error that
+    names the key."""
+    try:
+        return convert(config[key])
+    except (TypeError, ValueError) as err:
+        raise ValueError(
+            f"config key {key!r} has bad value {config[key]!r}: {err}"
+        ) from None
+
+
 def build_scenario(config: dict) -> Scenario:
-    params = params_from(config, J=int(config["fleet_size"]))
+    # every setting is converted before any file is read
+    params = params_from(config, J=_setting(config, "fleet_size", int))
+    filter_km = _setting(config, "trip_filter_km", float)
+    T = _setting(config, "slots", int)
+    start_hour = _setting(config, "start_hour", int)
+    seed = _setting(config, "seed", int)
+    start_epoch = _setting(config, "start_hour", float) * 3600.0
+    batch_minutes = _setting(config, "batch_minutes", float)
+    init_energy_range = _setting(config, "init_energy_range", _pair)
     graph = io_files.load_network(config["nodes"], config["network"])
-    stations = io_files.load_stations(config["stations"], graph)
-    regions = io_files.load_regions(config["regions"], graph)
-    trips = io_files.load_trips(config["trips"], float(config["trip_filter_km"]), graph)
-    T = int(config["slots"])
-    prices = io_files.load_prices(config["prices"], T, int(config["start_hour"]))
-    lo, hi = config["init_energy_range"]
     return Scenario(
         graph=graph,
-        stations=stations,
-        region_map=regions,
-        requests=trips,
-        prices=prices,
+        stations=io_files.load_stations(config["stations"], graph),
+        region_map=io_files.load_regions(config["regions"], graph),
+        requests=io_files.load_trips(config["trips"], filter_km, graph),
+        prices=io_files.load_prices(config["prices"], T, start_hour),
         params=params,
         T=T,
-        seed=int(config["seed"]),
-        start_epoch=float(config["start_hour"]) * 3600.0,
-        batch_minutes=float(config["batch_minutes"]),
-        init_energy_range=(float(lo), float(hi)),
+        seed=seed,
+        start_epoch=start_epoch,
+        batch_minutes=batch_minutes,
+        init_energy_range=init_energy_range,
     )
 
 

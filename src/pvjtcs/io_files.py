@@ -21,6 +21,8 @@ import tempfile
 from dataclasses import fields
 from typing import Sequence
 
+import numpy as np
+
 from pvjtcs.model import PriceCurve
 from pvjtcs.network import RegionMap, RoadGraph, StationSet, shortest_path
 from pvjtcs.simulator import RunSummary, SlotMetrics
@@ -111,15 +113,46 @@ def load_regions(path: str, graph: RoadGraph) -> RegionMap:
     return regions
 
 
+_SNAP_BLOCK = 1024  # points per distance matrix
+
+
+def nearest_nodes(
+    graph: RoadGraph, points: Sequence[tuple[float, float]]
+) -> list[int]:
+    """Euclidean snap of each (lon, lat) point in coordinate space: the node
+    with the least ``(x - lon) ** 2 + (y - lat) ** 2``, ties to the smaller
+    id.
+
+    A numpy distance matrix, a block of points at a time, keeps for each
+    point only the nodes within a relative 1e-9 of its least distance;
+    the rule itself then runs over those, in id order.  The matrix is only
+    a filter because numpy squares by ``x * x``, which differs from
+    ``x ** 2`` in the last bit for some doubles, far inside the margin.  A
+    NaN row keeps every node.
+    """
+    ids = graph.nodes
+    coords = [graph.coords[nid] for nid in ids]
+    xs, ys = np.array(coords, dtype=float).reshape(-1, 2).T
+    snapped: list[int] = []
+    for start in range(0, len(points), _SNAP_BLOCK):
+        block = points[start:start + _SNAP_BLOCK]
+        lon, lat = np.array(block, dtype=float).reshape(-1, 2).T
+        d = (xs[None, :] - lon[:, None]) ** 2 + (ys[None, :] - lat[:, None]) ** 2
+        near = ~(d > (d.min(axis=1) * (1.0 + 1e-9))[:, None])
+        for (plon, plat), row in zip(block, near):
+            best, best_d = None, None
+            for k in np.flatnonzero(row).tolist():
+                x, y = coords[k]
+                dk = (x - plon) ** 2 + (y - plat) ** 2
+                if best_d is None or dk < best_d:
+                    best, best_d = ids[k], dk
+            snapped.append(best)
+    return snapped
+
+
 def nearest_node(graph: RoadGraph, lon: float, lat: float) -> int:
-    """Euclidean snap in coordinate space; ties to the smaller id."""
-    best, best_d = None, None
-    for nid in graph.nodes:
-        x, y = graph.coords[nid]
-        d = (x - lon) ** 2 + (y - lat) ** 2
-        if best_d is None or d < best_d:
-            best, best_d = nid, d
-    return best
+    """``nearest_nodes`` of one point."""
+    return nearest_nodes(graph, [(lon, lat)])[0]
 
 
 def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripRequest]:
@@ -142,18 +175,27 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     bad = 0
     total = 0
     dropped_short = 0
+    parsed = []  # (lineno, id, request time, earliest start, passengers)
+    ends: list[tuple[float, float]] = []  # origin and destination of each
     for lineno, row in _rows(path, header):
         total += 1
         try:
-            rid = int(row[0])
-            t_req = float(row[1])
-            t_earliest = float(row[2])
-            origin = nearest_node(graph, float(row[3]), float(row[4]))
-            dest = nearest_node(graph, float(row[5]), float(row[6]))
-            passengers = int(row[7])
-            if origin == dest:
-                dropped_short += 1
-                continue
+            head = (lineno, int(row[0]), float(row[1]), float(row[2]), int(row[7]))
+            origin_xy = (float(row[3]), float(row[4]))
+            dest_xy = (float(row[5]), float(row[6]))
+        except (ValueError, IndexError):
+            bad += 1
+            LOG.warning("%s:%d: skipping unparseable trip row", path, lineno)
+            continue
+        parsed.append(head)
+        ends += [origin_xy, dest_xy]
+    nodes = nearest_nodes(graph, ends)
+    for k, (lineno, rid, t_req, t_earliest, passengers) in enumerate(parsed):
+        origin, dest = nodes[2 * k], nodes[2 * k + 1]
+        if origin == dest:
+            dropped_short += 1
+            continue
+        try:
             direct, _ = shortest_path(graph, origin, dest)
             if direct < filter_km:
                 dropped_short += 1
@@ -169,7 +211,7 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
                     direct_km=direct,
                 )
             )
-        except (ValueError, IndexError):
+        except ValueError:
             bad += 1
             LOG.warning("%s:%d: skipping unparseable trip row", path, lineno)
     if bad:

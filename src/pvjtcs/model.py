@@ -48,30 +48,27 @@ class GameParams:
     seats: int = 16             # passenger capacity per vehicle
 
     def __post_init__(self) -> None:
+        # every check is written so that it fails for NaN, which compares
+        # false with everything
         if not 0.0 < self.gamma1 < 1.0:
             raise ValueError(f"gamma1 must lie in (0,1), got {self.gamma1}")
         if not 0.0 < self.gamma2 < 1.0:
             raise ValueError(f"gamma2 must lie in (0,1), got {self.gamma2}")
-        if self.gamma3 <= 1.0:
+        if not self.gamma3 > 1.0:
             raise ValueError(f"gamma3 must exceed 1, got {self.gamma3}")
-        if self.eta_init <= 0.0:
-            raise ValueError(f"eta_init must be positive, got {self.eta_init}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
-            raise ValueError("alpha1 and alpha2 must be nonnegative")
-        for name in ("e_min", "r", "c", "consume_rate"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.r > self.c:
+        for name in ("eta_init", "epsilon", "rho", "slot_hours", "speed"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("alpha1", "alpha2", "e_min", "r", "c", "consume_rate", "J"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}"
+                )
+        if not self.r <= self.c:
             raise ValueError(f"per-slot charge r={self.r} exceeds capacity c={self.c}")
-        if self.J < 0 or self.seats < 1:
-            raise ValueError("J must be >= 0 and seats >= 1")
-        if self.slot_hours <= 0.0 or self.speed <= 0.0:
-            raise ValueError("slot_hours and speed must be positive")
-        if self.detour_max < 1.0:
+        if not self.seats >= 1:
+            raise ValueError(f"seats must be >= 1, got {self.seats}")
+        if not self.detour_max >= 1.0:
             raise ValueError(f"detour_max must be >= 1, got {self.detour_max}")
 
     @property

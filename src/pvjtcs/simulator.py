@@ -12,11 +12,19 @@ Both run the same day loop, ``_run_day``; a scheme is only its charger rule.
 Each slot, a dry run with every eligible vehicle serving says who would
 transport, the rule picks the chargers from that, and the loop executes the
 slot, checks the energy balance and records one ``SlotMetrics``.  The
-realized slot's pool is the eligible vehicles that do not charge, so a slot
-without chargers is its own dry run: the loop adopts the dry run's end state
-instead of simulating the slot again.  Otherwise it runs the fleet engine's
-``run_slot``, which also ends the slot.  Both total the same records, so
-their energy bills and service levels are directly comparable.
+realized slot's pool is the eligible vehicles that do not charge, and the
+loop executes it in one of three ways with the same result:
+
+* no chargers: the slot is its own dry run, whose end state the loop adopts;
+* chargers the dry run never assigned, and no near tie in it: the fleet
+  engine's ``slot_from_dry_run`` drives only the chargers and merges them
+  into the dry run's end state (the greedy scheme's usual case);
+* otherwise: the fleet engine's ``run_slot``, which also ends the slot (the
+  joint scheme's usual case, since its chargers are mostly vehicles the
+  dry run gave trips).
+
+Both schemes total the same records, so their energy bills and service
+levels are directly comparable.
 ``SlotMetrics`` is the one per-slot schema: the ``summary.json`` slot list
 and the slot CSVs are its fields.
 """
@@ -313,10 +321,12 @@ def _run_day(mode, scenario, fleet, chargers_of) -> RunSummary:
         stats, end_state = engine.dry_run_demand(t, eligible)
         chargers = chargers_of(t, engine.state, stats.transporting_ids)
         before = engine.fleet_energy()
-        if chargers:
-            stats = engine.run_slot(t, eligible - chargers, chargers)
-        else:
+        if not chargers:
             engine.restore(end_state)
+        elif chargers.isdisjoint(stats.transporting_ids) and not stats.near_tie:
+            stats = engine.slot_from_dry_run(t, chargers, stats, end_state)
+        else:
+            stats = engine.run_slot(t, eligible - chargers, chargers)
         after = engine.fleet_energy()
         drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
         if abs(drift) > 1e-9:

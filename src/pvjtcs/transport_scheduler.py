@@ -3,20 +3,24 @@
 Requests are batched every few simulated minutes, sorted by how long their
 passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
-reserve gate every candidate).  An engine is built with its fleet, and every
-slot, realized or planned, runs through the one ``FleetEngine.run_slot``,
-which also ends the slot: chargers book their charge and drop their station
-targets, so the next slot starts from a fleet with no charging targets.  A
-vehicle's activity is read, never stored: it serves while its plan has
-stops, heads to a charger while it has a station target, and is idle
-otherwise (an idle vehicle still finishes the edge it is on).  The engine
-answers the planning question "who would transport this slot" as a dry run:
-clone the fleet, simulate the slot on the live state, then make the clone
-live again and hand back the dry run's statistics and end state, which the
-caller may adopt as the slot itself; ``group_census`` builds each region's
-group with its members and counts the moving vehicles.  A forecast that
-ignores energy needs no mode of its own: its vehicles hold ``math.inf`` kwh,
-so every energy check passes and driving leaves them at inf.
+reserve gate every candidate).  An engine is built with its fleet.  A slot
+is simulated by ``FleetEngine.run_slot``, which also ends the slot: chargers
+book their charge and drop their station targets, so the next slot starts
+from a fleet with no charging targets.  A vehicle's activity is read, never
+stored: it serves while its plan has stops, heads to a charger while it has
+a station target, and is idle otherwise (an idle vehicle still finishes the
+edge it is on).  The engine answers the planning question "who would
+transport this slot" as a dry run: clone the fleet, simulate the slot on
+the live state, then make the clone live again and hand back the dry run's
+statistics and end state.  The caller then executes the slot in one of
+three ways: it adopts the dry run as the slot (no chargers), builds the
+slot from the dry run by driving only the chargers
+(``FleetEngine.slot_from_dry_run``, when the dry run assigned no charger
+and saw no near tie), or calls ``run_slot``.  ``group_census`` builds each
+region's group with its members and counts the moving vehicles.  A
+forecast that ignores energy needs no mode of its own: its vehicles hold
+``math.inf`` kwh, so every energy check passes and driving leaves them at
+inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -25,11 +29,13 @@ finishes it before rerouting.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, itemgetter
 from typing import Sequence
 
 from pvjtcs.model import GameParams, PvGroup
@@ -373,6 +379,7 @@ def pci_assign(
     params: GameParams,
     now: float,
     requests: dict[int, RequestState],
+    stats: SlotStats | None = None,
 ) -> tuple[list[tuple[int, int]], list[TripRequest]]:
     """Assign pending requests to vehicles, longest wait first.
 
@@ -388,6 +395,18 @@ def pci_assign(
     of them could beat it by more than 1e-12.  An infeasible vehicle marks
     nothing, because energy and the remainder of the edge being driven
     differ between vehicles at one anchor.
+
+    The 1e-12 rule is not transitive: with costs 1.0, 1.0 - 0.5e-12 and
+    1.0 - 1.5e-12 in id order the third vehicle wins, but without the
+    first one the second does.  So ``stats.near_tie`` is set when some
+    request's feasible costs held a distinct value ``c`` with
+    ``c_min >= c - 1e-12``, the scan's own test.  Without one, the winner
+    is the first vehicle at exactly ``c_min``: everything before it costs
+    more than 1e-12 above it, and nothing after it costs less.  Removing
+    vehicles that did not win then keeps every winner, since the least
+    cost and the first vehicle at it stay, and a subset holds no new
+    value; idle vehicles that the anchor skip hid behind a removed one
+    cost the same bit-equal value and come after it in id order.
     """
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
     by_id = sorted(fleet, key=lambda v: v.id)
@@ -398,6 +417,7 @@ def pci_assign(
         new_limit = _ride_limit(request, params)
         best_vehicle = None
         best = None
+        low = second = math.inf  # least and next distinct feasible cost
         done_anchors: set[int] = set()  # an idle vehicle there was feasible
         for veh in by_id:
             idle = not veh.plan.stops
@@ -412,12 +432,25 @@ def pci_assign(
                 continue
             if idle:
                 done_anchors.add(anchor)
-            if best is None or out[0] < best[0] - 1e-12:
-                best = out
-                best_vehicle = veh
+            # A cost below the best by more than 1e-12 is below every cost
+            # seen so far: each of those was a best (and the best only
+            # falls) or failed that test against a best no lower than
+            # today's.  So only a new least cost can win, and most
+            # vehicles cost one comparison.
+            cost = out[0]
+            if cost < second:
+                if cost < low:
+                    low, second = cost, low
+                    if best is None or cost < best[0] - 1e-12:
+                        best = out
+                        best_vehicle = veh
+                elif cost != low:
+                    second = cost
         if best_vehicle is None:
             waiting.append(request)
             continue
+        if stats is not None and low >= second - 1e-12:
+            stats.near_tie = True
         _, i, j = best
         best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
         best_vehicle.route = []  # plan changed: reroute from the anchor
@@ -460,11 +493,22 @@ def group_census(
 class SlotStats:
     """What one slot execution did."""
 
-    consumed_kwh: float = 0.0
+    consumed_kwh: float = 0.0  # ``_fold(burns)``
     charged_kwh: float = 0.0
     # vehicles that ran a stop in the slot or end it with stops planned
     transporting_ids: set = field(default_factory=set)
     chargers_short: int = 0  # assigned to charge but never reached a station
+    # every drive, in the order the slot made them: (batch start, vehicle
+    # id, kwh), so by batch, then vehicle id
+    burns: list = field(default_factory=list)
+    near_tie: bool = False  # see ``pci_assign``
+
+
+def _fold(burns: list) -> float:
+    """The burns' kwh added left to right from 0.0, the additions a
+    ``total += kwh`` loop makes, run in C.  Not ``sum()``: from Python 3.12
+    it adds with compensation, which can move the last bit."""
+    return reduce(add, map(itemgetter(2), burns), 0.0)
 
 
 class FleetEngine:
@@ -512,6 +556,15 @@ class FleetEngine:
 
     # -- slot execution --------------------------------------------------
 
+    def _batches(self, t: int):
+        """``(b0, b1)`` of each batch of slot t; the last is clipped to the
+        slot end."""
+        t0, t1 = self.slot_bounds(t)
+        n_batches = max(1, math.ceil((t1 - t0) / self.batch_seconds - 1e-9))
+        for k in range(n_batches):
+            b0 = t0 + k * self.batch_seconds
+            yield b0, min(b0 + self.batch_seconds, t1)
+
     def run_slot(
         self, t: int, pool_ids: set[int], charger_ids: set[int]
     ) -> SlotStats:
@@ -522,31 +575,10 @@ class FleetEngine:
         Returns energy/serving statistics."""
         if pool_ids & charger_ids:
             raise ValueError("a vehicle cannot both transport and charge")
-        t0, t1 = self.slot_bounds(t)
         stats = SlotStats()
         state = self.state
-
-        for vid in sorted(charger_ids):
-            veh = state.vehicle(vid)
-            if veh.plan.stops:
-                raise ValueError(f"vehicle {vid} has passengers; cannot charge")
-            try:
-                station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
-            except UnreachableNodeError:
-                LOG.warning("vehicle %d: no station reachable; holding idle", vid)
-                stats.chargers_short += 1
-                continue
-            if dist * self.params.consume_rate > veh.energy:
-                # the reserve floors are meant to rule this out
-                LOG.warning(
-                    "vehicle %d: %.1f kwh cannot cover %.1f km to a station; "
-                    "holding idle", vid, veh.energy, dist,
-                )
-                stats.chargers_short += 1
-                continue
-            veh.station_target = station
-            self._retarget(veh, station)
-
+        chargers = [state.vehicle(vid) for vid in sorted(charger_ids)]
+        self._send_to_stations(chargers, stats)
         pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
 
         # Requests are released in ``all_requests`` order and never return
@@ -555,11 +587,7 @@ class FleetEngine:
         requests = state.requests
         first_open = 0
         need = self.params.slot_consumption
-        # the last batch is clipped to the slot end
-        n_batches = max(1, math.ceil((t1 - t0) / self.batch_seconds - 1e-9))
-        for k in range(n_batches):
-            b0 = t0 + k * self.batch_seconds
-            b1 = min(b0 + self.batch_seconds, t1)
+        for b0, b1 in self._batches(t):
             released = bisect_right(self._release_times, b0)
             while (
                 first_open < released
@@ -575,7 +603,7 @@ class FleetEngine:
                 # energy falls within the slot, so the filter runs per batch
                 able = [v for v in pool if v.energy >= need]
                 pci_assign(
-                    pending, able, self.graph, self.params, b0, state.requests
+                    pending, able, self.graph, self.params, b0, requests, stats
                 )
             for veh in state.vehicles:
                 # ``_advance`` returns at once for any other vehicle
@@ -586,8 +614,40 @@ class FleetEngine:
                 ):
                     self._advance(veh, b0, b1, stats)
 
-        for vid in sorted(charger_ids):
-            veh = state.vehicle(vid)
+        self._book_charge(chargers, stats)
+        for veh in state.vehicles:
+            if veh.plan.stops:
+                stats.transporting_ids.add(veh.id)
+        stats.consumed_kwh = _fold(stats.burns)
+        return stats
+
+    def _send_to_stations(self, chargers: list[Vehicle], stats: SlotStats) -> None:
+        """Start each charger (in id order) toward its nearest station; one
+        that cannot reach a station is held idle and counted short."""
+        for veh in chargers:
+            if veh.plan.stops:
+                raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
+            try:
+                station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
+            except UnreachableNodeError:
+                LOG.warning("vehicle %d: no station reachable; holding idle", veh.id)
+                stats.chargers_short += 1
+                continue
+            if dist * self.params.consume_rate > veh.energy:
+                # the reserve floors are meant to rule this out
+                LOG.warning(
+                    "vehicle %d: %.1f kwh cannot cover %.1f km to a station; "
+                    "holding idle", veh.id, veh.energy, dist,
+                )
+                stats.chargers_short += 1
+                continue
+            veh.station_target = station
+            self._retarget(veh, station)
+
+    def _book_charge(self, chargers: list[Vehicle], stats: SlotStats) -> None:
+        """End the slot for the chargers: one on its station gains its charge,
+        one still driving is counted short, and all drop target and route."""
+        for veh in chargers:
             if veh.station_target is None:
                 continue  # held idle, already counted short
             if veh.node == veh.station_target and veh.edge_head is None:
@@ -599,11 +659,6 @@ class FleetEngine:
             veh.station_target = None
             veh.route = []
 
-        for veh in state.vehicles:
-            if veh.plan.stops:
-                stats.transporting_ids.add(veh.id)
-        return stats
-
     # -- dry runs ---------------------------------------------------------
 
     def dry_run_demand(
@@ -612,12 +667,51 @@ class FleetEngine:
         """Simulate the slot with every eligible vehicle serving and leave the
         live state at the slot start.  Returns the dry run's statistics and
         end state: ``run_slot(t, eligible_ids, set())`` from the slot start,
-        which the caller may ``restore`` instead of running it again."""
+        which the caller may ``restore`` instead of running it again, or
+        complete with chargers through ``slot_from_dry_run``."""
         start = self.snapshot()
         stats = self.run_slot(t, eligible_ids, set())
         end = self.state
         self.restore(start)
         return stats, end
+
+    def slot_from_dry_run(
+        self, t: int, charger_ids: set[int], dry: SlotStats, end: FleetState
+    ) -> SlotStats:
+        """``run_slot(t, eligible - charger_ids, charger_ids)`` built from
+        the slot's dry run ``dry, end = dry_run_demand(t, eligible)``, with
+        the live state still at the slot start; ``end`` becomes live.
+
+        Valid when the dry run assigned no charger (``charger_ids`` is
+        disjoint from ``dry.transporting_ids``, so no charger has stops) and
+        saw no near tie (``dry.near_tie``).  Then taking the chargers out of
+        the pool keeps every assignment (see ``pci_assign``), a charger
+        touches no request and no other vehicle, and the realized slot is
+        the dry run for everyone else plus the chargers' own drives: their
+        slot-start vehicles are driven here batch by batch, book their
+        charge and replace their dry-run selves in ``end``.
+
+        ``consumed_kwh`` is a left fold of every burn in (batch, vehicle id)
+        order, so it is folded again over the same sequence: the dry run's
+        burns without the chargers', merged with the chargers' drive by
+        (batch, vehicle id); no key appears in both.
+        """
+        if dry.near_tie or not charger_ids.isdisjoint(dry.transporting_ids):
+            raise ValueError("the dry run assigned a charger or saw a near tie")
+        chargers = [self.state.vehicle(vid) for vid in sorted(charger_ids)]
+        stats = SlotStats(transporting_ids=dry.transporting_ids)
+        self._send_to_stations(chargers, stats)
+        for b0, b1 in self._batches(t):
+            for veh in chargers:
+                self._advance(veh, b0, b1, stats)
+        self._book_charge(chargers, stats)
+        kept = [burn for burn in dry.burns if burn[1] not in charger_ids]
+        stats.burns = list(heapq.merge(kept, stats.burns))
+        stats.consumed_kwh = _fold(stats.burns)
+        for veh in chargers:
+            end.vehicles[veh.id] = veh
+        self.restore(end)
+        return stats
 
     # -- movement ---------------------------------------------------------
 
@@ -687,7 +781,7 @@ class FleetEngine:
             edge_len = _edge_length(self.graph, veh.node, veh.edge_head)
             remaining = edge_len - veh.edge_progress
             step = min(budget_km, remaining)
-            self._burn(veh, step, stats)
+            self._burn(veh, step, stats, b0)
             now += step * 3600.0 / self.params.speed
             if step >= remaining - 1e-12:
                 veh.node = veh.edge_head
@@ -697,13 +791,14 @@ class FleetEngine:
                 veh.edge_progress += step
                 return
 
-    def _burn(self, veh: Vehicle, km: float, stats: SlotStats) -> None:
-        """Drive ``km``: charge the energy to the vehicle and the slot
-        (a vehicle holding ``math.inf`` kwh keeps it)."""
+    def _burn(self, veh: Vehicle, km: float, stats: SlotStats, b0: float) -> None:
+        """Drive ``km`` in the batch starting at ``b0``: charge the energy to
+        the vehicle and log it for the slot (a vehicle holding ``math.inf``
+        kwh keeps it)."""
         if km <= 0.0:
             return
         cost = km * self.params.consume_rate
-        stats.consumed_kwh += cost
+        stats.burns.append((b0, veh.id, cost))
         veh.energy -= cost
         if veh.energy < -1e-9:
             raise EnergyUnderflowError(

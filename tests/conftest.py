@@ -2,6 +2,7 @@
 
 import pytest
 
+from pvjtcs import transport_scheduler
 from pvjtcs.model import GameParams, PriceCurve
 from pvjtcs.network import RegionMap, RoadGraph, StationSet
 from pvjtcs.transport_scheduler import TripRequest
@@ -62,3 +63,20 @@ def small_params(**overrides) -> GameParams:
     base = dict(J=6, slot_hours=1.0)
     base.update(overrides)
     return GameParams(**base)
+
+
+# insertion costs of vehicles 0, 1 and 2: the third beats the first by more
+# than 1e-12, but not the second, so the 1e-12 rule is not transitive
+NEAR_TIE = {0: 1.0, 1: 1.0 - 0.5e-12, 2: 1.0 - 1.5e-12}
+
+
+def price_insertions_by_id(monkeypatch, costs):
+    """Make every feasible ``insertion_cost`` cost ``costs[vehicle id]``,
+    keeping its positions."""
+    original = transport_scheduler.insertion_cost
+
+    def priced(vehicle, *args):
+        out = original(vehicle, *args)
+        return None if out is None else (costs[vehicle.id],) + out[1:]
+
+    monkeypatch.setattr(transport_scheduler, "insertion_cost", priced)

@@ -6,12 +6,13 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Three are former production loops, kept as bit-exact references for the
+Four are former production loops, kept as bit-exact references for the
 faster versions: ``loop_solve_lp`` (the dense simplex with a row-by-row
 pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
-that evaluates every breakpoint in turn) and ``full_scan_assign`` (ride
+that evaluates every breakpoint in turn), ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
-builds each returned plan, ``planned_insertion``).
+builds each returned plan, ``planned_insertion``) and ``scan_nearest_node``
+(the endpoint snap that scans every node for each point).
 """
 
 from __future__ import annotations
@@ -571,3 +572,15 @@ def loop_solve_lp(lp):
         iterations=iterations,
         reduced_cost_violation=violation,
     )
+
+
+def scan_nearest_node(graph, lon, lat):
+    """Euclidean snap in coordinate space over every node in id order;
+    ties to the smaller id."""
+    best, best_d = None, None
+    for nid in graph.nodes:
+        x, y = graph.coords[nid]
+        d = (x - lon) ** 2 + (y - lat) ** 2
+        if best_d is None or d < best_d:
+            best, best_d = nid, d
+    return best

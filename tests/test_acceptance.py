@@ -298,24 +298,42 @@ def test_criterion_7_simulation_invariants(mini_runs, monkeypatch):
     full = scenario.params.full_threshold
     orig_run_slot = FleetEngine.run_slot
     orig_dry = FleetEngine.dry_run_demand
-    checks = {"slots": 0, "infinite": 0, "dry": 0}
+    orig_build = FleetEngine.slot_from_dry_run
+    checks = {"slots": 0, "infinite": 0, "dry": 0, "built": 0}
 
-    def checked_run_slot(self, t, pool_ids, charger_ids):
-        assert not (pool_ids & charger_ids), "activity exclusivity violated"
+    def check_chargers(self, charger_ids):
         for vid in charger_ids:
             veh = self.state.vehicle(vid)
             assert veh.energy <= full, f"fully charged vehicle {vid} sent to charge"
+
+    def check_bounds(self):
+        for veh in self.state.vehicles:
+            assert -1e-9 <= veh.energy <= c + 1e-9, (
+                f"vehicle {veh.id} energy {veh.energy} outside [0, c]"
+            )
+
+    def checked_run_slot(self, t, pool_ids, charger_ids):
+        assert not (pool_ids & charger_ids), "activity exclusivity violated"
+        check_chargers(self, charger_ids)
         # the day-ahead forecast's fleet holds infinite energy
         infinite = all(math.isinf(v.energy) for v in self.state.vehicles)
         stats = orig_run_slot(self, t, pool_ids, charger_ids)
         if infinite:
             checks["infinite"] += 1
         else:
-            for veh in self.state.vehicles:
-                assert -1e-9 <= veh.energy <= c + 1e-9, (
-                    f"vehicle {veh.id} energy {veh.energy} outside [0, c]"
-                )
+            check_bounds(self)
         checks["slots"] += 1
+        return stats
+
+    def checked_build(self, t, charger_ids, dry, end):
+        # a slot built from its dry run: its chargers never transported
+        assert charger_ids.isdisjoint(dry.transporting_ids), (
+            "activity exclusivity violated"
+        )
+        check_chargers(self, charger_ids)
+        stats = orig_build(self, t, charger_ids, dry, end)
+        check_bounds(self)
+        checks["built"] += 1
         return stats
 
     def checked_dry(self, t, eligible_ids):
@@ -327,11 +345,14 @@ def test_criterion_7_simulation_invariants(mini_runs, monkeypatch):
 
     monkeypatch.setattr(FleetEngine, "run_slot", checked_run_slot)
     monkeypatch.setattr(FleetEngine, "dry_run_demand", checked_dry)
+    monkeypatch.setattr(FleetEngine, "slot_from_dry_run", checked_build)
     jtcs1 = run_jtcs(scenario)
     tgc1 = run_tgc(scenario)
     monkeypatch.undo()
     # only the one day-ahead forecast skipped the [0, c] check
     assert checks["infinite"] == scenario.T
+    # the greedy scheme builds its charging slots from their dry runs
+    assert checks["built"] > 0
 
     # identical seeds give bit-identical summaries
     jtcs2 = run_jtcs(scenario)
@@ -343,8 +364,9 @@ def test_criterion_7_simulation_invariants(mini_runs, monkeypatch):
         tgc2.to_dict(), sort_keys=True
     )
     print(
-        f"\n[criterion 7] PASS: {checks['slots'] - checks['infinite']} slots "
-        "kept energy in [0, c] with activity exclusivity; "
+        f"\n[criterion 7] PASS: {checks['slots'] - checks['infinite']} slots run "
+        f"and {checks['built']} built from their dry runs kept energy in "
+        "[0, c] with activity exclusivity; "
         f"{checks['dry']} dry runs left the slot start unchanged; "
         "summaries bit-identical across reruns"
     )

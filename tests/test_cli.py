@@ -4,10 +4,14 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs import cli, io_files, simulator
 from pvjtcs.cli import main
@@ -18,9 +22,12 @@ from pvjtcs.io_files import (
     load_regions,
     load_stations,
     load_trips,
+    nearest_nodes,
 )
+from pvjtcs.network import RoadGraph
 from pvjtcs.projection import ProjectionConvergenceError
 from pvjtcs.vi_solver import LineSearchError
+from oracles import scan_nearest_node
 
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "scenarios" / "manhattan-mini"
@@ -31,6 +38,7 @@ BAD_PARAMS = [
     ({"seats": "4"}, "parameter seats must be a number, not '4'"),
     ({"alpha1": True}, "parameter alpha1 must be a number, not True"),
     ({"rho": None}, "parameter rho must be a number, not None"),
+    ({"rho": float("nan")}, "rho must be positive, got nan"),
 ]
 
 
@@ -161,6 +169,67 @@ class TestLoadTrips:
         all_bad = write(tmp_path, "bad.csv", self.HEADER + "x,0,0,0,0,2,0,1\n")
         with pytest.raises(DataFormatError):
             load_trips(all_bad, 0.0, graph)
+
+
+@st.composite
+def snap_cases(draw):
+    """A graph of 1-12 nodes on a coarse lattice (so equal distances are
+    common) or anywhere, with ids in any order, and points on nodes,
+    halfway between two nodes, on the lattice or anywhere."""
+    coarse = st.integers(-3, 3).map(lambda k: k * 0.25)
+    anywhere = st.floats(-2.0, 2.0, allow_nan=False)
+    coordinate = coarse | anywhere
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    coords = {nid: (draw(coordinate), draw(coordinate)) for nid in ids}
+    graph = RoadGraph(coords=coords)
+    at = list(coords.values())
+    point = (
+        st.sampled_from(at)
+        | st.tuples(st.sampled_from(at), st.sampled_from(at)).map(
+            lambda ab: ((ab[0][0] + ab[1][0]) / 2, (ab[0][1] + ab[1][1]) / 2))
+        | st.tuples(coordinate, coordinate)
+        | st.just((math.nan, 0.0))
+    )
+    return graph, draw(st.lists(point, max_size=30))
+
+
+class TestNearestNodes:
+    @settings(max_examples=300, deadline=None)
+    @given(case=snap_cases())
+    def test_matches_the_node_scan(self, case):
+        graph, points = case
+        assert nearest_nodes(graph, points) == [
+            scan_nearest_node(graph, lon, lat) for lon, lat in points
+        ]
+
+    def test_squares_as_the_rule_does(self):
+        # node 1 on the axis and node 0 off it are exactly as far from the
+        # origin by ``** 2``, so node 0 wins the tie; squared by ``x * x``,
+        # as numpy does, node 1 would look nearer by one unit in the last place
+        x, a, b = 0.7845537517371617, 0.45690851008709965, 0.637776765627945
+        graph = RoadGraph(coords={0: (a, b), 1: (x, 0.0)})
+        assert x * x < a * a + b * b and x ** 2 == a ** 2 + b ** 2
+        assert nearest_nodes(graph, [(0.0, 0.0)]) == [0]
+        assert scan_nearest_node(graph, 0.0, 0.0) == 0
+
+    def test_bundled_endpoints_across_blocks(self):
+        # 400 endpoints, and 3000 jittered ones over three matrix blocks
+        graph = load_network(str(MINI / "nodes.csv"), str(MINI / "network.csv"))
+        with open(MINI / "trips.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        points = [(float(r[f"{end}_lon"]), float(r[f"{end}_lat"]))
+                  for r in rows for end in ("origin", "dest")]
+        rng = np.random.default_rng(5)
+        lons = [lon for lon, _ in points]
+        lats = [lat for _, lat in points]
+        points += list(zip(
+            rng.uniform(min(lons), max(lons), 3000).tolist(),
+            rng.uniform(min(lats), max(lats), 3000).tolist(),
+        ))
+        assert nearest_nodes(graph, points) == [
+            scan_nearest_node(graph, lon, lat) for lon, lat in points
+        ]
 
 
 class TestLoadPrices:
@@ -443,6 +512,20 @@ class TestCliSurface:
         cfg.write_text(json.dumps(config))
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("fleet_size", None),
+        ("slots", [24]),
+        ("init_energy_range", 5),
+        ("init_energy_range", [30.0]),
+        ("seed", "one"),
+        ("nodes", 5),
+    ])
+    def test_config_value_of_a_wrong_type_rejected(self, tmp_path, caplog, key, value):
+        cfg = write(tmp_path, "c.json", json.dumps({key: value}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"config key {key!r}" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

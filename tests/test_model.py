@@ -1,5 +1,6 @@
 """Payoff model: point values, derivatives, operator, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,11 @@ class TestValidation:
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GameParams(**kwargs)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GameParams)])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            GameParams(**{name: math.nan})
 
     def test_group_census_identity(self):
         g = PvGroup(region=1, m=7, d=3, f=3)

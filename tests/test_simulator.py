@@ -23,7 +23,13 @@ from pvjtcs.simulator import (
 from pvjtcs.transport_scheduler import FleetEngine, Vehicle
 from pvjtcs.vi_solver import sspm_solve
 from pvjtcs.simulator import _split_group
-from conftest import make_grid_graph, make_request, small_params
+from conftest import (
+    NEAR_TIE,
+    make_grid_graph,
+    make_request,
+    price_insertions_by_id,
+    small_params,
+)
 from pvjtcs.network import RegionMap, StationSet
 
 MINI_CONFIG = (Path(__file__).resolve().parent.parent
@@ -245,19 +251,28 @@ class TestFullRuns:
         for t in charged_slots:
             assert t in summary.vi_traces
 
-    @pytest.mark.parametrize("run, simulated", [(run_jtcs, 3), (run_tgc, 23)])
+    # ids: the scheme and its number of slots with chargers
+    @pytest.mark.parametrize(
+        "run, simulated, built", [(run_jtcs, 3, 0), (run_tgc, 0, 23)],
+        ids=["run_jtcs-3", "run_tgc-23"],
+    )
     def test_slot_without_chargers_adopts_its_dry_run(
-        self, monkeypatch, run, simulated
+        self, monkeypatch, run, simulated, built
     ):
-        # bundled day, seed 1: a realized slot calls run_slot only when it
-        # has chargers; every other slot restores its dry run's end state
+        # bundled day, seed 1: a slot without chargers restores its dry
+        # run's end state; one whose chargers the dry run never assigned is
+        # built from the dry run; only the rest call run_slot (the joint
+        # scheme's chargers are dry-run transporters in all 3 game slots)
         scenario = build_scenario(load_config(str(MINI_CONFIG)))
         orig_run_slot = FleetEngine.run_slot
         orig_dry = FleetEngine.dry_run_demand
         orig_restore = FleetEngine.restore
+        orig_build = FleetEngine.slot_from_dry_run
         in_dry = []
+        in_build = []
         dry_slots = []  # the slot of each demand dry run
         realized = []  # slot and charger count of each realized run_slot
+        merged = []  # slot and charger count of each slot built from its dry run
         adopted = []  # slots whose dry run's end state was restored
 
         def run_slot(self, t, pool_ids, charger_ids):
@@ -274,21 +289,72 @@ class TestFullRuns:
             finally:
                 in_dry.pop()
 
+        def slot_from_dry_run(self, t, charger_ids, dry, end):
+            merged.append((t, len(charger_ids)))
+            in_build.append(t)
+            try:
+                return orig_build(self, t, charger_ids, dry, end)
+            finally:
+                in_build.pop()
+
         def restore(self, state):
-            if not in_dry:
+            if not in_dry and not in_build:
                 adopted.append(dry_slots[-1])
             return orig_restore(self, state)
 
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
         monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
+        monkeypatch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
         monkeypatch.setattr(FleetEngine, "restore", restore)
         summary = run(scenario)
         assert len(summary.slots) == scenario.T == 24
         assert dry_slots == list(range(24))
         assert len(realized) == simulated
-        assert all(n > 0 for _, n in realized)
-        assert len(adopted) == 24 - simulated
-        assert sorted([t for t, _ in realized] + adopted) == list(range(24))
+        assert len(merged) == built
+        assert all(n > 0 for _, n in realized + merged)
+        assert len(adopted) == 24 - simulated - built
+        assert sorted([t for t, _ in realized + merged] + adopted) == list(range(24))
+
+    def test_near_tie_keeps_run_slot(self, monkeypatch):
+        # insertion costs 1.0, 1.0 - 0.5e-12 and 1.0 - 1.5e-12 by vehicle
+        # id: the dry run gives the trip to vehicle 2, but without vehicle 0,
+        # the greedy scheme's one charger, vehicle 1 wins.  The dry run saw
+        # the near tie, so the slot runs through run_slot
+        graph = make_grid_graph()
+        scenario = make_scenario(
+            requests=[make_request(graph, 1, 0.0, 6, 7)], T=1, J=3, seed=1,
+            energies=[20.0, 45.0, 45.0],
+        )
+        assert len({v.node for v in scenario.build_fleet()}) == 3  # no anchor skip
+        orig_dry = FleetEngine.dry_run_demand
+        orig_run_slot = FleetEngine.run_slot
+        dry_runs = []
+        realized = []
+
+        def dry_run_demand(self, t, eligible_ids):
+            stats, end = orig_dry(self, t, eligible_ids)
+            dry_runs.append(stats)
+            return stats, end
+
+        def run_slot(self, t, pool_ids, charger_ids):
+            stats = orig_run_slot(self, t, pool_ids, charger_ids)
+            if charger_ids:
+                realized.append((charger_ids, stats))
+            return stats
+
+        def no_build(*args):
+            raise AssertionError("slot built from a dry run with a near tie")
+
+        price_insertions_by_id(monkeypatch, NEAR_TIE)
+        monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
+        monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
+        monkeypatch.setattr(FleetEngine, "slot_from_dry_run", no_build)
+        summary = run_tgc(scenario)
+        [dry] = dry_runs
+        [(chargers, stats)] = realized
+        assert dry.near_tie and dry.transporting_ids == {2}
+        assert chargers == {0} and stats.transporting_ids == {1}
+        assert summary.served == 1 and summary.slots[0].charged_kwh > 0.0
 
     def test_joint_rule_plays_only_where_the_plan_buys(self, monkeypatch):
         # bundled day, seed 1: the census runs only in slots whose plan buys

@@ -1,11 +1,12 @@
 """Ride matching, fleet engine mechanics, census, dry-run purity."""
 
+import copy
 import dataclasses
 import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pvjtcs import transport_scheduler
@@ -35,7 +36,13 @@ from pvjtcs.transport_scheduler import (
     group_census,
     pci_assign,
 )
-from conftest import make_grid_graph, make_request, small_params
+from conftest import (
+    NEAR_TIE,
+    make_grid_graph,
+    make_request,
+    price_insertions_by_id,
+    small_params,
+)
 from oracles import (
     brute_force_insertion,
     full_scan_assign,
@@ -484,6 +491,50 @@ class TestPciAssign:
         assigned, _ = pci_assign([req], twins, grid_graph, PARAMS, 1.0, requests)
         assert assigned == [(1, 2)]
 
+    def assign_one(self, grid_graph, vids):
+        # vehicles at distinct anchors, so the anchor skip hides none
+        req = make_request(grid_graph, 1, 0.0, 6, 7)
+        fleet = [fresh_vehicle(vid=vid, node=vid) for vid in vids]
+        stats = transport_scheduler.SlotStats()
+        assigned, _ = pci_assign(
+            [req], fleet, grid_graph, PARAMS, 1.0, states_for(req), stats
+        )
+        return assigned, stats.near_tie
+
+    def test_near_tie_is_recorded(self, grid_graph, monkeypatch):
+        # removing vehicle 0, which did not win, changes the winner: the
+        # 1e-12 rule is not transitive, and the scan says so
+        price_insertions_by_id(monkeypatch, NEAR_TIE)
+        assert self.assign_one(grid_graph, [0, 1, 2]) == ([(1, 2)], True)
+        assert self.assign_one(grid_graph, [1, 2]) == ([(1, 1)], True)
+
+    @pytest.mark.parametrize("costs, winner, near_tie", [
+        ({0: 1.0, 1: 1.0, 2: 1.0}, 0, False),  # bit-equal costs are no near tie
+        ({0: 1.0, 1: 0.5, 2: 0.5 + 1.1e-12}, 1, False),
+        # flagged although the winner is the first at the least cost
+        ({0: 1.0 + 2e-12, 1: 1.0, 2: 1.0 + 0.9e-12}, 1, True),
+    ])
+    def test_near_tie_flag(self, grid_graph, monkeypatch, costs, winner, near_tie):
+        price_insertions_by_id(monkeypatch, costs)
+        assert self.assign_one(grid_graph, [0, 1, 2]) == ([(1, winner)], near_tie)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(st.integers(-4, 4), min_size=1, max_size=16))
+    def test_dense_near_ties(self, steps):
+        # up to 16 vehicles whose costs lie 0.4e-12 apart: the winner is the
+        # plain scan's, and the flag is set exactly when the next distinct
+        # cost is within 1e-12 of the least
+        costs = {vid: 1.0 + k * 0.4e-12 for vid, k in enumerate(steps)}
+        best = None
+        for vid, cost in costs.items():
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, vid)
+        distinct = sorted(set(costs.values()))
+        near_tie = len(distinct) > 1 and distinct[0] >= distinct[1] - 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            price_insertions_by_id(mp, costs)
+            assert self.assign_one(GRID, list(costs)) == ([(1, best[1])], near_tie)
+
 
 class TestGroupCensus:
     def test_counts(self):
@@ -784,6 +835,135 @@ class TestDryRun:
             assert census[i].n == n[i]
             assert d[i] == max(n[i] - f_i, 0)
         assert d_total == sum(d)
+
+
+@st.composite
+def charging_days(draw):
+    """A small day for ``FleetEngine``: a 3x3 to 4x5 grid whose two-way
+    streets get drawn lengths (so burns of different vehicles differ and
+    the order of their sum matters), 1-2 stations, 2-7 vehicles on both
+    sides of the eligibility floor and of the full threshold, 0-24
+    requests over 2-3 slots of one hour or six minutes, and 5-, 10- or
+    25-minute batches.  Returns (engine, T)."""
+    rows = draw(st.integers(min_value=3, max_value=4))
+    cols = draw(st.integers(min_value=3, max_value=5))
+    lengths = st.integers(min_value=2, max_value=15).map(lambda n: n / 10 + 1e-3)
+    coords = {r * cols + c: (c * 0.01, r * 0.01) for r in range(rows) for c in range(cols)}
+    edges = []
+    for nid in coords:
+        for nb in (nid + 1 if (nid + 1) % cols else None, nid + cols):
+            if nb is not None and nb in coords:
+                km = draw(lengths)
+                edges += [(nid, nb, km), (nb, nid, km)]
+    graph = RoadGraph.from_edges(coords, edges)
+    n_nodes = len(coords)
+    nodes = st.integers(min_value=0, max_value=n_nodes - 1)
+    T = draw(st.integers(min_value=2, max_value=3))
+    # six-minute slots leave chargers short of their stations, mid-edge
+    params = small_params(
+        seats=draw(st.integers(min_value=1, max_value=4)),
+        slot_hours=draw(st.sampled_from([1.0, 0.1])),
+    )
+    seconds = int(T * params.slot_hours * 3600)
+    requests = []
+    for rid in range(1, draw(st.integers(min_value=0, max_value=24)) + 1):
+        origin = draw(nodes)
+        dest = (origin + draw(st.integers(1, n_nodes - 1))) % n_nodes
+        requests.append(make_request(
+            graph, rid, draw(st.integers(0, seconds - 1)), origin, dest,
+            draw(st.integers(1, 2)),
+        ))
+    energies = st.sampled_from([5.0, 9.5, 20.0, 39.0, 42.0]) | st.floats(3.0, 45.0)
+    vehicles = [
+        Vehicle(id=i, node=draw(nodes), energy=draw(energies))
+        for i in range(draw(st.integers(min_value=2, max_value=7)))
+    ]
+    stations = StationSet(draw(st.lists(nodes, min_size=1, max_size=2, unique=True)))
+    engine = FleetEngine(
+        graph=graph, stations=stations, requests=requests, vehicles=vehicles,
+        params=params, start_epoch=0.0,
+        batch_minutes=draw(st.sampled_from([5.0, 10.0, 25.0])),
+    )
+    return engine, T
+
+
+def _outcome(call):
+    """``call()``'s result, or the type of the energy underflow it raised."""
+    try:
+        return call()
+    except EnergyUnderflowError as err:
+        return type(err)
+
+
+class TestSlotFromDryRun:
+    @settings(max_examples=150, deadline=None)
+    @given(day=charging_days(), data=st.data())
+    def test_equals_run_slot(self, day, data):
+        # each slot: chargers drawn from the vehicles the dry run did not
+        # assign; the slot built from the dry run ends exactly as run_slot
+        # from the same start: state, statistics and the energy's bits
+        engine, T = day
+        need = engine.params.slot_consumption
+        for t in range(T):
+            eligible = {v.id for v in engine.state.vehicles if v.energy >= need}
+            dry, end = engine.dry_run_demand(t, eligible)
+            unassigned = sorted(
+                v.id for v in engine.state.vehicles if v.id not in dry.transporting_ids
+            )
+            chargers = set(data.draw(
+                st.lists(st.sampled_from(unassigned), unique=True)
+                if unassigned else st.just([])
+            ))
+            ref = copy.copy(engine)
+            ref.state = engine.state.clone()
+            expected = _outcome(lambda: ref.run_slot(t, eligible - chargers, chargers))
+            if dry.near_tie:
+                with pytest.raises(ValueError):
+                    engine.slot_from_dry_run(t, chargers, dry, end)
+            else:
+                if chargers:
+                    event("chargers")
+                if any(vid in chargers for _, vid, _ in dry.burns):
+                    event("a charger drove in the dry run")
+                got = _outcome(lambda: engine.slot_from_dry_run(t, chargers, dry, end))
+                assert got == expected
+                if expected is not EnergyUnderflowError:
+                    assert got.consumed_kwh.hex() == expected.consumed_kwh.hex()
+                    assert engine.state == ref.state
+            if expected is EnergyUnderflowError:
+                return
+            engine = ref
+
+    def test_drops_the_chargers_dry_run_drive(self, grid_graph):
+        # vehicle 1 starts mid-edge: in the dry run it finishes the edge
+        # idle, as a charger it drives on to station 15; the merged slot
+        # keeps vehicle 0's trip and only the charger's own drive
+        req = make_request(grid_graph, 1, 0.0, 1, 3)
+        idle = fresh_vehicle(vid=1, node=9, energy=20.0)
+        idle.edge_head, idle.edge_progress = 10, 0.25
+        engine = build_engine(
+            grid_graph, [req], vehicles=[fresh_vehicle(vid=0, node=1), idle]
+        )
+        dry, end = engine.dry_run_demand(0, {0, 1})
+        assert dry.transporting_ids == {0}
+        assert {vid for _, vid, _ in dry.burns} == {0, 1}
+        ref = copy.copy(engine)
+        ref.state = engine.state.clone()
+        expected = ref.run_slot(0, {0}, {1})
+        stats = engine.slot_from_dry_run(0, {1}, dry, end)
+        assert stats == expected and engine.state == ref.state
+        assert stats.charged_kwh == PARAMS.r
+        assert engine.state.vehicle(1).node == 15
+        assert stats.burns != dry.burns
+
+    def test_rejects_an_assigned_charger(self, grid_graph):
+        req = make_request(grid_graph, 1, 0.0, 1, 3)
+        engine = build_engine(grid_graph, [req],
+                              vehicles=[fresh_vehicle(vid=0, node=1, energy=20.0)])
+        dry, end = engine.dry_run_demand(0, {0})
+        assert dry.transporting_ids == {0}
+        with pytest.raises(ValueError):
+            engine.slot_from_dry_run(0, {0}, dry, end)
 
 
 def mid_day_engine():
