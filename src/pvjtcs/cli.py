@@ -101,6 +101,13 @@ def _pair(value) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _whole(value) -> int:
+    """``int(value)``; a fraction is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def _setting(config: dict, key: str, convert):
     """``convert(config[key])``; a value it cannot convert is an error that
     names the key."""
@@ -114,12 +121,11 @@ def _setting(config: dict, key: str, convert):
 
 def build_scenario(config: dict) -> Scenario:
     # every setting is converted before any file is read
-    params = params_from(config, J=_setting(config, "fleet_size", int))
+    params = params_from(config, J=_setting(config, "fleet_size", _whole))
     filter_km = _setting(config, "trip_filter_km", float)
-    T = _setting(config, "slots", int)
-    start_hour = _setting(config, "start_hour", int)
-    seed = _setting(config, "seed", int)
-    start_epoch = _setting(config, "start_hour", float) * 3600.0
+    T = _setting(config, "slots", _whole)
+    start_hour = _setting(config, "start_hour", _whole)
+    seed = _setting(config, "seed", _whole)
     batch_minutes = _setting(config, "batch_minutes", float)
     init_energy_range = _setting(config, "init_energy_range", _pair)
     graph = io_files.load_network(config["nodes"], config["network"])
@@ -132,7 +138,7 @@ def build_scenario(config: dict) -> Scenario:
         params=params,
         T=T,
         seed=seed,
-        start_epoch=start_epoch,
+        start_epoch=start_hour * 3600.0,
         batch_minutes=batch_minutes,
         init_energy_range=init_energy_range,
     )

@@ -150,11 +150,6 @@ def nearest_nodes(
     return snapped
 
 
-def nearest_node(graph: RoadGraph, lon: float, lat: float) -> int:
-    """``nearest_nodes`` of one point."""
-    return nearest_nodes(graph, [(lon, lat)])[0]
-
-
 def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripRequest]:
     """Parse trips, snap endpoints to graph nodes, drop short trips.
 

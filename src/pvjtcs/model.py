@@ -87,7 +87,7 @@ class PvGroup:
     """Per-region census for one slot: the players of the slot game.
 
     ``m`` group members (unfully charged vehicles) and ``f`` fully charged
-    vehicles sit in the region, ``a = m + f`` in all.  ``n`` vehicles
+    vehicles sit in the region, ``m + f`` in all.  ``n`` vehicles
     transported in the dry run, so ``d = max(n - f, 0)`` members are
     demanded for transportation.  The group's strategy, the fraction of
     members that will transport, lives with the solver, not here.
@@ -102,11 +102,6 @@ class PvGroup:
     def __post_init__(self) -> None:
         if min(self.f, self.m, self.n, self.d) < 0:
             raise ValueError(f"group {self.region}: counts must be nonnegative")
-
-    @property
-    def a(self) -> int:
-        """Every vehicle in the region."""
-        return self.m + self.f
 
 
 @dataclass

@@ -10,19 +10,13 @@ Two schemes over the same scenario:
 
 Both run the same day loop, ``_run_day``; a scheme is only its charger rule.
 Each slot, a dry run with every eligible vehicle serving says who would
-transport, the rule picks the chargers from that, and the loop executes the
-slot, checks the energy balance and records one ``SlotMetrics``.  The
-realized slot's pool is the eligible vehicles that do not charge, and the
-loop executes it in one of three ways with the same result:
-
-* no chargers: the slot is its own dry run, whose end state the loop adopts;
-* chargers the dry run never assigned, and no near tie in it: the fleet
-  engine's ``slot_from_dry_run`` drives only the chargers and merges them
-  into the dry run's end state (the greedy scheme's usual case);
-* otherwise: the fleet engine's ``run_slot``, which also ends the slot (the
-  joint scheme's usual case, since its chargers are mostly vehicles the
-  dry run gave trips).
-
+transport, the rule picks the chargers from that, and the fleet engine's
+``slot_from_dry_run`` executes the slot from the dry run: the eligible
+vehicles that do not charge serve, the chargers charge.  It keeps the dry
+run's service when nobody charges, or when no charger transported in it
+and it saw no near tie, and serves the slot again without the chargers
+otherwise.  The loop then checks the energy balance and records one
+``SlotMetrics``.
 Both schemes total the same records, so their energy bills and service
 levels are directly comparable.
 ``SlotMetrics`` is the one per-slot schema: the ``summary.json`` slot list
@@ -195,7 +189,7 @@ def infinite_energy_dry_run(
     transports: list[int] = []
     all_ids = {v.id for v in engine.state.vehicles}
     for t in range(scenario.T):
-        stats = engine.run_slot(t, all_ids, set())
+        stats = engine.run_slot(t, all_ids)
         consumed.append(stats.consumed_kwh)
         transports.append(len(stats.transporting_ids))
     return consumed, transports
@@ -321,12 +315,7 @@ def _run_day(mode, scenario, fleet, chargers_of) -> RunSummary:
         stats, end_state = engine.dry_run_demand(t, eligible)
         chargers = chargers_of(t, engine.state, stats.transporting_ids)
         before = engine.fleet_energy()
-        if not chargers:
-            engine.restore(end_state)
-        elif chargers.isdisjoint(stats.transporting_ids) and not stats.near_tie:
-            stats = engine.slot_from_dry_run(t, chargers, stats, end_state)
-        else:
-            stats = engine.run_slot(t, eligible - chargers, chargers)
+        stats = engine.slot_from_dry_run(t, eligible, chargers, stats, end_state)
         after = engine.fleet_energy()
         drift = after - (before - stats.consumed_kwh + stats.charged_kwh)
         if abs(drift) > 1e-9:

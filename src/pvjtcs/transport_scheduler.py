@@ -3,20 +3,19 @@
 Requests are batched every few simulated minutes, sorted by how long their
 passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
-reserve gate every candidate).  An engine is built with its fleet.  A slot
-is simulated by ``FleetEngine.run_slot``, which also ends the slot: chargers
-book their charge and drop their station targets, so the next slot starts
-from a fleet with no charging targets.  A vehicle's activity is read, never
-stored: it serves while its plan has stops, heads to a charger while it has
-a station target, and is idle otherwise (an idle vehicle still finishes the
-edge it is on).  The engine answers the planning question "who would
-transport this slot" as a dry run: clone the fleet, simulate the slot on
-the live state, then make the clone live again and hand back the dry run's
-statistics and end state.  The caller then executes the slot in one of
-three ways: it adopts the dry run as the slot (no chargers), builds the
-slot from the dry run by driving only the chargers
-(``FleetEngine.slot_from_dry_run``, when the dry run assigned no charger
-and saw no near tie), or calls ``run_slot``.  ``group_census`` builds each
+reserve gate every candidate).  An engine is built with its fleet.  A vehicle's
+activity is read, never stored: it serves while its plan has stops, heads
+to a charger while it has a station target, and is idle otherwise (an idle
+vehicle still finishes the edge it is on).  A slot is executed one way.
+The dry run (``FleetEngine.dry_run_demand``) answers the planning question
+"who would transport this slot": clone the fleet, serve the slot with
+every eligible vehicle on the live state, then make the clone live again
+and hand back the dry run's statistics and end state.  Given the chargers,
+``FleetEngine.slot_from_dry_run`` keeps the dry run's service when no
+charger transported in it and it saw no near tie, and otherwise serves
+the slot again without the chargers (``run_slot``).  It then drives only
+the chargers, books their charge and ends the slot, so the next slot
+starts from a fleet with no charging targets.  ``group_census`` builds each
 region's group with its members and counts the moving vehicles.  A
 forecast that ignores energy needs no mode of its own: its vehicles hold
 ``math.inf`` kwh, so every energy check passes and driving leaves them at
@@ -565,20 +564,12 @@ class FleetEngine:
             b0 = t0 + k * self.batch_seconds
             yield b0, min(b0 + self.batch_seconds, t1)
 
-    def run_slot(
-        self, t: int, pool_ids: set[int], charger_ids: set[int]
-    ) -> SlotStats:
-        """Serve the slot's requests with the pool while chargers head to
-        stations, then end the slot: a charger on its station gains its
-        charge, and every charger drops its station target and route (one
-        left mid-edge finishes that edge next slot, like any idle vehicle).
-        Returns energy/serving statistics."""
-        if pool_ids & charger_ids:
-            raise ValueError("a vehicle cannot both transport and charge")
+    def run_slot(self, t: int, pool_ids: set[int]) -> SlotStats:
+        """Serve the slot's requests with the pool; every vehicle with a
+        plan, a station target or an edge to finish drives.  Returns
+        energy/serving statistics."""
         stats = SlotStats()
         state = self.state
-        chargers = [state.vehicle(vid) for vid in sorted(charger_ids)]
-        self._send_to_stations(chargers, stats)
         pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
 
         # Requests are released in ``all_requests`` order and never return
@@ -614,19 +605,75 @@ class FleetEngine:
                 ):
                     self._advance(veh, b0, b1, stats)
 
-        self._book_charge(chargers, stats)
         for veh in state.vehicles:
             if veh.plan.stops:
                 stats.transporting_ids.add(veh.id)
         stats.consumed_kwh = _fold(stats.burns)
         return stats
 
-    def _send_to_stations(self, chargers: list[Vehicle], stats: SlotStats) -> None:
-        """Start each charger (in id order) toward its nearest station; one
-        that cannot reach a station is held idle and counted short."""
+    # -- dry runs ---------------------------------------------------------
+
+    def dry_run_demand(
+        self, t: int, eligible_ids: set[int]
+    ) -> tuple[SlotStats, FleetState]:
+        """Simulate the slot with every eligible vehicle serving and leave the
+        live state at the slot start.  Returns the dry run's statistics and
+        end state, ``run_slot(t, eligible_ids)`` from the slot start, which
+        ``slot_from_dry_run`` turns into the realized slot."""
+        start = self.snapshot()
+        stats = self.run_slot(t, eligible_ids)
+        end = self.state
+        self.restore(start)
+        return stats, end
+
+    def slot_from_dry_run(
+        self,
+        t: int,
+        eligible_ids: set[int],
+        charger_ids: set[int],
+        dry: SlotStats,
+        end: FleetState,
+    ) -> SlotStats:
+        """Execute slot t, in which ``charger_ids`` charge and the rest of
+        ``eligible_ids`` serve, from its dry run ``dry, end =
+        dry_run_demand(t, eligible_ids)``, with the live state still at the
+        slot start.  The slot ends with every charger on its station gaining
+        its charge, and every charger dropping its station target and route
+        (one left mid-edge finishes that edge next slot, like any idle
+        vehicle).
+
+        The service is the dry run's when nobody charges, or when no
+        charger transported in it (``dry.transporting_ids``) and it saw no
+        near tie (``dry.near_tie``).  Then taking the chargers out of the
+        pool keeps every assignment (see ``pci_assign``), and a charger
+        touches no request and no other vehicle.  Otherwise the chargers'
+        slot-start vehicles are cloned and the pool ``eligible_ids -
+        charger_ids`` serves the slot again on the live state.  Either way
+        the chargers' slot-start vehicles are then driven to their stations
+        batch by batch, book their charge and replace their selves in the
+        served end state, which becomes live.
+
+        ``consumed_kwh`` is a left fold of every burn in (batch, vehicle id)
+        order, so it is folded over the service's burns without the
+        chargers', merged with the chargers' drive by (batch, vehicle id);
+        no key appears in both.
+        """
+        state = self.state
+        chargers = [state.vehicle(vid) for vid in sorted(charger_ids)]
         for veh in chargers:
             if veh.plan.stops:
                 raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
+        served = dry
+        if charger_ids and (
+            dry.near_tie or not charger_ids.isdisjoint(dry.transporting_ids)
+        ):
+            chargers = [veh.clone() for veh in chargers]
+            served = self.run_slot(t, eligible_ids - charger_ids)
+            end = state
+        stats = SlotStats(
+            transporting_ids=served.transporting_ids, near_tie=served.near_tie
+        )
+        for veh in chargers:  # in id order, toward the nearest station
             try:
                 station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
             except UnreachableNodeError:
@@ -643,11 +690,11 @@ class FleetEngine:
                 continue
             veh.station_target = station
             self._retarget(veh, station)
-
-    def _book_charge(self, chargers: list[Vehicle], stats: SlotStats) -> None:
-        """End the slot for the chargers: one on its station gains its charge,
-        one still driving is counted short, and all drop target and route."""
+        for b0, b1 in self._batches(t):
+            for veh in chargers:
+                self._advance(veh, b0, b1, stats)
         for veh in chargers:
+            end.vehicles[veh.id] = veh
             if veh.station_target is None:
                 continue  # held idle, already counted short
             if veh.node == veh.station_target and veh.edge_head is None:
@@ -658,58 +705,9 @@ class FleetEngine:
                 stats.chargers_short += 1
             veh.station_target = None
             veh.route = []
-
-    # -- dry runs ---------------------------------------------------------
-
-    def dry_run_demand(
-        self, t: int, eligible_ids: set[int]
-    ) -> tuple[SlotStats, FleetState]:
-        """Simulate the slot with every eligible vehicle serving and leave the
-        live state at the slot start.  Returns the dry run's statistics and
-        end state: ``run_slot(t, eligible_ids, set())`` from the slot start,
-        which the caller may ``restore`` instead of running it again, or
-        complete with chargers through ``slot_from_dry_run``."""
-        start = self.snapshot()
-        stats = self.run_slot(t, eligible_ids, set())
-        end = self.state
-        self.restore(start)
-        return stats, end
-
-    def slot_from_dry_run(
-        self, t: int, charger_ids: set[int], dry: SlotStats, end: FleetState
-    ) -> SlotStats:
-        """``run_slot(t, eligible - charger_ids, charger_ids)`` built from
-        the slot's dry run ``dry, end = dry_run_demand(t, eligible)``, with
-        the live state still at the slot start; ``end`` becomes live.
-
-        Valid when the dry run assigned no charger (``charger_ids`` is
-        disjoint from ``dry.transporting_ids``, so no charger has stops) and
-        saw no near tie (``dry.near_tie``).  Then taking the chargers out of
-        the pool keeps every assignment (see ``pci_assign``), a charger
-        touches no request and no other vehicle, and the realized slot is
-        the dry run for everyone else plus the chargers' own drives: their
-        slot-start vehicles are driven here batch by batch, book their
-        charge and replace their dry-run selves in ``end``.
-
-        ``consumed_kwh`` is a left fold of every burn in (batch, vehicle id)
-        order, so it is folded again over the same sequence: the dry run's
-        burns without the chargers', merged with the chargers' drive by
-        (batch, vehicle id); no key appears in both.
-        """
-        if dry.near_tie or not charger_ids.isdisjoint(dry.transporting_ids):
-            raise ValueError("the dry run assigned a charger or saw a near tie")
-        chargers = [self.state.vehicle(vid) for vid in sorted(charger_ids)]
-        stats = SlotStats(transporting_ids=dry.transporting_ids)
-        self._send_to_stations(chargers, stats)
-        for b0, b1 in self._batches(t):
-            for veh in chargers:
-                self._advance(veh, b0, b1, stats)
-        self._book_charge(chargers, stats)
-        kept = [burn for burn in dry.burns if burn[1] not in charger_ids]
+        kept = [burn for burn in served.burns if burn[1] not in charger_ids]
         stats.burns = list(heapq.merge(kept, stats.burns))
         stats.consumed_kwh = _fold(stats.burns)
-        for veh in chargers:
-            end.vehicles[veh.id] = veh
         self.restore(end)
         return stats
 

@@ -6,23 +6,32 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Four are former production loops, kept as bit-exact references for the
+Five are former production loops, kept as bit-exact references for the
 faster versions: ``loop_solve_lp`` (the dense simplex with a row-by-row
 pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
 that evaluates every breakpoint in turn), ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
-builds each returned plan, ``planned_insertion``) and ``scan_nearest_node``
-(the endpoint snap that scans every node for each point).
+builds each returned plan, ``planned_insertion``), ``scan_nearest_node``
+(the endpoint snap that scans every node for each point) and
+``interleaved_slot`` (a slot simulated in one pass, the chargers driven
+among the serving vehicles).  ``reference_day`` runs whole days with every
+slot executed by ``interleaved_slot``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
-from pvjtcs.network import distance, shortest_path
+from pvjtcs.network import (
+    UnreachableNodeError,
+    distance,
+    nearest_station,
+    shortest_path,
+)
 from pvjtcs.simplex import (
     EQ,
     GE,
@@ -35,10 +44,14 @@ from pvjtcs.transport_scheduler import (
     ASSIGNED,
     DROPOFF,
     PICKUP,
+    WAITING,
+    FleetEngine,
+    SlotStats,
     Stop,
     _ride_limit,
     _with_trip,
     insertion_cost,
+    pci_assign,
 )
 
 _TOL = 1e-9
@@ -584,3 +597,69 @@ def scan_nearest_node(graph, lon, lat):
         if best_d is None or d < best_d:
             best, best_d = nid, d
     return best
+
+
+def interleaved_slot(engine, t, pool_ids, charger_ids):
+    """Slot t on ``engine``'s live state in one pass: the chargers start
+    toward their nearest stations, then batch by batch the pool takes the
+    released waiting requests and every vehicle with somewhere to go drives,
+    in id order, chargers among the rest; at the end a charger on its
+    station gains its charge and every charger drops its target and route.
+    Returns the slot's ``SlotStats``."""
+    if pool_ids & charger_ids:
+        raise ValueError("a vehicle cannot both transport and charge")
+    params = engine.params
+    state = engine.state
+    stats = SlotStats()
+    chargers = [state.vehicle(vid) for vid in sorted(charger_ids)]
+    for veh in chargers:
+        if veh.plan.stops:
+            raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
+        try:
+            station, dist = nearest_station(engine.graph, veh.anchor(), engine.stations)
+        except UnreachableNodeError:
+            stats.chargers_short += 1
+            continue
+        if dist * params.consume_rate > veh.energy:
+            stats.chargers_short += 1
+            continue
+        veh.station_target = station
+        engine._retarget(veh, station)
+    pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
+    for b0, b1 in engine._batches(t):
+        pending = [
+            r for r in engine.all_requests
+            if r.request_time <= b0 and state.requests[r.id].status == WAITING
+        ]
+        if pending:
+            able = [v for v in pool if v.energy >= params.slot_consumption]
+            pci_assign(pending, able, engine.graph, params, b0, state.requests, stats)
+        for veh in state.vehicles:
+            engine._advance(veh, b0, b1, stats)
+    for veh in chargers:
+        if veh.station_target is None:
+            continue
+        if veh.node == veh.station_target and veh.edge_head is None:
+            gain = min(params.r, params.c - veh.energy)
+            veh.energy += gain
+            stats.charged_kwh += gain
+        else:
+            stats.chargers_short += 1
+        veh.station_target = None
+        veh.route = []
+    stats.transporting_ids |= {v.id for v in state.vehicles if v.plan.stops}
+    for _, _, kwh in stats.burns:
+        stats.consumed_kwh += kwh
+    return stats
+
+
+def reference_day():
+    """A context manager within which every realized slot ignores its dry
+    run's service: ``FleetEngine.slot_from_dry_run`` runs
+    ``interleaved_slot`` from the slot start, the live state, with the pool
+    ``eligible - chargers``."""
+
+    def from_slot_start(self, t, eligible_ids, charger_ids, dry, end):
+        return interleaved_slot(self, t, eligible_ids - charger_ids, charger_ids)
+
+    return mock.patch.object(FleetEngine, "slot_from_dry_run", from_slot_start)

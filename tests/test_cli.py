@@ -521,6 +521,9 @@ class TestCliSurface:
         ("init_energy_range", [30.0]),
         ("seed", "one"),
         ("nodes", 5),
+        ("start_hour", 3.2),
+        ("slots", 24.9),
+        ("fleet_size", 20.7),
     ])
     def test_config_value_of_a_wrong_type_rejected(self, tmp_path, caplog, key, value):
         cfg = write(tmp_path, "c.json", json.dumps({key: value}))

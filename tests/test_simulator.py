@@ -1,15 +1,18 @@
 """Whole-day runs: energy conservation, scheme behavior, reproducibility."""
 
+import importlib.util
 import json
 import math
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from pvjtcs import simulator
-from pvjtcs.cli import build_scenario, load_config
+from pvjtcs.cli import build_scenario, load_config, main
 from pvjtcs.model import GameParams, PriceCurve, PvGroup
 from pvjtcs.projection import FeasibleSet
 from pvjtcs.simulator import (
@@ -20,7 +23,7 @@ from pvjtcs.simulator import (
     run_jtcs,
     run_tgc,
 )
-from pvjtcs.transport_scheduler import FleetEngine, Vehicle
+from pvjtcs.transport_scheduler import SERVED, FleetEngine, Vehicle, _ride_limit
 from pvjtcs.vi_solver import sspm_solve
 from pvjtcs.simulator import _split_group
 from conftest import (
@@ -31,9 +34,15 @@ from conftest import (
     small_params,
 )
 from pvjtcs.network import RegionMap, StationSet
+from oracles import reference_day
 
-MINI_CONFIG = (Path(__file__).resolve().parent.parent
-               / "scenarios" / "manhattan-mini" / "config.json")
+REPO = Path(__file__).resolve().parent.parent
+MINI_CONFIG = REPO / "scenarios" / "manhattan-mini" / "config.json"
+_spec = importlib.util.spec_from_file_location(
+    "scenario_gen", REPO / "perfbench" / "scenario_gen.py"
+)
+scenario_gen = sys.modules["scenario_gen"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scenario_gen)
 
 def make_scenario(requests=None, T=4, J=6, seed=7, energies=None, **param_over):
     graph = make_grid_graph()
@@ -253,33 +262,31 @@ class TestFullRuns:
 
     # ids: the scheme and its number of slots with chargers
     @pytest.mark.parametrize(
-        "run, simulated, built", [(run_jtcs, 3, 0), (run_tgc, 0, 23)],
+        "run, served_again, charging", [(run_jtcs, 3, 3), (run_tgc, 0, 23)],
         ids=["run_jtcs-3", "run_tgc-23"],
     )
     def test_slot_without_chargers_adopts_its_dry_run(
-        self, monkeypatch, run, simulated, built
+        self, monkeypatch, run, served_again, charging
     ):
-        # bundled day, seed 1: a slot without chargers restores its dry
-        # run's end state; one whose chargers the dry run never assigned is
-        # built from the dry run; only the rest call run_slot (the joint
-        # scheme's chargers are dry-run transporters in all 3 game slots)
+        # bundled day, seed 1: every slot is executed from its dry run; a
+        # slot without chargers, or whose chargers the dry run never
+        # assigned, keeps the dry run's service and restores its end state;
+        # only the rest serve the slot again (the joint scheme's chargers
+        # are dry-run transporters in all 3 game slots)
         scenario = build_scenario(load_config(str(MINI_CONFIG)))
         orig_run_slot = FleetEngine.run_slot
         orig_dry = FleetEngine.dry_run_demand
-        orig_restore = FleetEngine.restore
         orig_build = FleetEngine.slot_from_dry_run
         in_dry = []
-        in_build = []
         dry_slots = []  # the slot of each demand dry run
-        realized = []  # slot and charger count of each realized run_slot
-        merged = []  # slot and charger count of each slot built from its dry run
-        adopted = []  # slots whose dry run's end state was restored
+        executed = []  # slot and charger count of each executed slot
+        reserved = []  # slot of each realized run_slot
 
-        def run_slot(self, t, pool_ids, charger_ids):
+        def run_slot(self, t, pool_ids):
             forecast = math.isinf(self.state.vehicles[0].energy)
             if not in_dry and not forecast:
-                realized.append((t, len(charger_ids)))
-            return orig_run_slot(self, t, pool_ids, charger_ids)
+                reserved.append(t)
+            return orig_run_slot(self, t, pool_ids)
 
         def dry_run_demand(self, t, eligible_ids):
             in_dry.append(t)
@@ -289,37 +296,28 @@ class TestFullRuns:
             finally:
                 in_dry.pop()
 
-        def slot_from_dry_run(self, t, charger_ids, dry, end):
-            merged.append((t, len(charger_ids)))
-            in_build.append(t)
-            try:
-                return orig_build(self, t, charger_ids, dry, end)
-            finally:
-                in_build.pop()
-
-        def restore(self, state):
-            if not in_dry and not in_build:
-                adopted.append(dry_slots[-1])
-            return orig_restore(self, state)
+        def slot_from_dry_run(self, t, eligible_ids, charger_ids, dry, end):
+            executed.append((t, len(charger_ids)))
+            stats = orig_build(self, t, eligible_ids, charger_ids, dry, end)
+            if t not in reserved:
+                assert self.state is end  # the dry run's end state is live
+            return stats
 
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
         monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
         monkeypatch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
-        monkeypatch.setattr(FleetEngine, "restore", restore)
         summary = run(scenario)
         assert len(summary.slots) == scenario.T == 24
-        assert dry_slots == list(range(24))
-        assert len(realized) == simulated
-        assert len(merged) == built
-        assert all(n > 0 for _, n in realized + merged)
-        assert len(adopted) == 24 - simulated - built
-        assert sorted([t for t, _ in realized + merged] + adopted) == list(range(24))
+        assert dry_slots == [t for t, _ in executed] == list(range(24))
+        assert len(reserved) == served_again
+        assert sum(1 for _, n in executed if n) == charging
+        assert all(n for t, n in executed if t in reserved)
 
-    def test_near_tie_keeps_run_slot(self, monkeypatch):
+    def test_near_tie_serves_the_slot_again(self, monkeypatch):
         # insertion costs 1.0, 1.0 - 0.5e-12 and 1.0 - 1.5e-12 by vehicle
         # id: the dry run gives the trip to vehicle 2, but without vehicle 0,
         # the greedy scheme's one charger, vehicle 1 wins.  The dry run saw
-        # the near tie, so the slot runs through run_slot
+        # the near tie, so the slot is served again without the charger
         graph = make_grid_graph()
         scenario = make_scenario(
             requests=[make_request(graph, 1, 0.0, 6, 7)], T=1, J=3, seed=1,
@@ -328,7 +326,9 @@ class TestFullRuns:
         assert len({v.node for v in scenario.build_fleet()}) == 3  # no anchor skip
         orig_dry = FleetEngine.dry_run_demand
         orig_run_slot = FleetEngine.run_slot
+        orig_build = FleetEngine.slot_from_dry_run
         dry_runs = []
+        served = []  # pool and statistics of each run_slot
         realized = []
 
         def dry_run_demand(self, t, eligible_ids):
@@ -336,24 +336,27 @@ class TestFullRuns:
             dry_runs.append(stats)
             return stats, end
 
-        def run_slot(self, t, pool_ids, charger_ids):
-            stats = orig_run_slot(self, t, pool_ids, charger_ids)
-            if charger_ids:
-                realized.append((charger_ids, stats))
+        def run_slot(self, t, pool_ids):
+            stats = orig_run_slot(self, t, pool_ids)
+            served.append((pool_ids, stats))
             return stats
 
-        def no_build(*args):
-            raise AssertionError("slot built from a dry run with a near tie")
+        def slot_from_dry_run(self, t, eligible_ids, charger_ids, dry, end):
+            stats = orig_build(self, t, eligible_ids, charger_ids, dry, end)
+            realized.append((charger_ids, stats))
+            return stats
 
         price_insertions_by_id(monkeypatch, NEAR_TIE)
         monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
-        monkeypatch.setattr(FleetEngine, "slot_from_dry_run", no_build)
+        monkeypatch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
         summary = run_tgc(scenario)
         [dry] = dry_runs
         [(chargers, stats)] = realized
+        [_, (pool, again)] = served  # the dry run, then the slot again
         assert dry.near_tie and dry.transporting_ids == {2}
-        assert chargers == {0} and stats.transporting_ids == {1}
+        assert chargers == {0} and pool == {1, 2}
+        assert stats.transporting_ids == again.transporting_ids == {1}
         assert summary.served == 1 and summary.slots[0].charged_kwh > 0.0
 
     def test_joint_rule_plays_only_where_the_plan_buys(self, monkeypatch):
@@ -442,3 +445,93 @@ class TestScenarioValidation:
         assert [(v.node, v.energy) for v in sc2.build_fleet()] != [
             (v.node, v.energy) for v in f1
         ]
+
+
+@st.composite
+def grid_days(draw):
+    """A generated day: a ``GridSpec`` of 4-9 rows, 3-6 columns, 1 to rows
+    regions, 1-4 stations, 3-30 vehicles with a drawn initial energy range
+    and up to 10 trips per vehicle, and config overrides for the batch
+    length, the seats and the detour bound."""
+    rows = draw(st.integers(4, 9))
+    fleet = draw(st.integers(3, 30))
+    low = draw(st.floats(0.0, 45.0))
+    spec = scenario_gen.GridSpec(
+        rows=rows,
+        cols=draw(st.integers(3, 6)),
+        regions=draw(st.integers(1, rows)),
+        stations=draw(st.integers(1, 4)),
+        fleet=fleet,
+        trips=draw(st.integers(1, 10 * fleet)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        energy_range=(low, draw(st.floats(low, 45.0))),
+    )
+    overrides = {
+        "batch_minutes": draw(st.integers(1, 25)),
+        "params": {
+            "seats": draw(st.integers(1, 6)),
+            "detour_max": draw(st.floats(1.2, 3.0)),
+        },
+    }
+    return spec, overrides
+
+
+OUTPUTS = ("summary.json", "slots_jtcs.csv", "slots_tgc.csv", "charging_plan.csv")
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(day=grid_days())
+def test_day_equals_its_interleaved_reference(tmp_path, day):
+    # both schemes, each slot executed from its dry run, write the same
+    # bytes as with every slot simulated in one pass from the slot start;
+    # along the way energy stays in [0, c], the ledger balances, every trip
+    # is served or waiting and no served ride breaks its detour bound
+    spec, overrides = day
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    config_path = scenario_gen.write(spec, str(work / "scenario"))
+    config = json.loads(Path(config_path).read_text())
+    Path(config_path).write_text(json.dumps({**config, **overrides}))
+    scenario = build_scenario(load_config(config_path))
+    params = scenario.params
+    engines = {}  # the engine of each scheme's day
+
+    orig_slot = FleetEngine.slot_from_dry_run
+
+    def checked_slot(self, t, eligible_ids, charger_ids, dry, end):
+        if charger_ids and not charger_ids.isdisjoint(dry.transporting_ids):
+            event("a charger the dry run assigned")
+        if dry.near_tie:
+            event("a near tie")
+        stats = orig_slot(self, t, eligible_ids, charger_ids, dry, end)
+        for veh in self.state.vehicles:
+            assert 0.0 <= veh.energy <= params.c + 1e-9, veh
+        engines[id(self)] = self
+        return stats
+
+    run = ["run", "--config", config_path, "--out"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetEngine, "slot_from_dry_run", checked_slot)
+        assert main(run + [str(work / "day")]) == 0
+    with reference_day():
+        assert main(run + [str(work / "reference")]) == 0
+    for name in OUTPUTS:
+        assert (work / "day" / name).read_bytes() == (
+            work / "reference" / name
+        ).read_bytes(), name
+
+    summary = json.loads((work / "day" / "summary.json").read_text())
+    start = sum(v.energy for v in scenario.build_fleet())
+    for mode in (simulator.JTCS, simulator.TGC):
+        doc = summary[mode]
+        assert doc["served"] + doc["waiting"] == len(scenario.requests)
+        energy = start
+        for slot in doc["slots"]:
+            energy += slot["charged_kwh"] - slot["consumed_kwh"]
+            assert slot["fleet_energy_kwh"] == pytest.approx(energy, abs=1e-9)
+            energy = slot["fleet_energy_kwh"]
+    assert len(engines) == 2
+    for engine in engines.values():
+        for rs in engine.state.requests.values():
+            if rs.status == SERVED:
+                assert rs.ride_km <= _ride_limit(rs.request, params)

@@ -46,6 +46,7 @@ from conftest import (
 from oracles import (
     brute_force_insertion,
     full_scan_assign,
+    interleaved_slot,
     plan_distance,
     planned_insertion,
 )
@@ -547,8 +548,7 @@ class TestGroupCensus:
         ]
         state = FleetState(vehicles=vehicles, requests={})
         groups, members = group_census(state, HALVES, GameParams(), set())
-        assert (groups[0].a, groups[0].f, groups[0].m) == (2, 1, 1)
-        assert (groups[1].a, groups[1].f, groups[1].m) == (3, 1, 2)
+        assert [(g.m + g.f, g.f, g.m) for g in groups] == [(2, 1, 1), (3, 1, 2)]
         # the members are exactly each region's unfull vehicles, in id order,
         # as the state's own objects
         assert [[v.id for v in ms] for ms in members] == [[1], [2, 4]]
@@ -576,12 +576,20 @@ def build_engine(graph, requests, params=PARAMS, vehicles=None, batch_minutes=5.
     )
 
 
+def execute_slot(engine, t, pool_ids, charger_ids):
+    """Slot t as the day loop executes it: the dry run of every vehicle in
+    the pool or charging, then ``slot_from_dry_run``."""
+    eligible = pool_ids | charger_ids
+    dry, end = engine.dry_run_demand(t, eligible)
+    return engine.slot_from_dry_run(t, eligible, charger_ids, dry, end)
+
+
 class TestEngine:
     def test_serves_single_request(self, grid_graph):
         req = make_request(grid_graph, 1, 60.0, 1, 3)
         engine = build_engine(grid_graph, [req],
                               vehicles=[fresh_vehicle(vid=0, node=1)])
-        engine.run_slot(0, {0}, set())
+        engine.run_slot(0, {0})
         rs = engine.state.requests[1]
         assert rs.status == "served"
         assert rs.pickup_time >= 60.0
@@ -619,7 +627,7 @@ class TestEngine:
 
         monkeypatch.setattr(transport_scheduler, "pci_assign", checking)
         for t in range(3):
-            engine.run_slot(t, {0, 1}, set())
+            engine.run_slot(t, {0, 1})
         # some requests waited through several batches while later ones
         # were served
         states = engine.state.requests
@@ -633,7 +641,7 @@ class TestEngine:
         veh = fresh_vehicle(vid=0, node=0, energy=40.0)
         req = make_request(grid_graph, 1, 0.0, 0, 15)  # 3 km direct
         engine = build_engine(grid_graph, [req], vehicles=[veh])
-        engine.run_slot(0, {0}, set())
+        engine.run_slot(0, {0})
         moved = 40.0 - engine.state.vehicle(0).energy
         assert moved == pytest.approx(0.3 * 3.0)
 
@@ -641,13 +649,13 @@ class TestEngine:
         req = make_request(grid_graph, 1, 0.0, 1, 3, earliest=600.0)
         engine = build_engine(grid_graph, [req],
                               vehicles=[fresh_vehicle(vid=0, node=1)])
-        engine.run_slot(0, {0}, set())
+        engine.run_slot(0, {0})
         assert engine.state.requests[1].pickup_time == pytest.approx(600.0)
 
     def test_charging_travel_and_gain(self, grid_graph):
         veh = fresh_vehicle(vid=0, node=5, energy=20.0)
         engine = build_engine(grid_graph, [], vehicles=[veh])
-        stats = engine.run_slot(0, set(), {0})
+        stats = execute_slot(engine, 0, set(), {0})
         v = engine.state.vehicle(0)
         # station 0 is 1 km away: -0.3 travel, +r charge
         assert v.node == 0
@@ -657,7 +665,7 @@ class TestEngine:
     def test_charge_capped_at_capacity(self, grid_graph):
         veh = fresh_vehicle(vid=0, node=0, energy=PARAMS.c - 1.0)
         engine = build_engine(grid_graph, [], vehicles=[veh])
-        stats = engine.run_slot(0, set(), {0})
+        stats = execute_slot(engine, 0, set(), {0})
         assert engine.state.vehicle(0).energy == pytest.approx(PARAMS.c)
         assert stats.charged_kwh == pytest.approx(1.0)
 
@@ -665,11 +673,11 @@ class TestEngine:
         req = make_request(grid_graph, 1, 0.0, 1, 3)
         engine = build_engine(grid_graph, [req],
                               vehicles=[fresh_vehicle(vid=0, node=1)])
-        engine.run_slot(0, {0}, set())  # picks up nothing pending? assign+serve
+        engine.run_slot(0, {0})  # picks up nothing pending? assign+serve
         veh = engine.state.vehicle(0)
         veh.plan.stops.append(Stop(3, DROPOFF, 1))
-        with pytest.raises(ValueError):
-            engine.run_slot(1, set(), {0})
+        with pytest.raises(ValueError, match="has passengers"):
+            execute_slot(engine, 1, set(), {0})
 
     def test_underflow_is_hard_fault(self, grid_graph):
         # a plan the vehicle cannot energetically honor (bypasses the
@@ -682,13 +690,13 @@ class TestEngine:
         engine = build_engine(grid_graph, [req], vehicles=[veh])
         engine.state.requests[1].status = "assigned"
         with pytest.raises(EnergyUnderflowError):
-            engine.run_slot(0, {0}, set())
+            engine.run_slot(0, {0})
 
     def test_energy_stranded_charger_held_idle(self, grid_graph):
         # cannot reach any station on 0.1 kwh: warned and held, not crashed
         veh = fresh_vehicle(vid=0, node=5, energy=0.1)
         engine = build_engine(grid_graph, [], vehicles=[veh])
-        stats = engine.run_slot(0, set(), {0})
+        stats = execute_slot(engine, 0, set(), {0})
         assert stats.chargers_short == 1
         assert engine.state.vehicle(0).energy == pytest.approx(0.1)
 
@@ -700,7 +708,7 @@ class TestEngine:
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
         engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
-        stats = engine.run_slot(0, set(), {0, 1})
+        stats = execute_slot(engine, 0, set(), {0, 1})
         assert stats.charged_kwh == pytest.approx(params.r)
         assert stats.chargers_short == 1
         for veh in engine.state.vehicles:
@@ -716,11 +724,11 @@ class TestEngine:
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
         engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
-        engine.run_slot(0, set(), {0, 1})
+        execute_slot(engine, 0, set(), {0, 1})
         head = engine.state.vehicle(1).edge_head
         assert head is not None
         before = engine.fleet_energy()
-        stats = engine.run_slot(1, {0, 1}, set())
+        stats = engine.run_slot(1, {0, 1})
         veh = engine.state.vehicle(1)
         assert (veh.node, veh.edge_head, veh.edge_progress) == (head, None, 0.0)
         assert stats.consumed_kwh > 0.0 and stats.charged_kwh == 0.0
@@ -738,15 +746,10 @@ class TestEngine:
         req = make_request(graph, 1, 0.0, 0, 1)
         engine = build_engine(graph, [req], vehicles=[fresh_vehicle(vid=0, node=0)],
                               batch_minutes=batch_minutes)
-        stats = engine.run_slot(0, {0}, set())
+        stats = engine.run_slot(0, {0})
         driven = PARAMS.speed * PARAMS.slot_hours
         assert stats.consumed_kwh == pytest.approx(driven * PARAMS.consume_rate)
         assert engine.state.vehicle(0).edge_progress == pytest.approx(driven)
-
-    def test_pool_and_charger_disjoint(self, grid_graph):
-        engine = build_engine(grid_graph, [])
-        with pytest.raises(ValueError):
-            engine.run_slot(0, {0, 1}, {1})
 
     def test_determinism(self, grid_graph):
         reqs = [
@@ -756,7 +759,7 @@ class TestEngine:
         states = []
         for _ in range(2):
             engine = build_engine(grid_graph, reqs)
-            engine.run_slot(0, {0, 1, 2, 3}, set())
+            engine.run_slot(0, {0, 1, 2, 3})
             states.append(engine.state)
         assert states[0] == states[1]
 
@@ -799,7 +802,7 @@ class TestDryRun:
         assert stats.transporting_ids
         for pool in (eligible, {0, 1, 2, 3}):
             ref = engine()
-            assert ref.run_slot(0, pool, set()) == stats
+            assert ref.run_slot(0, pool) == stats
             assert ref.state == end_state
 
     def test_demand_formula(self, grid_graph):
@@ -899,45 +902,47 @@ class TestSlotFromDryRun:
     @settings(max_examples=150, deadline=None)
     @given(day=charging_days(), data=st.data())
     def test_equals_run_slot(self, day, data):
-        # each slot: chargers drawn from the vehicles the dry run did not
-        # assign; the slot built from the dry run ends exactly as run_slot
-        # from the same start: state, statistics and the energy's bits
+        # each slot: chargers drawn from every vehicle without stops at the
+        # slot start, dry-run transporters included; the slot executed from
+        # the dry run ends exactly as the interleaved reference from the same
+        # start: state, statistics and the energy's bits
         engine, T = day
         need = engine.params.slot_consumption
         for t in range(T):
             eligible = {v.id for v in engine.state.vehicles if v.energy >= need}
             dry, end = engine.dry_run_demand(t, eligible)
-            unassigned = sorted(
-                v.id for v in engine.state.vehicles if v.id not in dry.transporting_ids
-            )
+            free = [v.id for v in engine.state.vehicles if not v.plan.stops]
             chargers = set(data.draw(
-                st.lists(st.sampled_from(unassigned), unique=True)
-                if unassigned else st.just([])
+                st.lists(st.sampled_from(free), unique=True) if free else st.just([])
             ))
             ref = copy.copy(engine)
             ref.state = engine.state.clone()
-            expected = _outcome(lambda: ref.run_slot(t, eligible - chargers, chargers))
+            expected = _outcome(
+                lambda: interleaved_slot(ref, t, eligible - chargers, chargers)
+            )
+            if chargers:
+                event("chargers")
+                if not chargers.isdisjoint(dry.transporting_ids):
+                    event("a charger the dry run assigned")
             if dry.near_tie:
-                with pytest.raises(ValueError):
-                    engine.slot_from_dry_run(t, chargers, dry, end)
-            else:
-                if chargers:
-                    event("chargers")
-                if any(vid in chargers for _, vid, _ in dry.burns):
-                    event("a charger drove in the dry run")
-                got = _outcome(lambda: engine.slot_from_dry_run(t, chargers, dry, end))
-                assert got == expected
-                if expected is not EnergyUnderflowError:
-                    assert got.consumed_kwh.hex() == expected.consumed_kwh.hex()
-                    assert engine.state == ref.state
+                event("a near tie")
+            if any(vid in chargers for _, vid, _ in dry.burns):
+                event("a charger drove in the dry run")
+            got = _outcome(
+                lambda: engine.slot_from_dry_run(t, eligible, chargers, dry, end)
+            )
+            assert got == expected
             if expected is EnergyUnderflowError:
                 return
+            assert got.consumed_kwh.hex() == expected.consumed_kwh.hex()
+            assert engine.state == ref.state
             engine = ref
 
-    def test_drops_the_chargers_dry_run_drive(self, grid_graph):
+    def test_drops_the_chargers_dry_run_drive(self, grid_graph, monkeypatch):
         # vehicle 1 starts mid-edge: in the dry run it finishes the edge
-        # idle, as a charger it drives on to station 15; the merged slot
-        # keeps vehicle 0's trip and only the charger's own drive
+        # idle, as a charger it drives on to station 15; the slot keeps
+        # vehicle 0's trip from the dry run, without serving it again, and
+        # only the charger's own drive
         req = make_request(grid_graph, 1, 0.0, 1, 3)
         idle = fresh_vehicle(vid=1, node=9, energy=20.0)
         idle.edge_head, idle.edge_progress = 10, 0.25
@@ -949,27 +954,45 @@ class TestSlotFromDryRun:
         assert {vid for _, vid, _ in dry.burns} == {0, 1}
         ref = copy.copy(engine)
         ref.state = engine.state.clone()
-        expected = ref.run_slot(0, {0}, {1})
-        stats = engine.slot_from_dry_run(0, {1}, dry, end)
+        expected = interleaved_slot(ref, 0, {0}, {1})
+        monkeypatch.delattr(FleetEngine, "run_slot")
+        stats = engine.slot_from_dry_run(0, {0, 1}, {1}, dry, end)
         assert stats == expected and engine.state == ref.state
         assert stats.charged_kwh == PARAMS.r
         assert engine.state.vehicle(1).node == 15
         assert stats.burns != dry.burns
 
-    def test_rejects_an_assigned_charger(self, grid_graph):
+    def test_an_assigned_charger_is_served_again(self, grid_graph, monkeypatch):
+        # the dry run gives the trip to vehicle 0, which then charges: the
+        # slot is served again without it, and vehicle 1 takes the trip
         req = make_request(grid_graph, 1, 0.0, 1, 3)
-        engine = build_engine(grid_graph, [req],
-                              vehicles=[fresh_vehicle(vid=0, node=1, energy=20.0)])
-        dry, end = engine.dry_run_demand(0, {0})
-        assert dry.transporting_ids == {0}
-        with pytest.raises(ValueError):
-            engine.slot_from_dry_run(0, {0}, dry, end)
+        engine = build_engine(grid_graph, [req], vehicles=[
+            fresh_vehicle(vid=0, node=1, energy=20.0), fresh_vehicle(vid=1, node=6),
+        ])
+        dry, end = engine.dry_run_demand(0, {0, 1})
+        assert dry.transporting_ids == {0} and not dry.near_tie
+        ref = copy.copy(engine)
+        ref.state = engine.state.clone()
+        expected = interleaved_slot(ref, 0, {1}, {0})
+        original = FleetEngine.run_slot
+        pools = []
+
+        def run_slot(self, t, pool_ids):
+            pools.append(pool_ids)
+            return original(self, t, pool_ids)
+
+        monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
+        stats = engine.slot_from_dry_run(0, {0, 1}, {0}, dry, end)
+        assert pools == [{1}]
+        assert stats == expected and engine.state == ref.state
+        assert stats.transporting_ids == {1} and stats.charged_kwh == PARAMS.r
+        assert engine.state.requests[1].status == SERVED
 
 
 def mid_day_engine():
     """An engine stopped at a slot boundary with a vehicle mid-edge carrying
     passengers, a multi-stop plan and a route, and a charger given a
-    station target (``run_slot`` itself leaves none standing)."""
+    station target (an executed slot leaves none standing)."""
     graph = make_grid_graph()
     reqs = [
         make_request(graph, 1, 3000.0, 1, 14),
@@ -978,7 +1001,7 @@ def mid_day_engine():
         make_request(graph, 4, 3300.0, 2, 13),
     ]
     engine = build_engine(graph, reqs)
-    engine.run_slot(0, {0, 1, 2}, {3})
+    execute_slot(engine, 0, {0, 1, 2}, {3})
     engine.state.vehicle(3).station_target = 15
     return engine
 
@@ -1098,7 +1121,7 @@ class TestSnapshotClone:
 class TestCensusIdentity:
     def test_population_conserved(self, grid_graph):
         engine = build_engine(grid_graph, [])
-        groups, _ = group_census(engine.state, HALVES, PARAMS, set())
-        assert sum(g.a for g in groups) == len(engine.state.vehicles)
+        groups, members = group_census(engine.state, HALVES, PARAMS, set())
+        assert sum(g.m + g.f for g in groups) == len(engine.state.vehicles)
         for g in groups:
-            assert g.m == g.a - g.f
+            assert g.m == len(members[g.region])
