@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -108,9 +109,25 @@ def _whole(value) -> int:
     return int(value)
 
 
-def _setting(config: dict, key: str, convert):
-    """``convert(config[key])``; a value it cannot convert is an error that
-    names the key."""
+def _each(convert):
+    """``convert`` applied to every entry of a list."""
+    return lambda values: [convert(v) for v in values]
+
+
+def _finite(value) -> float:
+    """``float(value)``; infinity and NaN are errors."""
+    number = float(value)
+    if not -math.inf < number < math.inf:
+        raise ValueError("not a finite number")
+    return number
+
+
+def _setting(config: dict, key: str, convert, default=None):
+    """``convert(config[key])``, or ``default``, if one is given, when the
+    key is absent; a value it cannot convert is an error that names the
+    key."""
+    if default is not None and key not in config:
+        return default
     try:
         return convert(config[key])
     except (TypeError, ValueError) as err:
@@ -126,7 +143,7 @@ def build_scenario(config: dict) -> Scenario:
     T = _setting(config, "slots", _whole)
     start_hour = _setting(config, "start_hour", _whole)
     seed = _setting(config, "seed", _whole)
-    batch_minutes = _setting(config, "batch_minutes", float)
+    batch_minutes = _setting(config, "batch_minutes", _finite)
     init_energy_range = _setting(config, "init_energy_range", _pair)
     graph = io_files.load_network(config["nodes"], config["network"])
     return Scenario(
@@ -209,19 +226,19 @@ def cmd_run(args) -> int:
 def cmd_solve_vi(args) -> int:
     doc = read_object(args.instance)
     params = params_from(doc)
-    m = [int(v) for v in doc["m"]]
-    d = [int(v) for v in doc["d"]]
+    m = _setting(doc, "m", _each(_whole))
+    d = _setting(doc, "d", _each(_whole))
     if len(d) != len(m):
         raise ValueError(
             f"d must hold one entry per group: {len(d)} entries for {len(m)} groups"
         )
     groups = [PvGroup(region=i, m=m[i], d=d[i]) for i in range(len(m))]
-    r = float(doc.get("r", params.r))
+    price = _setting(doc, "price", _finite)
     fset = FeasibleSet(
         m=[float(v) for v in m],
-        d_total=float(doc.get("d_total", sum(d))),
-        e_plus=float(doc["e_plus"]),
-        r=r,
+        d_total=_setting(doc, "d_total", float, float(sum(d))),
+        e_plus=_setting(doc, "e_plus", _finite),
+        r=_setting(doc, "r", float, params.r),
     )
     fset, report = clamp_demand(fset)
     if report.clamped:
@@ -229,10 +246,10 @@ def cmd_solve_vi(args) -> int:
             "charging demand clamped from %.6g to %.6g", report.original, report.adjusted
         )
     x, trace = sspm_solve(
-        groups, fset, float(doc["price"]), params, x0=doc.get("x0"),
+        groups, fset, price, params, x0=doc.get("x0"),
         keep_iterates=args.trace is not None,
     )
-    kkt = kkt_verify(x, groups, fset, float(doc["price"]), params)
+    kkt = kkt_verify(x, groups, fset, price, params)
     print(f"x_star = {np.array2string(x, precision=6)}")
     print(f"iterations = {len(trace)}")
     print(f"final residual = {trace.residual_norms[-1]:.3e}")
@@ -247,13 +264,16 @@ def cmd_solve_vi(args) -> int:
 def cmd_plan_charging(args) -> int:
     doc = read_object(args.inputs)
     params = params_from(doc)
+    reserve = doc.get("terminal_reserve_kwh")  # absent or null: no target
+    if reserve is not None:
+        reserve = _setting(doc, "terminal_reserve_kwh", float)
     inputs = DayAheadInputs(
-        consumed=doc["consumed"],
-        demand_counts=doc["demand_counts"],
-        prices=doc["prices"],
-        e_init=float(doc["e_init"]),
+        consumed=_setting(doc, "consumed", _each(float)),
+        demand_counts=_setting(doc, "demand_counts", _each(_whole)),
+        prices=_setting(doc, "prices", _each(float)),
+        e_init=_setting(doc, "e_init", float),
         params=params,
-        terminal_reserve_kwh=doc.get("terminal_reserve_kwh"),
+        terminal_reserve_kwh=reserve,
     )
     plan = schedule_charging(inputs)
     buf = io.StringIO()

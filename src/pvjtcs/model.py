@@ -14,7 +14,7 @@ the vehicles themselves live in the fleet engine
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 
@@ -70,6 +70,10 @@ class GameParams:
             raise ValueError(f"seats must be >= 1, got {self.seats}")
         if not self.detour_max >= 1.0:
             raise ValueError(f"detour_max must be >= 1, got {self.detour_max}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     @property
     def full_threshold(self) -> float:

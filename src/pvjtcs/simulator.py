@@ -13,10 +13,9 @@ Each slot, a dry run with every eligible vehicle serving says who would
 transport, the rule picks the chargers from that, and the fleet engine's
 ``slot_from_dry_run`` executes the slot from the dry run: the eligible
 vehicles that do not charge serve, the chargers charge.  It keeps the dry
-run's service when nobody charges, or when no charger transported in it
-and it saw no near tie, and serves the slot again without the chargers
-otherwise.  The loop then checks the energy balance and records one
-``SlotMetrics``.
+run's service when no charger transported in it, and serves the slot again
+without the chargers otherwise.  The loop then checks the energy balance
+and records one ``SlotMetrics``.
 Both schemes total the same records, so their energy bills and service
 levels are directly comparable.
 ``SlotMetrics`` is the one per-slot schema: the ``summary.json`` slot list
@@ -82,8 +81,8 @@ class Scenario:
             raise ValueError("initial energy range outside [0, battery capacity]")
         if self.initial_energies is not None and len(self.initial_energies) != self.params.J:
             raise ValueError("initial_energies length must equal fleet size J")
-        if not self.batch_minutes > 0.0:
-            raise ValueError(f"batch_minutes {self.batch_minutes} is not positive")
+        if not 0.0 < self.batch_minutes < math.inf:
+            raise ValueError(f"batch_minutes {self.batch_minutes} is not finite and > 0")
 
     def build_fleet(self) -> list[Vehicle]:
         """Seeded initial fleet: positions and energies."""

@@ -3,23 +3,25 @@
 Requests are batched every few simulated minutes, sorted by how long their
 passengers have been waiting, and inserted into vehicle plans at the cheapest
 feasible pickup/dropoff positions (seat capacity, detour bound and an energy
-reserve gate every candidate).  An engine is built with its fleet.  A vehicle's
-activity is read, never stored: it serves while its plan has stops, heads
-to a charger while it has a station target, and is idle otherwise (an idle
-vehicle still finishes the edge it is on).  A slot is executed one way.
+reserve gate every candidate).  Every least-cost choice is exact: the least
+cost wins, and a tie goes to the first candidate in scan order (the smaller
+vehicle id, the first (pickup, dropoff) positions).  An engine is built
+with its fleet.  A vehicle's activity is read, never stored: it serves
+while its plan has stops, heads to a charger while it has a station
+target, and is idle otherwise (an idle vehicle still finishes the edge it
+is on).  A slot is executed one way.
 The dry run (``FleetEngine.dry_run_demand``) answers the planning question
 "who would transport this slot": clone the fleet, serve the slot with
 every eligible vehicle on the live state, then make the clone live again
 and hand back the dry run's statistics and end state.  Given the chargers,
 ``FleetEngine.slot_from_dry_run`` keeps the dry run's service when no
-charger transported in it and it saw no near tie, and otherwise serves
-the slot again without the chargers (``run_slot``).  It then drives only
-the chargers, books their charge and ends the slot, so the next slot
-starts from a fleet with no charging targets.  ``group_census`` builds each
-region's group with its members and counts the moving vehicles.  A
-forecast that ignores energy needs no mode of its own: its vehicles hold
-``math.inf`` kwh, so every energy check passes and driving leaves them at
-inf.
+charger transported in it, and otherwise serves the slot again without
+the chargers (``run_slot``).  It then drives only the chargers, books
+their charge and ends the slot, so the next slot starts from a fleet
+with no charging targets.  ``group_census`` builds each region's group
+with its members and counts the moving vehicles.  A forecast that ignores
+energy needs no mode of its own: its vehicles hold ``math.inf`` kwh, so
+every energy check passes and driving leaves them at inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -208,7 +210,8 @@ def insertion_cost(
 ) -> tuple[float, int, int] | None:
     """``(delta, i, j)`` of the cheapest feasible insertion, or None: the
     pickup goes before stop i, the dropoff before stop j >= i, and delta is
-    the added distance; ``_with_trip`` builds that plan.  ``pick_to_drop``
+    the added distance; ``_with_trip`` builds that plan.  At equal delta
+    the first (i, j) in lexicographic order wins.  ``pick_to_drop``
     (origin to destination) and ``new_limit`` (``_ride_limit``) depend only
     on the request, so ``pci_assign`` computes them once per request.
 
@@ -312,7 +315,7 @@ def insertion_cost(
         if i < k:
             delta += from_drop[i + 1] - legs[i]
         if (
-            (best is None or delta < best[0] - 1e-12)
+            (best is None or delta < best[0])
             and fits_after[i]
             and (base + delta) * params.consume_rate <= budget
             and delta <= tail[i]
@@ -347,7 +350,7 @@ def insertion_cost(
             if j < k:
                 drop_detour += from_drop[j + 1] - legs[j]
             delta = pick_detour + drop_detour
-            if best is not None and delta >= best[0] - 1e-12:
+            if best is not None and delta >= best[0]:
                 continue
             if (base + delta) * params.consume_rate > budget or delta > tail[j]:
                 continue
@@ -378,34 +381,23 @@ def pci_assign(
     params: GameParams,
     now: float,
     requests: dict[int, RequestState],
-    stats: SlotStats | None = None,
 ) -> tuple[list[tuple[int, int]], list[TripRequest]]:
     """Assign pending requests to vehicles, longest wait first.
 
-    Each request goes to the fleet-wide minimum insertion cost (vehicle-id
-    ties downward: a later vehicle wins only by more than 1e-12) or onto the
-    returned waiting list.  Returns the (request id, vehicle id) assignments
-    made.
+    Each request goes to the first vehicle, in id order, at the fleet-wide
+    least insertion cost, or onto the returned waiting list.  Returns the
+    (request id, vehicle id) assignments made.
 
     Every vehicle evaluated runs ``insertion_cost``; only the winner's plan
     is built.  Idle vehicles at one anchor are skipped after the first
-    feasible one: their one candidate costs the same bit-equal
-    ``to_pick + pick_to_drop``, and the best cost seen never rises, so none
-    of them could beat it by more than 1e-12.  An infeasible vehicle marks
-    nothing, because energy and the remainder of the edge being driven
-    differ between vehicles at one anchor.
+    feasible one: a skipped vehicle's one candidate costs the same
+    bit-equal ``to_pick + pick_to_drop`` and it comes later in id order, so
+    it cannot win.  An infeasible vehicle marks nothing, because energy and
+    the remainder of the edge being driven differ between vehicles at one
+    anchor.
 
-    The 1e-12 rule is not transitive: with costs 1.0, 1.0 - 0.5e-12 and
-    1.0 - 1.5e-12 in id order the third vehicle wins, but without the
-    first one the second does.  So ``stats.near_tie`` is set when some
-    request's feasible costs held a distinct value ``c`` with
-    ``c_min >= c - 1e-12``, the scan's own test.  Without one, the winner
-    is the first vehicle at exactly ``c_min``: everything before it costs
-    more than 1e-12 above it, and nothing after it costs less.  Removing
-    vehicles that did not win then keeps every winner, since the least
-    cost and the first vehicle at it stay, and a subset holds no new
-    value; idle vehicles that the anchor skip hid behind a removed one
-    cost the same bit-equal value and come after it in id order.
+    The winner is the least (cost, id) over the feasible vehicles.  Removing
+    vehicles that did not win leaves it the least, so every winner stays.
     """
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
     by_id = sorted(fleet, key=lambda v: v.id)
@@ -416,7 +408,6 @@ def pci_assign(
         new_limit = _ride_limit(request, params)
         best_vehicle = None
         best = None
-        low = second = math.inf  # least and next distinct feasible cost
         done_anchors: set[int] = set()  # an idle vehicle there was feasible
         for veh in by_id:
             idle = not veh.plan.stops
@@ -431,25 +422,12 @@ def pci_assign(
                 continue
             if idle:
                 done_anchors.add(anchor)
-            # A cost below the best by more than 1e-12 is below every cost
-            # seen so far: each of those was a best (and the best only
-            # falls) or failed that test against a best no lower than
-            # today's.  So only a new least cost can win, and most
-            # vehicles cost one comparison.
-            cost = out[0]
-            if cost < second:
-                if cost < low:
-                    low, second = cost, low
-                    if best is None or cost < best[0] - 1e-12:
-                        best = out
-                        best_vehicle = veh
-                elif cost != low:
-                    second = cost
+            if best is None or out[0] < best[0]:
+                best = out
+                best_vehicle = veh
         if best_vehicle is None:
             waiting.append(request)
             continue
-        if stats is not None and low >= second - 1e-12:
-            stats.near_tie = True
         _, i, j = best
         best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
         best_vehicle.route = []  # plan changed: reroute from the anchor
@@ -500,7 +478,6 @@ class SlotStats:
     # every drive, in the order the slot made them: (batch start, vehicle
     # id, kwh), so by batch, then vehicle id
     burns: list = field(default_factory=list)
-    near_tie: bool = False  # see ``pci_assign``
 
 
 def _fold(burns: list) -> float:
@@ -593,9 +570,7 @@ class FleetEngine:
             if pending:
                 # energy falls within the slot, so the filter runs per batch
                 able = [v for v in pool if v.energy >= need]
-                pci_assign(
-                    pending, able, self.graph, self.params, b0, requests, stats
-                )
+                pci_assign(pending, able, self.graph, self.params, b0, requests)
             for veh in state.vehicles:
                 # ``_advance`` returns at once for any other vehicle
                 if (
@@ -642,11 +617,11 @@ class FleetEngine:
         (one left mid-edge finishes that edge next slot, like any idle
         vehicle).
 
-        The service is the dry run's when nobody charges, or when no
-        charger transported in it (``dry.transporting_ids``) and it saw no
-        near tie (``dry.near_tie``).  Then taking the chargers out of the
-        pool keeps every assignment (see ``pci_assign``), and a charger
-        touches no request and no other vehicle.  Otherwise the chargers'
+        The service is the dry run's when no charger transported in it
+        (``dry.transporting_ids``), which holds when nobody charges.  Then
+        taking the chargers out of the pool keeps every assignment (see
+        ``pci_assign``), and a charger touches no request and no other
+        vehicle.  Otherwise the chargers'
         slot-start vehicles are cloned and the pool ``eligible_ids -
         charger_ids`` serves the slot again on the live state.  Either way
         the chargers' slot-start vehicles are then driven to their stations
@@ -664,15 +639,11 @@ class FleetEngine:
             if veh.plan.stops:
                 raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
         served = dry
-        if charger_ids and (
-            dry.near_tie or not charger_ids.isdisjoint(dry.transporting_ids)
-        ):
+        if not charger_ids.isdisjoint(dry.transporting_ids):
             chargers = [veh.clone() for veh in chargers]
             served = self.run_slot(t, eligible_ids - charger_ids)
             end = state
-        stats = SlotStats(
-            transporting_ids=served.transporting_ids, near_tie=served.near_tie
-        )
+        stats = SlotStats(transporting_ids=served.transporting_ids)
         for veh in chargers:  # in id order, toward the nearest station
             try:
                 station, dist = nearest_station(self.graph, veh.anchor(), self.stations)

@@ -65,8 +65,8 @@ def small_params(**overrides) -> GameParams:
     return GameParams(**base)
 
 
-# insertion costs of vehicles 0, 1 and 2: the third beats the first by more
-# than 1e-12, but not the second, so the 1e-12 rule is not transitive
+# insertion costs of vehicles 0, 1 and 2, each below the one before by less
+# than 1e-12: vehicle 2 is the least, so it wins from any subset holding it
 NEAR_TIE = {0: 1.0, 1: 1.0 - 0.5e-12, 2: 1.0 - 1.5e-12}
 
 

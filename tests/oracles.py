@@ -329,8 +329,9 @@ def _detours_ok(vehicle, stops, requests, params, graph, new_request) -> bool:
 def brute_force_insertion(vehicle, request, graph, params, requests):
     """Cheapest feasible insertion by enumeration: build every candidate plan
     (pickup before position i, dropoff before position j >= i), check seats,
-    energy and every passenger's detour on it, keep the first strictly
-    cheaper one.  Returns (added km, stops) or None."""
+    energy and every passenger's detour on it, keep the first (i, j) in
+    lexicographic order at the least added km.  Returns (added km, stops)
+    or None."""
     stops = vehicle.plan.stops
     base = plan_distance(vehicle, stops, graph)
     pick = Stop(node=request.origin, action=PICKUP, request_id=request.id)
@@ -347,7 +348,7 @@ def brute_force_insertion(vehicle, request, graph, params, requests):
             if not _detours_ok(vehicle, cand, requests, params, graph, request):
                 continue
             delta = total - base
-            if best is None or delta < best[0] - 1e-12:
+            if best is None or delta < best[0]:
                 best = (delta, cand)
     return best
 
@@ -368,8 +369,8 @@ def planned_insertion(vehicle, request, graph, params, requests):
 def full_scan_assign(pending, fleet, graph, params, now, requests):
     """``pci_assign`` as a scan of the whole fleet: every vehicle's
     insertion is evaluated and its plan built (``planned_insertion``), and
-    the first one cheaper than the best so far by more than 1e-12 wins.
-    Returns (assignments, waiting list) like ``pci_assign``."""
+    the first vehicle in id order at the least cost wins.  Returns
+    (assignments, waiting list) like ``pci_assign``."""
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
     by_id = sorted(fleet, key=lambda v: v.id)
     assignments = []
@@ -381,7 +382,7 @@ def full_scan_assign(pending, fleet, graph, params, now, requests):
             out = planned_insertion(veh, request, graph, params, requests)
             if out is None:
                 continue
-            if best is None or out[0] < best[0] - 1e-12:
+            if best is None or out[0] < best[0]:
                 best = out
                 best_vehicle = veh
         if best_vehicle is None:
@@ -633,7 +634,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
         ]
         if pending:
             able = [v for v in pool if v.energy >= params.slot_consumption]
-            pci_assign(pending, able, engine.graph, params, b0, state.requests, stats)
+            pci_assign(pending, able, engine.graph, params, b0, state.requests)
         for veh in state.vehicles:
             engine._advance(veh, b0, b1, stats)
     for veh in chargers:

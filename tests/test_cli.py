@@ -412,6 +412,37 @@ class TestCliSurface:
         assert main(["solve-vi", "--instance", str(instance)]) == 1
         assert "d must hold one entry per group" in caplog.text
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", 10),
+        ("m", [2.7, 3]),
+        ("d", [5, None]),
+        ("e_plus", None),
+        ("e_plus", math.inf),
+        ("price", math.nan),
+        ("price", "2.0x"),
+        ("r", None),
+    ])
+    def test_solve_vi_rejects_a_bad_field(self, tmp_path, caplog, key, value):
+        doc = {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0, key: value}
+        instance = write(tmp_path, "instance.json", json.dumps(doc))
+        assert main(["solve-vi", "--instance", instance]) == 1
+        assert f"config key {key!r} has bad value" in caplog.text
+
+    @pytest.mark.parametrize("key, value", [
+        ("consumed", 2.0),
+        ("demand_counts", [0, 0.5]),
+        ("prices", None),
+        ("e_init", [6.0]),
+        ("terminal_reserve_kwh", "full"),
+    ])
+    def test_plan_charging_rejects_a_bad_field(self, tmp_path, caplog, key, value):
+        doc = {"consumed": [3.0, 1.0], "demand_counts": [0, 0], "prices": [1.0, 5.0],
+               "e_init": 6.0, "params": {"J": 2, "c": 10.0, "r": 2.0, "e_min": 1.0},
+               key: value}
+        inputs = write(tmp_path, "inputs.json", json.dumps(doc))
+        assert main(["plan-charging", "--inputs", inputs]) == 1
+        assert f"config key {key!r} has bad value" in caplog.text
+
     @pytest.mark.parametrize("params, message", BAD_PARAMS)
     def test_run_rejects_bad_params(self, tmp_path, caplog, params, message):
         config = json.loads((MINI / "config.json").read_text())
@@ -472,6 +503,14 @@ class TestCliSurface:
         assert "total cost = 4.000" in capsys.readouterr().out
         assert out_csv.exists()
 
+    def test_plan_charging_null_reserve_sets_no_target(self, tmp_path, capsys):
+        # a null terminal_reserve_kwh is as if absent: the day ends at e_init
+        doc = {"consumed": [2.0, 2.0], "demand_counts": [1, 1], "prices": [2.0, 3.0],
+               "e_init": 80.0, "params": {"J": 2}, "terminal_reserve_kwh": None}
+        inputs = write(tmp_path, "inputs.json", json.dumps(doc))
+        assert main(["plan-charging", "--inputs", inputs]) == 0
+        assert "total cost = 8.000 cents" in capsys.readouterr().out
+
     @pytest.mark.parametrize("error", [LineSearchError, ProjectionConvergenceError])
     def test_solver_failure_exits_nonzero(self, tmp_path, monkeypatch, error):
         def failing(*args, **kwargs):
@@ -502,7 +541,8 @@ class TestCliSurface:
         assert len(calls) == 1
         assert (tmp_path / "charging_plan.csv").exists()
 
-    @pytest.mark.parametrize("batch_minutes", [0.0, -5.0])
+    # infinity and NaN are rejected too: batches must have a finite length
+    @pytest.mark.parametrize("batch_minutes", [0.0, -5.0, math.inf, math.nan])
     def test_nonpositive_batch_rejected(self, tmp_path, batch_minutes):
         config = json.loads((MINI / "config.json").read_text())
         for key in ("nodes", "network", "stations", "regions", "trips", "prices"):

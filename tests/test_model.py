@@ -149,6 +149,8 @@ class TestValidation:
             {"rho": 0.0},
             {"r": 50.0},
             {"detour_max": 0.9},
+            # every field must be finite
+            *({f.name: math.inf} for f in dataclasses.fields(GameParams)),
         ],
     )
     def test_bad_params_rejected(self, kwargs):

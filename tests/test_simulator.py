@@ -1,5 +1,7 @@
 """Whole-day runs: energy conservation, scheme behavior, reproducibility."""
 
+import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -23,7 +25,15 @@ from pvjtcs.simulator import (
     run_jtcs,
     run_tgc,
 )
-from pvjtcs.transport_scheduler import SERVED, FleetEngine, Vehicle, _ride_limit
+from pvjtcs.transport_scheduler import (
+    ASSIGNED,
+    ONBOARD,
+    SERVED,
+    WAITING,
+    FleetEngine,
+    Vehicle,
+    _ride_limit,
+)
 from pvjtcs.vi_solver import sspm_solve
 from pvjtcs.simulator import _split_group
 from conftest import (
@@ -34,7 +44,7 @@ from conftest import (
     small_params,
 )
 from pvjtcs.network import RegionMap, StationSet
-from oracles import reference_day
+from oracles import interleaved_slot, reference_day
 
 REPO = Path(__file__).resolve().parent.parent
 MINI_CONFIG = REPO / "scenarios" / "manhattan-mini" / "config.json"
@@ -313,50 +323,44 @@ class TestFullRuns:
         assert sum(1 for _, n in executed if n) == charging
         assert all(n for t, n in executed if t in reserved)
 
-    def test_near_tie_serves_the_slot_again(self, monkeypatch):
+    def test_close_costs_keep_the_dry_runs_service(self, monkeypatch):
         # insertion costs 1.0, 1.0 - 0.5e-12 and 1.0 - 1.5e-12 by vehicle
-        # id: the dry run gives the trip to vehicle 2, but without vehicle 0,
-        # the greedy scheme's one charger, vehicle 1 wins.  The dry run saw
-        # the near tie, so the slot is served again without the charger
+        # id: the dry run gives the trip to vehicle 2, the least.  Vehicle
+        # 0, the greedy scheme's one charger, did not win, so the slot keeps
+        # the dry run's service: it equals the slot simulated in one pass
         graph = make_grid_graph()
         scenario = make_scenario(
             requests=[make_request(graph, 1, 0.0, 6, 7)], T=1, J=3, seed=1,
             energies=[20.0, 45.0, 45.0],
         )
         assert len({v.node for v in scenario.build_fleet()}) == 3  # no anchor skip
-        orig_dry = FleetEngine.dry_run_demand
         orig_run_slot = FleetEngine.run_slot
         orig_build = FleetEngine.slot_from_dry_run
-        dry_runs = []
-        served = []  # pool and statistics of each run_slot
+        served = []  # the statistics of each run_slot
         realized = []
-
-        def dry_run_demand(self, t, eligible_ids):
-            stats, end = orig_dry(self, t, eligible_ids)
-            dry_runs.append(stats)
-            return stats, end
 
         def run_slot(self, t, pool_ids):
             stats = orig_run_slot(self, t, pool_ids)
-            served.append((pool_ids, stats))
+            served.append(stats)
             return stats
 
         def slot_from_dry_run(self, t, eligible_ids, charger_ids, dry, end):
+            ref = copy.copy(self)
+            ref.state = self.state.clone()
+            expected = interleaved_slot(ref, t, eligible_ids - charger_ids, charger_ids)
             stats = orig_build(self, t, eligible_ids, charger_ids, dry, end)
+            assert stats == expected and self.state == ref.state
             realized.append((charger_ids, stats))
             return stats
 
         price_insertions_by_id(monkeypatch, NEAR_TIE)
-        monkeypatch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
         monkeypatch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
         summary = run_tgc(scenario)
-        [dry] = dry_runs
+        [dry] = served  # the dry run only
         [(chargers, stats)] = realized
-        [_, (pool, again)] = served  # the dry run, then the slot again
-        assert dry.near_tie and dry.transporting_ids == {2}
-        assert chargers == {0} and pool == {1, 2}
-        assert stats.transporting_ids == again.transporting_ids == {1}
+        assert dry.transporting_ids == stats.transporting_ids == {2}
+        assert chargers == {0}
         assert summary.served == 1 and summary.slots[0].charged_kwh > 0.0
 
     def test_joint_rule_plays_only_where_the_plan_buys(self, monkeypatch):
@@ -436,6 +440,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make_scenario(energies=[30.0])
 
+    @pytest.mark.parametrize("batch_minutes", [0.0, -5.0, math.inf, math.nan])
+    def test_batch_minutes_finite_and_positive(self, batch_minutes):
+        with pytest.raises(ValueError, match="batch_minutes"):
+            dataclasses.replace(make_scenario(), batch_minutes=batch_minutes)
+
     def test_seeded_fleet_deterministic(self):
         sc = make_scenario(seed=42)
         f1 = sc.build_fleet()
@@ -477,6 +486,7 @@ def grid_days(draw):
 
 
 OUTPUTS = ("summary.json", "slots_jtcs.csv", "slots_tgc.csv", "charging_plan.csv")
+STATUS_ORDER = (WAITING, ASSIGNED, ONBOARD, SERVED)
 
 
 @settings(max_examples=20, deadline=None,
@@ -485,8 +495,10 @@ OUTPUTS = ("summary.json", "slots_jtcs.csv", "slots_tgc.csv", "charging_plan.csv
 def test_day_equals_its_interleaved_reference(tmp_path, day):
     # both schemes, each slot executed from its dry run, write the same
     # bytes as with every slot simulated in one pass from the slot start;
-    # along the way energy stays in [0, c], the ledger balances, every trip
-    # is served or waiting and no served ride breaks its detour bound
+    # along the way energy stays in [0, c], every request's status only
+    # moves forward and a served one was picked up no later than dropped
+    # off, the ledger balances, every trip is served or waiting and no
+    # served ride breaks its detour bound
     spec, overrides = day
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     config_path = scenario_gen.write(spec, str(work / "scenario"))
@@ -495,17 +507,22 @@ def test_day_equals_its_interleaved_reference(tmp_path, day):
     scenario = build_scenario(load_config(config_path))
     params = scenario.params
     engines = {}  # the engine of each scheme's day
+    ranks = {}  # (engine id, request id): the request's last status rank
 
     orig_slot = FleetEngine.slot_from_dry_run
 
     def checked_slot(self, t, eligible_ids, charger_ids, dry, end):
-        if charger_ids and not charger_ids.isdisjoint(dry.transporting_ids):
+        if not charger_ids.isdisjoint(dry.transporting_ids):
             event("a charger the dry run assigned")
-        if dry.near_tie:
-            event("a near tie")
         stats = orig_slot(self, t, eligible_ids, charger_ids, dry, end)
         for veh in self.state.vehicles:
             assert 0.0 <= veh.energy <= params.c + 1e-9, veh
+        for rid, rs in self.state.requests.items():
+            rank = STATUS_ORDER.index(rs.status)
+            assert rank >= ranks.get((id(self), rid), 0), rs
+            ranks[id(self), rid] = rank
+            if rs.status == SERVED:
+                assert rs.pickup_time <= rs.dropoff_time, rs
         engines[id(self)] = self
         return stats
 

@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pvjtcs import transport_scheduler
@@ -37,7 +37,6 @@ from pvjtcs.transport_scheduler import (
     pci_assign,
 )
 from conftest import (
-    NEAR_TIE,
     make_grid_graph,
     make_request,
     price_insertions_by_id,
@@ -221,7 +220,7 @@ class TestInsertionCost:
             if not feasible:
                 continue
             cand_delta = total - base
-            if best is None or cand_delta < best - 1e-12:
+            if best is None or cand_delta < best:
                 best = cand_delta
         assert best is not None
         assert delta == pytest.approx(best, abs=1e-9)
@@ -496,45 +495,29 @@ class TestPciAssign:
         # vehicles at distinct anchors, so the anchor skip hides none
         req = make_request(grid_graph, 1, 0.0, 6, 7)
         fleet = [fresh_vehicle(vid=vid, node=vid) for vid in vids]
-        stats = transport_scheduler.SlotStats()
         assigned, _ = pci_assign(
-            [req], fleet, grid_graph, PARAMS, 1.0, states_for(req), stats
+            [req], fleet, grid_graph, PARAMS, 1.0, states_for(req)
         )
-        return assigned, stats.near_tie
-
-    def test_near_tie_is_recorded(self, grid_graph, monkeypatch):
-        # removing vehicle 0, which did not win, changes the winner: the
-        # 1e-12 rule is not transitive, and the scan says so
-        price_insertions_by_id(monkeypatch, NEAR_TIE)
-        assert self.assign_one(grid_graph, [0, 1, 2]) == ([(1, 2)], True)
-        assert self.assign_one(grid_graph, [1, 2]) == ([(1, 1)], True)
-
-    @pytest.mark.parametrize("costs, winner, near_tie", [
-        ({0: 1.0, 1: 1.0, 2: 1.0}, 0, False),  # bit-equal costs are no near tie
-        ({0: 1.0, 1: 0.5, 2: 0.5 + 1.1e-12}, 1, False),
-        # flagged although the winner is the first at the least cost
-        ({0: 1.0 + 2e-12, 1: 1.0, 2: 1.0 + 0.9e-12}, 1, True),
-    ])
-    def test_near_tie_flag(self, grid_graph, monkeypatch, costs, winner, near_tie):
-        price_insertions_by_id(monkeypatch, costs)
-        assert self.assign_one(grid_graph, [0, 1, 2]) == ([(1, winner)], near_tie)
+        return assigned
 
     @settings(max_examples=200, deadline=None)
-    @given(steps=st.lists(st.integers(-4, 4), min_size=1, max_size=16))
-    def test_dense_near_ties(self, steps):
+    @given(
+        steps=st.lists(st.integers(-4, 4), min_size=1, max_size=16),
+        keep=st.lists(st.booleans(), min_size=16, max_size=16),
+    )
+    # NEAR_TIE's shape, and the subset without vehicle 0
+    @example(steps=[0, -1, -3], keep=[False, True] + [False] * 14)
+    def test_dense_near_ties(self, steps, keep):
         # up to 16 vehicles whose costs lie 0.4e-12 apart: the winner is the
-        # plain scan's, and the flag is set exactly when the next distinct
-        # cost is within 1e-12 of the least
+        # least (cost, id), and any subset of the fleet holding it picks it
+        # too, so taking out vehicles that did not win keeps the winner
         costs = {vid: 1.0 + k * 0.4e-12 for vid, k in enumerate(steps)}
-        best = None
-        for vid, cost in costs.items():
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, vid)
-        distinct = sorted(set(costs.values()))
-        near_tie = len(distinct) > 1 and distinct[0] >= distinct[1] - 1e-12
+        winner = min(costs, key=lambda vid: (costs[vid], vid))
+        subset = [vid for vid in costs if keep[vid] or vid == winner]
         with pytest.MonkeyPatch.context() as mp:
             price_insertions_by_id(mp, costs)
-            assert self.assign_one(GRID, list(costs)) == ([(1, best[1])], near_tie)
+            assert self.assign_one(GRID, list(costs)) == [(1, winner)]
+            assert self.assign_one(GRID, subset) == [(1, winner)]
 
 
 class TestGroupCensus:
@@ -924,8 +907,6 @@ class TestSlotFromDryRun:
                 event("chargers")
                 if not chargers.isdisjoint(dry.transporting_ids):
                     event("a charger the dry run assigned")
-            if dry.near_tie:
-                event("a near tie")
             if any(vid in chargers for _, vid, _ in dry.burns):
                 event("a charger drove in the dry run")
             got = _outcome(
@@ -970,7 +951,7 @@ class TestSlotFromDryRun:
             fresh_vehicle(vid=0, node=1, energy=20.0), fresh_vehicle(vid=1, node=6),
         ])
         dry, end = engine.dry_run_demand(0, {0, 1})
-        assert dry.transporting_ids == {0} and not dry.near_tie
+        assert dry.transporting_ids == {0}
         ref = copy.copy(engine)
         ref.state = engine.state.clone()
         expected = interleaved_slot(ref, 0, {1}, {0})
