@@ -13,6 +13,7 @@ energy never exceeds total battery capacity.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -54,13 +55,21 @@ class DayAheadInputs:
             raise ValueError("need at least one slot")
         if not len(self.demand_counts) == len(self.prices) == T:
             raise ValueError("consumed/demand_counts/prices must share length")
-        if any(v < 0.0 for v in self.consumed):
-            raise ValueError("consumed energy must be nonnegative")
+        # every check is written so that it fails for NaN
+        for name in ("consumed", "prices"):
+            for t, v in enumerate(getattr(self, name)):
+                if not 0.0 <= v < math.inf:
+                    raise ValueError(
+                        f"{name} must be finite and nonnegative, got {v} at slot {t}"
+                    )
         J = self.params.J
         if any(not 0 <= dc <= J for dc in self.demand_counts):
             raise ValueError(f"demand counts must lie in [0, J={J}]")
         if not 0.0 <= self.e_init <= J * self.params.c:
             raise ValueError("initial energy outside [0, fleet capacity]")
+        reserve = self.terminal_reserve_kwh
+        if reserve is not None and not -math.inf < reserve < math.inf:
+            raise ValueError(f"terminal_reserve_kwh must be finite, got {reserve}")
 
     @property
     def T(self) -> int:

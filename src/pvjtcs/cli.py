@@ -51,22 +51,28 @@ CONFIG_DEFAULTS = {
     "init_energy_range": [32.0, 41.0],
     "params": {},
 }
+# the keys of a ``solve-vi`` instance and of ``plan-charging`` inputs
+INSTANCE_KEYS = ("m", "d", "e_plus", "price", "d_total", "r", "x0", "params")
+INPUTS_KEYS = (
+    "consumed", "demand_counts", "prices", "e_init", "terminal_reserve_kwh", "params"
+)
 
 
-def read_object(path: str) -> dict:
-    """The JSON document at ``path``, which must be an object."""
+def read_object(path: str, kind: str, known) -> dict:
+    """The JSON document at ``path``, which must be an object whose keys
+    are all ``known``; ``kind`` names the document in errors."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
     return doc
 
 
 def load_config(path: str) -> dict:
-    raw = read_object(path)
-    unknown = set(raw) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    raw = read_object(path, "config", CONFIG_DEFAULTS)
     config = dict(CONFIG_DEFAULTS)
     config.update(raw)
     base = os.path.dirname(os.path.abspath(path))
@@ -122,29 +128,37 @@ def _finite(value) -> float:
     return number
 
 
-def _setting(config: dict, key: str, convert, default=None):
-    """``convert(config[key])``, or ``default``, if one is given, when the
-    key is absent; a value it cannot convert is an error that names the
-    key."""
-    if default is not None and key not in config:
-        return default
+def _setting(doc: dict, kind: str, key: str, convert, default=None):
+    """``convert(doc[key])``, or ``default``, if one is given, when the key
+    is absent.  A missing key or a value ``convert`` rejects is an error
+    that names the key as a ``kind`` key ("config", "instance" or
+    "inputs")."""
+    if key not in doc:
+        if default is not None:
+            return default
+        raise ValueError(f"{kind} key {key!r} is missing")
     try:
-        return convert(config[key])
+        return convert(doc[key])
     except (TypeError, ValueError) as err:
         raise ValueError(
-            f"config key {key!r} has bad value {config[key]!r}: {err}"
+            f"{kind} key {key!r} has bad value {doc[key]!r}: {err}"
         ) from None
 
 
 def build_scenario(config: dict) -> Scenario:
     # every setting is converted before any file is read
-    params = params_from(config, J=_setting(config, "fleet_size", _whole))
-    filter_km = _setting(config, "trip_filter_km", float)
-    T = _setting(config, "slots", _whole)
-    start_hour = _setting(config, "start_hour", _whole)
-    seed = _setting(config, "seed", _whole)
-    batch_minutes = _setting(config, "batch_minutes", _finite)
-    init_energy_range = _setting(config, "init_energy_range", _pair)
+    params = params_from(config, J=_setting(config, "config", "fleet_size", _whole))
+    if "J" in config["params"]:
+        raise ValueError(
+            "config key 'params' may not set J: the fleet size is config key "
+            "'fleet_size'"
+        )
+    filter_km = _setting(config, "config", "trip_filter_km", float)
+    T = _setting(config, "config", "slots", _whole)
+    start_hour = _setting(config, "config", "start_hour", _whole)
+    seed = _setting(config, "config", "seed", _whole)
+    batch_minutes = _setting(config, "config", "batch_minutes", _finite)
+    init_energy_range = _setting(config, "config", "init_energy_range", _pair)
     graph = io_files.load_network(config["nodes"], config["network"])
     return Scenario(
         graph=graph,
@@ -224,21 +238,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve_vi(args) -> int:
-    doc = read_object(args.instance)
+    doc = read_object(args.instance, "instance", INSTANCE_KEYS)
     params = params_from(doc)
-    m = _setting(doc, "m", _each(_whole))
-    d = _setting(doc, "d", _each(_whole))
+    m = _setting(doc, "instance", "m", _each(_whole))
+    d = _setting(doc, "instance", "d", _each(_whole))
     if len(d) != len(m):
         raise ValueError(
             f"d must hold one entry per group: {len(d)} entries for {len(m)} groups"
         )
     groups = [PvGroup(region=i, m=m[i], d=d[i]) for i in range(len(m))]
-    price = _setting(doc, "price", _finite)
+    price = _setting(doc, "instance", "price", _finite)
     fset = FeasibleSet(
         m=[float(v) for v in m],
-        d_total=_setting(doc, "d_total", float, float(sum(d))),
-        e_plus=_setting(doc, "e_plus", _finite),
-        r=_setting(doc, "r", float, params.r),
+        d_total=_setting(doc, "instance", "d_total", float, float(sum(d))),
+        e_plus=_setting(doc, "instance", "e_plus", _finite),
+        r=_setting(doc, "instance", "r", float, params.r),
     )
     fset, report = clamp_demand(fset)
     if report.clamped:
@@ -262,16 +276,16 @@ def cmd_solve_vi(args) -> int:
 
 
 def cmd_plan_charging(args) -> int:
-    doc = read_object(args.inputs)
+    doc = read_object(args.inputs, "inputs", INPUTS_KEYS)
     params = params_from(doc)
     reserve = doc.get("terminal_reserve_kwh")  # absent or null: no target
     if reserve is not None:
-        reserve = _setting(doc, "terminal_reserve_kwh", float)
+        reserve = _setting(doc, "inputs", "terminal_reserve_kwh", float)
     inputs = DayAheadInputs(
-        consumed=_setting(doc, "consumed", _each(float)),
-        demand_counts=_setting(doc, "demand_counts", _each(_whole)),
-        prices=_setting(doc, "prices", _each(float)),
-        e_init=_setting(doc, "e_init", float),
+        consumed=_setting(doc, "inputs", "consumed", _each(float)),
+        demand_counts=_setting(doc, "inputs", "demand_counts", _each(_whole)),
+        prices=_setting(doc, "inputs", "prices", _each(float)),
+        e_init=_setting(doc, "inputs", "e_init", float),
         params=params,
         terminal_reserve_kwh=reserve,
     )

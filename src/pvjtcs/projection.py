@@ -28,6 +28,7 @@ weights, matching lengths and a feasible right-hand side, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,6 +63,10 @@ class FeasibleSet:
             raise ValueError(f"per-slot charge r must be positive, got {self.r}")
         if np.any(self.m < 0.0):
             raise ValueError("group sizes must be nonnegative")
+        for name in ("r", "e_plus", "d_total"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # fails for NaN too
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def m_total(self) -> float:

@@ -6,22 +6,23 @@ feasible pickup/dropoff positions (seat capacity, detour bound and an energy
 reserve gate every candidate).  Every least-cost choice is exact: the least
 cost wins, and a tie goes to the first candidate in scan order (the smaller
 vehicle id, the first (pickup, dropoff) positions).  An engine is built
-with its fleet.  A vehicle's activity is read, never stored: it serves
-while its plan has stops, heads to a charger while it has a station
-target, and is idle otherwise (an idle vehicle still finishes the edge it
-is on).  A slot is executed one way.
+with its fleet.  A vehicle's activity is read, never stored, and one
+movement rule drives every vehicle: one with stops serves them in order,
+and one without stops drives the rest of its edge and its route, then
+stops.  A charger is a vehicle without stops whose route ends on its
+station.  A slot is executed one way.
 The dry run (``FleetEngine.dry_run_demand``) answers the planning question
 "who would transport this slot": clone the fleet, serve the slot with
 every eligible vehicle on the live state, then make the clone live again
 and hand back the dry run's statistics and end state.  Given the chargers,
 ``FleetEngine.slot_from_dry_run`` keeps the dry run's service when no
 charger transported in it, and otherwise serves the slot again without
-the chargers (``run_slot``).  It then drives only the chargers, books
-their charge and ends the slot, so the next slot starts from a fleet
-with no charging targets.  ``group_census`` builds each region's group
-with its members and counts the moving vehicles.  A forecast that ignores
-energy needs no mode of its own: its vehicles hold ``math.inf`` kwh, so
-every energy check passes and driving leaves them at inf.
+the chargers (``run_slot``).  It then routes only the chargers to their
+stations, drives them, books their charge and clears their routes, so no
+charging state outlives the slot.  ``group_census`` builds each region's
+group with its members and counts the moving vehicles.  A forecast that
+ignores energy needs no mode of its own: its vehicles hold ``math.inf``
+kwh, so every energy check passes and driving leaves them at inf.
 
 Vehicles move along cached shortest paths with fractional edge progress, so
 energy equals driven distance exactly and a vehicle committed to an edge
@@ -120,9 +121,9 @@ def _shallow_copy(obj):
 class Vehicle:
     """One PV: where it is, its energy, its plan and its movement.
 
-    What it is doing is read from the plan and the station target, never
-    stored: it serves while ``plan.stops`` is non-empty and heads to a
-    charger while ``station_target`` is set.
+    What it is doing is read, never stored: it serves while ``plan.stops``
+    is non-empty, and otherwise drives the rest of its edge and its route
+    (a charger's route ends on its station; an idle vehicle's is empty).
     """
 
     id: int
@@ -133,7 +134,6 @@ class Vehicle:
     edge_head: int | None = None
     edge_progress: float = 0.0
     route: list[int] = field(default_factory=list)
-    station_target: int | None = None
 
     def __post_init__(self) -> None:
         if self.energy < 0.0:
@@ -542,9 +542,9 @@ class FleetEngine:
             yield b0, min(b0 + self.batch_seconds, t1)
 
     def run_slot(self, t: int, pool_ids: set[int]) -> SlotStats:
-        """Serve the slot's requests with the pool; every vehicle with a
-        plan, a station target or an edge to finish drives.  Returns
-        energy/serving statistics."""
+        """Serve the slot's requests with the pool; every vehicle with stops
+        or an edge to finish drives (no vehicle holds a route without
+        either between slots).  Returns energy/serving statistics."""
         stats = SlotStats()
         state = self.state
         pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
@@ -573,11 +573,7 @@ class FleetEngine:
                 pci_assign(pending, able, self.graph, self.params, b0, requests)
             for veh in state.vehicles:
                 # ``_advance`` returns at once for any other vehicle
-                if (
-                    veh.plan.stops
-                    or veh.station_target is not None
-                    or veh.edge_head is not None
-                ):
+                if veh.plan.stops or veh.edge_head is not None:
                     self._advance(veh, b0, b1, stats)
 
         for veh in state.vehicles:
@@ -612,8 +608,10 @@ class FleetEngine:
         """Execute slot t, in which ``charger_ids`` charge and the rest of
         ``eligible_ids`` serve, from its dry run ``dry, end =
         dry_run_demand(t, eligible_ids)``, with the live state still at the
-        slot start.  The slot ends with every charger on its station gaining
-        its charge, and every charger dropping its station target and route
+        slot start.  Each charger that can reach its nearest station gets a
+        route there, which it drives like any vehicle without stops; the
+        station is known only here.  The slot ends with every charger on its
+        station gaining its charge, and every charger dropping its route
         (one left mid-edge finishes that edge next slot, like any idle
         vehicle).
 
@@ -644,6 +642,7 @@ class FleetEngine:
             served = self.run_slot(t, eligible_ids - charger_ids)
             end = state
         stats = SlotStats(transporting_ids=served.transporting_ids)
+        station_of: dict[int, int] = {}  # held-idle chargers are absent
         for veh in chargers:  # in id order, toward the nearest station
             try:
                 station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
@@ -659,22 +658,21 @@ class FleetEngine:
                 )
                 stats.chargers_short += 1
                 continue
-            veh.station_target = station
+            station_of[veh.id] = station
             self._retarget(veh, station)
         for b0, b1 in self._batches(t):
             for veh in chargers:
                 self._advance(veh, b0, b1, stats)
         for veh in chargers:
             end.vehicles[veh.id] = veh
-            if veh.station_target is None:
+            if veh.id not in station_of:
                 continue  # held idle, already counted short
-            if veh.node == veh.station_target and veh.edge_head is None:
+            if veh.node == station_of[veh.id] and veh.edge_head is None:
                 gain = min(self.params.r, self.params.c - veh.energy)
                 veh.energy += gain
                 stats.charged_kwh += gain
             else:
                 stats.chargers_short += 1
-            veh.station_target = None
             veh.route = []
         kept = [burn for burn in served.burns if burn[1] not in charger_ids]
         stats.burns = list(heapq.merge(kept, stats.burns))
@@ -695,52 +693,40 @@ class FleetEngine:
     def _advance(
         self, veh: Vehicle, b0: float, b1: float, stats: SlotStats
     ) -> None:
-        """Move one vehicle through the batch window, executing stops.  A
-        serving vehicle heads to its next stop, a charger to its station,
-        and an idle vehicle mid-edge finishes the edge and stops there."""
+        """Move one vehicle through the batch window by one rule.  A vehicle
+        with stops executes the first stop when it stands on that stop's
+        node and otherwise routes to that node; a vehicle without stops
+        drives the rest of its edge and its route, then stops (an idle
+        vehicle finishing its edge, a charger reaching its station).  At a
+        node it commits to its next edge before the budget check, so a
+        vehicle at a node at the batch end takes that edge at progress 0."""
         now = b0
         state = self.state
         while True:
-            if veh.plan.stops:
-                target_node = veh.plan.stops[0].node
-            elif veh.station_target is not None:
-                target_node = veh.station_target
-            elif veh.edge_head is not None:
-                target_node = veh.edge_head
-            else:
-                return
-
-            at_target = veh.edge_head is None and veh.node == target_node
-            if at_target:
-                if not veh.plan.stops:
-                    return  # a charger on its station
-                stop = veh.plan.stops[0]
-                rs = state.requests[stop.request_id]
-                if stop.action == PICKUP:
-                    if now < rs.request.earliest_start:
-                        if rs.request.earliest_start >= b1:
-                            return  # wait through the batch boundary
-                        now = rs.request.earliest_start
-                    rs.status = ONBOARD
-                    rs.pickup_time = max(now, rs.request.earliest_start)
-                    veh.plan.onboard += rs.request.passengers
-                else:
-                    rs.status = SERVED
-                    rs.dropoff_time = now
-                    veh.plan.onboard -= rs.request.passengers
-                veh.plan.stops.pop(0)
-                stats.transporting_ids.add(veh.id)
-                if not veh.plan.stops:
-                    veh.route = []
-                    return
-                continue
-
-            # ensure a route exists toward the target
-            if veh.edge_head is None and not veh.route:
-                self._retarget(veh, target_node)
-                if not veh.route:
-                    continue
+            stops = veh.plan.stops
             if veh.edge_head is None:
+                if stops and veh.node == stops[0].node:
+                    stop = stops[0]
+                    rs = state.requests[stop.request_id]
+                    if stop.action == PICKUP:
+                        if now < rs.request.earliest_start:
+                            if rs.request.earliest_start >= b1:
+                                return  # wait through the batch boundary
+                            now = rs.request.earliest_start
+                        rs.status = ONBOARD
+                        rs.pickup_time = max(now, rs.request.earliest_start)
+                        veh.plan.onboard += rs.request.passengers
+                    else:
+                        rs.status = SERVED
+                        rs.dropoff_time = now
+                        veh.plan.onboard -= rs.request.passengers
+                    stops.pop(0)
+                    stats.transporting_ids.add(veh.id)
+                    continue
+                if not veh.route:
+                    if not stops:
+                        return
+                    self._retarget(veh, stops[0].node)
                 veh.edge_head = veh.route.pop(0)
                 veh.edge_progress = 0.0
 

@@ -605,7 +605,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
     toward their nearest stations, then batch by batch the pool takes the
     released waiting requests and every vehicle with somewhere to go drives,
     in id order, chargers among the rest; at the end a charger on its
-    station gains its charge and every charger drops its target and route.
+    station gains its charge and every charger drops its route.
     Returns the slot's ``SlotStats``."""
     if pool_ids & charger_ids:
         raise ValueError("a vehicle cannot both transport and charge")
@@ -613,6 +613,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
     state = engine.state
     stats = SlotStats()
     chargers = [state.vehicle(vid) for vid in sorted(charger_ids)]
+    station_of = {}
     for veh in chargers:
         if veh.plan.stops:
             raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
@@ -624,7 +625,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
         if dist * params.consume_rate > veh.energy:
             stats.chargers_short += 1
             continue
-        veh.station_target = station
+        station_of[veh.id] = station
         engine._retarget(veh, station)
     pool = [state.vehicle(vid) for vid in sorted(pool_ids)]
     for b0, b1 in engine._batches(t):
@@ -638,15 +639,14 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
         for veh in state.vehicles:
             engine._advance(veh, b0, b1, stats)
     for veh in chargers:
-        if veh.station_target is None:
+        if veh.id not in station_of:
             continue
-        if veh.node == veh.station_target and veh.edge_head is None:
+        if veh.node == station_of[veh.id] and veh.edge_head is None:
             gain = min(params.r, params.c - veh.energy)
             veh.energy += gain
             stats.charged_kwh += gain
         else:
             stats.chargers_short += 1
-        veh.station_target = None
         veh.route = []
     stats.transporting_ids |= {v.id for v in state.vehicles if v.plan.stops}
     for _, _, kwh in stats.burns:

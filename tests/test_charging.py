@@ -1,6 +1,8 @@
 """Day-ahead charging program and the simplex behind it."""
 
+import dataclasses
 import io
+import math
 import struct
 
 import numpy as np
@@ -421,6 +423,20 @@ class TestValidationAndExport:
                 e_init=1.0,
                 params=toy_params(J=2),
             )
+
+    # each check fails for NaN too
+    @pytest.mark.parametrize("field, value, message", [
+        ("prices", [1.0, math.inf], "prices must be finite and nonnegative"),
+        ("prices", [1.0, math.nan], "prices must be finite and nonnegative"),
+        ("prices", [1.0, -3.0], "prices must be finite and nonnegative"),
+        ("consumed", [math.nan, 1.0], "consumed must be finite and nonnegative"),
+        ("consumed", [3.0, math.inf], "consumed must be finite and nonnegative"),
+        ("terminal_reserve_kwh", math.nan, "terminal_reserve_kwh must be finite"),
+        ("terminal_reserve_kwh", math.inf, "terminal_reserve_kwh must be finite"),
+    ])
+    def test_non_finite_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(TOY, **{field: value})
 
     def test_plan_csv(self):
         plan = schedule_charging(TOY)

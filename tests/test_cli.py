@@ -426,7 +426,31 @@ class TestCliSurface:
         doc = {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0, key: value}
         instance = write(tmp_path, "instance.json", json.dumps(doc))
         assert main(["solve-vi", "--instance", instance]) == 1
-        assert f"config key {key!r} has bad value" in caplog.text
+        assert f"instance key {key!r} has bad value" in caplog.text
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("r", math.inf, "r must be finite, got inf"),
+        ("d_total", math.nan, "d_total must be finite, got nan"),
+        ("x_0", [0.5, 0.5], "unknown instance keys: ['x_0']"),
+    ])
+    def test_solve_vi_rejects_a_bad_instance(self, tmp_path, caplog, key, value,
+                                             message):
+        doc = {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0, key: value}
+        instance = write(tmp_path, "instance.json", json.dumps(doc))
+        assert main(["solve-vi", "--instance", instance]) == 1
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("argv, doc, key", [
+        (["solve-vi", "--instance"], {"m": [10, 10], "d": [5, 5], "price": 2.0},
+         "instance key 'e_plus'"),
+        (["plan-charging", "--inputs"],
+         {"consumed": [2.0], "demand_counts": [1], "params": {"J": 2}},
+         "inputs key 'prices'"),
+    ], ids=["solve-vi", "plan-charging"])
+    def test_missing_key_is_named(self, tmp_path, caplog, argv, doc, key):
+        path = write(tmp_path, "doc.json", json.dumps(doc))
+        assert main(argv + [path]) == 1
+        assert f"{key} is missing" in caplog.text
 
     @pytest.mark.parametrize("key, value", [
         ("consumed", 2.0),
@@ -441,7 +465,24 @@ class TestCliSurface:
                key: value}
         inputs = write(tmp_path, "inputs.json", json.dumps(doc))
         assert main(["plan-charging", "--inputs", inputs]) == 1
-        assert f"config key {key!r} has bad value" in caplog.text
+        assert f"inputs key {key!r} has bad value" in caplog.text
+
+    # each of these used to exit 0 with a plan, or end in a traceback
+    @pytest.mark.parametrize("key, value, message", [
+        ("prices", [2.0, math.inf], "prices must be finite and nonnegative"),
+        ("prices", [2.0, math.nan], "prices must be finite and nonnegative"),
+        ("prices", [2.0, -3.0], "prices must be finite and nonnegative"),
+        ("consumed", [math.nan, 2.0], "consumed must be finite and nonnegative"),
+        ("terminal_reserve_kwh", math.nan, "terminal_reserve_kwh must be finite"),
+        ("terminal_reserve", 100.0, "unknown inputs keys: ['terminal_reserve']"),
+    ])
+    def test_plan_charging_rejects_bad_inputs(self, tmp_path, caplog, key, value,
+                                              message):
+        doc = {"consumed": [2.0, 2.0], "demand_counts": [1, 1], "prices": [2.0, 3.0],
+               "e_init": 80.0, "params": {"J": 2}, key: value}
+        inputs = write(tmp_path, "inputs.json", json.dumps(doc))
+        assert main(["plan-charging", "--inputs", inputs]) == 1
+        assert message in caplog.text
 
     @pytest.mark.parametrize("params, message", BAD_PARAMS)
     def test_run_rejects_bad_params(self, tmp_path, caplog, params, message):
@@ -569,6 +610,12 @@ class TestCliSurface:
         cfg = write(tmp_path, "c.json", json.dumps({key: value}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"config key {key!r}" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_run_config_may_not_set_the_fleet_size_in_params(self, tmp_path, caplog):
+        cfg = write(tmp_path, "c.json", json.dumps({"params": {"J": 7}}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "may not set J" in caplog.text and "'fleet_size'" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

@@ -69,6 +69,14 @@ class TestClampDemand:
             clamp_demand(FeasibleSet(m=[5], d_total=6, e_plus=0.0, r=1.0))
 
 
+@pytest.mark.parametrize("field", ["r", "e_plus", "d_total"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_feasible_set_rejects_a_non_finite_value(field, value):
+    fields = {"m": [10, 10], "d_total": 8.0, "e_plus": 8.0, "r": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FeasibleSet(**fields)
+
+
 class TestBoxHyperplane:
     def test_symmetric_point(self):
         z = project_plane([1.0, 1.0], [1.0, 1.0], 1.0)

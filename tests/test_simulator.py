@@ -461,7 +461,8 @@ def grid_days(draw):
     """A generated day: a ``GridSpec`` of 4-9 rows, 3-6 columns, 1 to rows
     regions, 1-4 stations, 3-30 vehicles with a drawn initial energy range
     and up to 10 trips per vehicle, and config overrides for the batch
-    length, the seats and the detour bound."""
+    length, the seats, the detour bound and the speed.  A drawn speed ends
+    batches with vehicles mid-edge on the 0.5 km streets."""
     rows = draw(st.integers(4, 9))
     fleet = draw(st.integers(3, 30))
     low = draw(st.floats(0.0, 45.0))
@@ -480,6 +481,7 @@ def grid_days(draw):
         "params": {
             "seats": draw(st.integers(1, 6)),
             "detour_max": draw(st.floats(1.2, 3.0)),
+            "speed": draw(st.floats(10.0, 50.0)),
         },
     }
     return spec, overrides

@@ -635,6 +635,20 @@ class TestEngine:
         engine.run_slot(0, {0})
         assert engine.state.requests[1].pickup_time == pytest.approx(600.0)
 
+    def test_pickup_waits_within_the_batch(self, grid_graph):
+        # the vehicle reaches the origin at 60 s, waits for the earliest
+        # start at 150 s inside the first batch, and drops the rider 1 km
+        # (120 s) later in that same batch
+        req = make_request(grid_graph, 1, 0.0, 1, 3, earliest=150.0)
+        engine = build_engine(grid_graph, [req],
+                              vehicles=[fresh_vehicle(vid=0, node=0)])
+        stats = engine.run_slot(0, {0})
+        rs = engine.state.requests[1]
+        assert rs.status == SERVED
+        assert rs.pickup_time == req.earliest_start
+        assert rs.dropoff_time == pytest.approx(270.0)
+        assert {b0 for b0, _, _ in stats.burns} == {0.0}
+
     def test_charging_travel_and_gain(self, grid_graph):
         veh = fresh_vehicle(vid=0, node=5, energy=20.0)
         engine = build_engine(grid_graph, [], vehicles=[veh])
@@ -686,7 +700,7 @@ class TestEngine:
     def test_slot_ends_with_no_charger_standing(self, grid_graph):
         # a slot too short for vehicle 1 to reach its station: vehicle 0
         # charges where it stands, vehicle 1 stops mid-edge; both end the
-        # slot idle, with no station target and no route
+        # slot idle, with no route
         params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
@@ -695,7 +709,7 @@ class TestEngine:
         assert stats.charged_kwh == pytest.approx(params.r)
         assert stats.chargers_short == 1
         for veh in engine.state.vehicles:
-            assert veh.station_target is None and veh.route == []
+            assert veh.route == []
         on_station, mid_edge = engine.state.vehicles
         assert on_station.edge_head is None
         assert mid_edge.edge_head is not None
@@ -972,8 +986,7 @@ class TestSlotFromDryRun:
 
 def mid_day_engine():
     """An engine stopped at a slot boundary with a vehicle mid-edge carrying
-    passengers, a multi-stop plan and a route, and a charger given a
-    station target (an executed slot leaves none standing)."""
+    passengers, a multi-stop plan and a route."""
     graph = make_grid_graph()
     reqs = [
         make_request(graph, 1, 3000.0, 1, 14),
@@ -983,7 +996,6 @@ def mid_day_engine():
     ]
     engine = build_engine(graph, reqs)
     execute_slot(engine, 0, {0, 1, 2}, {3})
-    engine.state.vehicle(3).station_target = 15
     return engine
 
 
@@ -992,7 +1004,6 @@ class TestSnapshotClone:
         state = mid_day_engine().state
         assert any(v.plan.stops and v.plan.onboard for v in state.vehicles)
         assert any(v.route and v.edge_head is not None for v in state.vehicles)
-        assert any(v.station_target is not None for v in state.vehicles)
         assert {rs.status for rs in state.requests.values()} >= {SERVED, ONBOARD}
 
     @settings(max_examples=40, deadline=None)
@@ -1012,7 +1023,6 @@ class TestSnapshotClone:
             veh.route.append(node)
             veh.edge_head = node
             veh.edge_progress += km
-            veh.station_target = node
         for rs in engine.state.requests.values():
             rs.status = request_status
             rs.pickup_time = km
@@ -1029,7 +1039,7 @@ class TestSnapshotClone:
         veh = Vehicle(
             id=3, node=6, energy=12.5,
             plan=VehiclePlan(stops=[Stop(7, DROPOFF, 1)], onboard=2),
-            edge_head=7, edge_progress=0.25, route=[11, 15], station_target=15,
+            edge_head=7, edge_progress=0.25, route=[11, 15],
         )
         rs = RequestState(request=req, status=ONBOARD, pickup_time=10.0,
                           dropoff_time=20.0, ride_km=0.7)
@@ -1066,7 +1076,6 @@ class TestSnapshotClone:
             "edge_head": lambda v: 99,
             "edge_progress": lambda v: v.edge_progress + 0.1,
             "route": lambda v: v.route + [3],
-            "station_target": lambda v: 99,
         }
         request_values = {
             "status": lambda rs: WAITING if rs.status == SERVED else SERVED,
