@@ -269,8 +269,9 @@ def cmd_solve_vi(args) -> int:
     print(f"final residual = {trace.residual_norms[-1]:.3e}")
     print(f"kkt worst residual = {kkt.worst():.3e}")
     if args.trace:
-        with open(args.trace, "w") as handle:
-            write_trace_csv(trace, handle)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        io_files.atomic_write(args.trace, buf.getvalue())
         print(f"trace written to {args.trace}")
     return 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -169,7 +170,6 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     trips: list[TripRequest] = []
     bad = 0
     total = 0
-    dropped_short = 0
     parsed = []  # (lineno, id, request time, earliest start, passengers)
     ends: list[tuple[float, float]] = []  # origin and destination of each
     for lineno, row in _rows(path, header):
@@ -188,12 +188,10 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     for k, (lineno, rid, t_req, t_earliest, passengers) in enumerate(parsed):
         origin, dest = nodes[2 * k], nodes[2 * k + 1]
         if origin == dest:
-            dropped_short += 1
             continue
         try:
             direct, _ = shortest_path(graph, origin, dest)
             if direct < filter_km:
-                dropped_short += 1
                 continue
             trips.append(
                 TripRequest(
@@ -218,21 +216,20 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
 
 
 def load_prices(path: str, T: int, start_hour: int) -> PriceCurve:
-    """Hourly prices aligned so slot 0 carries the start hour's price."""
+    """Hourly prices aligned so slot 0 carries the start hour's price; a day
+    of more than 24 slots wraps around the clock."""
     by_hour: dict[int, float] = {}
-    n_rows = 0
     for lineno, row in _rows(path, ["hour", "price_cents_per_kwh"]):
-        n_rows += 1
         try:
             hour = int(row[0])
             price = float(row[1])
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{path}:{lineno}: {err}") from None
-        if price < 0.0:
-            raise DataFormatError(f"{path}:{lineno}: negative price {price}")
+        if not 0.0 <= price < math.inf:  # fails for NaN too
+            raise DataFormatError(
+                f"{path}:{lineno}: price must be finite and nonnegative, got {price}"
+            )
         by_hour[hour] = price
-    if n_rows < T:
-        raise DataFormatError(f"{path}: {n_rows} rows, need at least {T}")
     prices = []
     for t in range(T):
         hour = (start_hour + t) % 24

@@ -117,8 +117,10 @@ class PriceCurve:
     def __post_init__(self) -> None:
         self.prices = [float(p) for p in self.prices]
         for t, p in enumerate(self.prices):
-            if p < 0.0:
-                raise ValueError(f"negative price {p} at slot {t}")
+            if not 0.0 <= p < math.inf:  # fails for NaN too
+                raise ValueError(
+                    f"price must be finite and nonnegative, got {p} at slot {t}"
+                )
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -8,7 +8,8 @@ the charged energy pins the weighted strategy sum.  The demand floor
 (``clamp_demand``) so the projection itself only ever sees box-and-hyperplane
 geometry.  The equilibrium solver additionally projects onto the intersection
 with a separating halfspace; that composite is computed through the halfspace
-multiplier (outer bisection plus exact solve on the final clipping pattern).
+multiplier: a bracket that starts at ``h0/|g|^2`` and doubles, Illinois false
+position inside it, and an exact solve on every visited clipping pattern.
 
 The single-set projection is solved through its scalar dual: the projection
 is ``clip(point + lam*m, 0, 1)`` and the weighted sum of that expression is
@@ -224,11 +225,13 @@ def _intersection_core(
 ) -> list[float]:
     """Projection onto box-hyperplane-halfspace, all plain floats.
 
-    The halfspace is ``{z : <g, z> <= c}``.  Outer bisection on its
-    multiplier ``tau`` (the halfspace violation of the tau-shifted
-    single-set projection is nonincreasing in ``tau`` by firm
-    nonexpansiveness), with an exact two-multiplier solve attempted on every
-    visited clipping pattern.  Alternating projections are deliberately
+    The halfspace is ``{z : <g, z> <= c}``.  The search is over its
+    multiplier ``tau``: the halfspace violation ``h(tau)`` of the
+    tau-shifted single-set projection is nonincreasing in ``tau`` by firm
+    nonexpansiveness.  The bracket starts at ``tau = h(0) / |g|^2`` and
+    doubles until ``h <= 0``; Illinois false position then narrows it, and
+    an exact two-multiplier solve is attempted on every visited clipping
+    pattern (z0's first).  Alternating projections are deliberately
     avoided: near an equilibrium the halfspace normal aligns with the
     charging hyperplane, and alternating projections stall on such glancing
     intersections.
@@ -247,16 +250,6 @@ def _intersection_core(
         h0 += g[i] * z0[i]
     if h0 <= 0.0:
         return z0
-    # Slope of the violation in tau on z0's clipping pattern: the component
-    # of the normal orthogonal to the hyperplane weights.  Drives both the
-    # immediate exact solve (a Newton step from tau=0) and the bracket scale.
-    mm0 = mg0 = gg0 = 0.0
-    for i in range(n):
-        if 0.0 < z0[i] < 1.0:
-            mm0 += m[i] * m[i]
-            mg0 += m[i] * g[i]
-            gg0 += g[i] * g[i]
-    slope0 = (gg0 - mg0 * mg0 / mm0) if mm0 > 0.0 else 0.0
 
     def polish(z: list[float]) -> list[float] | None:
         mm = mg = gg = 0.0
@@ -300,7 +293,9 @@ def _intersection_core(
             cand.append(zi)
             sm += m[i] * zi
             sg += g[i] * zi
-        if abs(sm - S) > 1e-9 * max(1.0, m_total):
+        # the hyperplane to _dual_scan's precision: a candidate off it by
+        # more leaves the iterate outside the feasible set
+        if abs(sm - S) > 1e-12 * max(1.0, m_total):
             return None
         if abs(sg - c) > 1e-9 * hscale:
             return None
@@ -322,7 +317,7 @@ def _intersection_core(
     for gi in g:
         nn += gi * gi
     tau_lo, h_lo = 0.0, h0
-    tau_hi = h0 / slope0 if slope0 > 0.0 else h0 / nn
+    tau_hi = h0 / nn
     for _ in range(200):
         z_hi, h_hi = shifted_projection(tau_hi)
         if h_hi <= 0.0:

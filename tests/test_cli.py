@@ -258,6 +258,20 @@ class TestLoadPrices:
         with pytest.raises(DataFormatError, match="negative"):
             load_prices(path, 24, 0)
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_non_finite_price(self, tmp_path, price):
+        hours = [(h, price if h == 1 else 1.0) for h in range(24)]
+        path = self.make_file(tmp_path, hours)
+        with pytest.raises(DataFormatError, match="prices.csv:3: price must be finite"):
+            load_prices(path, 24, 0)
+
+    def test_a_day_longer_than_the_file_wraps(self, tmp_path):
+        path = self.make_file(tmp_path, [(h, float(h)) for h in range(24)])
+        curve = load_prices(path, 30, 3)
+        assert len(curve) == 30
+        assert curve[24] == curve[0] == 3.0
+        assert curve[29] == 8.0
+
 
 class TestRoundTrip:
     def test_exported_csvs_reparse(self, tmp_path):
@@ -377,6 +391,31 @@ class TestCliSurface:
         assert rows[0].split(",") == ["iteration", "residual", "eta",
                                       "x_0", "x_1", "u_0", "u_1"]
         assert len(rows) > 1 and all(len(r.split(",")) == 7 for r in rows[1:])
+
+    def test_solve_vi_trace_into_a_new_directory(self, tmp_path):
+        instance = write(tmp_path, "instance.json", json.dumps(
+            {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0}
+        ))
+        trace = tmp_path / "new" / "trace.csv"
+        assert main(["solve-vi", "--instance", instance, "--trace", str(trace)]) == 0
+        assert trace.read_text().startswith("iteration,residual,eta,")
+
+    @pytest.mark.parametrize("doc", [
+        {"m": [57, 88], "d": [37, 42], "e_plus": 55.26230457605344,
+         "price": 9.941335290415521,
+         "x0": [0.18172899698995248, 0.5137974363206962]},
+        {"m": [74, 31], "d": [4, 7], "e_plus": 25.88938140743107,
+         "price": 3.714676715749296,
+         "x0": [0.05405405405405406, 0.22580645161290322]},
+    ], ids=["57-88", "74-31"])
+    def test_solve_vi_from_a_caller_supplied_start(self, tmp_path, capsys, doc):
+        # from these starts the iteration projects onto halfspaces that graze
+        # the feasible set (the first one's last halfspace meets it only at
+        # the vertex (1, 0.888...)); every multiplier search must settle
+        instance = write(tmp_path, "instance.json", json.dumps(doc))
+        assert main(["solve-vi", "--instance", instance]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("kkt worst residual = ")[1].split()[0]) <= 1e-3
 
     def test_solve_vi_on_the_line_search_failure_game(self, tmp_path, capsys):
         # 20 small groups on which the extragradient iteration from clip(d/m)

@@ -174,6 +174,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PriceCurve([1.0, -0.5])
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_price_curve_rejects_a_non_finite_price(self, price):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            PriceCurve([1.0, price])
+
 
 def test_log_term_never_needs_guard():
     # ln(2 - x) over the whole strategy box stays >= ln(1) = 0

@@ -225,6 +225,18 @@ class TestProjectIntersection:
         assert np.max(np.abs(ours - ref)) <= 1e-6
         assert violation(ours, [1.0, -1.0], [0.0, 0.0]) <= 1e-8
 
+    def test_halfspace_meeting_the_set_in_one_point(self):
+        # captured from a solve-vi run from a caller-supplied start: the
+        # halfspace touches the feasible segment only at its vertex
+        # (1, 0.888...), where one coordinate is free and the other at a face
+        point, m, S = [0.8276419350454474, 1.0], [57.0, 88.0], 135.1755902975905
+        g, c = [586.7194422315761, 3575.9612875267167], 3763.456766479227
+        ours = np.array(_intersection_core(point, m, S, g, c))
+        anchor = c * np.array(g) / np.dot(g, g)
+        ref = active_set_projection(point, m, S, normal=g, anchor=anchor)
+        assert np.max(np.abs(ours - ref)) <= 1e-9
+        assert np.max(np.abs(ours - [1.0, 0.8883589806544375])) <= 1e-9
+
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0
