@@ -60,9 +60,19 @@ INPUTS_KEYS = (
 
 def read_object(path: str, kind: str, known) -> dict:
     """The JSON document at ``path``, which must be an object whose keys
-    are all ``known``; ``kind`` names the document in errors."""
+    are all ``known``; ``kind`` names the document in errors.  No object in
+    it may repeat a key."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
     with open(path) as handle:
-        doc = json.load(handle)
+        doc = json.load(handle, object_pairs_hook=unique)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, not {type(doc).__name__}")
     unknown = set(doc) - set(known)
@@ -254,11 +264,10 @@ def cmd_solve_vi(args) -> int:
         e_plus=_setting(doc, "instance", "e_plus", _finite),
         r=_setting(doc, "instance", "r", float, params.r),
     )
-    fset, report = clamp_demand(fset)
-    if report.clamped:
-        LOG.warning(
-            "charging demand clamped from %.6g to %.6g", report.original, report.adjusted
-        )
+    planned = fset.e_plus
+    fset = clamp_demand(fset)
+    if fset.e_plus != planned:
+        LOG.warning("charging demand clamped from %.6g to %.6g", planned, fset.e_plus)
     x, trace = sspm_solve(
         groups, fset, price, params, x0=doc.get("x0"),
         keep_iterates=args.trace is not None,

@@ -9,6 +9,8 @@ File formats (all CSV with a header row):
 * trips.csv:    id,request_time,earliest_start,origin_lon,origin_lat,
                 dest_lon,dest_lat,passengers
 * prices.csv:   hour,price_cents_per_kwh
+
+A node id, trip id or hour (0-23) appears once in its file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from pvjtcs.model import PriceCurve
-from pvjtcs.network import RegionMap, RoadGraph, StationSet, shortest_path
+from pvjtcs.network import RegionMap, RoadGraph, StationSet, distance
 from pvjtcs.simulator import RunSummary, SlotMetrics
 from pvjtcs.transport_scheduler import TripRequest
 
@@ -57,14 +59,27 @@ def _rows(path: str, expected_header: Sequence[str]):
             yield lineno, row
 
 
+def _once(lines: dict, key: int, path: str, lineno: int, what: str) -> None:
+    """Record that ``key`` is given on ``lineno``; a key given twice is an
+    error naming both lines."""
+    if key in lines:
+        raise DataFormatError(
+            f"{path}:{lineno}: {what} {key} already given on line {lines[key]}"
+        )
+    lines[key] = lineno
+
+
 def load_network(nodes_path: str, edges_path: str) -> RoadGraph:
     """Parse node coordinates and directed edges; demand strong connectivity."""
     nodes: dict[int, tuple[float, float]] = {}
+    lines: dict[int, int] = {}
     for lineno, row in _rows(nodes_path, ["id", "lon", "lat"]):
         try:
-            nodes[int(row[0])] = (float(row[1]), float(row[2]))
+            nid, xy = int(row[0]), (float(row[1]), float(row[2]))
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{nodes_path}:{lineno}: {err}") from None
+        _once(lines, nid, nodes_path, lineno, "node")
+        nodes[nid] = xy
     edges: list[tuple[int, int, float]] = []
     for lineno, row in _rows(edges_path, ["from_id", "to_id", "length_km"]):
         try:
@@ -101,11 +116,14 @@ def load_stations(path: str, graph: RoadGraph) -> StationSet:
 
 def load_regions(path: str, graph: RoadGraph) -> RegionMap:
     mapping: dict[int, int] = {}
+    lines: dict[int, int] = {}
     for lineno, row in _rows(path, ["node_id", "region_id"]):
         try:
-            mapping[int(row[0])] = int(row[1])
+            node, region = int(row[0]), int(row[1])
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{path}:{lineno}: {err}") from None
+        _once(lines, node, path, lineno, "node")
+        mapping[node] = region
     try:
         regions = RegionMap(mapping)
         regions.validate_against(graph)
@@ -155,7 +173,7 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     """Parse trips, snap endpoints to graph nodes, drop short trips.
 
     Unparseable rows are skipped with a logged count; a file with no usable
-    rows is an error.
+    rows, or two rows with one id, is an error.
     """
     header = [
         "id",
@@ -171,6 +189,7 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     bad = 0
     total = 0
     parsed = []  # (lineno, id, request time, earliest start, passengers)
+    lines: dict[int, int] = {}
     ends: list[tuple[float, float]] = []  # origin and destination of each
     for lineno, row in _rows(path, header):
         total += 1
@@ -182,6 +201,7 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
             bad += 1
             LOG.warning("%s:%d: skipping unparseable trip row", path, lineno)
             continue
+        _once(lines, head[1], path, lineno, "trip id")
         parsed.append(head)
         ends += [origin_xy, dest_xy]
     nodes = nearest_nodes(graph, ends)
@@ -190,7 +210,7 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
         if origin == dest:
             continue
         try:
-            direct, _ = shortest_path(graph, origin, dest)
+            direct = distance(graph, origin, dest)
             if direct < filter_km:
                 continue
             trips.append(
@@ -219,6 +239,7 @@ def load_prices(path: str, T: int, start_hour: int) -> PriceCurve:
     """Hourly prices aligned so slot 0 carries the start hour's price; a day
     of more than 24 slots wraps around the clock."""
     by_hour: dict[int, float] = {}
+    lines: dict[int, int] = {}
     for lineno, row in _rows(path, ["hour", "price_cents_per_kwh"]):
         try:
             hour = int(row[0])
@@ -229,6 +250,9 @@ def load_prices(path: str, T: int, start_hour: int) -> PriceCurve:
             raise DataFormatError(
                 f"{path}:{lineno}: price must be finite and nonnegative, got {price}"
             )
+        if not 0 <= hour < 24:
+            raise DataFormatError(f"{path}:{lineno}: hour must lie in 0-23, got {hour}")
+        _once(lines, hour, path, lineno, "hour")
         by_hour[hour] = price
     prices = []
     for t in range(T):

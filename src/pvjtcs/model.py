@@ -90,21 +90,18 @@ class GameParams:
 class PvGroup:
     """Per-region census for one slot: the players of the slot game.
 
-    ``m`` group members (unfully charged vehicles) and ``f`` fully charged
-    vehicles sit in the region, ``m + f`` in all.  ``n`` vehicles
-    transported in the dry run, so ``d = max(n - f, 0)`` members are
-    demanded for transportation.  The group's strategy, the fraction of
-    members that will transport, lives with the solver, not here.
+    ``m`` group members (unfully charged vehicles) sit in the region, and
+    ``d`` of them are demanded for transportation (``group_census`` derives
+    it from the dry run).  The group's strategy, the fraction of members
+    that will transport, lives with the solver, not here.
     """
 
     region: int
     m: int
     d: int
-    f: int = 0
-    n: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.f, self.m, self.n, self.d) < 0:
+        if min(self.m, self.d) < 0:
             raise ValueError(f"group {self.region}: counts must be nonnegative")
 
 

@@ -171,29 +171,9 @@ class RegionMap:
             raise ValueError(f"nodes without region assignment: {missing[:10]}")
 
 
-def shortest_path(
-    graph: RoadGraph, frm: int, to: int
-) -> tuple[float, list[int]]:
-    """Distance in km and the node sequence, ties broken deterministically."""
-    if not graph.has_node(frm):
-        raise KeyError(f"unknown node {frm}")
-    if not graph.has_node(to):
-        raise KeyError(f"unknown node {to}")
-    if frm == to:
-        return 0.0, [frm]
-    dist, pred = graph.single_source(frm)
-    if to not in dist:
-        raise UnreachableNodeError(f"no path from {frm} to {to}")
-    path = [to]
-    while path[-1] != frm:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return dist[to], path
-
-
 def distance(graph: RoadGraph, frm: int, to: int) -> float:
-    """``shortest_path(graph, frm, to)[0]`` without rebuilding the path;
-    raises the same errors."""
+    """Shortest travel distance in km; ``KeyError`` for an unknown node,
+    ``UnreachableNodeError`` when no directed path exists."""
     if frm == to:
         if not graph.has_node(frm):
             raise KeyError(f"unknown node {frm}")
@@ -204,6 +184,17 @@ def distance(graph: RoadGraph, frm: int, to: int) -> float:
             raise KeyError(f"unknown node {to}")
         raise UnreachableNodeError(f"no path from {frm} to {to}")
     return d
+
+
+def shortest_path(graph: RoadGraph, frm: int, to: int) -> tuple[float, list[int]]:
+    """``distance`` and the node sequence, ties broken deterministically."""
+    d = distance(graph, frm, to)
+    pred = graph.single_source(frm)[1]
+    path = [to]
+    while path[-1] != frm:
+        path.append(pred[path[-1]])
+    path.reverse()
+    return d, path
 
 
 def nearest_station(

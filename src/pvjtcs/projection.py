@@ -90,26 +90,13 @@ class FeasibleSet:
             )
 
 
-@dataclass
-class AdjustmentReport:
-    """Outcome of the charging-demand preflight."""
-
-    clamped: bool
-    original: float
-    adjusted: float
-
-    @property
-    def delta(self) -> float:
-        return self.adjusted - self.original
-
-
-def clamp_demand(fset: FeasibleSet) -> tuple[FeasibleSet, AdjustmentReport]:
-    """Pull the charging demand into the satisfiable range.
+def clamp_demand(fset: FeasibleSet) -> FeasibleSet:
+    """``fset`` with its charging demand pulled into the satisfiable range.
 
     The most energy one slot can absorb is ``r * (sum(m) - d_total)``: every
     member beyond the transportation demand charges.  Demand below zero or
-    above that cap is clamped and reported.  Raises if the transportation
-    demand alone exceeds the population.
+    above that cap is clamped; compare ``e_plus`` to see a clamp.  Raises
+    if the transportation demand alone exceeds the population.
     """
     m_total = fset.m_total
     if fset.d_total > m_total:
@@ -118,11 +105,7 @@ def clamp_demand(fset: FeasibleSet) -> tuple[FeasibleSet, AdjustmentReport]:
         )
     cap = fset.r * (m_total - fset.d_total)
     adjusted = min(max(fset.e_plus, 0.0), cap)
-    report = AdjustmentReport(
-        clamped=(adjusted != fset.e_plus), original=fset.e_plus, adjusted=adjusted
-    )
-    out = FeasibleSet(m=fset.m.copy(), d_total=fset.d_total, e_plus=adjusted, r=fset.r)
-    return out, report
+    return FeasibleSet(m=fset.m.copy(), d_total=fset.d_total, e_plus=adjusted, r=fset.r)
 
 
 def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[float]:

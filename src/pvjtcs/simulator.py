@@ -251,11 +251,11 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
             e_plus=planned,
             r=params.r,
         )
-        fset, report = clamp_demand(fset)
-        if report.clamped:
+        fset = clamp_demand(fset)
+        if fset.e_plus != planned:
             LOG.debug(
                 "slot %d: charging demand clamped %.3f -> %.3f kwh",
-                t, report.original, report.adjusted,
+                t, planned, fset.e_plus,
             )
         x_star, trace = sspm_solve(
             game_groups, fset, scenario.prices[t], params,

@@ -36,7 +36,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -83,15 +83,6 @@ class TripRequest:
             raise ValueError(f"request {self.id}: origin equals destination")
         if self.earliest_start < self.request_time:
             raise ValueError(f"request {self.id}: earliest start precedes request")
-
-    @cached_property
-    def trip_stops(self) -> tuple["Stop", "Stop"]:
-        """Pickup and dropoff stop, built once: every vehicle's candidate
-        plan for this request shares them."""
-        return (
-            Stop(node=self.origin, action=PICKUP, request_id=self.id),
-            Stop(node=self.destination, action=DROPOFF, request_id=self.id),
-        )
 
 
 @dataclass(frozen=True)
@@ -366,7 +357,8 @@ def insertion_cost(
 
 def _with_trip(plan: VehiclePlan, request: TripRequest, i: int, j: int) -> VehiclePlan:
     """``plan`` with the request's pickup before stop i, dropoff before stop j."""
-    pick, drop = request.trip_stops
+    pick = Stop(node=request.origin, action=PICKUP, request_id=request.id)
+    drop = Stop(node=request.destination, action=DROPOFF, request_id=request.id)
     stops = plan.stops
     return VehiclePlan(
         stops=stops[:i] + [pick] + stops[i:j] + [drop] + stops[j:],
@@ -442,11 +434,12 @@ def group_census(
 ) -> tuple[list[PvGroup], list[list[Vehicle]]]:
     """Per-region groups and their members.
 
-    Each region's group counts its unfully charged members m, its fully
-    charged vehicles f, the ``moving`` vehicles n (those the slot's dry run
-    saw transporting, by their region at the slot start) and the demand
-    d = max(n - f, 0).  ``members[i]`` lists region i's unfull vehicles in
-    fleet order, so ``groups[i].m == len(members[i])``."""
+    Each region's group counts its unfully charged members m and the
+    demand d = max(n - f, 0), where f counts the region's fully charged
+    vehicles and n the ``moving`` ones (those the slot's dry run saw
+    transporting, by their region at the slot start).  ``members[i]``
+    lists region i's unfull vehicles in fleet order, so
+    ``groups[i].m == len(members[i])``."""
     n_regions = region_map.n_regions
     members: list[list[Vehicle]] = [[] for _ in range(n_regions)]
     f = [0] * n_regions
@@ -460,7 +453,7 @@ def group_census(
         if veh.id in moving:
             n[region] += 1
     groups = [
-        PvGroup(region=i, m=len(members[i]), d=max(n[i] - f[i], 0), f=f[i], n=n[i])
+        PvGroup(region=i, m=len(members[i]), d=max(n[i] - f[i], 0))
         for i in range(n_regions)
     ]
     return groups, members

@@ -92,6 +92,25 @@ class TestLoadNetwork:
         with pytest.raises(DataFormatError, match=r"orphan nodes \[2\]"):
             load_network(nodes, oneway)
 
+    def test_repeated_node_rejected(self, tmp_path, tiny_network):
+        _, edges = tiny_network
+        nodes = write(
+            tmp_path, "twice.csv", "id,lon,lat\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,0.0\n0,5,5\n"
+        )
+        with pytest.raises(
+            DataFormatError, match=r"twice.csv:5: node 0 already given on line 2$"
+        ):
+            load_network(nodes, edges)
+
+    def test_parallel_edges_and_repeated_stations_allowed(self, tmp_path, tiny_network):
+        nodes, edges = tiny_network
+        with open(edges, "a") as handle:
+            handle.write("0,1,1.5\n")
+        graph = load_network(nodes, edges)
+        assert graph.adjacency[0] == [(1, 1.0), (1, 1.5)]
+        stations = load_stations(write(tmp_path, "s.csv", "node_id\n2\n2\n"), graph)
+        assert list(stations) == [2]
+
 
 class TestLoadStationsRegions:
     def test_station_missing_from_graph(self, tmp_path, tiny_network):
@@ -114,6 +133,14 @@ class TestLoadStationsRegions:
             write(tmp_path, "r.csv", "node_id,region_id\n0,0\n1,0\n2,1\n"), graph
         )
         assert rm.n_regions == 2
+
+    def test_repeated_region_node_rejected(self, tmp_path, tiny_network):
+        graph = load_network(*tiny_network)
+        path = write(tmp_path, "r.csv", "node_id,region_id\n0,0\n1,0\n2,1\n1,1\n")
+        with pytest.raises(
+            DataFormatError, match=r"r.csv:5: node 1 already given on line 3$"
+        ):
+            load_regions(path, graph)
 
 
 class TestLoadTrips:
@@ -169,6 +196,21 @@ class TestLoadTrips:
         all_bad = write(tmp_path, "bad.csv", self.HEADER + "x,0,0,0,0,2,0,1\n")
         with pytest.raises(DataFormatError):
             load_trips(all_bad, 0.0, graph)
+
+    def test_repeated_id_rejected(self, tmp_path, tiny_network):
+        # the second trip would share the first one's request state and
+        # never be served, so the file is refused rather than thinned
+        graph = load_network(*tiny_network)
+        path = write(
+            tmp_path,
+            "trips.csv",
+            self.HEADER + "1,0,0,0.0,0.0,2.0,0.0,1\n"
+            + "2,0,0,2.0,0.0,0.0,0.0,1\n1,9,9,2.0,0.0,0.0,0.0,1\n",
+        )
+        with pytest.raises(
+            DataFormatError, match=r"trips.csv:4: trip id 1 already given on line 2$"
+        ):
+            load_trips(path, 0.0, graph)
 
 
 @st.composite
@@ -271,6 +313,21 @@ class TestLoadPrices:
         assert len(curve) == 30
         assert curve[24] == curve[0] == 3.0
         assert curve[29] == 8.0
+
+    def test_repeated_hour_rejected(self, tmp_path):
+        path = self.make_file(tmp_path, [(h, 1.0) for h in range(24)] + [(3, 9.0)])
+        with pytest.raises(
+            DataFormatError, match=r"prices.csv:26: hour 3 already given on line 5$"
+        ):
+            load_prices(path, 24, 3)
+
+    @pytest.mark.parametrize("hour", [24, 27, -1])
+    def test_hour_outside_the_day_rejected(self, tmp_path, hour):
+        path = self.make_file(tmp_path, [(h, 1.0) for h in range(24)] + [(hour, 5.0)])
+        with pytest.raises(
+            DataFormatError, match=rf"prices.csv:26: hour must lie in 0-23, got {hour}$"
+        ):
+            load_prices(path, 24, 3)
 
 
 class TestRoundTrip:
@@ -655,6 +712,38 @@ class TestCliSurface:
         cfg = write(tmp_path, "c.json", json.dumps({"params": {"J": 7}}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "may not set J" in caplog.text and "'fleet_size'" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("run --config", '{"fleet_size": 20, "fleet_size": 5}', "fleet_size"),
+        ("run --dump-config --config", '{"fleet_size": 20, "fleet_size": 5}',
+         "fleet_size"),
+        ("run --config", '{"params": {"rho": 0.5, "rho": 2.0}}', "rho"),
+        ("solve-vi --instance",
+         '{"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0, "price": 9.0}',
+         "price"),
+        ("plan-charging --inputs",
+         '{"consumed": [2.0], "demand_counts": [1], "prices": [2.0], '
+         '"e_init": 80.0, "params": {"J": 2, "J": 3}}', "J"),
+    ], ids=["config", "dump-config", "params", "instance", "inputs"])
+    def test_repeated_json_key_rejected(self, tmp_path, caplog, command, text, key):
+        doc = write(tmp_path, "doc.json", text)
+        argv = command.split() + [doc]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{doc}: repeated key {key!r}" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_bundled_scenario_with_a_repeated_hour_rejected(self, tmp_path, caplog):
+        for name in os.listdir(MINI):
+            (tmp_path / name).write_bytes((MINI / name).read_bytes())
+        with open(tmp_path / "prices.csv", "a") as handle:
+            handle.write("3,9.0\n")
+        rc = main(["run", "--config", str(tmp_path / "config.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "prices.csv:26: hour 3 already given on line 5" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

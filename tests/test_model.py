@@ -163,8 +163,8 @@ class TestValidation:
             GameParams(**{name: math.nan})
 
     def test_group_census_identity(self):
-        g = PvGroup(region=1, m=7, d=3, f=3)
-        assert g.m + g.f == 10
+        g = PvGroup(region=1, m=7, d=3)
+        assert (g.m, g.d) == (7, 3)
         with pytest.raises(ValueError):
             PvGroup(region=1, m=5, d=-1)
 

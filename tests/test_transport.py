@@ -33,6 +33,7 @@ from pvjtcs.transport_scheduler import (
     TripRequest,
     Vehicle,
     VehiclePlan,
+    _with_trip,
     group_census,
     pci_assign,
 )
@@ -361,7 +362,7 @@ def assign_batches(draw):
         requests[rid] = rs
         vehicles.append(Vehicle(
             id=vid, node=draw(nodes), energy=draw(energies),
-            plan=VehiclePlan(stops=list(rs.request.trip_stops)),
+            plan=_with_trip(VehiclePlan(), rs.request, 0, 0),
         ))
     batch = []
     for rid in range(1, draw(st.integers(min_value=1, max_value=5)) + 1):
@@ -416,7 +417,7 @@ class TestPciAssign:
         batch = [make_request(grid_graph, rid, 0.0, rid, 15 - rid) for rid in range(1, 5)]
         requests = states_for(old, *batch)
         busy = fresh_vehicle(vid=0, node=0)
-        busy.plan = VehiclePlan(stops=list(old.trip_stops))
+        busy.plan = _with_trip(VehiclePlan(), old, 0, 0)
         fleet = [busy] + [fresh_vehicle(vid=i, node=5 * i % 16) for i in range(1, 6)]
         assigned, waiting = pci_assign(batch, fleet, grid_graph, PARAMS, 1.0, requests)
         assert len(assigned) == len(batch) and not waiting
@@ -478,7 +479,7 @@ class TestPciAssign:
         fleet = [fresh_vehicle(vid=1, node=5), fresh_vehicle(vid=3, node=5)]
         for vid, trip in zip((0, 2, 4), old):
             busy = fresh_vehicle(vid=vid, node=trip.origin)
-            busy.plan = VehiclePlan(stops=list(trip.trip_stops))
+            busy.plan = _with_trip(VehiclePlan(), trip, 0, 0)
             fleet.append(busy)
         assigned, waiting = pci_assign([req], fleet, grid_graph, PARAMS, 1.0, requests)
         assert assigned and not waiting
@@ -530,8 +531,9 @@ class TestGroupCensus:
             Vehicle(id=4, node=3, energy=39.3),   # region 1, not full
         ]
         state = FleetState(vehicles=vehicles, requests={})
-        groups, members = group_census(state, HALVES, GameParams(), set())
-        assert [(g.m + g.f, g.f, g.m) for g in groups] == [(2, 1, 1), (3, 1, 2)]
+        # region 0: 2 moving, 1 full, so d = 1; region 1: 1 moving, 1 full
+        groups, members = group_census(state, HALVES, GameParams(), {0, 1, 2})
+        assert [(g.m, g.d) for g in groups] == [(1, 1), (2, 0)]
         # the members are exactly each region's unfull vehicles, in id order,
         # as the state's own objects
         assert [[v.id for v in ms] for ms in members] == [[1], [2, 4]]
@@ -765,10 +767,9 @@ class TestDryRun:
     def test_no_requests_zero_demand(self, grid_graph):
         engine = build_engine(grid_graph, [])
         moving = engine.dry_run_demand(0, {0, 1, 2, 3})[0].transporting_ids
-        census, _ = group_census(engine.state, HALVES, PARAMS, moving)
-        n = [g.n for g in census]
-        d_total = sum(g.d for g in census)
-        assert n == [0, 0] and [g.d for g in census] == [0, 0] and d_total == 0
+        census, members = group_census(engine.state, HALVES, PARAMS, moving)
+        assert moving == set() and [g.d for g in census] == [0, 0]
+        assert [len(ms) for ms in members] == [g.m for g in census]
 
     def test_state_restored_exactly(self, grid_graph):
         reqs = [make_request(grid_graph, i, 30.0 * i, i, i + 4) for i in range(1, 5)]
@@ -832,7 +833,6 @@ class TestDryRun:
                 if (0 if v.node % 4 < 2 else 1) == i
                 and v.energy > PARAMS.full_threshold
             )
-            assert census[i].n == n[i]
             assert d[i] == max(n[i] - f_i, 0)
         assert d_total == sum(d)
 
@@ -1112,6 +1112,8 @@ class TestCensusIdentity:
     def test_population_conserved(self, grid_graph):
         engine = build_engine(grid_graph, [])
         groups, members = group_census(engine.state, HALVES, PARAMS, set())
-        assert sum(g.m + g.f for g in groups) == len(engine.state.vehicles)
+        full = [v for v in engine.state.vehicles if v.energy > PARAMS.full_threshold]
+        assert sum(g.m for g in groups) + len(full) == len(engine.state.vehicles)
         for g in groups:
             assert g.m == len(members[g.region])
+            assert g.d == 0
