@@ -14,7 +14,12 @@ station.  A slot is executed one way.
 The dry run (``FleetEngine.dry_run_demand``) answers the planning question
 "who would transport this slot": clone the fleet, serve the slot with
 every eligible vehicle on the live state, then make the clone live again
-and hand back the dry run's statistics and end state.  Given the chargers,
+and hand back the dry run's statistics and end state.  The clone copies
+only the request states a plan holds, because a request state is written
+in place only while a plan holds it: assignment replaces a waiting state
+in the request dict, the slot writes the states of its stops and only
+those, and a served state is final.  Every other state is shared between
+the clone and the live fleet and never written.  Given the chargers,
 ``FleetEngine.slot_from_dry_run`` keeps the dry run's service when no
 charger transported in it, and otherwise serves the slot again without
 the chargers (``run_slot``).  It then routes only the chargers to their
@@ -145,6 +150,11 @@ class Vehicle:
 
 @dataclass
 class RequestState:
+    """Where one request stands.  Written in place only while a vehicle
+    plan holds a stop for it (assigned or on board); a waiting state is
+    replaced on assignment, and a served state is final, so a
+    ``FleetState.clone`` shares both."""
+
     request: TripRequest
     status: str = WAITING
     pickup_time: float | None = None
@@ -163,12 +173,17 @@ class FleetState:
     def clone(self) -> "FleetState":
         """Independent copy of everything the simulation mutates.
 
-        Vehicles are cloned, request states copied field by field in dict
-        order; the frozen ``TripRequest`` and ``Stop`` objects are shared.
+        Vehicles are cloned, and so are the request states their plans hold,
+        the only ones written in place (see ``RequestState``).  The new
+        request dict shares every other state, waiting or served, and the
+        frozen ``TripRequest`` and ``Stop`` objects.
         """
+        requests = self.requests.copy()
+        held = {stop.request_id for veh in self.vehicles for stop in veh.plan.stops}
+        for rid in held:
+            requests[rid] = _shallow_copy(requests[rid])
         return FleetState(
-            vehicles=[v.clone() for v in self.vehicles],
-            requests={rid: _shallow_copy(rs) for rid, rs in self.requests.items()},
+            vehicles=[v.clone() for v in self.vehicles], requests=requests
         )
 
 
@@ -378,7 +393,9 @@ def pci_assign(
 
     Each request goes to the first vehicle, in id order, at the fleet-wide
     least insertion cost, or onto the returned waiting list.  Returns the
-    (request id, vehicle id) assignments made.
+    (request id, vehicle id) assignments made.  An assigned request's
+    waiting state is replaced in ``requests``, not written, so a fleet
+    clone that shares it keeps it waiting.
 
     Every vehicle evaluated runs ``insertion_cost``; only the winner's plan
     is built.  Idle vehicles at one anchor are skipped after the first
@@ -423,8 +440,7 @@ def pci_assign(
         _, i, j = best
         best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
         best_vehicle.route = []  # plan changed: reroute from the anchor
-        rs = requests[request.id]
-        rs.status = ASSIGNED
+        requests[request.id] = RequestState(request, ASSIGNED)
         assignments.append((request.id, best_vehicle.id))
     return assignments, waiting
 

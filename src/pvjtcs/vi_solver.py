@@ -39,11 +39,12 @@ _BOUNDARY_TOL = 1e-6
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking produced no acceptable step; operator or projection bug."""
+    """Backtracking produced no acceptable step."""
 
 
 class SspmConvergenceError(RuntimeError):
-    """Iteration cap exhausted before the residual dropped below epsilon."""
+    """The residual did not drop below epsilon: the iteration cap ran out,
+    or no step could lower a residual left at rounding level."""
 
     def __init__(self, message: str, trace: "SspmTrace"):
         super().__init__(message)
@@ -113,6 +114,12 @@ def line_search(
     (gamma2/mu) * nu_sq``, where ``nu_sq = ||nu||^2``, trying zeta = 0..100
     with the step shrunk by ``gamma1`` each time, and returns
     ``(zeta, eta = gamma1^zeta * mu)``.
+
+    For a projected residual ``nu = x - P(x - mu*F(x))`` the projection
+    gives ``<F(x), nu> >= nu_sq / mu`` in exact arithmetic, so a short
+    enough step passes for any continuous ``F``, monotone or not, since
+    ``gamma2 < 1``.  Only a residual that rounding has swamped fails every
+    step.
     """
     if nu_sq == 0.0:
         raise ValueError("line search called with a zero residual")
@@ -124,10 +131,7 @@ def line_search(
         if sum(fi * vi for fi, vi in zip(Fp, nu)) >= threshold:
             return zeta, step
         step *= gamma1
-    raise LineSearchError(
-        "no acceptable step within 100 backtracks; "
-        "operator may not be monotone on this instance"
-    )
+    raise LineSearchError("no acceptable step within 100 backtracks")
 
 
 def _equilibrium(
@@ -254,7 +258,17 @@ def sspm_solve(
                 trace.converged = True
                 return np.array(x), trace
 
-        zeta, eta = line_search(x, nu, nu_sq, mu, F, params)
+        try:
+            zeta, eta = line_search(x, nu, nu_sq, mu, F, params)
+        except LineSearchError as err:
+            raise SspmConvergenceError(
+                f"residual {nu_norm:.3e} cannot fall below "
+                f"epsilon={params.epsilon}: no line-search step lowers it, "
+                "which for a projected residual means rounding error swamps "
+                "it, not that the operator is not monotone; choose a larger "
+                "epsilon",
+                trace,
+            ) from err
         y = [x[i] - eta * nu[i] for i in range(n)]
         gvec = F(y)
         c = sum(gvec[i] * y[i] for i in range(n))

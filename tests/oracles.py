@@ -46,6 +46,7 @@ from pvjtcs.transport_scheduler import (
     PICKUP,
     WAITING,
     FleetEngine,
+    RequestState,
     SlotStats,
     Stop,
     _ride_limit,
@@ -390,8 +391,7 @@ def full_scan_assign(pending, fleet, graph, params, now, requests):
             continue
         best_vehicle.plan = best[1]
         best_vehicle.route = []
-        rs = requests[request.id]
-        rs.status = ASSIGNED
+        requests[request.id] = RequestState(request, ASSIGNED)
         assignments.append((request.id, best_vehicle.id))
     return assignments, waiting
 

@@ -18,6 +18,7 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 8. payoff gradient vs finite differences (1e-5) and operator monotonicity
 """
 
+import copy
 import json
 import math
 import time
@@ -354,7 +355,7 @@ def test_criterion_7_simulation_invariants(mini_runs, monkeypatch):
         return stats
 
     def checked_dry(self, t, eligible_ids):
-        before = self.state.clone()
+        before = copy.deepcopy(self.state)  # shares nothing with the state
         out = orig_dry(self, t, eligible_ids)
         assert self.state == before, "dry run mutated the state"
         checks["dry"] += 1

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -744,6 +745,24 @@ class TestCliSurface:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "prices.csv:26: hour 3 already given on line 5" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_epsilon_below_rounding_exits_with_its_cause(self, tmp_path, caplog):
+        # the bundled day's first game cannot reach a residual of 1e-16
+        config = json.loads((MINI / "config.json").read_text())
+        config["params"] = {"epsilon": 1e-16}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        for name in os.listdir(MINI):
+            if name != "config.json":
+                (tmp_path / name).write_bytes((MINI / name).read_bytes())
+        rc = main(["run", "--config", str(cfg), "--mode", "jtcs",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        # the residual is rounding error, so its digits are not pinned
+        assert re.search(r"residual \d\.\d{3}e-1\d cannot fall below "
+                         r"epsilon=1e-16", caplog.text), caplog.text
+        assert "rounding error" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

@@ -554,3 +554,49 @@ def test_day_equals_its_interleaved_reference(tmp_path, day):
         for rs in engine.state.requests.values():
             if rs.status == SERVED:
                 assert rs.ride_km <= _ride_limit(rs.request, params)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(day=grid_days())
+def test_no_state_outside_a_plan_is_written(tmp_path, day):
+    # a fleet clone shares every waiting and served request state, so from
+    # a slot's start to its end none of those objects may change; and a
+    # request is assigned or on board exactly when a plan holds a stop for
+    # it, at the slot start, in the dry run's end state and at the slot end
+    spec, overrides = day
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    config_path = scenario_gen.write(spec, str(work / "scenario"))
+    config = json.loads(Path(config_path).read_text())
+    Path(config_path).write_text(json.dumps({**config, **overrides}))
+    orig_dry = FleetEngine.dry_run_demand
+    orig_slot = FleetEngine.slot_from_dry_run
+    unheld = {}  # engine id: (state object, a copy of it) at the slot start
+
+    def check_plans_hold(state):
+        held = {s.request_id for v in state.vehicles for s in v.plan.stops}
+        for rid, rs in state.requests.items():
+            assert (rs.status in (ASSIGNED, ONBOARD)) == (rid in held), rs
+
+    def dry_run_demand(self, t, eligible_ids):
+        check_plans_hold(self.state)
+        unheld[id(self)] = [
+            (rs, copy.copy(rs))
+            for rs in self.state.requests.values()
+            if rs.status in (WAITING, SERVED)
+        ]
+        return orig_dry(self, t, eligible_ids)
+
+    def slot_from_dry_run(self, t, eligible_ids, charger_ids, dry, end):
+        check_plans_hold(end)
+        stats = orig_slot(self, t, eligible_ids, charger_ids, dry, end)
+        check_plans_hold(self.state)
+        for rs, start in unheld.pop(id(self)):
+            assert rs == start, (rs, start)
+        return stats
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetEngine, "dry_run_demand", dry_run_demand)
+        patch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
+        assert main(["run", "--config", config_path, "--out", str(work / "o")]) == 0
+    assert not unheld

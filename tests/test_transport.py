@@ -774,7 +774,7 @@ class TestDryRun:
     def test_state_restored_exactly(self, grid_graph):
         reqs = [make_request(grid_graph, i, 30.0 * i, i, i + 4) for i in range(1, 5)]
         engine = build_engine(grid_graph, reqs)
-        before = engine.state.clone()
+        before = copy.deepcopy(engine.state)  # shares nothing with the state
         _, end_state = engine.dry_run_demand(0, {0, 1, 2, 3})
         assert end_state != before  # the dry run did move the fleet
         assert engine.state == before
@@ -1013,9 +1013,22 @@ class TestSnapshotClone:
         request_status=st.sampled_from(["waiting", "assigned", ONBOARD, SERVED]),
     )
     def test_snapshot_unaffected_by_live_mutation(self, km, node, request_status):
+        # the live state changes the way the engine changes it: a state a
+        # plan holds is written in place, any other one is replaced
         engine = mid_day_engine()
-        before = engine.state.clone()
+        before = copy.deepcopy(engine.state)
         snap = engine.snapshot()
+        requests = engine.state.requests
+        held = {s.request_id for v in engine.state.vehicles for s in v.plan.stops}
+        for rid, rs in requests.items():
+            if rid in held:
+                rs.status = request_status
+                rs.pickup_time = km
+                rs.dropoff_time = km
+                rs.ride_km += km
+            else:
+                requests[rid] = RequestState(rs.request, request_status, km, km,
+                                             rs.ride_km + km)
         for veh in engine.state.vehicles:
             veh.energy -= km
             veh.plan.stops.append(Stop(node, DROPOFF, 1))
@@ -1023,15 +1036,24 @@ class TestSnapshotClone:
             veh.route.append(node)
             veh.edge_head = node
             veh.edge_progress += km
-        for rs in engine.state.requests.values():
-            rs.status = request_status
-            rs.pickup_time = km
-            rs.dropoff_time = km
-            rs.ride_km += km
         assert engine.state != before
         assert snap == before
         engine.restore(snap)
         assert engine.state is snap  # adopted, not copied
+
+    def test_clone_shares_exactly_the_states_no_plan_holds(self):
+        state = mid_day_engine().state
+        dup = state.clone()
+        held = {s.request_id for v in state.vehicles for s in v.plan.stops}
+        assert held and set(state.requests) - held
+        assert list(dup.requests) == list(state.requests)
+        for rid, rs in state.requests.items():
+            if rid in held:
+                assert rs.status in (ASSIGNED, ONBOARD), rs
+                assert dup.requests[rid] is not rs and dup.requests[rid] == rs
+            else:
+                assert rs.status in (WAITING, SERVED), rs
+                assert dup.requests[rid] is rs
 
     def test_clone_keeps_every_field(self):
         req = TripRequest(id=1, request_time=0.0, earliest_start=5.0, origin=2,
@@ -1096,6 +1118,14 @@ class TestSnapshotClone:
             setattr(obj, name, value(obj))
             return dup != state
 
+        def replaced(rid, name, value):
+            # a clone shares the states no plan holds, so the change goes
+            # into a new state, as the engine's assignment does
+            dup = state.clone()
+            rs = dup.requests[rid]
+            dup.requests[rid] = dataclasses.replace(rs, **{name: value(rs)})
+            return dup != state
+
         for k in range(len(state.vehicles)):
             pick = lambda s, k=k: s.vehicles[k]
             for name, value in vehicle_values.items():
@@ -1103,9 +1133,8 @@ class TestSnapshotClone:
             onboard = lambda v: VehiclePlan(list(v.plan.stops), v.plan.onboard + 1)
             assert changed(pick, "plan", onboard), (k, "plan.onboard")
         for rid in state.requests:
-            pick = lambda s, rid=rid: s.requests[rid]
             for name, value in request_values.items():
-                assert changed(pick, name, value), (rid, name)
+                assert replaced(rid, name, value), (rid, name)
 
 
 class TestCensusIdentity:

@@ -276,6 +276,21 @@ class TestSspmSolve:
                        max_iterations=3)
         assert len(err.value.trace) == 3
 
+    def test_epsilon_below_rounding_names_the_residual(self):
+        # the exact start's residual is rounding error, about 2e-14: no step
+        # lowers it, and the error says so instead of blaming the operator
+        groups, fset = SYMMETRIC
+        params = GameParams(epsilon=1e-16)
+        with pytest.raises(SspmConvergenceError) as err:
+            sspm_solve(groups, fset, 2.0, params)
+        message = str(err.value)
+        assert "cannot fall below epsilon=1e-16" in message
+        assert "rounding error" in message and "not monotone" in message
+        assert f"residual {err.value.trace.residual_norms[-1]:.3e}" in message
+        assert isinstance(err.value.__cause__, LineSearchError)
+        x, trace = sspm_solve(groups, fset, 2.0, GameParams(epsilon=1e-13))
+        assert trace.converged and len(trace) == 1
+
     def test_iterates_match_pinned_digests(self):
         # any kernel change that moves a single iterate moves x* or the
         # iteration count of some game
