@@ -22,10 +22,9 @@ import numpy as np
 from pvjtcs import io_files
 from pvjtcs.charging_scheduler import DayAheadInputs, schedule_charging, write_plan_csv
 from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet, ProjectionConvergenceError, clamp_demand
+from pvjtcs.projection import FeasibleSet, clamp_demand
 from pvjtcs.simulator import JTCS, TGC, Scenario, run_jtcs, run_tgc
 from pvjtcs.vi_solver import (
-    LineSearchError,
     SspmConvergenceError,
     kkt_verify,
     sspm_solve,
@@ -347,14 +346,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        SspmConvergenceError,
-        LineSearchError,
-        ProjectionConvergenceError,
-    ) as err:
+    except (OSError, ValueError, KeyError, SspmConvergenceError) as err:
         LOG.error("%s", err)
         return 1
 

@@ -6,8 +6,9 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Five are former production loops, kept as bit-exact references for the
-faster versions: ``loop_solve_lp`` (the dense simplex with a row-by-row
+Six are former production loops, kept as bit-exact references for the
+faster versions: ``bisection_equilibrium`` (the exact slot-game
+equilibrium by bisection on the shared multiplier), ``loop_solve_lp`` (the dense simplex with a row-by-row
 pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
 that evaluates every breakpoint in turn), ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
@@ -169,6 +170,44 @@ def projected_gradient_equilibrium(
             return x_new
         x = x_new
     return x
+
+
+def bisection_equilibrium(m, d, S, alpha1, a2p):
+    """The exact equilibrium, by bisection on the shared multiplier.
+
+    Every group plays its best response to one per-vehicle multiplier
+    ``w``: ``F_i/m_i = 2(m x - d) + alpha1/(2 - x) - a2p`` equals ``w``
+    inside the box.  With ``y = 2 - x`` that is the positive root of
+    ``2m y^2 - B y - alpha1 = 0``, ``B = 4m - 2d - a2p - w``, clipped to the
+    box.  The responses' weighted sum rises with ``w``, so bisection between
+    the smallest ``F_i/m_i`` at x = 0 and the largest at x = 1 meets the
+    hyperplane ``sum(m x) = S``, until the float bracket collapses.
+    """
+    if S <= 0.0:
+        return [0.0] * len(m)
+    if S >= sum(m):
+        return [1.0] * len(m)
+
+    def respond(w: float) -> list[float]:
+        x = []
+        for mi, di in zip(m, d):
+            b = 4.0 * mi - 2.0 * di - a2p - w
+            root = math.sqrt(b * b + 8.0 * mi * alpha1)
+            # the form without cancellation on each side of b = 0
+            y = (b + root) / (4.0 * mi) if b >= 0.0 else 2.0 * alpha1 / (root - b)
+            x.append(min(max(2.0 - y, 0.0), 1.0))
+        return x
+
+    lo = min(-2.0 * di + 0.5 * alpha1 - a2p for di in d)
+    hi = max(2.0 * (mi - di) + alpha1 - a2p for mi, di in zip(m, d))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if sum(mi * xi for mi, xi in zip(m, respond(mid))) < S:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return respond(hi)
 
 
 def enumerate_lp_vertices(c, A, senses, b, upper):

@@ -26,8 +26,7 @@ from pvjtcs.io_files import (
     nearest_nodes,
 )
 from pvjtcs.network import RoadGraph
-from pvjtcs.projection import ProjectionConvergenceError
-from pvjtcs.vi_solver import LineSearchError
+from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace
 from oracles import scan_nearest_node
 
 REPO = Path(__file__).resolve().parent.parent
@@ -649,10 +648,9 @@ class TestCliSurface:
         assert main(["plan-charging", "--inputs", inputs]) == 0
         assert "total cost = 8.000 cents" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("error", [LineSearchError, ProjectionConvergenceError])
-    def test_solver_failure_exits_nonzero(self, tmp_path, monkeypatch, error):
+    def test_solver_failure_exits_nonzero(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
-            raise error("solver gave up")
+            raise SspmConvergenceError("solver gave up", SspmTrace())
 
         monkeypatch.setattr(cli, "sspm_solve", failing)
         instance = tmp_path / "instance.json"
@@ -764,6 +762,21 @@ class TestCliSurface:
                          r"epsilon=1e-16", caplog.text), caplog.text
         assert "rounding error" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    def test_epsilon_below_rounding_in_projection_exits_with_its_cause(
+        self, tmp_path, caplog
+    ):
+        # the line search passes on this game's rounding-level residual, and
+        # the halfspace built from it is the step that fails
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({
+            "m": [3, 1, 7], "d": [1, 0, 2], "e_plus": 10.0, "price": 3.0,
+            "params": {"epsilon": 1e-16},
+        }))
+        assert main(["solve-vi", "--instance", str(instance)]) == 1
+        assert re.search(r"residual \d\.\d{3}e-1\d cannot fall below "
+                         r"epsilon=1e-16: the halfspace", caplog.text), caplog.text
+        assert "rounding error swamps the residual" in caplog.text
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -2,25 +2,30 @@
 
 import hashlib
 import io
+import math
 import random
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvjtcs import vi_solver
 from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet
+from pvjtcs.projection import FeasibleSet, ProjectionConvergenceError, clamp_demand
 from pvjtcs.vi_solver import (
     LineSearchError,
     SspmConvergenceError,
+    _equilibrium,
     kkt_verify,
     line_search,
     sspm_solve,
     write_trace_csv,
 )
-from oracles import projected_gradient_equilibrium
+from oracles import bisection_equilibrium, projected_gradient_equilibrium
 
 PARAMS = GameParams()
 
@@ -291,6 +296,23 @@ class TestSspmSolve:
         x, trace = sspm_solve(groups, fset, 2.0, GameParams(epsilon=1e-13))
         assert trace.converged and len(trace) == 1
 
+    def test_epsilon_below_rounding_in_the_projection_names_the_residual(self):
+        # here the line search passes on the exact start's rounding-level
+        # residual, and projecting onto the halfspace built from it fails
+        groups, fset = make_instance([3, 1, 7], [1, 0, 2], e_plus=10.0, r=PARAMS.r)
+        with pytest.raises(SspmConvergenceError) as err:
+            sspm_solve(groups, fset, 3.0, GameParams(epsilon=1e-16))
+        message = str(err.value)
+        assert message.startswith(
+            f"residual {err.value.trace.residual_norms[-1]:.3e} cannot fall "
+            "below epsilon=1e-16: the halfspace built from it cannot be "
+            "projected onto (halfspace multiplier search did not settle"
+        )
+        assert "rounding error swamps the residual" in message
+        assert isinstance(err.value.__cause__, ProjectionConvergenceError)
+        _, trace = sspm_solve(groups, fset, 3.0, PARAMS)
+        assert trace.converged and len(trace) == 1
+
     def test_iterates_match_pinned_digests(self):
         # any kernel change that moves a single iterate moves x* or the
         # iteration count of some game
@@ -375,6 +397,109 @@ class TestExactStart:
         groups, fset, price = ITERATING
         _, trace = self.check(groups, fset, price, GameParams(eta_init=0.1))
         assert trace.exit_checks == 1 and trace.projection_calls == [2]
+
+
+def multiplier_args(groups, fset, price, params=PARAMS):
+    """The arguments ``sspm_solve`` gives ``_equilibrium``."""
+    return ([float(g.m) for g in groups], [float(g.d) for g in groups],
+            fset.S, params.alpha1, params.alpha2 * price)
+
+
+def responses_sum(m, d, w, alpha1, a2p):
+    """``sum(m x)`` at ``w`` with the float operations of both equilibrium
+    loops, which test it against S."""
+    x = []
+    for mi, di in zip(m, d):
+        b = 4.0 * mi - 2.0 * di - a2p - w
+        root = math.sqrt(b * b + 8.0 * mi * alpha1)
+        y = (b + root) / (4.0 * mi) if b >= 0.0 else 2.0 * alpha1 / (root - b)
+        x.append(min(max(2.0 - y, 0.0), 1.0))
+    return sum(mi * xi for mi, xi in zip(m, x))
+
+
+@st.composite
+def multiplier_games(draw):
+    """``_equilibrium`` arguments at the edges of the game: one group or up
+    to twenty, possibly all equal, with d = 0, d = m or between; price 0,
+    moderate or large; and S just above 0, just below sum(m), anywhere
+    between, or at a root-form switch where the float sum falls."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 100))
+        m = [size] * n
+        d = [draw(st.sampled_from([0, size]) | st.integers(0, size))] * n
+    else:
+        m = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+        d = [draw(st.sampled_from([0, mi]) | st.integers(0, mi)) for mi in m]
+    m, d = [float(v) for v in m], [float(v) for v in d]
+    a2p = PARAMS.alpha2 * draw(st.sampled_from([0.0, 1e4]) | st.floats(0.0, 20.0))
+    total = sum(m)
+    if draw(st.booleans()):
+        S = draw(st.sampled_from([5e-324, 1e-9, total * (1.0 - 1e-15),
+                                  math.nextafter(total, 0.0)])
+                 | st.floats(0.0, total))
+        return m, d, S, PARAMS.alpha1, a2p
+    # Group j's b is 0 at w0: its best response switches root forms
+    # between w0 and the next float, and is interior there when
+    # 2 m_j < alpha1 < 8 m_j.  Of the alpha1 tried, the first where the
+    # float sum falls across the switch puts the float test's pass and
+    # fail on both sides of w0, with S the sum at w0.
+    j = draw(st.integers(0, n - 1))
+    w0 = 4.0 * m[j] - 2.0 * d[j] - a2p
+    start = draw(st.floats(0.0, 1.0))
+    for k in range(64):
+        alpha1 = m[j] * (2.0 + 6.0 * ((start + 0.618034 * k) % 1.0))
+        S = responses_sum(m, d, w0, alpha1, a2p)
+        if responses_sum(m, d, math.nextafter(w0, math.inf), alpha1, a2p) < S:
+            break
+    return m, d, S, alpha1, a2p
+
+
+def solvers_design_games():
+    """The 51 games of the benchmark's ``solvers`` workload, with the
+    equilibrium's arguments as ``solve-vi`` builds them."""
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    docs, _ = workloads.generated_instances(workloads.WORKLOADS["solvers"])
+    games = []
+    for doc in docs:
+        groups, fset = make_instance(doc["m"], doc["d"], doc["e_plus"], r=PARAMS.r)
+        games.append(multiplier_args(groups, clamp_demand(fset), doc["price"]))
+    return games
+
+
+class TestEquilibrium:
+    """``_equilibrium`` returns the former bisection's bits, in few sweeps."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(args=multiplier_games())
+    def test_bit_equal_to_bisection(self, args):
+        assert _equilibrium(*args) == bisection_equilibrium(*args)
+
+    def test_bit_equal_on_the_solvers_design_games(self):
+        games = solvers_design_games()
+        assert len(games) == 51
+        for args in games:
+            assert _equilibrium(*args) == bisection_equilibrium(*args), args
+
+    def test_sweeps_per_game(self, monkeypatch):
+        # one sweep takes one square root per group
+        roots = []
+
+        class CountingMath:
+            def sqrt(self, v):
+                roots.append(v)
+                return math.sqrt(v)
+
+        monkeypatch.setattr(vi_solver, "math", CountingMath())
+        sweeps = []
+        for seed in range(200):
+            groups, fset, price = pinned_game(seed)
+            roots.clear()
+            _equilibrium(*multiplier_args(groups, fset, price))
+            sweeps.append(len(roots) / len(groups))
+        assert sum(sweeps) / len(sweeps) <= 15.0
 
 
 class TestKktVerify:
