@@ -4,9 +4,9 @@ The package couples three pieces of machinery:
 
 * a day-ahead charging-cost linear program (`charging_scheduler`),
 * an insertion-based ride-matching scheduler (`transport_scheduler`),
-* a per-slot shared-constraint concave game solved to its normalized Nash
-  equilibrium by a hyperplane-projection variational-inequality method
-  (`model`, `projection`, `vi_solver`),
+* a per-slot shared-constraint concave game solved exactly to its
+  normalized Nash equilibrium, certified by its variational-inequality
+  residual (`model`, `projection`, `vi_solver`),
 
 and drives them over a discrete day (`simulator`), with CSV/JSON ingestion
 and a command-line front end (`io_files`, `cli`).

@@ -24,12 +24,7 @@ from pvjtcs.charging_scheduler import DayAheadInputs, schedule_charging, write_p
 from pvjtcs.model import GameParams, PvGroup
 from pvjtcs.projection import FeasibleSet, clamp_demand
 from pvjtcs.simulator import JTCS, TGC, Scenario, run_jtcs, run_tgc
-from pvjtcs.vi_solver import (
-    SspmConvergenceError,
-    kkt_verify,
-    sspm_solve,
-    write_trace_csv,
-)
+from pvjtcs.vi_solver import SspmConvergenceError, kkt_verify, sspm_solve
 
 LOG = logging.getLogger("pvjtcs")
 
@@ -51,7 +46,7 @@ CONFIG_DEFAULTS = {
     "params": {},
 }
 # the keys of a ``solve-vi`` instance and of ``plan-charging`` inputs
-INSTANCE_KEYS = ("m", "d", "e_plus", "price", "d_total", "r", "x0", "params")
+INSTANCE_KEYS = ("m", "d", "e_plus", "price", "d_total", "r", "params")
 INPUTS_KEYS = (
     "consumed", "demand_counts", "prices", "e_init", "terminal_reserve_kwh", "params"
 )
@@ -202,18 +197,11 @@ def cmd_run(args) -> int:
     summaries = {}
 
     if mode in (JTCS, "both"):
-        summary = run_jtcs(scenario, collect_traces=args.trace_vi)
+        summary = run_jtcs(scenario)
         summaries[JTCS] = summary
         buf = io.StringIO()
         write_plan_csv(summary.plan, summary.plan_inputs, buf)
         io_files.atomic_write(os.path.join(out_dir, "charging_plan.csv"), buf.getvalue())
-        if args.trace_vi:
-            for t, trace in summary.vi_traces.items():
-                tbuf = io.StringIO()
-                write_trace_csv(trace, tbuf)
-                io_files.atomic_write(
-                    os.path.join(out_dir, f"vi_trace_{t}.csv"), tbuf.getvalue()
-                )
     if mode in (TGC, "both"):
         summaries[TGC] = run_tgc(scenario)
 
@@ -250,6 +238,8 @@ def cmd_solve_vi(args) -> int:
     doc = read_object(args.instance, "instance", INSTANCE_KEYS)
     params = params_from(doc)
     m = _setting(doc, "instance", "m", _each(_whole))
+    if not m:
+        raise ValueError("instance key 'm' must list at least one group")
     d = _setting(doc, "instance", "d", _each(_whole))
     if len(d) != len(m):
         raise ValueError(
@@ -267,20 +257,12 @@ def cmd_solve_vi(args) -> int:
     fset = clamp_demand(fset)
     if fset.e_plus != planned:
         LOG.warning("charging demand clamped from %.6g to %.6g", planned, fset.e_plus)
-    x, trace = sspm_solve(
-        groups, fset, price, params, x0=doc.get("x0"),
-        keep_iterates=args.trace is not None,
-    )
+    x, trace = sspm_solve(groups, fset, price, params)
     kkt = kkt_verify(x, groups, fset, price, params)
     print(f"x_star = {np.array2string(x, precision=6)}")
     print(f"iterations = {len(trace)}")
     print(f"final residual = {trace.residual_norms[-1]:.3e}")
     print(f"kkt worst residual = {kkt.worst():.3e}")
-    if args.trace:
-        buf = io.StringIO()
-        write_trace_csv(trace, buf)
-        io_files.atomic_write(args.trace, buf.getvalue())
-        print(f"trace written to {args.trace}")
     return 0
 
 
@@ -322,16 +304,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default="pvjtcs_out", help="output directory")
     p_run.add_argument(
-        "--trace-vi", action="store_true", help="write per-slot solver traces"
-    )
-    p_run.add_argument(
         "--dump-config", action="store_true", help="print effective config and exit"
     )
     p_run.set_defaults(func=cmd_run)
 
     p_vi = sub.add_parser("solve-vi", help="solve one slot game instance")
     p_vi.add_argument("--instance", required=True, help="instance JSON")
-    p_vi.add_argument("--trace", default=None, help="write the trace CSV here")
     p_vi.set_defaults(func=cmd_solve_vi)
 
     p_plan = sub.add_parser("plan-charging", help="solve a day-ahead instance")

@@ -24,18 +24,16 @@ class GameParams:
 
     Defaults mirror the simulation calibration used throughout: a 45 kwh
     battery charging 5.625 kwh per hour, 0.3 kwh/km consumption at 30 km/h,
-    and the standard solver constants (alpha1=20, alpha2=5, gamma1=0.4,
-    gamma2=0.5, gamma3=1.5, eta_init=1, epsilon=1e-3, rho=0.2,
-    e_min=3).
+    and the standard game constants (alpha1=20, alpha2=5, epsilon=1e-3,
+    rho=0.2, e_min=3).  The game is solved exactly, so the step constants
+    of the paper's iterative scheme are not parameters here: the tests'
+    reference iteration (``tests/oracles.py::sspm_iterate``) takes them
+    as keyword arguments.
     """
 
     alpha1: float = 20.0        # weight of the charging-satisfaction term
     alpha2: float = 5.0         # weight of the charging-fee term
-    gamma1: float = 0.4         # line-search backtracking base, in (0,1)
-    gamma2: float = 0.5         # line-search acceptance threshold, in (0,1)
-    gamma3: float = 1.5         # step amplifier between iterations, > 1
-    eta_init: float = 1.0       # eta seed for the very first step update
-    epsilon: float = 1e-3       # residual-norm stopping bound
+    epsilon: float = 1e-3       # bound on the equilibrium's residual norm
     rho: float = 0.2            # energy reserve margin
     e_min: float = 3.0          # kwh needed to reach a charging station
     r: float = 5.625            # kwh charged by one vehicle in one slot
@@ -50,13 +48,7 @@ class GameParams:
     def __post_init__(self) -> None:
         # every check is written so that it fails for NaN, which compares
         # false with everything
-        if not 0.0 < self.gamma1 < 1.0:
-            raise ValueError(f"gamma1 must lie in (0,1), got {self.gamma1}")
-        if not 0.0 < self.gamma2 < 1.0:
-            raise ValueError(f"gamma2 must lie in (0,1), got {self.gamma2}")
-        if not self.gamma3 > 1.0:
-            raise ValueError(f"gamma3 must exceed 1, got {self.gamma3}")
-        for name in ("eta_init", "epsilon", "rho", "slot_hours", "speed"):
+        for name in ("epsilon", "rho", "slot_hours", "speed"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("alpha1", "alpha2", "e_min", "r", "c", "consume_rate", "J"):

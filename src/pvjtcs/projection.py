@@ -1,4 +1,4 @@
-"""Euclidean projections onto the slot feasible set.
+"""Euclidean projection onto the slot feasible set.
 
 The slot game is played on ``{x in [0,1]^I : sum(m_i * x_i) = S}`` where
 ``S = sum(m_i) - E_plus/r`` converts the slot's charging demand into vehicle
@@ -6,25 +6,22 @@ units: every member not transporting charges exactly ``r`` kwh, so pinning
 the charged energy pins the weighted strategy sum.  The demand floor
 ``sum(m_i * x_i) >= d_t`` is folded into a preflight bound on ``E_plus``
 (``clamp_demand``) so the projection itself only ever sees box-and-hyperplane
-geometry.  The equilibrium solver additionally projects onto the intersection
-with a separating halfspace; that composite is computed through the halfspace
-multiplier: a bracket that starts at ``h0/|g|^2`` and doubles, Illinois false
-position inside it, and an exact solve on every visited clipping pattern.
+geometry.
 
-The single-set projection is solved through its scalar dual: the projection
+The projection is solved through its scalar dual: the projection
 is ``clip(point + lam*m, 0, 1)`` and the weighted sum of that expression is
 a nondecreasing piecewise-linear function of ``lam``, so the exact multiplier
 falls out of a bisection over the sorted breakpoints.  The computed sum is
 nondecreasing in floating point as well (every rounding step is monotone),
 so the bisection lands on the same breakpoint as a linear scan and returns
-the same bits in O(n log n).  The cores are deliberately plain Python:
-the solver calls them tens of thousands of times on vectors of a handful of
-entries, where array-library call overhead dominates the arithmetic.
+the same bits in O(n log n).  The core is deliberately plain Python: the
+solver and the tests' reference iteration call it on vectors of a handful
+of entries, where array-library call overhead dominates the arithmetic.
 
-The solver calls the two cores, ``_dual_scan`` and ``_intersection_core``,
-directly.  They take plain float lists and trust their caller for positive
-weights, matching lengths and a feasible right-hand side, which
-``sspm_solve`` checks once per game (``FeasibleSet.check_feasible``).
+The solver calls the core, ``_dual_scan``, directly.  It takes plain float
+lists and trusts its caller for positive weights, matching lengths and a
+feasible right-hand side, which ``sspm_solve`` checks once per game
+(``FeasibleSet.check_feasible``).
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ import numpy as np
 
 class InfeasibleSetError(ValueError):
     """The slot's feasible polyhedron is empty."""
-
-
-class ProjectionConvergenceError(RuntimeError):
-    """A projection subproblem failed to settle; numerical trouble."""
 
 
 @dataclass
@@ -193,163 +186,3 @@ def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[flo
             zi = 1.0
         out.append(zi)
     return out
-
-
-# Illinois rounds of the halfspace multiplier search before giving up
-_MAX_ROUNDS = 200
-
-
-def _intersection_core(
-    point: list[float],
-    m: list[float],
-    S: float,
-    g: list[float],
-    c: float,
-) -> list[float]:
-    """Projection onto box-hyperplane-halfspace, all plain floats.
-
-    The halfspace is ``{z : <g, z> <= c}``.  The search is over its
-    multiplier ``tau``: the halfspace violation ``h(tau)`` of the
-    tau-shifted single-set projection is nonincreasing in ``tau`` by firm
-    nonexpansiveness.  The bracket starts at ``tau = h(0) / |g|^2`` and
-    doubles until ``h <= 0``; Illinois false position then narrows it, and
-    an exact two-multiplier solve is attempted on every visited clipping
-    pattern (z0's first).  Alternating projections are deliberately
-    avoided: near an equilibrium the halfspace normal aligns with the
-    charging hyperplane, and alternating projections stall on such glancing
-    intersections.
-    """
-    n = len(point)
-    hscale = 1.0 + abs(c)
-    for gi in g:
-        hscale += abs(gi)
-    m_total = 0.0
-    for mi in m:
-        m_total += mi
-
-    z0 = _dual_scan(point, m, S)
-    h0 = -c
-    for i in range(n):
-        h0 += g[i] * z0[i]
-    if h0 <= 0.0:
-        return z0
-
-    def polish(z: list[float]) -> list[float] | None:
-        mm = mg = gg = 0.0
-        any_free = False
-        b1 = S
-        b2 = c
-        for i in range(n):
-            if 0.0 < z[i] < 1.0:
-                any_free = True
-                mm += m[i] * m[i]
-                mg += m[i] * g[i]
-                gg += g[i] * g[i]
-                b1 -= m[i] * point[i]
-                b2 -= g[i] * point[i]
-            else:
-                b1 -= m[i] * z[i]
-                b2 -= g[i] * z[i]
-        if not any_free:
-            return None
-        # Solve for the two multipliers via the Schur complement: the normal
-        # is often nearly parallel to the hyperplane weights, which makes
-        # the multipliers ill-conditioned but leaves the projected point
-        # itself well-behaved; the residual checks below arbitrate.
-        g_perp_sq = gg - (mg * mg) / mm
-        if g_perp_sq <= 1e-14 * gg:
-            return None
-        tau = -(b2 - (mg / mm) * b1) / g_perp_sq
-        lam = (b1 + tau * mg) / mm
-        if tau < -1e-12:
-            return None
-        if tau < 0.0:
-            tau = 0.0
-        cand = []
-        sm = sg = 0.0
-        for i in range(n):
-            zi = point[i] + lam * m[i] - tau * g[i]
-            if zi < 0.0:
-                zi = 0.0
-            elif zi > 1.0:
-                zi = 1.0
-            cand.append(zi)
-            sm += m[i] * zi
-            sg += g[i] * zi
-        # the hyperplane to _dual_scan's precision: a candidate off it by
-        # more leaves the iterate outside the feasible set
-        if abs(sm - S) > 1e-12 * max(1.0, m_total):
-            return None
-        if abs(sg - c) > 1e-9 * hscale:
-            return None
-        return cand
-
-    def shifted_projection(tau: float) -> tuple[list[float], float]:
-        pt = [point[i] - tau * g[i] for i in range(n)]
-        z = _dual_scan(pt, m, S)
-        h = -c
-        for i in range(n):
-            h += g[i] * z[i]
-        return z, h
-
-    exact = polish(z0)
-    if exact is not None:
-        return exact
-
-    nn = 0.0
-    for gi in g:
-        nn += gi * gi
-    tau_lo, h_lo = 0.0, h0
-    tau_hi = h0 / nn
-    for _ in range(200):
-        z_hi, h_hi = shifted_projection(tau_hi)
-        if h_hi <= 0.0:
-            break
-        tau_lo, h_lo = tau_hi, h_hi
-        tau_hi *= 2.0
-    else:
-        raise ProjectionConvergenceError(
-            "halfspace appears unreachable from the feasible set"
-        )
-
-    # The violation is piecewise linear and nonincreasing in tau; Illinois
-    # false position avoids the one-sided stalling of the plain variant, and
-    # the pattern solve finishes exactly once a probe lands on the root's
-    # clipping pattern.
-    z = z_hi
-    side = 0
-    w_lo, w_hi = h_lo, h_hi
-    for _ in range(_MAX_ROUNDS):
-        if w_lo - w_hi > 0.0:
-            tau = tau_lo + (tau_hi - tau_lo) * w_lo / (w_lo - w_hi)
-            width = tau_hi - tau_lo
-            if not tau_lo + 1e-6 * width <= tau <= tau_hi - 1e-6 * width:
-                tau = 0.5 * (tau_lo + tau_hi)
-        else:
-            tau = 0.5 * (tau_lo + tau_hi)
-        z, h = shifted_projection(tau)
-        exact = polish(z)
-        if exact is not None:
-            return exact
-        if abs(h) <= 1e-13 * hscale:
-            break
-        if h > 0.0:
-            tau_lo, w_lo = tau, h
-            if side == -1:
-                w_hi *= 0.5
-            side = -1
-        else:
-            tau_hi, w_hi = tau, h
-            if side == 1:
-                w_lo *= 0.5
-            side = 1
-    viol = -c
-    for i in range(n):
-        viol += g[i] * z[i]
-    if viol > 1e-8 * hscale:
-        raise ProjectionConvergenceError(
-            f"halfspace multiplier search did not settle within {_MAX_ROUNDS} "
-            f"rounds (violation {viol:.3e})"
-        )
-    return z
-

@@ -41,7 +41,7 @@ from pvjtcs.transport_scheduler import (
     Vehicle,
     group_census,
 )
-from pvjtcs.vi_solver import SspmTrace, sspm_solve
+from pvjtcs.vi_solver import sspm_solve
 
 JTCS = "jtcs"
 TGC = "tgc"
@@ -146,7 +146,6 @@ class RunSummary:
     plan_inputs: DayAheadInputs | None = None
     clamp_shortfall_kwh: float = 0.0
     vi_iterations: list[int] = field(default_factory=list)
-    vi_traces: dict[int, SspmTrace] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -224,13 +223,12 @@ def _split_group(group: PvGroup, x_star: float, members: list) -> list[int]:
     return [v.id for v in idle_by_energy[max(phi - busy, 0):]]
 
 
-def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
+def run_jtcs(scenario: Scenario) -> RunSummary:
     """The joint scheme: day-ahead charging plan + per-slot equilibrium."""
     fleet = scenario.build_fleet()
     plan, plan_inputs = plan_day_ahead(scenario, fleet)
     params = scenario.params
     vi_iterations: list[int] = []
-    vi_traces: dict[int, SspmTrace] = {}
 
     def chargers_of(t, state, moving) -> set[int]:
         planned = plan.e_plus[t]
@@ -257,13 +255,8 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
                 "slot %d: charging demand clamped %.3f -> %.3f kwh",
                 t, planned, fset.e_plus,
             )
-        x_star, trace = sspm_solve(
-            game_groups, fset, scenario.prices[t], params,
-            keep_iterates=collect_traces,
-        )
+        x_star, trace = sspm_solve(game_groups, fset, scenario.prices[t], params)
         vi_iterations.append(len(trace))
-        if collect_traces:
-            vi_traces[t] = trace
         return {
             vid
             for g, x in zip(game_groups, x_star)
@@ -283,7 +276,6 @@ def run_jtcs(scenario: Scenario, collect_traces: bool = False) -> RunSummary:
         0.0, sum(plan.e_plus) - summary.total_charged_kwh
     )
     summary.vi_iterations = vi_iterations
-    summary.vi_traces = vi_traces
     return summary
 
 

@@ -9,16 +9,14 @@ group's clipped best response to one shared multiplier.  A safeguarded
 Newton search on that multiplier finds it (``_equilibrium``): each sweep
 over the groups yields the responses' weighted sum and its slope, the
 bracket around the multiplier keeps the float test of plain bisection, and
-the result is the bisection's to the bit.  That point is the default
-start of the two-projection extragradient scheme (``sspm_solve``), whose
-first unit-step residual check then certifies it: with the default step
-constants the solve returns after one iteration.  From any other start
-the scheme iterates: each iteration measures the projected residual
-``nu = x - P(x - mu*F(x))`` inline, backtracks a probe step until the
-operator at the probe correlates enough with the residual (``line_search``),
-builds the separating halfspace through the probe point, and projects the
-iterate onto feasible-set-and-halfspace.  The payoffs and the operator both
-come from ``model.payoff_functions``, the one place the formula is written.
+the result is the bisection's to the bit.  ``sspm_solve`` returns that
+point with a certificate: the projected residual ``nu = x - P(x - F(x))``
+of one unit step must lie below ``epsilon``.  The paper's two-projection
+extragradient scheme, which iterates from any start, is the reference the
+tests compare against (``tests/oracles.py::sspm_iterate``); from the exact
+equilibrium its first residual check is this certificate, bit for bit.
+The operator comes from ``model.payoff_functions``, the one place the
+payoff formula is written.
 
 ``kkt_verify`` independently audits a candidate equilibrium by fitting one
 common multiplier vector to the stationarity system and reporting how badly
@@ -27,21 +25,15 @@ stationarity, feasibility, dual signs and complementarity are violated.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
-from pvjtcs.projection import (
-    FeasibleSet,
-    ProjectionConvergenceError,
-    _dual_scan,
-    _intersection_core,
-)
+from pvjtcs.model import GameParams, PvGroup, payoff_functions
+from pvjtcs.projection import FeasibleSet, _dual_scan
 
 # ``kkt_verify`` treats a strategy this close to 0 or 1 as on the box bound
 _BOUNDARY_TOL = 1e-6
@@ -50,14 +42,8 @@ _BOUNDARY_TOL = 1e-6
 _EPS = sys.float_info.epsilon
 
 
-class LineSearchError(RuntimeError):
-    """Backtracking produced no acceptable step."""
-
-
 class SspmConvergenceError(RuntimeError):
-    """The residual did not drop below epsilon: the iteration cap ran out,
-    or a residual left at rounding level defeated the line search or the
-    halfspace projection."""
+    """The residual did not drop below epsilon."""
 
     def __init__(self, message: str, trace: "SspmTrace"):
         super().__init__(message)
@@ -66,21 +52,14 @@ class SspmConvergenceError(RuntimeError):
 
 @dataclass
 class SspmTrace:
-    """Per-iteration record of the extragradient run.
+    """What a game solve reports, in the shape of the per-iteration record
+    of the extragradient scheme: the certificate is that scheme's first
+    iteration, with one residual, no backtracking (``zetas``) and one
+    projection (``projection_calls``)."""
 
-    ``iterates`` and ``utilities`` stay empty unless the solve was asked to
-    keep them (``sspm_solve(..., keep_iterates=True)``): they cost an array
-    copy and n payoff evaluations per iteration.
-    """
-
-    iterates: list = field(default_factory=list)          # strategy vectors
     residual_norms: list = field(default_factory=list)    # ||nu|| per iteration
-    etas: list = field(default_factory=list)              # accepted step sizes
     zetas: list = field(default_factory=list)             # backtracking exponents
-    utilities: list = field(default_factory=list)         # per-group payoffs
     projection_calls: list = field(default_factory=list)  # per-iteration count
-    exit_checks: int = 0                                  # unit-step confirmations
-    converged: bool = False
 
     def __len__(self) -> int:
         return len(self.residual_norms)
@@ -111,40 +90,6 @@ class KktReport:
             self.primal_violation,
             self.dual_violation,
         )
-
-
-def line_search(
-    x: list[float],
-    nu: list[float],
-    nu_sq: float,
-    mu: float,
-    F: VectorFn,
-    params: GameParams,
-) -> tuple[int, float]:
-    """Smallest exponent zeta with the probe acceptance condition.
-
-    Accepts zeta when ``<F(x - gamma1^zeta * mu * nu), nu> >=
-    (gamma2/mu) * nu_sq``, where ``nu_sq = ||nu||^2``, trying zeta = 0..100
-    with the step shrunk by ``gamma1`` each time, and returns
-    ``(zeta, eta = gamma1^zeta * mu)``.
-
-    For a projected residual ``nu = x - P(x - mu*F(x))`` the projection
-    gives ``<F(x), nu> >= nu_sq / mu`` in exact arithmetic, so a short
-    enough step passes for any continuous ``F``, monotone or not, since
-    ``gamma2 < 1``.  Only a residual that rounding has swamped fails every
-    step.
-    """
-    if nu_sq == 0.0:
-        raise ValueError("line search called with a zero residual")
-    threshold = (params.gamma2 / mu) * nu_sq
-    gamma1 = params.gamma1
-    step = mu
-    for zeta in range(101):
-        Fp = F([xi - step * vi for xi, vi in zip(x, nu)])
-        if sum(fi * vi for fi, vi in zip(Fp, nu)) >= threshold:
-            return zeta, step
-        step *= gamma1
-    raise LineSearchError("no acceptable step within 100 backtracks")
 
 
 def _equilibrium(
@@ -260,41 +205,12 @@ def _equilibrium(
     return x_hi if x_hi is not None else respond(hi)[0]
 
 
-def _stalled(
-    nu_norm: float, params: GameParams, trace: SspmTrace, why: str
-) -> SspmConvergenceError:
-    """The error for a residual that no iteration can lower: ``why`` says
-    which step failed on it."""
-    return SspmConvergenceError(
-        f"residual {nu_norm:.3e} cannot fall below epsilon={params.epsilon}: "
-        f"{why}; choose a larger epsilon",
-        trace,
-    )
-
-
-def sspm_solve(
-    groups: Sequence[PvGroup],
-    fset: FeasibleSet,
-    p_t: float,
-    params: GameParams,
-    x0: Sequence[float] | None = None,
-    max_iterations: int = 100_000,
-    keep_iterates: bool = False,
-) -> tuple[np.ndarray, SspmTrace]:
-    """Solve the slot game to its normalized equilibrium.
-
-    Starting from the exact equilibrium (or a caller-supplied ``x0`` of n
-    finite entries), iterates the two-projection extragradient scheme
-    until the projected residual norm drops below ``params.epsilon``.  The
-    returned trace carries every residual, step size and projection count;
-    with ``keep_iterates`` also every iterate and its payoffs, for
-    inspection or CSV export.
-
-    The loop works on plain floats: instances have a handful of groups, and
-    ill-conditioned ones (group sizes spanning 1..100) need thousands of
-    the cheap iterations from a poor start, so per-call array overhead
-    matters more than vectorization.
-    """
+def _game_weights(
+    groups: Sequence[PvGroup], fset: FeasibleSet
+) -> tuple[list[float], list[float]]:
+    """The groups' sizes and demands as floats, once the game is checked:
+    every group has members, ``fset`` weighs the groups by their sizes,
+    and its feasible set is not empty."""
     if any(g.m <= 0 for g in groups):
         raise ValueError("groups with m=0 must be excluded from the game")
     if len(groups) != len(fset.m) or any(
@@ -302,91 +218,39 @@ def sspm_solve(
     ):
         raise ValueError("feasible-set weights disagree with the group census")
     fset.check_feasible()
+    return [float(g.m) for g in groups], [float(g.d) for g in groups]
 
-    n = len(groups)
-    m = [float(g.m) for g in groups]
-    d = [float(g.d) for g in groups]
-    gamma3 = params.gamma3
+
+def sspm_solve(
+    groups: Sequence[PvGroup],
+    fset: FeasibleSet,
+    p_t: float,
+    params: GameParams,
+) -> tuple[np.ndarray, SspmTrace]:
+    """Solve the slot game to its normalized equilibrium.
+
+    Returns the exact equilibrium, projected onto the feasible set, and
+    the trace of its certificate: the unit-step projected residual, which
+    must lie below ``params.epsilon``.  A residual at or above it raises
+    ``SspmConvergenceError``: at the exact equilibrium what remains is
+    rounding error, so only a larger ``epsilon`` can be met.
+    """
+    m, d = _game_weights(groups, fset)
     S = fset.S
-    u, F = payoff_functions(groups, p_t, params)
-
-    if x0 is None:
-        start = _equilibrium(m, d, S, params.alpha1, params.alpha2 * p_t)
-    else:
-        given = np.asarray(x0, dtype=float)  # a None entry reads as NaN
-        if given.shape != (n,) or not np.isfinite(given).all():
-            raise ValueError(f"x0 must hold {n} finite entries, got {x0!r}")
-        start = given.tolist()
-    x = _dual_scan(start, m, S)
-
-    trace = SspmTrace()
-    eta_prev = params.eta_init
-    for _ in range(max_iterations):
-        mu = min(gamma3 * eta_prev, 1.0)
-        Fx = F(x)
-        z = _dual_scan([x[i] - mu * Fx[i] for i in range(n)], m, S)
-        nu = [x[i] - z[i] for i in range(n)]
-        nu_sq = sum(v * v for v in nu)
-        nu_norm = math.sqrt(nu_sq)
-
-        trace.residual_norms.append(nu_norm)
-        if keep_iterates:
-            trace.iterates.append(np.array(x))
-            trace.utilities.append(u(x))
-
-        if nu_norm < params.epsilon:
-            # The adaptive-step residual scales with mu, so a small mu can
-            # fake convergence.  ||nu(x, mu)|| is nondecreasing in mu, hence
-            # the unit-step residual both confirms geometric accuracy and
-            # implies the adaptive test it replaces.
-            if mu >= 1.0 or nu_norm == 0.0:
-                confirmed_norm = nu_norm
-                calls = 1
-            else:
-                z1 = _dual_scan([x[i] - Fx[i] for i in range(n)], m, S)
-                confirmed_norm = math.sqrt(
-                    sum((x[i] - z1[i]) ** 2 for i in range(n))
-                )
-                trace.exit_checks += 1
-                calls = 2
-            if confirmed_norm < params.epsilon:
-                trace.projection_calls.append(calls)
-                trace.etas.append(eta_prev)
-                trace.zetas.append(0)
-                trace.converged = True
-                return np.array(x), trace
-
-        try:
-            zeta, eta = line_search(x, nu, nu_sq, mu, F, params)
-        except LineSearchError as err:
-            raise _stalled(
-                nu_norm, params, trace,
-                "no line-search step lowers it, which for a projected residual "
-                "means rounding error swamps it, not that the operator is not "
-                "monotone",
-            ) from err
-        y = [x[i] - eta * nu[i] for i in range(n)]
-        gvec = F(y)
-        c = sum(gvec[i] * y[i] for i in range(n))
-        try:
-            x = _intersection_core(x, m, S, gvec, c)
-        except ProjectionConvergenceError as err:
-            raise _stalled(
-                nu_norm, params, trace,
-                f"the halfspace built from it cannot be projected onto ({err}), "
-                "as happens when rounding error swamps the residual",
-            ) from err
-
-        trace.etas.append(eta)
-        trace.zetas.append(zeta)
-        trace.projection_calls.append(2)
-        eta_prev = eta
-
-    raise SspmConvergenceError(
-        f"residual {trace.residual_norms[-1]:.3e} still above "
-        f"epsilon={params.epsilon} after {max_iterations} iterations",
-        trace,
-    )
+    _, F = payoff_functions(groups, p_t, params)
+    x = _dual_scan(_equilibrium(m, d, S, params.alpha1, params.alpha2 * p_t), m, S)
+    Fx = F(x)
+    z = _dual_scan([xi - fi for xi, fi in zip(x, Fx)], m, S)
+    nu_norm = math.sqrt(sum(v * v for v in (xi - zi for xi, zi in zip(x, z))))
+    trace = SspmTrace(residual_norms=[nu_norm], zetas=[0], projection_calls=[1])
+    if not nu_norm < params.epsilon:
+        raise SspmConvergenceError(
+            f"residual {nu_norm:.3e} cannot fall below epsilon={params.epsilon}: "
+            "at the exact equilibrium what remains is rounding error; choose "
+            "a larger epsilon",
+            trace,
+        )
+    return np.array(x), trace
 
 
 def kkt_verify(
@@ -480,24 +344,3 @@ def kkt_verify(
         dual_violation=dual_violation,
     )
 
-
-def write_trace_csv(trace: SspmTrace, stream: IO[str]) -> None:
-    """Dump a solver trace: iteration, residual, eta, per-group x and payoff.
-
-    The trace must come from ``sspm_solve(..., keep_iterates=True)``.
-    """
-    if len(trace.iterates) != len(trace):
-        raise ValueError("trace has no iterates: solve with keep_iterates=True")
-    n_groups = len(trace.iterates[0]) if trace.iterates else 0
-    writer = csv.writer(stream)
-    writer.writerow(
-        ["iteration", "residual", "eta"]
-        + [f"x_{i}" for i in range(n_groups)]
-        + [f"u_{i}" for i in range(n_groups)]
-    )
-    for k in range(len(trace)):
-        writer.writerow(
-            [k, repr(trace.residual_norms[k]), repr(trace.etas[k])]
-            + [repr(float(v)) for v in trace.iterates[k]]
-            + [repr(v) for v in trace.utilities[k]]
-        )

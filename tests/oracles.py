@@ -6,10 +6,12 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Six are former production loops, kept as bit-exact references for the
-faster versions: ``bisection_equilibrium`` (the exact slot-game
-equilibrium by bisection on the shared multiplier), ``loop_solve_lp`` (the dense simplex with a row-by-row
-pivot and ratio test), ``linear_scan_dual`` (the box-hyperplane projection
+Seven are former production loops, kept as bit-exact references for the
+faster versions: ``sspm_iterate`` (the paper's extragradient scheme, with
+``line_search`` and ``intersection_core``), ``bisection_equilibrium`` (the
+exact slot-game equilibrium by bisection on the shared multiplier),
+``loop_solve_lp`` (the dense simplex with a row-by-row pivot and ratio
+test), ``linear_scan_dual`` (the box-hyperplane projection
 that evaluates every breakpoint in turn), ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
 builds each returned plan, ``planned_insertion``), ``scan_nearest_node``
@@ -23,16 +25,20 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
 
+from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
 from pvjtcs.network import (
     UnreachableNodeError,
     distance,
     nearest_station,
     shortest_path,
 )
+from pvjtcs.projection import FeasibleSet, _dual_scan
 from pvjtcs.simplex import (
     EQ,
     GE,
@@ -55,6 +61,7 @@ from pvjtcs.transport_scheduler import (
     insertion_cost,
     pci_assign,
 )
+from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace, _equilibrium, _game_weights
 
 _TOL = 1e-9
 
@@ -208,6 +215,343 @@ def bisection_equilibrium(m, d, S, alpha1, a2p):
             hi = mid
         mid = 0.5 * (lo + hi)
     return respond(hi)
+
+
+class LineSearchError(RuntimeError):
+    """Backtracking produced no acceptable step."""
+
+
+class ProjectionConvergenceError(RuntimeError):
+    """A projection subproblem failed to settle; numerical trouble."""
+
+
+@dataclass
+class IterationTrace(SspmTrace):
+    """Per-iteration record of ``sspm_iterate``: ``SspmTrace`` plus the
+    accepted step sizes, the unit-step confirmations and the outcome."""
+
+    etas: list = field(default_factory=list)              # accepted step sizes
+    exit_checks: int = 0                                  # unit-step confirmations
+    converged: bool = False
+
+
+def line_search(
+    x: list[float],
+    nu: list[float],
+    nu_sq: float,
+    mu: float,
+    F: VectorFn,
+    gamma1: float = 0.4,
+    gamma2: float = 0.5,
+) -> tuple[int, float]:
+    """Smallest exponent zeta with the probe acceptance condition.
+
+    Accepts zeta when ``<F(x - gamma1^zeta * mu * nu), nu> >=
+    (gamma2/mu) * nu_sq``, where ``nu_sq = ||nu||^2``, trying zeta = 0..100
+    with the step shrunk by ``gamma1`` each time, and returns
+    ``(zeta, eta = gamma1^zeta * mu)``.
+
+    For a projected residual ``nu = x - P(x - mu*F(x))`` the projection
+    gives ``<F(x), nu> >= nu_sq / mu`` in exact arithmetic, so a short
+    enough step passes for any continuous ``F``, monotone or not, since
+    ``gamma2 < 1``.  Only a residual that rounding has swamped fails every
+    step.
+    """
+    if nu_sq == 0.0:
+        raise ValueError("line search called with a zero residual")
+    threshold = (gamma2 / mu) * nu_sq
+    step = mu
+    for zeta in range(101):
+        Fp = F([xi - step * vi for xi, vi in zip(x, nu)])
+        if sum(fi * vi for fi, vi in zip(Fp, nu)) >= threshold:
+            return zeta, step
+        step *= gamma1
+    raise LineSearchError("no acceptable step within 100 backtracks")
+
+
+# Illinois rounds of the halfspace multiplier search before giving up
+_MAX_ROUNDS = 200
+
+
+def intersection_core(
+    point: list[float],
+    m: list[float],
+    S: float,
+    g: list[float],
+    c: float,
+) -> list[float]:
+    """Projection onto box-hyperplane-halfspace, all plain floats (the
+    former production projection of ``sspm_iterate``).
+
+    The halfspace is ``{z : <g, z> <= c}``.  The search is over its
+    multiplier ``tau``: the halfspace violation ``h(tau)`` of the
+    tau-shifted single-set projection is nonincreasing in ``tau`` by firm
+    nonexpansiveness.  The bracket starts at ``tau = h(0) / |g|^2`` and
+    doubles until ``h <= 0``; Illinois false position then narrows it, and
+    an exact two-multiplier solve is attempted on every visited clipping
+    pattern (z0's first).  Alternating projections are deliberately
+    avoided: near an equilibrium the halfspace normal aligns with the
+    charging hyperplane, and alternating projections stall on such glancing
+    intersections.
+    """
+    n = len(point)
+    hscale = 1.0 + abs(c)
+    for gi in g:
+        hscale += abs(gi)
+    m_total = 0.0
+    for mi in m:
+        m_total += mi
+
+    z0 = _dual_scan(point, m, S)
+    h0 = -c
+    for i in range(n):
+        h0 += g[i] * z0[i]
+    if h0 <= 0.0:
+        return z0
+
+    def polish(z: list[float]) -> list[float] | None:
+        mm = mg = gg = 0.0
+        any_free = False
+        b1 = S
+        b2 = c
+        for i in range(n):
+            if 0.0 < z[i] < 1.0:
+                any_free = True
+                mm += m[i] * m[i]
+                mg += m[i] * g[i]
+                gg += g[i] * g[i]
+                b1 -= m[i] * point[i]
+                b2 -= g[i] * point[i]
+            else:
+                b1 -= m[i] * z[i]
+                b2 -= g[i] * z[i]
+        if not any_free:
+            return None
+        # Solve for the two multipliers via the Schur complement: the normal
+        # is often nearly parallel to the hyperplane weights, which makes
+        # the multipliers ill-conditioned but leaves the projected point
+        # itself well-behaved; the residual checks below arbitrate.
+        g_perp_sq = gg - (mg * mg) / mm
+        if g_perp_sq <= 1e-14 * gg:
+            return None
+        tau = -(b2 - (mg / mm) * b1) / g_perp_sq
+        lam = (b1 + tau * mg) / mm
+        if tau < -1e-12:
+            return None
+        if tau < 0.0:
+            tau = 0.0
+        cand = []
+        sm = sg = 0.0
+        for i in range(n):
+            zi = point[i] + lam * m[i] - tau * g[i]
+            if zi < 0.0:
+                zi = 0.0
+            elif zi > 1.0:
+                zi = 1.0
+            cand.append(zi)
+            sm += m[i] * zi
+            sg += g[i] * zi
+        # the hyperplane to _dual_scan's precision: a candidate off it by
+        # more leaves the iterate outside the feasible set
+        if abs(sm - S) > 1e-12 * max(1.0, m_total):
+            return None
+        if abs(sg - c) > 1e-9 * hscale:
+            return None
+        return cand
+
+    def shifted_projection(tau: float) -> tuple[list[float], float]:
+        pt = [point[i] - tau * g[i] for i in range(n)]
+        z = _dual_scan(pt, m, S)
+        h = -c
+        for i in range(n):
+            h += g[i] * z[i]
+        return z, h
+
+    exact = polish(z0)
+    if exact is not None:
+        return exact
+
+    nn = 0.0
+    for gi in g:
+        nn += gi * gi
+    tau_lo, h_lo = 0.0, h0
+    tau_hi = h0 / nn
+    for _ in range(200):
+        z_hi, h_hi = shifted_projection(tau_hi)
+        if h_hi <= 0.0:
+            break
+        tau_lo, h_lo = tau_hi, h_hi
+        tau_hi *= 2.0
+    else:
+        raise ProjectionConvergenceError(
+            "halfspace appears unreachable from the feasible set"
+        )
+
+    # The violation is piecewise linear and nonincreasing in tau; Illinois
+    # false position avoids the one-sided stalling of the plain variant, and
+    # the pattern solve finishes exactly once a probe lands on the root's
+    # clipping pattern.
+    z = z_hi
+    side = 0
+    w_lo, w_hi = h_lo, h_hi
+    for _ in range(_MAX_ROUNDS):
+        if w_lo - w_hi > 0.0:
+            tau = tau_lo + (tau_hi - tau_lo) * w_lo / (w_lo - w_hi)
+            width = tau_hi - tau_lo
+            if not tau_lo + 1e-6 * width <= tau <= tau_hi - 1e-6 * width:
+                tau = 0.5 * (tau_lo + tau_hi)
+        else:
+            tau = 0.5 * (tau_lo + tau_hi)
+        z, h = shifted_projection(tau)
+        exact = polish(z)
+        if exact is not None:
+            return exact
+        if abs(h) <= 1e-13 * hscale:
+            break
+        if h > 0.0:
+            tau_lo, w_lo = tau, h
+            if side == -1:
+                w_hi *= 0.5
+            side = -1
+        else:
+            tau_hi, w_hi = tau, h
+            if side == 1:
+                w_lo *= 0.5
+            side = 1
+    viol = -c
+    for i in range(n):
+        viol += g[i] * z[i]
+    if viol > 1e-8 * hscale:
+        raise ProjectionConvergenceError(
+            f"halfspace multiplier search did not settle within {_MAX_ROUNDS} "
+            f"rounds (violation {viol:.3e})"
+        )
+    return z
+
+
+def _stalled(
+    nu_norm: float, params: GameParams, trace: IterationTrace, why: str
+) -> SspmConvergenceError:
+    """The error for a residual that no iteration can lower: ``why`` says
+    which step failed on it."""
+    return SspmConvergenceError(
+        f"residual {nu_norm:.3e} cannot fall below epsilon={params.epsilon}: "
+        f"{why}; choose a larger epsilon",
+        trace,
+    )
+
+
+def sspm_iterate(
+    groups: Sequence[PvGroup],
+    fset: FeasibleSet,
+    p_t: float,
+    params: GameParams,
+    x0: Sequence[float] | None = None,
+    max_iterations: int = 100_000,
+    *,
+    gamma1: float = 0.4,
+    gamma2: float = 0.5,
+    gamma3: float = 1.5,
+    eta_init: float = 1.0,
+) -> tuple[np.ndarray, IterationTrace]:
+    """The paper's two-projection extragradient scheme, from the exact
+    equilibrium (the production solver's point) or from ``x0``.
+
+    Iterates until the projected residual norm drops below
+    ``params.epsilon``.  Each iteration measures the projected residual
+    ``nu = x - P(x - mu*F(x))`` inline, backtracks a probe step until the
+    operator at the probe correlates enough with the residual
+    (``line_search``, with base ``gamma1`` and threshold ``gamma2``),
+    builds the separating halfspace through the probe point, and projects
+    the iterate onto feasible-set-and-halfspace (``intersection_core``).
+    The step grows by ``gamma3`` between iterations from ``eta_init``.
+    From the exact equilibrium with the default constants the first
+    residual check is ``sspm_solve``'s certificate, bit for bit.
+    """
+    m, d = _game_weights(groups, fset)
+    n = len(groups)
+    S = fset.S
+    _, F = payoff_functions(groups, p_t, params)
+
+    if x0 is None:
+        start = _equilibrium(m, d, S, params.alpha1, params.alpha2 * p_t)
+    else:
+        given = np.asarray(x0, dtype=float)  # a None entry reads as NaN
+        if given.shape != (n,) or not np.isfinite(given).all():
+            raise ValueError(f"x0 must hold {n} finite entries, got {x0!r}")
+        start = given.tolist()
+    x = _dual_scan(start, m, S)
+
+    trace = IterationTrace()
+    eta_prev = eta_init
+    for _ in range(max_iterations):
+        mu = min(gamma3 * eta_prev, 1.0)
+        Fx = F(x)
+        z = _dual_scan([x[i] - mu * Fx[i] for i in range(n)], m, S)
+        nu = [x[i] - z[i] for i in range(n)]
+        nu_sq = sum(v * v for v in nu)
+        nu_norm = math.sqrt(nu_sq)
+
+        trace.residual_norms.append(nu_norm)
+        if nu_norm < params.epsilon:
+            # The adaptive-step residual scales with mu, so a small mu can
+            # fake convergence.  ||nu(x, mu)|| is nondecreasing in mu, hence
+            # the unit-step residual both confirms geometric accuracy and
+            # implies the adaptive test it replaces.
+            if mu >= 1.0 or nu_norm == 0.0:
+                confirmed_norm = nu_norm
+                calls = 1
+            else:
+                z1 = _dual_scan([x[i] - Fx[i] for i in range(n)], m, S)
+                confirmed_norm = math.sqrt(
+                    sum((x[i] - z1[i]) ** 2 for i in range(n))
+                )
+                trace.exit_checks += 1
+                calls = 2
+            if confirmed_norm < params.epsilon:
+                trace.projection_calls.append(calls)
+                trace.etas.append(eta_prev)
+                trace.zetas.append(0)
+                trace.converged = True
+                return np.array(x), trace
+
+        try:
+            zeta, eta = line_search(x, nu, nu_sq, mu, F, gamma1, gamma2)
+        except LineSearchError as err:
+            raise _stalled(
+                nu_norm, params, trace,
+                "no line-search step lowers it, which for a projected residual "
+                "means rounding error swamps it, not that the operator is not "
+                "monotone",
+            ) from err
+        y = [x[i] - eta * nu[i] for i in range(n)]
+        gvec = F(y)
+        c = sum(gvec[i] * y[i] for i in range(n))
+        try:
+            x = intersection_core(x, m, S, gvec, c)
+        except ProjectionConvergenceError as err:
+            raise _stalled(
+                nu_norm, params, trace,
+                f"the halfspace built from it cannot be projected onto ({err}), "
+                "as happens when rounding error swamps the residual",
+            ) from err
+
+        trace.etas.append(eta)
+        trace.zetas.append(zeta)
+        trace.projection_calls.append(2)
+        eta_prev = eta
+
+    raise SspmConvergenceError(
+        f"residual {trace.residual_norms[-1]:.3e} still above "
+        f"epsilon={params.epsilon} after {max_iterations} iterations",
+        trace,
+    )
+
+
+def clip_start(groups):
+    """The per-group transportation optimum d/m, clipped to the box: a start
+    from which ``sspm_iterate`` iterates."""
+    return [min(max(g.d / g.m, 0.0), 1.0) for g in groups]
 
 
 def enumerate_lp_vertices(c, A, senses, b, upper):

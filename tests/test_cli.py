@@ -26,8 +26,8 @@ from pvjtcs.io_files import (
     nearest_nodes,
 )
 from pvjtcs.network import RoadGraph
-from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace
-from oracles import scan_nearest_node
+from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace, kkt_verify
+from oracles import clip_start, scan_nearest_node, sspm_iterate
 
 REPO = Path(__file__).resolve().parent.parent
 MINI = REPO / "scenarios" / "manhattan-mini"
@@ -39,13 +39,32 @@ BAD_PARAMS = [
     ({"alpha1": True}, "parameter alpha1 must be a number, not True"),
     ({"rho": None}, "parameter rho must be a number, not None"),
     ({"rho": float("nan")}, "rho must be positive, got nan"),
+    # a step constant of the paper's iteration, which the exact solve lacks
+    ({"gamma3": 1.5}, "unknown parameter overrides: ['gamma3']"),
 ]
+# the solve-vi instance that the console-script check in CI runs
+SYMMETRIC_GAME = {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
+                  "r": 1.0, "price": 2.0}
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def recording(monkeypatch, module):
+    """The list of every ``(args, result)`` of ``module.sspm_solve`` from
+    now on, in call order."""
+    games = []
+    solve = module.sspm_solve
+
+    def record(*args):
+        games.append((args, solve(*args)))
+        return games[-1][1]
+
+    monkeypatch.setattr(module, "sspm_solve", record)
+    return games
 
 
 @pytest.fixture
@@ -400,62 +419,54 @@ class TestCliSurface:
         assert doc["fleet_size"] == 20
         assert doc["slots"] == 24
 
-    def test_trace_vi_writes_traces(self, tmp_path):
-        rc = main(
-            [
-                "run",
-                "--config",
-                str(MINI / "config.json"),
-                "--mode",
-                "jtcs",
-                "--out",
-                str(tmp_path),
-                "--trace-vi",
-            ]
-        )
+    def test_run_games_match_the_reference_iteration(self, tmp_path, monkeypatch):
+        # every game of the bundled day: the paper's iteration from the
+        # exact equilibrium returns the solver's point and residual, bit for
+        # bit, and from clip(d/m) it iterates to the same point
+        games = recording(monkeypatch, simulator)
+        rc = main(["run", "--config", str(MINI / "config.json"), "--mode", "jtcs",
+                   "--out", str(tmp_path)])
         assert rc == 0
-        traces = list(tmp_path.glob("vi_trace_*.csv"))
-        assert traces
-        with open(traces[0]) as handle:
-            header = handle.readline().strip().split(",")
-        assert header[:3] == ["iteration", "residual", "eta"]
+        vi_iterations = json.loads(
+            (tmp_path / "summary.json").read_text())["jtcs"]["vi_iterations"]
+        assert games and sum(vi_iterations) == len(games)
+        for args, (x, trace) in games:
+            ref, ref_trace = sspm_iterate(*args)
+            assert np.array_equal(ref, x)
+            assert ref_trace.residual_norms == trace.residual_norms
+            iterated, _ = sspm_iterate(*args, clip_start(args[0]))
+            assert np.max(np.abs(iterated - x)) <= 1e-3
 
     def test_solve_vi_subcommand(self, tmp_path, capsys):
         instance = tmp_path / "instance.json"
-        instance.write_text(
-            json.dumps(
-                {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
-                 "r": 1.0, "price": 2.0}
-            )
-        )
+        instance.write_text(json.dumps(SYMMETRIC_GAME))
         rc = main(["solve-vi", "--instance", str(instance)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "x_star" in out and "0.6" in out
 
-    def test_solve_vi_writes_trace(self, tmp_path):
-        instance = tmp_path / "instance.json"
-        instance.write_text(
-            json.dumps(
-                {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
-                 "r": 1.0, "price": 2.0}
-            )
+    def test_solve_vi_matches_the_reference_iteration(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # solve-vi prints the point and residual of the paper's iteration
+        # from the exact equilibrium, confirmed in one iteration; from a
+        # corner the iteration keeps one record per iteration
+        games = recording(monkeypatch, cli)
+        instance = write(tmp_path, "instance.json", json.dumps(SYMMETRIC_GAME))
+        assert main(["solve-vi", "--instance", instance]) == 0
+        [(args, _)] = games
+        x, trace = sspm_iterate(*args)
+        assert capsys.readouterr().out.startswith(
+            f"x_star = {np.array2string(x, precision=6)}\n"
+            "iterations = 1\n"
+            f"final residual = {trace.residual_norms[-1]:.3e}\n"
         )
-        trace = tmp_path / "trace.csv"
-        rc = main(["solve-vi", "--instance", str(instance), "--trace", str(trace)])
-        assert rc == 0
-        rows = trace.read_text().strip().splitlines()
-        assert rows[0].split(",") == ["iteration", "residual", "eta",
-                                      "x_0", "x_1", "u_0", "u_1"]
-        assert len(rows) > 1 and all(len(r.split(",")) == 7 for r in rows[1:])
-
-    def test_solve_vi_trace_into_a_new_directory(self, tmp_path):
-        instance = write(tmp_path, "instance.json", json.dumps(
-            {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0}
-        ))
-        trace = tmp_path / "new" / "trace.csv"
-        assert main(["solve-vi", "--instance", instance, "--trace", str(trace)]) == 0
-        assert trace.read_text().startswith("iteration,residual,eta,")
+        assert len(trace) == 1
+        iterated, trace = sspm_iterate(*args, [0.0, 1.0])
+        k = len(trace)
+        assert k > 1 and trace.converged
+        assert len(trace.etas) == len(trace.zetas) == len(trace.projection_calls) == k
+        assert np.max(np.abs(iterated - x)) <= 1e-3
 
     @pytest.mark.parametrize("doc", [
         {"m": [57, 88], "d": [37, 42], "e_plus": 55.26230457605344,
@@ -465,18 +476,26 @@ class TestCliSurface:
          "price": 3.714676715749296,
          "x0": [0.05405405405405406, 0.22580645161290322]},
     ], ids=["57-88", "74-31"])
-    def test_solve_vi_from_a_caller_supplied_start(self, tmp_path, capsys, doc):
-        # from these starts the iteration projects onto halfspaces that graze
-        # the feasible set (the first one's last halfspace meets it only at
-        # the vertex (1, 0.888...)); every multiplier search must settle
-        instance = write(tmp_path, "instance.json", json.dumps(doc))
+    def test_solve_vi_from_a_caller_supplied_start(self, tmp_path, monkeypatch,
+                                                   doc):
+        # from these starts the paper's iteration projects onto halfspaces
+        # that graze the feasible set (the first one's last halfspace meets
+        # it only at the vertex (1, 0.888...)); every multiplier search must
+        # settle, on the point solve-vi finds
+        games = recording(monkeypatch, cli)
+        game = {k: v for k, v in doc.items() if k != "x0"}
+        instance = write(tmp_path, "instance.json", json.dumps(game))
         assert main(["solve-vi", "--instance", instance]) == 0
-        out = capsys.readouterr().out
-        assert float(out.split("kkt worst residual = ")[1].split()[0]) <= 1e-3
+        [(args, (x, _))] = games
+        iterated, trace = sspm_iterate(*args, doc["x0"])
+        assert trace.converged
+        assert kkt_verify(iterated, *args).worst() <= 1e-3
+        assert np.max(np.abs(iterated - x)) <= 1e-3
 
     def test_solve_vi_on_the_line_search_failure_game(self, tmp_path, capsys):
-        # 20 small groups on which the extragradient iteration from clip(d/m)
-        # exhausts its backtracking; the exact start needs no step at all
+        # 20 small groups from which the paper's iteration once exhausted its
+        # backtracking (from clip(d/m) it now takes 80 steps); the exact
+        # equilibrium needs no step at all
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps({
             "m": [2, 1, 3, 1, 2, 1, 5, 2, 2, 3, 2, 2, 1, 2, 1, 3, 2, 2, 3, 2],
@@ -491,13 +510,20 @@ class TestCliSurface:
         assert kkt <= 1e-12
 
     def test_solve_vi_rejects_a_short_start(self, tmp_path, caplog):
+        # solve-vi takes no start at all: the key is refused by name
         instance = tmp_path / "instance.json"
         instance.write_text(
             json.dumps({"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0,
                         "x0": [0.5]})
         )
         assert main(["solve-vi", "--instance", str(instance)]) == 1
-        assert "x0 must hold 2 finite entries" in caplog.text
+        assert "unknown instance keys: ['x0']" in caplog.text
+
+    def test_solve_vi_rejects_an_empty_game(self, tmp_path, caplog):
+        instance = write(tmp_path, "instance.json", json.dumps(
+            {"m": [], "d": [], "e_plus": 8.0, "price": 2.0}))
+        assert main(["solve-vi", "--instance", instance]) == 1
+        assert "instance key 'm' must list at least one group" in caplog.text
 
     @pytest.mark.parametrize("d", [[5], [5, 5, 5]], ids=["short", "long"])
     def test_solve_vi_rejects_d_of_another_length(self, tmp_path, caplog, d):
@@ -766,8 +792,10 @@ class TestCliSurface:
     def test_epsilon_below_rounding_in_projection_exits_with_its_cause(
         self, tmp_path, caplog
     ):
-        # the line search passes on this game's rounding-level residual, and
-        # the halfspace built from it is the step that fails
+        # the paper's iteration passes its line search on this game's
+        # rounding-level residual and fails in the halfspace projection
+        # (test_vi_solver); solve-vi stops at the certificate on that
+        # residual, and names rounding as the cause all the same
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps({
             "m": [3, 1, 7], "d": [1, 0, 2], "e_plus": 10.0, "price": 3.0,
@@ -775,8 +803,8 @@ class TestCliSurface:
         }))
         assert main(["solve-vi", "--instance", str(instance)]) == 1
         assert re.search(r"residual \d\.\d{3}e-1\d cannot fall below "
-                         r"epsilon=1e-16: the halfspace", caplog.text), caplog.text
-        assert "rounding error swamps the residual" in caplog.text
+                         r"epsilon=1e-16: ", caplog.text), caplog.text
+        assert "rounding error" in caplog.text
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

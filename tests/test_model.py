@@ -126,9 +126,7 @@ class TestPseudoGradient:
 class TestValidation:
     def test_defaults_match_calibration(self):
         p = GameParams()
-        assert (p.alpha1, p.alpha2) == (20.0, 5.0)
-        assert (p.gamma1, p.gamma2, p.gamma3) == (0.4, 0.5, 1.5)
-        assert (p.eta_init, p.epsilon) == (1.0, 1e-3)
+        assert (p.alpha1, p.alpha2, p.epsilon) == (20.0, 5.0, 1e-3)
         assert (p.e_min, p.rho) == (3.0, 0.2)
         assert (p.c, p.r) == (45.0, 5.625)
         assert (p.speed, p.consume_rate, p.seats) == (30.0, 0.3, 16)
@@ -141,13 +139,17 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"gamma1": 0.0},
-            {"gamma1": 1.0},
-            {"gamma2": 1.5},
-            {"gamma3": 1.0},
             {"epsilon": -1e-3},
+            {"epsilon": 0.0},
             {"rho": 0.0},
+            {"slot_hours": 0.0},
+            {"speed": -30.0},
+            {"alpha1": -1.0},
+            {"alpha2": -5.0},
+            {"e_min": -3.0},
+            {"consume_rate": -0.3},
             {"r": 50.0},
+            {"seats": 0},
             {"detour_max": 0.9},
             # every field must be finite
             *({f.name: math.inf} for f in dataclasses.fields(GameParams)),

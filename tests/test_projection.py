@@ -1,4 +1,5 @@
-"""Feasible-set geometry: preflight clamp, projection cores, oracle equivalence."""
+"""Feasible-set geometry: preflight clamp, the projection core, the
+reference iteration's halfspace projection, oracle equivalence."""
 
 import math
 import struct
@@ -12,10 +13,9 @@ from pvjtcs.projection import (
     FeasibleSet,
     InfeasibleSetError,
     _dual_scan,
-    _intersection_core,
     clamp_demand,
 )
-from oracles import active_set_projection, linear_scan_dual
+from oracles import active_set_projection, intersection_core, linear_scan_dual
 
 
 def project_plane(point, m, S):
@@ -26,7 +26,7 @@ def project_plane(point, m, S):
 def project_cut(point, fset, normal, anchor):
     """Projection onto the feasible set and ``{z : <normal, z - anchor> <= 0}``."""
     return np.array(
-        _intersection_core(
+        intersection_core(
             [float(v) for v in point],
             [float(v) for v in fset.m],
             fset.S,
@@ -203,6 +203,9 @@ class TestProjectFeasible:
 
 
 class TestProjectIntersection:
+    """The reference iteration's halfspace projection
+    (``oracles.intersection_core``)."""
+
     def test_point_inside_is_fixed(self):
         fset = FeasibleSet(m=[10.0, 10.0], d_total=0.0, e_plus=8.0, r=1.0)
         z = project_cut([0.5, 0.7], fset, [1.0, -1.0], [0.0, 0.0])
@@ -224,12 +227,12 @@ class TestProjectIntersection:
         assert violation(ours, [1.0, -1.0], [0.0, 0.0]) <= 1e-8
 
     def test_halfspace_meeting_the_set_in_one_point(self):
-        # captured from a solve-vi run from a caller-supplied start: the
+        # captured from the reference iteration from a random start: the
         # halfspace touches the feasible segment only at its vertex
         # (1, 0.888...), where one coordinate is free and the other at a face
         point, m, S = [0.8276419350454474, 1.0], [57.0, 88.0], 135.1755902975905
         g, c = [586.7194422315761, 3575.9612875267167], 3763.456766479227
-        ours = np.array(_intersection_core(point, m, S, g, c))
+        ours = np.array(intersection_core(point, m, S, g, c))
         anchor = c * np.array(g) / np.dot(g, g)
         ref = active_set_projection(point, m, S, normal=g, anchor=anchor)
         assert np.max(np.abs(ours - ref)) <= 1e-9

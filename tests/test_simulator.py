@@ -264,11 +264,15 @@ class TestFullRuns:
         assert summary.served + summary.waiting == len(sc.requests)
         assert summary.slots[-1].served == summary.served
 
-    def test_traces_collected_on_request(self):
-        summary = run_jtcs(self.make_busy_scenario(), collect_traces=True)
-        charged_slots = [t for t, s in enumerate(summary.slots) if s.charged_kwh > 0]
-        for t in charged_slots:
-            assert t in summary.vi_traces
+    def test_vi_iterations_count_the_games_played(self):
+        # 1 for a slot that played a game (its certificate is one residual
+        # check), 0 for a slot that played none; only a game sends chargers
+        sc = self.make_busy_scenario()
+        summary = run_jtcs(sc)
+        assert len(summary.vi_iterations) == sc.T
+        assert set(summary.vi_iterations) == {0, 1}
+        for t, s in enumerate(summary.slots):
+            assert s.charged_kwh == 0 or summary.vi_iterations[t] == 1
 
     # ids: the scheme and its number of slots with chargers
     @pytest.mark.parametrize(

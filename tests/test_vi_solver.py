@@ -1,7 +1,7 @@
-"""Equilibrium solver: backtracking, convergence, KKT audit."""
+"""Equilibrium solver and its reference iteration: backtracking,
+convergence, KKT audit."""
 
 import hashlib
-import io
 import math
 import random
 import struct
@@ -15,17 +15,17 @@ from hypothesis import strategies as st
 
 from pvjtcs import vi_solver
 from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet, ProjectionConvergenceError, clamp_demand
-from pvjtcs.vi_solver import (
+from pvjtcs.projection import FeasibleSet, clamp_demand
+from pvjtcs.vi_solver import SspmConvergenceError, _equilibrium, kkt_verify, sspm_solve
+from oracles import (
     LineSearchError,
-    SspmConvergenceError,
-    _equilibrium,
-    kkt_verify,
+    ProjectionConvergenceError,
+    bisection_equilibrium,
+    clip_start,
     line_search,
-    sspm_solve,
-    write_trace_csv,
+    projected_gradient_equilibrium,
+    sspm_iterate,
 )
-from oracles import bisection_equilibrium, projected_gradient_equilibrium
 
 PARAMS = GameParams()
 
@@ -36,12 +36,6 @@ def make_instance(m, d, e_plus, r=1.0, d_total=None):
         d_total = float(sum(d))
     fset = FeasibleSet(m=[float(v) for v in m], d_total=d_total, e_plus=e_plus, r=r)
     return groups, fset
-
-
-def clip_start(groups):
-    """The per-group transportation optimum d/m, clipped to the box: a start
-    that keeps the solve on the extragradient iteration path."""
-    return [min(max(g.d / g.m, 0.0), 1.0) for g in groups]
 
 
 SYMMETRIC = make_instance([10, 10], [5, 5], e_plus=8.0, d_total=8.0)
@@ -68,8 +62,8 @@ ITERATING = pinned_game(2)
 
 
 # SHA-256 (first 16 hex digits) of the bits of x* and of len(trace) from
-# sspm_solve on pinned_game(seed), recorded with the linear breakpoint scan
-# (now oracles.linear_scan_dual).  Seeds 9, 12 and 30 are left out: they
+# the reference iteration on pinned_game(seed) started at clip_start,
+# recorded with the linear breakpoint scan (now oracles.linear_scan_dual).  Seeds 9, 12 and 30 are left out: they
 # take 0.3-1.7 s each.
 PINNED_DIGESTS = {
     0: "e818be92dc571ab2",
@@ -106,7 +100,7 @@ PINNED_DIGESTS = {
 
 # SHA-256 (first 16 hex digits) of the bits of kkt_verify(x*, ...).lambda_bar
 # and of its four residuals (stationarity, complementarity, primal, dual) at
-# the x* of sspm_solve on pinned_game(seed), same seeds as PINNED_DIGESTS.
+# the x* of PINNED_DIGESTS.
 PINNED_KKT_DIGESTS = {
     0: "02f679f41cd30c09",
     1: "56f7c88e18e2eb7e",
@@ -144,19 +138,19 @@ class TestLineSearch:
     def test_immediate_acceptance(self):
         # F constant and aligned with nu: condition holds at zeta = 0
         F = lambda v: [10.0]
-        zeta, eta = line_search([0.5], [0.1], 0.1 * 0.1, 1.0, F, PARAMS)
+        zeta, eta = line_search([0.5], [0.1], 0.1 * 0.1, 1.0, F)
         assert zeta == 0 and eta == 1.0
 
     def test_two_backtracks(self):
         # F(t) = 100 (t - 0.9): fails at probes 0.5 and 0.8, passes at 0.92
         F = lambda v: [100.0 * (v[0] - 0.9)]
-        zeta, eta = line_search([1.0], [0.5], 0.5 * 0.5, 1.0, F, PARAMS)
+        zeta, eta = line_search([1.0], [0.5], 0.5 * 0.5, 1.0, F)
         assert zeta == 2
         assert eta == pytest.approx(0.4**2)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(13)
-        params = PARAMS
+        gamma1, gamma2 = 0.4, 0.5  # the defaults
         for _ in range(50):
             a = float(rng.uniform(1.0, 200.0))
             root = float(rng.uniform(0.0, 1.0))
@@ -165,33 +159,36 @@ class TestLineSearch:
             nu = float(rng.uniform(0.01, 0.5))
             mu = float(rng.uniform(0.1, 1.0))
             try:
-                zeta, eta = line_search([x], [nu], nu * nu, mu, F, params)
+                zeta, eta = line_search([x], [nu], nu * nu, mu, F)
             except LineSearchError:
                 continue
-            threshold = (params.gamma2 / mu) * (nu * nu)
+            threshold = (gamma2 / mu) * (nu * nu)
             accepted = [
                 z
                 for z in range(101)
-                if F([x - params.gamma1**z * mu * nu])[0] * nu >= threshold
+                if F([x - gamma1**z * mu * nu])[0] * nu >= threshold
             ]
             assert zeta == accepted[0]
-            assert eta == pytest.approx(params.gamma1**zeta * mu)
+            assert eta == pytest.approx(gamma1**zeta * mu)
 
     def test_exhausted_backtracking_raises(self):
         # an operator anti-correlated with nu never passes
         with pytest.raises(LineSearchError, match="within 100 backtracks"):
-            line_search([0.5], [0.1], 0.01, 1.0, lambda v: [-1.0], PARAMS)
+            line_search([0.5], [0.1], 0.01, 1.0, lambda v: [-1.0])
 
     def test_zero_residual_rejected(self):
         with pytest.raises(ValueError):
-            line_search([0.5], [0.0], 0.0, 1.0, lambda v: v, PARAMS)
+            line_search([0.5], [0.0], 0.0, 1.0, lambda v: v)
 
 
 class TestSspmSolve:
     def test_singleton_one_effective_iteration(self):
         groups, fset = SINGLETON
-        for x0 in (None, [0.0], [1.0]):
-            x, trace = sspm_solve(groups, fset, 3.0, PARAMS, x0=x0)
+        x, trace = sspm_solve(groups, fset, 3.0, PARAMS)
+        assert x == pytest.approx([0.6])
+        assert len(trace) == 1
+        for x0 in ([0.0], [1.0]):
+            x, trace = sspm_iterate(groups, fset, 3.0, PARAMS, x0)
             assert x == pytest.approx([0.6])
             assert len(trace) == 1
             assert trace.converged
@@ -231,8 +228,7 @@ class TestSspmSolve:
             groups, fset = make_instance(m, d, e_plus=e_plus, r=PARAMS.r,
                                          d_total=float(d.sum()))
             p = float(rng.uniform(1.0, 10.0))
-            x, trace = sspm_solve(groups, fset, p, PARAMS)
-            assert trace.converged
+            x, _ = sspm_solve(groups, fset, p, PARAMS)
             ref = projected_gradient_equilibrium(
                 m, d, fset.S, p, PARAMS.alpha1, PARAMS.alpha2
             )
@@ -240,68 +236,62 @@ class TestSspmSolve:
 
     def test_unique_equilibrium_from_different_starts(self):
         groups, fset = ASYMMETRIC
-        x1, _ = sspm_solve(groups, fset, 3.0, PARAMS, x0=[0.0, 0.0])
-        x2, _ = sspm_solve(groups, fset, 3.0, PARAMS, x0=[1.0, 1.0])
+        x1, _ = sspm_iterate(groups, fset, 3.0, PARAMS, [0.0, 0.0])
+        x2, _ = sspm_iterate(groups, fset, 3.0, PARAMS, [1.0, 1.0])
         assert np.max(np.abs(x1 - x2)) <= 1e-3
 
     def test_two_projections_per_update_iteration(self):
         groups, fset, price = ITERATING
-        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
+        _, trace = sspm_iterate(groups, fset, price, PARAMS, clip_start(groups))
         assert len(trace) > 1
         assert all(calls == 2 for calls in trace.projection_calls[:-1])
         assert trace.projection_calls[-1] in (1, 2)
 
     def test_trace_shapes(self):
         groups, fset, price = ITERATING
-        start = clip_start(groups)
-        x, trace = sspm_solve(groups, fset, price, PARAMS, x0=start,
-                              keep_iterates=True)
+        _, trace = sspm_iterate(groups, fset, price, PARAMS, clip_start(groups))
         k = len(trace)
         assert k > 1
-        assert len(trace.iterates) == k
         assert len(trace.etas) == k
         assert len(trace.zetas) == k
-        assert len(trace.utilities) == k
+        assert len(trace.projection_calls) == k
         assert trace.residual_norms[-1] < PARAMS.epsilon
-        # by default the same solve keeps every record but the iterates
-        x_bare, bare = sspm_solve(groups, fset, price, PARAMS, x0=start)
-        assert bare.iterates == [] and bare.utilities == []
-        assert np.array_equal(x_bare, x)
-        assert bare.residual_norms == trace.residual_norms
-        assert (bare.etas, bare.zetas) == (trace.etas, trace.zetas)
-        assert bare.projection_calls == trace.projection_calls
-        assert bare.exit_checks == trace.exit_checks
 
     def test_cap_exhaustion_carries_trace(self):
         groups, fset = make_instance([1, 76, 57], [0, 59, 38], e_plus=0.0,
                                      d_total=0.0)
         fset.e_plus = (fset.m_total - 101.4684) * 1.0
         with pytest.raises(SspmConvergenceError) as err:
-            sspm_solve(groups, fset, 7.7, PARAMS, x0=clip_start(groups),
-                       max_iterations=3)
+            sspm_iterate(groups, fset, 7.7, PARAMS, clip_start(groups),
+                         max_iterations=3)
         assert len(err.value.trace) == 3
 
     def test_epsilon_below_rounding_names_the_residual(self):
-        # the exact start's residual is rounding error, about 2e-14: no step
-        # lowers it, and the error says so instead of blaming the operator
+        # the exact equilibrium's residual is rounding error, about 2e-14:
+        # the certificate fails on it, and no step of the reference
+        # iteration lowers it, whose error does not blame the operator
         groups, fset = SYMMETRIC
-        params = GameParams(epsilon=1e-16)
-        with pytest.raises(SspmConvergenceError) as err:
-            sspm_solve(groups, fset, 2.0, params)
-        message = str(err.value)
-        assert "cannot fall below epsilon=1e-16" in message
-        assert "rounding error" in message and "not monotone" in message
-        assert f"residual {err.value.trace.residual_norms[-1]:.3e}" in message
+        for solve in (sspm_solve, sspm_iterate):
+            with pytest.raises(SspmConvergenceError) as err:
+                solve(groups, fset, 2.0, GameParams(epsilon=1e-16))
+            message = str(err.value)
+            assert message.startswith(
+                f"residual {err.value.trace.residual_norms[-1]:.3e} cannot "
+                "fall below epsilon=1e-16: "
+            )
+            assert "rounding error" in message
+        assert "not monotone" in message
         assert isinstance(err.value.__cause__, LineSearchError)
         x, trace = sspm_solve(groups, fset, 2.0, GameParams(epsilon=1e-13))
-        assert trace.converged and len(trace) == 1
+        assert len(trace) == 1
 
     def test_epsilon_below_rounding_in_the_projection_names_the_residual(self):
-        # here the line search passes on the exact start's rounding-level
-        # residual, and projecting onto the halfspace built from it fails
+        # here the reference iteration's line search passes on the exact
+        # start's rounding-level residual, and projecting onto the halfspace
+        # built from it fails
         groups, fset = make_instance([3, 1, 7], [1, 0, 2], e_plus=10.0, r=PARAMS.r)
         with pytest.raises(SspmConvergenceError) as err:
-            sspm_solve(groups, fset, 3.0, GameParams(epsilon=1e-16))
+            sspm_iterate(groups, fset, 3.0, GameParams(epsilon=1e-16))
         message = str(err.value)
         assert message.startswith(
             f"residual {err.value.trace.residual_norms[-1]:.3e} cannot fall "
@@ -311,7 +301,7 @@ class TestSspmSolve:
         assert "rounding error swamps the residual" in message
         assert isinstance(err.value.__cause__, ProjectionConvergenceError)
         _, trace = sspm_solve(groups, fset, 3.0, PARAMS)
-        assert trace.converged and len(trace) == 1
+        assert len(trace) == 1
 
     def test_iterates_match_pinned_digests(self):
         # any kernel change that moves a single iterate moves x* or the
@@ -319,8 +309,8 @@ class TestSspmSolve:
         moved = {}
         for seed, expected in PINNED_DIGESTS.items():
             groups, fset, price = pinned_game(seed)
-            x, trace = sspm_solve(groups, fset, price, PARAMS,
-                                  x0=clip_start(groups))
+            x, trace = sspm_iterate(groups, fset, price, PARAMS,
+                                    clip_start(groups))
             digest = hashlib.sha256(
                 x.tobytes() + struct.pack("<q", len(trace))
             ).hexdigest()[:16]
@@ -341,7 +331,7 @@ class TestSspmSolve:
     def test_rejects_malformed_start(self, x0):
         groups, fset = SYMMETRIC
         with pytest.raises(ValueError, match="2 finite entries"):
-            sspm_solve(groups, fset, 2.0, PARAMS, x0=x0)
+            sspm_iterate(groups, fset, 2.0, PARAMS, x0)
 
     def test_rejects_weight_mismatch(self):
         groups, _ = SYMMETRIC
@@ -366,20 +356,26 @@ def slot_games(draw):
 
 
 class TestExactStart:
-    """The default start is the equilibrium, so SSPM confirms it at once."""
+    """The solver returns the exact equilibrium, and its certificate is the
+    reference iteration's first residual check from there, bit for bit."""
 
-    def check(self, groups, fset, price, params=PARAMS):
-        x, trace = sspm_solve(groups, fset, price, params)
-        assert len(trace) == 1 and trace.converged
-        assert kkt_verify(x, groups, fset, price, params).worst() <= 1e-12
+    def check(self, groups, fset, price):
+        x, trace = sspm_solve(groups, fset, price, PARAMS)
+        assert len(trace) == 1
+        assert kkt_verify(x, groups, fset, price, PARAMS).worst() <= 1e-12
+        ref, ref_trace = sspm_iterate(groups, fset, price, PARAMS)
+        assert np.array_equal(x, ref)
+        assert trace.residual_norms == ref_trace.residual_norms
+        assert (trace.zetas, trace.projection_calls) == (
+            ref_trace.zetas, ref_trace.projection_calls)
         return x, trace
 
     def test_pinned_games_including_the_slow_ones(self):
         for seed in range(32):  # PINNED_DIGESTS' seeds plus 9, 12 and 30
             groups, fset, price = pinned_game(seed)
             x, _ = self.check(groups, fset, price)
-            iterated, _ = sspm_solve(groups, fset, price, PARAMS,
-                                     x0=clip_start(groups))
+            iterated, _ = sspm_iterate(groups, fset, price, PARAMS,
+                                       clip_start(groups))
             assert np.max(np.abs(x - iterated)) <= 1e-3, seed
 
     @settings(max_examples=300, deadline=None)
@@ -392,11 +388,14 @@ class TestExactStart:
             assert np.all(x == (fset.S > 0.0))
 
     def test_small_first_step_adds_one_unit_step_check(self):
-        # with eta_init = 0.1 the first step is 0.15 < 1, so the residual
-        # is confirmed at the unit step before the solve returns
+        # with eta_init = 0.1 the reference iteration's first step is
+        # 0.15 < 1, so it confirms the residual at the unit step, the step
+        # of the solver's certificate, before it returns the same point
         groups, fset, price = ITERATING
-        _, trace = self.check(groups, fset, price, GameParams(eta_init=0.1))
+        x, _ = self.check(groups, fset, price)
+        ref, trace = sspm_iterate(groups, fset, price, PARAMS, eta_init=0.1)
         assert trace.exit_checks == 1 and trace.projection_calls == [2]
+        assert np.array_equal(ref, x)
 
 
 def multiplier_args(groups, fset, price, params=PARAMS):
@@ -507,7 +506,7 @@ class TestKktVerify:
         moved = {}
         for seed, expected in PINNED_KKT_DIGESTS.items():
             groups, fset, price = pinned_game(seed)
-            x, _ = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
+            x, _ = sspm_iterate(groups, fset, price, PARAMS, clip_start(groups))
             report = kkt_verify(x, groups, fset, price, PARAMS)
             digest = hashlib.sha256(
                 report.lambda_bar.tobytes()
@@ -561,30 +560,3 @@ class TestKktVerify:
         ):
             assert v >= 0.0
 
-
-class TestTraceExport:
-    def test_csv_round_trip(self):
-        groups, fset, price = ITERATING
-        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups),
-                              keep_iterates=True)
-        assert len(trace) > 1
-        buf = io.StringIO()
-        write_trace_csv(trace, buf)
-        lines = buf.getvalue().strip().splitlines()
-        header = lines[0].split(",")
-        assert header[:3] == ["iteration", "residual", "eta"]
-        assert len(lines) == len(trace) + 1
-        first = lines[1].split(",")
-        assert float(first[1]) == trace.residual_norms[0]
-        # every strategy and payoff cell parses back to the traced float
-        n = len(trace.iterates[0])
-        for k, line in enumerate(lines[1:]):
-            cells = line.split(",")
-            assert [float(v) for v in cells[3:3 + n]] == list(trace.iterates[k])
-            assert [float(v) for v in cells[3 + n:]] == list(trace.utilities[k])
-
-    def test_csv_refuses_trace_without_iterates(self):
-        groups, fset, price = ITERATING
-        _, trace = sspm_solve(groups, fset, price, PARAMS, x0=clip_start(groups))
-        with pytest.raises(ValueError, match="keep_iterates"):
-            write_trace_csv(trace, io.StringIO())
