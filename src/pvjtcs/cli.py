@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -112,10 +113,14 @@ def _pair(value) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _whole(value) -> int:
-    """``int(value)``; a fraction is an error, not truncated."""
+def _whole(value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``int(value)``, which must lie in ``lo``-``hi``; a fraction is an
+    error, not truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not a whole number")
+    if not lo <= int(value) <= hi:
+        bound = f"lie in {lo}-{hi}" if hi < math.inf else f"be at least {lo}"
+        raise ValueError(f"must {bound}")
     return int(value)
 
 
@@ -157,9 +162,9 @@ def build_scenario(config: dict) -> Scenario:
             "config key 'params' may not set J: the fleet size is config key "
             "'fleet_size'"
         )
-    filter_km = _setting(config, "config", "trip_filter_km", float)
-    T = _setting(config, "config", "slots", _whole)
-    start_hour = _setting(config, "config", "start_hour", _whole)
+    filter_km = _setting(config, "config", "trip_filter_km", _finite)
+    T = _setting(config, "config", "slots", lambda v: _whole(v, 1))
+    start_hour = _setting(config, "config", "start_hour", lambda v: _whole(v, 0, 23))
     seed = _setting(config, "config", "seed", _whole)
     batch_minutes = _setting(config, "config", "batch_minutes", _finite)
     init_energy_range = _setting(config, "config", "init_energy_range", _pair)
@@ -171,7 +176,6 @@ def build_scenario(config: dict) -> Scenario:
         requests=io_files.load_trips(config["trips"], filter_km, graph),
         prices=io_files.load_prices(config["prices"], T, start_hour),
         params=params,
-        T=T,
         seed=seed,
         start_epoch=start_hour * 3600.0,
         batch_minutes=batch_minutes,
@@ -291,7 +295,9 @@ def cmd_plan_charging(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command line, built once; ``main`` calls ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="pvjtcs",
         description="Joint transportation and charging scheduling simulator",
@@ -306,24 +312,23 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--dump-config", action="store_true", help="print effective config and exit"
     )
-    p_run.set_defaults(func=cmd_run)
 
     p_vi = sub.add_parser("solve-vi", help="solve one slot game instance")
     p_vi.add_argument("--instance", required=True, help="instance JSON")
-    p_vi.set_defaults(func=cmd_solve_vi)
 
     p_plan = sub.add_parser("plan-charging", help="solve a day-ahead instance")
     p_plan.add_argument("--inputs", required=True, help="inputs JSON")
     p_plan.add_argument("--out", default=None, help="write the plan CSV here")
-    p_plan.set_defaults(func=cmd_plan_charging)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = make_parser().parse_args(argv)
+    # looked up at call time, so a replaced handler is the one called
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (OSError, ValueError, KeyError, SspmConvergenceError) as err:
         LOG.error("%s", err)
         return 1

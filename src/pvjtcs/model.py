@@ -22,8 +22,9 @@ from typing import Callable, Sequence
 class GameParams:
     """Fleet, battery, solver and utility constants.
 
-    Defaults mirror the simulation calibration used throughout: a 45 kwh
-    battery charging 5.625 kwh per hour, 0.3 kwh/km consumption at 30 km/h,
+    A slot is one hour, the step of the hourly prices.  Defaults mirror the
+    calibration used throughout: a 45 kwh battery charging 5.625 kwh per
+    hour, 0.3 kwh/km consumption at 30 km/h,
     and the standard game constants (alpha1=20, alpha2=5, epsilon=1e-3,
     rho=0.2, e_min=3).  The game is solved exactly, so the step constants
     of the paper's iterative scheme are not parameters here: the tests'
@@ -39,7 +40,6 @@ class GameParams:
     r: float = 5.625            # kwh charged by one vehicle in one slot
     c: float = 45.0             # battery capacity, kwh
     J: int = 500                # fleet size
-    slot_hours: float = 1.0     # slot duration, hours
     speed: float = 30.0         # travel speed, km/h
     consume_rate: float = 0.3   # kwh consumed per km
     detour_max: float = 1.5     # max ratio of on-vehicle to direct distance
@@ -48,7 +48,7 @@ class GameParams:
     def __post_init__(self) -> None:
         # every check is written so that it fails for NaN, which compares
         # false with everything
-        for name in ("epsilon", "rho", "slot_hours", "speed"):
+        for name in ("epsilon", "rho", "speed"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("alpha1", "alpha2", "e_min", "r", "c", "consume_rate", "J"):
@@ -74,8 +74,8 @@ class GameParams:
 
     @property
     def slot_consumption(self) -> float:
-        """Worst-case energy a vehicle can burn in one slot, kwh."""
-        return self.speed * self.slot_hours * self.consume_rate
+        """Worst-case energy a vehicle can burn in one slot (an hour), kwh."""
+        return self.speed * self.consume_rate
 
 
 @dataclass

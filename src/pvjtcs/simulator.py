@@ -51,7 +51,8 @@ LOG = logging.getLogger(__name__)
 
 @dataclass
 class Scenario:
-    """Everything one simulation run needs, seeds included."""
+    """Everything one simulation run needs, seeds included: one hour-long
+    slot per price from ``start_epoch``; defaults live in cli.CONFIG_DEFAULTS."""
 
     graph: RoadGraph
     stations: StationSet
@@ -59,18 +60,14 @@ class Scenario:
     requests: Sequence[TripRequest]
     prices: PriceCurve
     params: GameParams
-    T: int
-    seed: int = 0
-    start_epoch: float = 3 * 3600.0
-    batch_minutes: float = 5.0
-    init_energy_range: tuple[float, float] = (32.0, 41.0)
-    initial_energies: Sequence[float] | None = None
+    seed: int
+    start_epoch: float
+    batch_minutes: float
+    init_energy_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         self.requests = sorted(self.requests, key=lambda r: (r.request_time, r.id))
-        if len(self.prices) < self.T:
-            raise ValueError(f"price curve has {len(self.prices)} slots, need {self.T}")
-        horizon = self.start_epoch + self.T * self.params.slot_hours * 3600.0
+        horizon = self.start_epoch + self.T * 3600.0
         for r in self.requests:
             if not self.start_epoch <= r.request_time < horizon:
                 raise ValueError(
@@ -79,10 +76,12 @@ class Scenario:
         lo, hi = self.init_energy_range
         if not 0.0 <= lo <= hi <= self.params.c:
             raise ValueError("initial energy range outside [0, battery capacity]")
-        if self.initial_energies is not None and len(self.initial_energies) != self.params.J:
-            raise ValueError("initial_energies length must equal fleet size J")
         if not 0.0 < self.batch_minutes < math.inf:
             raise ValueError(f"batch_minutes {self.batch_minutes} is not finite and > 0")
+
+    @property
+    def T(self) -> int:
+        return len(self.prices)
 
     def build_fleet(self) -> list[Vehicle]:
         """Seeded initial fleet: positions and energies."""
@@ -91,10 +90,7 @@ class Scenario:
         J = self.params.J
         starts = [nodes[rng.randrange(len(nodes))] for _ in range(J)]
         lo, hi = self.init_energy_range
-        if self.initial_energies is not None:
-            energies = [float(e) for e in self.initial_energies]
-        else:
-            energies = [rng.uniform(lo, hi) for _ in range(J)]
+        energies = [rng.uniform(lo, hi) for _ in range(J)]
         return [
             Vehicle(id=i, node=starts[i], energy=energies[i]) for i in range(J)
         ]

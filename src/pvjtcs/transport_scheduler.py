@@ -507,7 +507,7 @@ class FleetEngine:
         vehicles: Sequence[Vehicle],
         params: GameParams,
         start_epoch: float,
-        batch_minutes: float = 5.0,
+        batch_minutes: float,
     ):
         self.graph = graph
         self.stations = stations
@@ -533,8 +533,7 @@ class FleetEngine:
         self.state = state
 
     def slot_bounds(self, t: int) -> tuple[float, float]:
-        seconds = self.params.slot_hours * 3600.0
-        return self.start_epoch + t * seconds, self.start_epoch + (t + 1) * seconds
+        return self.start_epoch + t * 3600.0, self.start_epoch + (t + 1) * 3600.0
 
     def fleet_energy(self) -> float:
         return sum(v.energy for v in self.state.vehicles)

@@ -60,7 +60,7 @@ def default_prices(T: int = 24) -> PriceCurve:
 
 
 def small_params(**overrides) -> GameParams:
-    base = dict(J=6, slot_hours=1.0)
+    base = dict(J=6)
     base.update(overrides)
     return GameParams(**base)
 

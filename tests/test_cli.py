@@ -41,6 +41,8 @@ BAD_PARAMS = [
     ({"rho": float("nan")}, "rho must be positive, got nan"),
     # a step constant of the paper's iteration, which the exact solve lacks
     ({"gamma3": 1.5}, "unknown parameter overrides: ['gamma3']"),
+    # a slot is one hour, the step of the hourly prices
+    ({"slot_hours": 0.5}, "unknown parameter overrides: ['slot_hours']"),
 ]
 # the solve-vi instance that the console-script check in CI runs
 SYMMETRIC_GAME = {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
@@ -51,6 +53,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def bundled_config(tmp_path, **changes) -> str:
+    """A config in ``tmp_path`` for the bundled scenario's files, with
+    ``changes`` over the bundled config's settings."""
+    config = json.loads((MINI / "config.json").read_text())
+    for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
+        config[key] = str(MINI / config.get(key, cli.CONFIG_DEFAULTS[key]))
+    return write(tmp_path, "c.json", json.dumps({**config, **changes}))
 
 
 def recording(monkeypatch, module):
@@ -437,6 +448,19 @@ class TestCliSurface:
             iterated, _ = sspm_iterate(*args, clip_start(args[0]))
             assert np.max(np.abs(iterated - x)) <= 1e-3
 
+    def test_handler_is_looked_up_when_main_runs(self, tmp_path, monkeypatch):
+        # the parser is built once, but each call runs the module's
+        # cmd_<command> of that moment, so a handler replaced after the
+        # first call is the one the second call runs
+        instance = write(tmp_path, "instance.json", json.dumps(SYMMETRIC_GAME))
+        argv = ["solve-vi", "--instance", instance]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_solve_vi", lambda args: calls.append(args) or 7)
+        assert main(argv) == 7
+        assert [args.instance for args in calls] == [instance]
+        assert cli.make_parser() is cli.make_parser()
+
     def test_solve_vi_subcommand(self, tmp_path, capsys):
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps(SYMMETRIC_GAME))
@@ -608,13 +632,8 @@ class TestCliSurface:
 
     @pytest.mark.parametrize("params, message", BAD_PARAMS)
     def test_run_rejects_bad_params(self, tmp_path, caplog, params, message):
-        config = json.loads((MINI / "config.json").read_text())
-        for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
-            config[key] = str(MINI / config.get(key, cli.CONFIG_DEFAULTS[key]))
-        config["params"] = params
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(config))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        cfg = bundled_config(tmp_path, params=params)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert message in caplog.text
 
     @pytest.mark.parametrize("params, message", BAD_PARAMS)
@@ -706,14 +725,26 @@ class TestCliSurface:
     # infinity and NaN are rejected too: batches must have a finite length
     @pytest.mark.parametrize("batch_minutes", [0.0, -5.0, math.inf, math.nan])
     def test_nonpositive_batch_rejected(self, tmp_path, batch_minutes):
-        config = json.loads((MINI / "config.json").read_text())
-        for key in ("nodes", "network", "stations", "regions", "trips", "prices"):
-            config[key] = str(MINI / config.get(key, cli.CONFIG_DEFAULTS[key]))
-        config["batch_minutes"] = batch_minutes
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(config))
-        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        cfg = bundled_config(tmp_path, batch_minutes=batch_minutes)
+        rc = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
+        assert not (tmp_path / "o").exists()
+
+    # a day of no slots, an hour off the clock of prices.csv, and a trip
+    # filter that keeps no trip (infinity) or every trip (NaN)
+    @pytest.mark.parametrize("key, value, reason", [
+        ("slots", 0, "must be at least 1"),
+        ("slots", -2, "must be at least 1"),
+        ("start_hour", 24, "must lie in 0-23"),
+        ("start_hour", -1, "must lie in 0-23"),
+        ("trip_filter_km", math.inf, "not a finite number"),
+        ("trip_filter_km", math.nan, "not a finite number"),
+    ])
+    def test_config_value_out_of_range_rejected(self, tmp_path, caplog, key, value,
+                                                reason):
+        cfg = bundled_config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"config key {key!r} has bad value {value!r}: {reason}" in caplog.text
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [

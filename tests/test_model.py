@@ -142,7 +142,7 @@ class TestValidation:
             {"epsilon": -1e-3},
             {"epsilon": 0.0},
             {"rho": 0.0},
-            {"slot_hours": 0.0},
+            {"speed": 0.0},
             {"speed": -30.0},
             {"alpha1": -1.0},
             {"alpha2": -5.0},

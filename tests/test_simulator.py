@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -54,6 +55,20 @@ _spec = importlib.util.spec_from_file_location(
 scenario_gen = sys.modules["scenario_gen"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scenario_gen)
 
+
+@dataclasses.dataclass
+class SetEnergyScenario(Scenario):
+    """The seeded fleet's start nodes, with ``energies`` for its energies."""
+
+    energies: list[float]
+
+    def build_fleet(self):
+        return [
+            Vehicle(id=v.id, node=v.node, energy=e)
+            for v, e in zip(super().build_fleet(), self.energies, strict=True)
+        ]
+
+
 def make_scenario(requests=None, T=4, J=6, seed=7, energies=None, **param_over):
     graph = make_grid_graph()
     regions = RegionMap({nid: (0 if nid % 4 < 2 else 1) for nid in graph.nodes})
@@ -61,18 +76,21 @@ def make_scenario(requests=None, T=4, J=6, seed=7, energies=None, **param_over):
     params = small_params(J=J, **param_over)
     if requests is None:
         requests = []
-    return Scenario(
+    common = dict(
         graph=graph,
         stations=stations,
         region_map=regions,
         requests=requests,
         prices=PriceCurve([5.0, 1.0, 3.0, 2.0][:T] + [2.0] * max(0, T - 4)),
         params=params,
-        T=T,
         seed=seed,
         start_epoch=0.0,
-        initial_energies=energies,
+        batch_minutes=5.0,
+        init_energy_range=(32.0, 41.0),
     )
+    if energies is None:
+        return Scenario(**common)
+    return SetEnergyScenario(**common, energies=energies)
 
 
 def sprinkle_requests(graph, n, t0=0.0, spacing=240.0):
@@ -148,12 +166,6 @@ class TestEligibility:
             Vehicle(id=0, node=0, energy=9.0),
             Vehicle(id=1, node=0, energy=8.99),
         ]
-        assert eligibility_filter(vehicles, params) == {0}
-
-    def test_scales_with_slot_hours(self):
-        params = GameParams(slot_hours=0.5)
-        assert params.slot_consumption == pytest.approx(4.5)
-        vehicles = [Vehicle(id=0, node=0, energy=4.6)]
         assert eligibility_filter(vehicles, params) == {0}
 
 
@@ -426,28 +438,21 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make_scenario(requests=bad)
 
-    def test_short_price_curve(self):
-        graph = make_grid_graph()
-        with pytest.raises(ValueError):
-            Scenario(
-                graph=graph,
-                stations=StationSet([0]),
-                region_map=RegionMap({nid: 0 for nid in graph.nodes}),
-                requests=[],
-                prices=PriceCurve([1.0, 2.0]),
-                params=small_params(),
-                T=4,
-                start_epoch=0.0,
-            )
-
-    def test_energy_lengths(self):
-        with pytest.raises(ValueError):
-            make_scenario(energies=[30.0])
-
     @pytest.mark.parametrize("batch_minutes", [0.0, -5.0, math.inf, math.nan])
     def test_batch_minutes_finite_and_positive(self, batch_minutes):
         with pytest.raises(ValueError, match="batch_minutes"):
             dataclasses.replace(make_scenario(), batch_minutes=batch_minutes)
+
+    def test_run_settings_have_one_source(self):
+        # a run's defaults are the config's: neither the scenario nor the
+        # fleet engine restates one
+        assert all(
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+            for f in dataclasses.fields(Scenario)
+        )
+        engine_args = inspect.signature(FleetEngine).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in engine_args)
 
     def test_seeded_fleet_deterministic(self):
         sc = make_scenario(seed=42)

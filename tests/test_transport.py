@@ -703,7 +703,7 @@ class TestEngine:
         # a slot too short for vehicle 1 to reach its station: vehicle 0
         # charges where it stands, vehicle 1 stops mid-edge; both end the
         # slot idle, with no route
-        params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
+        params = small_params(speed=0.3)  # 0.3 km of driving a slot
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
         engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
@@ -719,7 +719,7 @@ class TestEngine:
     def test_idle_vehicle_finishes_its_edge(self, grid_graph):
         # vehicle 1 ends a short charging slot mid-edge; in the next slot,
         # idle, it drives on to the edge's head and stops there
-        params = small_params(slot_hours=0.01)  # 36 s, 0.3 km of driving
+        params = small_params(speed=0.3)  # 0.3 km of driving a slot
         vehicles = [fresh_vehicle(vid=0, node=0, energy=20.0),
                     fresh_vehicle(vid=1, node=5, energy=20.0)]
         engine = build_engine(grid_graph, [], params=params, vehicles=vehicles)
@@ -746,7 +746,7 @@ class TestEngine:
         engine = build_engine(graph, [req], vehicles=[fresh_vehicle(vid=0, node=0)],
                               batch_minutes=batch_minutes)
         stats = engine.run_slot(0, {0})
-        driven = PARAMS.speed * PARAMS.slot_hours
+        driven = PARAMS.speed  # km in the one-hour slot
         assert stats.consumed_kwh == pytest.approx(driven * PARAMS.consume_rate)
         assert engine.state.vehicle(0).edge_progress == pytest.approx(driven)
 
@@ -843,8 +843,8 @@ def charging_days(draw):
     streets get drawn lengths (so burns of different vehicles differ and
     the order of their sum matters), 1-2 stations, 2-7 vehicles on both
     sides of the eligibility floor and of the full threshold, 0-24
-    requests over 2-3 slots of one hour or six minutes, and 5-, 10- or
-    25-minute batches.  Returns (engine, T)."""
+    requests over 2-3 one-hour slots, a speed of 30 or 3 km/h, and 5-, 10-
+    or 25-minute batches.  Returns (engine, T)."""
     rows = draw(st.integers(min_value=3, max_value=4))
     cols = draw(st.integers(min_value=3, max_value=5))
     lengths = st.integers(min_value=2, max_value=15).map(lambda n: n / 10 + 1e-3)
@@ -859,12 +859,12 @@ def charging_days(draw):
     n_nodes = len(coords)
     nodes = st.integers(min_value=0, max_value=n_nodes - 1)
     T = draw(st.integers(min_value=2, max_value=3))
-    # six-minute slots leave chargers short of their stations, mid-edge
+    # 3 km/h leaves chargers short of their stations, mid-edge
     params = small_params(
         seats=draw(st.integers(min_value=1, max_value=4)),
-        slot_hours=draw(st.sampled_from([1.0, 0.1])),
+        speed=draw(st.sampled_from([30.0, 3.0])),
     )
-    seconds = int(T * params.slot_hours * 3600)
+    seconds = T * 3600
     requests = []
     for rid in range(1, draw(st.integers(min_value=0, max_value=24)) + 1):
         origin = draw(nodes)
