@@ -89,6 +89,11 @@ def load_config(path: str) -> dict:
     return config
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: not a string, a boolean or null."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def params_from(doc: dict, **fixed) -> GameParams:
     """``GameParams`` from ``doc``'s ``params`` object, whose keys must be
     ``GameParams`` fields and whose values must be numbers; ``fixed``
@@ -103,20 +108,28 @@ def params_from(doc: dict, **fixed) -> GameParams:
     if unknown:
         raise ValueError(f"unknown parameter overrides: {sorted(unknown)}")
     for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ValueError(f"parameter {key} must be a number, not {value!r}")
     return GameParams(**{**overrides, **fixed})
 
 
+def _number(value) -> float:
+    """``float(value)`` of a JSON number; a string or a boolean is an error."""
+    if not _is_number(value):
+        raise ValueError("not a number")
+    return float(value)
+
+
 def _pair(value) -> tuple[float, float]:
     lo, hi = value
-    return float(lo), float(hi)
+    return _number(lo), _number(hi)
 
 
 def _whole(value, lo: float = -math.inf, hi: float = math.inf) -> int:
-    """``int(value)``, which must lie in ``lo``-``hi``; a fraction is an
-    error, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a JSON number, which must lie in ``lo``-``hi``; a
+    fraction is an error, not truncated."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if not _is_number(value) or fraction:
         raise ValueError("not a whole number")
     if not lo <= int(value) <= hi:
         bound = f"lie in {lo}-{hi}" if hi < math.inf else f"be at least {lo}"
@@ -130,8 +143,8 @@ def _each(convert):
 
 
 def _finite(value) -> float:
-    """``float(value)``; infinity and NaN are errors."""
-    number = float(value)
+    """``_number(value)``; infinity and NaN are errors."""
+    number = _number(value)
     if not -math.inf < number < math.inf:
         raise ValueError("not a finite number")
     return number
@@ -253,9 +266,9 @@ def cmd_solve_vi(args) -> int:
     price = _setting(doc, "instance", "price", _finite)
     fset = FeasibleSet(
         m=[float(v) for v in m],
-        d_total=_setting(doc, "instance", "d_total", float, float(sum(d))),
+        d_total=_setting(doc, "instance", "d_total", _number, float(sum(d))),
         e_plus=_setting(doc, "instance", "e_plus", _finite),
-        r=_setting(doc, "instance", "r", float, params.r),
+        r=_setting(doc, "instance", "r", _number, params.r),
     )
     planned = fset.e_plus
     fset = clamp_demand(fset)
@@ -275,12 +288,12 @@ def cmd_plan_charging(args) -> int:
     params = params_from(doc)
     reserve = doc.get("terminal_reserve_kwh")  # absent or null: no target
     if reserve is not None:
-        reserve = _setting(doc, "inputs", "terminal_reserve_kwh", float)
+        reserve = _setting(doc, "inputs", "terminal_reserve_kwh", _number)
     inputs = DayAheadInputs(
-        consumed=_setting(doc, "inputs", "consumed", _each(float)),
+        consumed=_setting(doc, "inputs", "consumed", _each(_number)),
         demand_counts=_setting(doc, "inputs", "demand_counts", _each(_whole)),
-        prices=_setting(doc, "inputs", "prices", _each(float)),
-        e_init=_setting(doc, "inputs", "e_init", float),
+        prices=_setting(doc, "inputs", "prices", _each(_number)),
+        e_init=_setting(doc, "inputs", "e_init", _number),
         params=params,
         terminal_reserve_kwh=reserve,
     )

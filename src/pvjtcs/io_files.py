@@ -70,7 +70,8 @@ def _once(lines: dict, key: int, path: str, lineno: int, what: str) -> None:
 
 
 def load_network(nodes_path: str, edges_path: str) -> RoadGraph:
-    """Parse node coordinates and directed edges; demand strong connectivity."""
+    """Parse node coordinates and directed edges; the graph must be strongly
+    connected."""
     nodes: dict[int, tuple[float, float]] = {}
     lines: dict[int, int] = {}
     for lineno, row in _rows(nodes_path, ["id", "lon", "lat"]):
@@ -87,16 +88,9 @@ def load_network(nodes_path: str, edges_path: str) -> RoadGraph:
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{edges_path}:{lineno}: {err}") from None
     try:
-        graph = RoadGraph.from_edges(nodes, edges)
+        return RoadGraph.from_edges(nodes, edges)
     except ValueError as err:
         raise DataFormatError(f"{edges_path}: {err}") from None
-    orphans = graph.orphan_nodes()
-    if orphans:
-        raise DataFormatError(
-            f"{edges_path}: service component disconnected; orphan nodes "
-            f"{orphans[:20]}{'...' if len(orphans) > 20 else ''}"
-        )
-    return graph
 
 
 def load_stations(path: str, graph: RoadGraph) -> StationSet:
@@ -170,7 +164,8 @@ def nearest_nodes(
 
 
 def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripRequest]:
-    """Parse trips, snap endpoints to graph nodes, drop short trips.
+    """Parse trips in file order, snap endpoints to graph nodes, drop short
+    trips.
 
     Unparseable rows are skipped with a logged count; a file with no usable
     rows, or two rows with one id, is an error.
@@ -231,7 +226,6 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
         LOG.warning("%s: skipped %d unparseable rows", path, bad)
     if total == 0 or (bad == total):
         raise DataFormatError(f"{path}: no usable trip rows")
-    trips.sort(key=lambda r: (r.request_time, r.id))
     return trips
 
 

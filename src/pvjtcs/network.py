@@ -1,6 +1,8 @@
 """Road graph: shortest paths and station lookup.
 
-Distances come from Dijkstra over a directed weighted edge list; equal-length
+A ``RoadGraph`` is strongly connected, so every known node reaches every
+other: a query fails only for a node the graph does not hold.  Distances
+come from Dijkstra over a directed weighted edge list; equal-length
 alternatives are broken toward the smallest predecessor id so repeated runs
 trace identical paths.  Full single-source results are cached per graph, one
 row per source node, and kept for the graph's lifetime: a graph has few
@@ -14,13 +16,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
-class UnreachableNodeError(ValueError):
-    """No directed path exists between the requested nodes."""
-
-
 @dataclass
 class RoadGraph:
-    """Directed road network with km edge lengths and lon/lat node coords."""
+    """Strongly connected directed road network with km edge lengths and
+    lon/lat node coords."""
 
     coords: dict[int, tuple[float, float]]
     adjacency: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
@@ -37,6 +36,12 @@ class RoadGraph:
                 if length <= 0.0:
                     raise ValueError(f"edge {node}->{to} has nonpositive length")
             edges.sort()
+        orphans = self.orphan_nodes()
+        if orphans:
+            raise ValueError(
+                "service component disconnected; orphan nodes "
+                f"{orphans[:20]}{'...' if len(orphans) > 20 else ''}"
+            )
         self._sp_cache: dict[int, tuple[dict, dict]] = {}
 
     @classmethod
@@ -172,17 +177,11 @@ class RegionMap:
 
 
 def distance(graph: RoadGraph, frm: int, to: int) -> float:
-    """Shortest travel distance in km; ``KeyError`` for an unknown node,
-    ``UnreachableNodeError`` when no directed path exists."""
-    if frm == to:
-        if not graph.has_node(frm):
-            raise KeyError(f"unknown node {frm}")
-        return 0.0
+    """Shortest travel distance in km, which every known node has to every
+    other; ``KeyError`` for an unknown node."""
     d = graph.single_source(frm)[0].get(to)  # KeyError for an unknown frm
     if d is None:
-        if not graph.has_node(to):
-            raise KeyError(f"unknown node {to}")
-        raise UnreachableNodeError(f"no path from {frm} to {to}")
+        raise KeyError(f"unknown node {to}")
     return d
 
 
@@ -200,16 +199,9 @@ def shortest_path(graph: RoadGraph, frm: int, to: int) -> tuple[float, list[int]
 def nearest_station(
     graph: RoadGraph, node: int, stations: StationSet
 ) -> tuple[int, float]:
-    """Closest station by directed travel distance; ties to the smallest id."""
+    """Closest station by directed travel distance, which every node has to
+    every station; ties to the smallest id."""
     dist, _ = graph.single_source(node)
-    best, best_d = None, None
-    for s in stations:
-        d = dist.get(s)
-        if d is None:
-            continue
-        if best_d is None or d < best_d:
-            best, best_d = s, d
-    if best is None:
-        raise UnreachableNodeError(f"no station reachable from node {node}")
-    return best, best_d
+    d, best = min((dist[s], s) for s in stations)
+    return best, d
 

@@ -66,7 +66,6 @@ class Scenario:
     init_energy_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        self.requests = sorted(self.requests, key=lambda r: (r.request_time, r.id))
         horizon = self.start_epoch + self.T * 3600.0
         for r in self.requests:
             if not self.start_epoch <= r.request_time < horizon:

@@ -50,7 +50,6 @@ from pvjtcs.network import (
     RegionMap,
     RoadGraph,
     StationSet,
-    UnreachableNodeError,
     distance,
     nearest_station,
     shortest_path,
@@ -245,9 +244,7 @@ def insertion_cost(
         if vehicle.plan.onboard + pax > seats:
             return None
         anchor = vehicle.anchor()
-        to_pick = graph.single_source(anchor)[0].get(origin)
-        if to_pick is None:
-            to_pick = distance(graph, anchor, origin)  # raises its error
+        to_pick = graph.single_source(anchor)[0][origin]
         delta = to_pick + pick_to_drop
         base = _edge_remainder(vehicle, graph)
         if (base + delta) * params.consume_rate > budget or pick_to_drop > new_limit:
@@ -260,15 +257,11 @@ def insertion_cost(
     rows = [graph.single_source(n)[0] for n in nodes]  # KeyError: unknown node
     from_origin = graph.single_source(origin)[0]
     from_dest = graph.single_source(dest)[0]
-    try:
-        to_pick = [row[origin] for row in rows]
-        from_pick = [0.0] + [from_origin[n] for n in nodes[1:]]
-        to_drop = [0.0] + [row[dest] for row in rows[1:]]
-        from_drop = [0.0] + [from_dest[n] for n in nodes[1:]]
-        legs = [row[n] for row, n in zip(rows, nodes[1:])]
-    except KeyError as missing:
-        # every node has a row, so a missing entry is a node it cannot reach
-        raise UnreachableNodeError(f"no path to node {missing.args[0]}") from None
+    to_pick = [row[origin] for row in rows]
+    from_pick = [0.0] + [from_origin[n] for n in nodes[1:]]
+    to_drop = [0.0] + [row[dest] for row in rows[1:]]
+    from_drop = [0.0] + [from_dest[n] for n in nodes[1:]]
+    legs = [row[n] for row, n in zip(rows, nodes[1:])]
     prefix = [_edge_remainder(vehicle, graph)]  # km to reach nodes[m]
     for leg in legs:
         prefix.append(prefix[-1] + leg)
@@ -616,8 +609,8 @@ class FleetEngine:
         """Execute slot t, in which ``charger_ids`` charge and the rest of
         ``eligible_ids`` serve, from its dry run ``dry, end =
         dry_run_demand(t, eligible_ids)``, with the live state still at the
-        slot start.  Each charger that can reach its nearest station gets a
-        route there, which it drives like any vehicle without stops; the
+        slot start.  Each charger with the energy to reach its nearest station
+        gets a route there, which it drives like any vehicle without stops; the
         station is known only here.  The slot ends with every charger on its
         station gaining its charge, and every charger dropping its route
         (one left mid-edge finishes that edge next slot, like any idle
@@ -652,12 +645,7 @@ class FleetEngine:
         stats = SlotStats(transporting_ids=served.transporting_ids)
         station_of: dict[int, int] = {}  # held-idle chargers are absent
         for veh in chargers:  # in id order, toward the nearest station
-            try:
-                station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
-            except UnreachableNodeError:
-                LOG.warning("vehicle %d: no station reachable; holding idle", veh.id)
-                stats.chargers_short += 1
-                continue
+            station, dist = nearest_station(self.graph, veh.anchor(), self.stations)
             if dist * self.params.consume_rate > veh.energy:
                 # the reserve floors are meant to rule this out
                 LOG.warning(

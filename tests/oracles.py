@@ -33,7 +33,6 @@ import numpy as np
 
 from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
 from pvjtcs.network import (
-    UnreachableNodeError,
     distance,
     nearest_station,
     shortest_path,
@@ -1000,11 +999,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
     for veh in chargers:
         if veh.plan.stops:
             raise ValueError(f"vehicle {veh.id} has passengers; cannot charge")
-        try:
-            station, dist = nearest_station(engine.graph, veh.anchor(), engine.stations)
-        except UnreachableNodeError:
-            stats.chargers_short += 1
-            continue
+        station, dist = nearest_station(engine.graph, veh.anchor(), engine.stations)
         if dist * params.consume_rate > veh.energy:
             stats.chargers_short += 1
             continue

@@ -25,7 +25,9 @@ from pvjtcs.io_files import (
     load_trips,
     nearest_nodes,
 )
-from pvjtcs.network import RoadGraph
+from pvjtcs.model import GameParams
+from pvjtcs.network import RoadGraph, StationSet
+from pvjtcs.transport_scheduler import FleetEngine
 from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace, kkt_verify
 from oracles import clip_start, scan_nearest_node, sspm_iterate
 
@@ -189,10 +191,16 @@ class TestLoadTrips:
             + "1,50,60,1.9,0.0,0.05,0.0,2\n",
         )
         trips = load_trips(path, 0.0, graph)
-        assert [t.id for t in trips] == [1, 2]
-        assert trips[1].origin == 0 and trips[1].destination == 2
-        assert trips[0].origin == 2 and trips[0].destination == 0
-        assert trips[1].direct_km == pytest.approx(3.0)
+        assert [t.id for t in trips] == [2, 1]  # file order
+        assert trips[0].origin == 0 and trips[0].destination == 2
+        assert trips[1].origin == 2 and trips[1].destination == 0
+        assert trips[0].direct_km == pytest.approx(3.0)
+        # the fleet engine, their one reader, releases them by (time, id)
+        engine = FleetEngine(
+            graph=graph, stations=StationSet([0]), requests=trips, vehicles=[],
+            params=GameParams(J=1), start_epoch=0.0, batch_minutes=5.0,
+        )
+        assert [r.id for r in engine.all_requests] == [1, 2]
 
     def test_same_node_after_snapping_dropped(self, tmp_path, tiny_network):
         graph = load_network(*tiny_network)
@@ -254,7 +262,8 @@ def snap_cases(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
     coords = {nid: (draw(coordinate), draw(coordinate)) for nid in ids}
-    graph = RoadGraph(coords=coords)
+    ring = {a: [(b, 1.0)] for a, b in zip(ids, ids[1:] + ids[:1]) if a != b}
+    graph = RoadGraph(coords=coords, adjacency=ring)
     at = list(coords.values())
     point = (
         st.sampled_from(at)
@@ -280,7 +289,9 @@ class TestNearestNodes:
         # origin by ``** 2``, so node 0 wins the tie; squared by ``x * x``,
         # as numpy does, node 1 would look nearer by one unit in the last place
         x, a, b = 0.7845537517371617, 0.45690851008709965, 0.637776765627945
-        graph = RoadGraph(coords={0: (a, b), 1: (x, 0.0)})
+        graph = RoadGraph.from_edges(
+            {0: (a, b), 1: (x, 0.0)}, [(0, 1, 1.0), (1, 0, 1.0)]
+        )
         assert x * x < a * a + b * b and x ** 2 == a ** 2 + b ** 2
         assert nearest_nodes(graph, [(0.0, 0.0)]) == [0]
         assert scan_nearest_node(graph, 0.0, 0.0) == 0
@@ -567,6 +578,12 @@ class TestCliSurface:
         ("price", math.nan),
         ("price", "2.0x"),
         ("r", None),
+        # strings and booleans are not numbers
+        ("m", ["10", True]),
+        ("m", [10, True]),
+        ("e_plus", "8.0"),
+        ("price", "2.0"),
+        ("r", True),
     ])
     def test_solve_vi_rejects_a_bad_field(self, tmp_path, caplog, key, value):
         doc = {"m": [10, 10], "d": [5, 5], "e_plus": 8.0, "price": 2.0, key: value}
@@ -604,6 +621,11 @@ class TestCliSurface:
         ("prices", None),
         ("e_init", [6.0]),
         ("terminal_reserve_kwh", "full"),
+        # strings and booleans are not numbers
+        ("consumed", ["3.0", 1.0]),
+        ("demand_counts", [0, True]),
+        ("e_init", "6"),
+        ("terminal_reserve_kwh", "1"),
     ])
     def test_plan_charging_rejects_a_bad_field(self, tmp_path, caplog, key, value):
         doc = {"consumed": [3.0, 1.0], "demand_counts": [0, 0], "prices": [1.0, 5.0],
@@ -757,6 +779,13 @@ class TestCliSurface:
         ("start_hour", 3.2),
         ("slots", 24.9),
         ("fleet_size", 20.7),
+        # strings and booleans are not numbers
+        ("slots", "24"),
+        ("fleet_size", "20"),
+        ("fleet_size", True),
+        ("seed", "3"),
+        ("trip_filter_km", "2.0"),
+        ("init_energy_range", ["32", 41.0]),
     ])
     def test_config_value_of_a_wrong_type_rejected(self, tmp_path, caplog, key, value):
         cfg = write(tmp_path, "c.json", json.dumps({key: value}))
