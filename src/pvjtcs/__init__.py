@@ -6,15 +6,14 @@ The package couples three pieces of machinery:
 * an insertion-based ride-matching scheduler (`transport_scheduler`),
 * a per-slot shared-constraint concave game solved exactly to its
   normalized Nash equilibrium, certified by its variational-inequality
-  residual (`model`, `projection`, `vi_solver`),
+  residual (`model`, `vi_solver`),
 
 and drives them over a discrete day (`simulator`), with CSV/JSON ingestion
 and a command-line front end (`io_files`, `cli`).
 """
 
 from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
-from pvjtcs.model import GameParams, PvGroup, PriceCurve
-from pvjtcs.projection import FeasibleSet, clamp_demand
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, PriceCurve, clamp_demand
 from pvjtcs.simulator import RunSummary, Scenario, run_jtcs, run_tgc
 from pvjtcs.transport_scheduler import TripRequest
 from pvjtcs.vi_solver import kkt_verify, sspm_solve

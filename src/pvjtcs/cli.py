@@ -22,8 +22,7 @@ import numpy as np
 
 from pvjtcs import io_files
 from pvjtcs.charging_scheduler import DayAheadInputs, schedule_charging, write_plan_csv
-from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet, clamp_demand
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, clamp_demand
 from pvjtcs.simulator import JTCS, TGC, Scenario, run_jtcs, run_tgc
 from pvjtcs.vi_solver import SspmConvergenceError, kkt_verify, sspm_solve
 
@@ -96,8 +95,8 @@ def _is_number(value) -> bool:
 
 def params_from(doc: dict, **fixed) -> GameParams:
     """``GameParams`` from ``doc``'s ``params`` object, whose keys must be
-    ``GameParams`` fields and whose values must be numbers; ``fixed``
-    overrides it."""
+    ``GameParams`` fields and whose values must be numbers that fit in a
+    float; ``fixed`` overrides it."""
     overrides = doc.get("params", {})
     if not isinstance(overrides, dict):
         raise ValueError(
@@ -110,14 +109,19 @@ def params_from(doc: dict, **fixed) -> GameParams:
     for key, value in overrides.items():
         if not _is_number(value):
             raise ValueError(f"parameter {key} must be a number, not {value!r}")
+        _setting(overrides, "params", key, _number)
     return GameParams(**{**overrides, **fixed})
 
 
 def _number(value) -> float:
-    """``float(value)`` of a JSON number; a string or a boolean is an error."""
+    """``float(value)`` of a JSON number; a string, a boolean or an integer
+    too large for a float is an error."""
     if not _is_number(value):
         raise ValueError("not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("too large for a float") from None
 
 
 def _pair(value) -> tuple[float, float]:
@@ -127,10 +131,12 @@ def _pair(value) -> tuple[float, float]:
 
 def _whole(value, lo: float = -math.inf, hi: float = math.inf) -> int:
     """``int(value)`` of a JSON number, which must lie in ``lo``-``hi``; a
-    fraction is an error, not truncated."""
+    fraction is an error, not truncated, and so is an integer too large
+    for a float."""
     fraction = isinstance(value, float) and not value.is_integer()
     if not _is_number(value) or fraction:
         raise ValueError("not a whole number")
+    _number(value)
     if not lo <= int(value) <= hi:
         bound = f"lie in {lo}-{hi}" if hi < math.inf else f"be at least {lo}"
         raise ValueError(f"must {bound}")
@@ -153,8 +159,8 @@ def _finite(value) -> float:
 def _setting(doc: dict, kind: str, key: str, convert, default=None):
     """``convert(doc[key])``, or ``default``, if one is given, when the key
     is absent.  A missing key or a value ``convert`` rejects is an error
-    that names the key as a ``kind`` key ("config", "instance" or
-    "inputs")."""
+    that names the key as a ``kind`` key ("config", "instance", "inputs"
+    or "params")."""
     if key not in doc:
         if default is not None:
             return default
@@ -265,7 +271,7 @@ def cmd_solve_vi(args) -> int:
     groups = [PvGroup(region=i, m=m[i], d=d[i]) for i in range(len(m))]
     price = _setting(doc, "instance", "price", _finite)
     fset = FeasibleSet(
-        m=[float(v) for v in m],
+        m=m,
         d_total=_setting(doc, "instance", "d_total", _number, float(sum(d))),
         e_plus=_setting(doc, "instance", "e_plus", _finite),
         r=_setting(doc, "instance", "r", _number, params.r),

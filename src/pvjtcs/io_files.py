@@ -79,14 +79,21 @@ def load_network(nodes_path: str, edges_path: str) -> RoadGraph:
             nid, xy = int(row[0]), (float(row[1]), float(row[2]))
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{nodes_path}:{lineno}: {err}") from None
+        if not all(map(math.isfinite, xy)):
+            raise DataFormatError(f"{nodes_path}:{lineno}: coordinates must be finite")
         _once(lines, nid, nodes_path, lineno, "node")
         nodes[nid] = xy
     edges: list[tuple[int, int, float]] = []
     for lineno, row in _rows(edges_path, ["from_id", "to_id", "length_km"]):
         try:
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
+            frm, to, length = int(row[0]), int(row[1]), float(row[2])
         except (ValueError, IndexError) as err:
             raise DataFormatError(f"{edges_path}:{lineno}: {err}") from None
+        if not 0.0 < length < math.inf:  # fails for NaN too
+            raise DataFormatError(
+                f"{edges_path}:{lineno}: length_km {length} not in (0, inf)"
+            )
+        edges.append((frm, to, length))
     try:
         return RoadGraph.from_edges(nodes, edges)
     except ValueError as err:
@@ -167,8 +174,9 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
     """Parse trips in file order, snap endpoints to graph nodes, drop short
     trips.
 
-    Unparseable rows are skipped with a logged count; a file with no usable
-    rows, or two rows with one id, is an error.
+    Unparseable rows, a non-finite coordinate among them, are skipped with
+    a logged count; a file with no usable rows, or two rows with one id, is
+    an error.
     """
     header = [
         "id",
@@ -192,6 +200,8 @@ def load_trips(path: str, filter_km: float, graph: RoadGraph) -> list[TripReques
             head = (lineno, int(row[0]), float(row[1]), float(row[2]), int(row[7]))
             origin_xy = (float(row[3]), float(row[4]))
             dest_xy = (float(row[5]), float(row[6]))
+            if not all(map(math.isfinite, origin_xy + dest_xy)):
+                raise ValueError("non-finite coordinate")
         except (ValueError, IndexError):
             bad += 1
             LOG.warning("%s:%d: skipping unparseable trip row", path, lineno)

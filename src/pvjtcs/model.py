@@ -9,6 +9,14 @@ gradients of the payoffs form the operator that the equilibrium solver works
 on.  The game sees vehicles only as the per-region counts of ``PvGroup``;
 the vehicles themselves live in the fleet engine
 (``transport_scheduler.Vehicle``).
+
+The game is played on the slot feasible set ``FeasibleSet``,
+``{x in [0,1]^I : sum(m_i * x_i) = S}`` with ``S = sum(m_i) - E_plus/r``:
+every member not transporting charges exactly ``r`` kwh, so pinning the
+slot's charged energy ``E_plus`` pins the weighted strategy sum.  The
+demand floor ``sum(m_i * x_i) >= d_total`` is folded into a preflight
+bound on ``E_plus`` (``clamp_demand``), so the solver only ever sees
+box-and-hyperplane geometry.
 """
 
 from __future__ import annotations
@@ -20,21 +28,21 @@ from typing import Callable, Sequence
 
 @dataclass
 class GameParams:
-    """Fleet, battery, solver and utility constants.
+    """Fleet, battery and utility constants.
 
     A slot is one hour, the step of the hourly prices.  Defaults mirror the
     calibration used throughout: a 45 kwh battery charging 5.625 kwh per
     hour, 0.3 kwh/km consumption at 30 km/h,
-    and the standard game constants (alpha1=20, alpha2=5, epsilon=1e-3,
-    rho=0.2, e_min=3).  The game is solved exactly, so the step constants
-    of the paper's iterative scheme are not parameters here: the tests'
-    reference iteration (``tests/oracles.py::sspm_iterate``) takes them
-    as keyword arguments.
+    and the standard game constants (alpha1=20, alpha2=5, rho=0.2,
+    e_min=3).  The game is solved exactly, so the step constants of the
+    paper's iterative scheme are not parameters here, and its tolerance is
+    the certificate's fixed bound ``vi_solver.EPSILON``: the tests'
+    reference iteration (``tests/oracles.py::sspm_iterate``) takes both as
+    keyword arguments.
     """
 
     alpha1: float = 20.0        # weight of the charging-satisfaction term
     alpha2: float = 5.0         # weight of the charging-fee term
-    epsilon: float = 1e-3       # bound on the equilibrium's residual norm
     rho: float = 0.2            # energy reserve margin
     e_min: float = 3.0          # kwh needed to reach a charging station
     r: float = 5.625            # kwh charged by one vehicle in one slot
@@ -48,7 +56,7 @@ class GameParams:
     def __post_init__(self) -> None:
         # every check is written so that it fails for NaN, which compares
         # false with everything
-        for name in ("epsilon", "rho", "speed"):
+        for name in ("rho", "speed"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("alpha1", "alpha2", "e_min", "r", "c", "consume_rate", "J"):
@@ -95,6 +103,71 @@ class PvGroup:
     def __post_init__(self) -> None:
         if min(self.m, self.d) < 0:
             raise ValueError(f"group {self.region}: counts must be nonnegative")
+
+
+class InfeasibleSetError(ValueError):
+    """The slot's feasible polyhedron is empty."""
+
+
+@dataclass
+class FeasibleSet:
+    """Box-and-hyperplane feasible set of one slot.
+
+    ``m`` holds the group sizes (hyperplane weights), ``d_total`` the slot's
+    total transportation demand, ``e_plus`` the charging demand in kwh and
+    ``r`` the per-slot charged energy of one vehicle.
+    """
+
+    m: Sequence[float]
+    d_total: float
+    e_plus: float
+    r: float
+
+    def __post_init__(self) -> None:
+        self.m = tuple(float(w) for w in self.m)
+        if self.r <= 0.0:
+            raise ValueError(f"per-slot charge r must be positive, got {self.r}")
+        if any(w < 0.0 for w in self.m):
+            raise ValueError("group sizes must be nonnegative")
+        for name in ("r", "e_plus", "d_total"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # fails for NaN too
+                raise ValueError(f"{name} must be finite, got {value}")
+
+    @property
+    def m_total(self) -> float:
+        return sum(self.m)
+
+    @property
+    def S(self) -> float:
+        """Hyperplane right-hand side in vehicle units."""
+        return self.m_total - self.e_plus / self.r
+
+    def check_feasible(self) -> None:
+        s = self.S
+        if not (0.0 <= s <= self.m_total and self.d_total <= s + 1e-12):
+            raise InfeasibleSetError(
+                f"empty feasible set: S={s:.6g} must lie in "
+                f"[max(0, d_total={self.d_total:.6g}), sum(m)={self.m_total:.6g}]"
+            )
+
+
+def clamp_demand(fset: FeasibleSet) -> FeasibleSet:
+    """``fset`` with its charging demand pulled into the satisfiable range.
+
+    The most energy one slot can absorb is ``r * (sum(m) - d_total)``: every
+    member beyond the transportation demand charges.  Demand below zero or
+    above that cap is clamped; compare ``e_plus`` to see a clamp.  Raises
+    if the transportation demand alone exceeds the population.
+    """
+    m_total = fset.m_total
+    if fset.d_total > m_total:
+        raise InfeasibleSetError(
+            f"transportation demand {fset.d_total:.6g} exceeds group population {m_total:.6g}"
+        )
+    cap = fset.r * (m_total - fset.d_total)
+    adjusted = min(max(fset.e_plus, 0.0), cap)
+    return FeasibleSet(m=fset.m, d_total=fset.d_total, e_plus=adjusted, r=fset.r)
 
 
 @dataclass

@@ -12,6 +12,7 @@ nodes and the fleet keeps asking about the same ones.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -33,8 +34,10 @@ class RoadGraph:
             for to, length in edges:
                 if to not in self.coords:
                     raise ValueError(f"edge {node}->{to} references unknown node")
-                if length <= 0.0:
-                    raise ValueError(f"edge {node}->{to} has nonpositive length")
+                if not 0.0 < length < math.inf:  # fails for NaN too
+                    raise ValueError(
+                        f"edge {node}->{to} length {length} not in (0, inf)"
+                    )
             edges.sort()
         orphans = self.orphan_nodes()
         if orphans:

@@ -31,9 +31,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from pvjtcs.charging_scheduler import ChargingPlan, DayAheadInputs, schedule_charging
-from pvjtcs.model import GameParams, PriceCurve, PvGroup
+from pvjtcs.model import FeasibleSet, GameParams, PriceCurve, PvGroup, clamp_demand
 from pvjtcs.network import RegionMap, RoadGraph, StationSet
-from pvjtcs.projection import FeasibleSet, clamp_demand
 from pvjtcs.transport_scheduler import (
     SERVED,
     FleetEngine,
@@ -239,7 +238,7 @@ def run_jtcs(scenario: Scenario) -> RunSummary:
             vi_iterations.append(0)
             return set()
         fset = FeasibleSet(
-            m=[float(g.m) for g in game_groups],
+            m=[g.m for g in game_groups],
             d_total=float(sum(g.d for g in census)),
             e_plus=planned,
             r=params.r,

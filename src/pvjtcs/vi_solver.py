@@ -11,12 +11,18 @@ over the groups yields the responses' weighted sum and its slope, the
 bracket around the multiplier keeps the float test of plain bisection, and
 the result is the bisection's to the bit.  ``sspm_solve`` returns that
 point with a certificate: the projected residual ``nu = x - P(x - F(x))``
-of one unit step must lie below ``epsilon``.  The paper's two-projection
+of one unit step must lie below ``EPSILON``.  The paper's two-projection
 extragradient scheme, which iterates from any start, is the reference the
 tests compare against (``tests/oracles.py::sspm_iterate``); from the exact
 equilibrium its first residual check is this certificate, bit for bit.
 The operator comes from ``model.payoff_functions``, the one place the
 payoff formula is written.
+
+The projection ``P`` onto the slot feasible set (``model.FeasibleSet``) is
+exact, through its scalar dual (``_dual_scan``).  It is plain Python on
+float lists, since games have a handful of groups, where array-library
+call overhead would dominate; it trusts the set ``sspm_solve`` checks once
+per game.
 
 ``kkt_verify`` independently audits a candidate equilibrium by fitting one
 common multiplier vector to the stationarity system and reporting how badly
@@ -32,18 +38,19 @@ from typing import Sequence
 
 import numpy as np
 
-from pvjtcs.model import GameParams, PvGroup, payoff_functions
-from pvjtcs.projection import FeasibleSet, _dual_scan
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, payoff_functions
 
+# the certificate's bound on the residual norm, the paper's tolerance
+EPSILON = 1e-3
 # ``kkt_verify`` treats a strategy this close to 0 or 1 as on the box bound
 _BOUNDARY_TOL = 1e-6
 # the rounding unit of a float near 1, which ``_equilibrium`` scales to
 # its multiplier and to the sum it tests
-_EPS = sys.float_info.epsilon
+_ULP = sys.float_info.epsilon
 
 
 class SspmConvergenceError(RuntimeError):
-    """The residual did not drop below epsilon."""
+    """The residual did not drop below ``EPSILON``."""
 
     def __init__(self, message: str, trace: "SspmTrace"):
         super().__init__(message)
@@ -110,7 +117,7 @@ def _equilibrium(
     float sum, from the smallest ``F_i/m_i`` at x = 0 to the largest at
     x = 1.  Each sweep moves one end to the point it evaluated.  The next
     point is the Newton step from there, carried one rounding unit of ``w``
-    and of ``g`` further (``_EPS * (|w| + S/slope)``) so that the bracket
+    and of ``g`` further (``_ULP * (|w| + S/slope)``) so that the bracket
     closes from both sides, or the midpoint when that leaves the bracket.
     The loop ends, as plain bisection does (``tests/oracles.py::
     bisection_equilibrium``, the former loop), when no float lies strictly
@@ -152,7 +159,7 @@ def _equilibrium(
 
     # A crossing lowers one x by at most 8 ulps of y < 2, and the float sum
     # rounds each later partial sum by at most 2 ulps of S.
-    drop = (4 * len(m) + 10) * _EPS * total
+    drop = (4 * len(m) + 10) * _ULP * total
     # b is 0 at w = crossing: the float subtraction keeps the sign exactly
     crossings = [4.0 * mi - 2.0 * di - a2p for mi, di in zip(m, d)]
     lo0 = min(-2.0 * di + 0.5 * alpha1 - a2p for di in d)
@@ -179,7 +186,7 @@ def _equilibrium(
                     safe_hi = w
             mid = 0.5 * (lo + hi)
             if newton and slope > 0.0:
-                over = _EPS * (abs(w) + S / slope)
+                over = _ULP * (abs(w) + S / slope)
                 w += gap / slope + (over if gap > 0.0 else -over)
             if not lo < w < hi:
                 w = mid
@@ -205,6 +212,93 @@ def _equilibrium(
     return x_hi if x_hi is not None else respond(hi)[0]
 
 
+def _dual_scan(point: Sequence[float], m: Sequence[float], S: float) -> list[float]:
+    """Exact box-hyperplane projection via the scalar dual multiplier.
+
+    ``z_i(lam) = clip(point_i + lam*m_i, 0, 1)`` makes ``g(lam) = sum(m*z)``
+    nondecreasing and piecewise linear with breakpoints where coordinates
+    enter or leave the box faces.  The first sorted breakpoint above the
+    smallest one with ``g >= S`` is found by bisection, and the crossing is
+    then solved in closed form on the active pattern.
+
+    Bisection finds the same breakpoint a linear walk over the sorted
+    breakpoints would, because ``g`` is nondecreasing in floating point
+    too: with ``m_i > 0`` every step (``lam*m_i``, ``+ point_i``, the
+    clip, ``m_i*z_i`` and the running sum, always in the same order) is a
+    correctly rounded monotone operation, so a larger ``lam`` never gives
+    a smaller computed ``g``.  The result is bit-identical to the walk's,
+    with O(n log n) work instead of O(n^2).
+    """
+    n = len(point)
+    total = 0.0
+    for w in m:
+        total += w
+    if S <= 0.0:
+        return [0.0] * n
+    if S >= total:
+        return [1.0] * n
+
+    pairs = list(zip(point, m))
+    knots = []
+    for p_i, m_i in pairs:
+        knots.append(-p_i / m_i)          # coordinate leaves the 0 face
+        knots.append((1.0 - p_i) / m_i)   # coordinate reaches the 1 face
+    knots.sort()
+
+    # Smallest k >= 1 with knots[k] above knots[0] and g(knots[k]) >= S;
+    # every coordinate is still clipped to 0 at knots[0], which is never
+    # evaluated.  lo always fails that test, hi = 2n stands for "none".
+    first = knots[0]
+    lo, hi = 0, 2 * n
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        lam_k = knots[k]
+        if lam_k == first:
+            lo = k
+            continue
+        g_k = 0.0
+        for p_i, m_i in pairs:
+            zi = p_i + lam_k * m_i
+            if zi < 0.0:
+                zi = 0.0
+            elif zi > 1.0:
+                zi = 1.0
+            g_k += m_i * zi
+        if g_k >= S:
+            hi = k
+        else:
+            lo = k
+    # the crossing lies in (lam, lam_next]; with no crossing knot (rounding
+    # at the last knot) both are the last knot
+    if hi < 2 * n:
+        lam, lam_next = knots[hi - 1], knots[hi]
+    else:
+        lam = lam_next = knots[-1]
+    # interpolate on the linear segment
+    lam_mid = 0.5 * (lam + lam_next)
+    num = S
+    den = 0.0
+    for p_i, m_i in pairs:
+        zi = p_i + lam_mid * m_i
+        if zi <= 0.0:
+            pass
+        elif zi >= 1.0:
+            num -= m_i
+        else:
+            num -= m_i * p_i
+            den += m_i * m_i
+    lam_star = (num / den) if den > 0.0 else lam_next
+    out = []
+    for p_i, m_i in pairs:
+        zi = p_i + lam_star * m_i
+        if zi < 0.0:
+            zi = 0.0
+        elif zi > 1.0:
+            zi = 1.0
+        out.append(zi)
+    return out
+
+
 def _game_weights(
     groups: Sequence[PvGroup], fset: FeasibleSet
 ) -> tuple[list[float], list[float]]:
@@ -214,11 +308,11 @@ def _game_weights(
     if any(g.m <= 0 for g in groups):
         raise ValueError("groups with m=0 must be excluded from the game")
     if len(groups) != len(fset.m) or any(
-        float(g.m) != float(w) for g, w in zip(groups, fset.m)
+        float(g.m) != w for g, w in zip(groups, fset.m)
     ):
         raise ValueError("feasible-set weights disagree with the group census")
     fset.check_feasible()
-    return [float(g.m) for g in groups], [float(g.d) for g in groups]
+    return list(fset.m), [float(g.d) for g in groups]
 
 
 def sspm_solve(
@@ -231,9 +325,8 @@ def sspm_solve(
 
     Returns the exact equilibrium, projected onto the feasible set, and
     the trace of its certificate: the unit-step projected residual, which
-    must lie below ``params.epsilon``.  A residual at or above it raises
-    ``SspmConvergenceError``: at the exact equilibrium what remains is
-    rounding error, so only a larger ``epsilon`` can be met.
+    must lie below ``EPSILON``.  A residual at or above it raises
+    ``SspmConvergenceError``.
     """
     m, d = _game_weights(groups, fset)
     S = fset.S
@@ -243,11 +336,10 @@ def sspm_solve(
     z = _dual_scan([xi - fi for xi, fi in zip(x, Fx)], m, S)
     nu_norm = math.sqrt(sum(v * v for v in (xi - zi for xi, zi in zip(x, z))))
     trace = SspmTrace(residual_norms=[nu_norm], zetas=[0], projection_calls=[1])
-    if not nu_norm < params.epsilon:
+    if not nu_norm < EPSILON:
         raise SspmConvergenceError(
-            f"residual {nu_norm:.3e} cannot fall below epsilon={params.epsilon}: "
-            "at the exact equilibrium what remains is rounding error; choose "
-            "a larger epsilon",
+            f"residual {nu_norm:.3e} of the exact equilibrium is not below "
+            f"epsilon={EPSILON}",
             trace,
         )
     return np.array(x), trace

@@ -31,13 +31,12 @@ from unittest import mock
 
 import numpy as np
 
-from pvjtcs.model import GameParams, PvGroup, VectorFn, payoff_functions
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, VectorFn, payoff_functions
 from pvjtcs.network import (
     distance,
     nearest_station,
     shortest_path,
 )
-from pvjtcs.projection import FeasibleSet, _dual_scan
 from pvjtcs.simplex import (
     EQ,
     GE,
@@ -60,7 +59,13 @@ from pvjtcs.transport_scheduler import (
     insertion_cost,
     pci_assign,
 )
-from pvjtcs.vi_solver import SspmConvergenceError, SspmTrace, _equilibrium, _game_weights
+from pvjtcs.vi_solver import (
+    SspmConvergenceError,
+    SspmTrace,
+    _dual_scan,
+    _equilibrium,
+    _game_weights,
+)
 
 _TOL = 1e-9
 
@@ -429,12 +434,12 @@ def intersection_core(
 
 
 def _stalled(
-    nu_norm: float, params: GameParams, trace: IterationTrace, why: str
+    nu_norm: float, epsilon: float, trace: IterationTrace, why: str
 ) -> SspmConvergenceError:
     """The error for a residual that no iteration can lower: ``why`` says
     which step failed on it."""
     return SspmConvergenceError(
-        f"residual {nu_norm:.3e} cannot fall below epsilon={params.epsilon}: "
+        f"residual {nu_norm:.3e} cannot fall below epsilon={epsilon}: "
         f"{why}; choose a larger epsilon",
         trace,
     )
@@ -452,12 +457,13 @@ def sspm_iterate(
     gamma2: float = 0.5,
     gamma3: float = 1.5,
     eta_init: float = 1.0,
+    epsilon: float = 1e-3,
 ) -> tuple[np.ndarray, IterationTrace]:
     """The paper's two-projection extragradient scheme, from the exact
     equilibrium (the production solver's point) or from ``x0``.
 
-    Iterates until the projected residual norm drops below
-    ``params.epsilon``.  Each iteration measures the projected residual
+    Iterates until the projected residual norm drops below ``epsilon``.
+    Each iteration measures the projected residual
     ``nu = x - P(x - mu*F(x))`` inline, backtracks a probe step until the
     operator at the probe correlates enough with the residual
     (``line_search``, with base ``gamma1`` and threshold ``gamma2``),
@@ -465,7 +471,8 @@ def sspm_iterate(
     the iterate onto feasible-set-and-halfspace (``intersection_core``).
     The step grows by ``gamma3`` between iterations from ``eta_init``.
     From the exact equilibrium with the default constants the first
-    residual check is ``sspm_solve``'s certificate, bit for bit.
+    residual check is ``sspm_solve``'s certificate, bit for bit, and the
+    default ``epsilon`` is its bound, ``vi_solver.EPSILON``.
     """
     m, d = _game_weights(groups, fset)
     n = len(groups)
@@ -492,7 +499,7 @@ def sspm_iterate(
         nu_norm = math.sqrt(nu_sq)
 
         trace.residual_norms.append(nu_norm)
-        if nu_norm < params.epsilon:
+        if nu_norm < epsilon:
             # The adaptive-step residual scales with mu, so a small mu can
             # fake convergence.  ||nu(x, mu)|| is nondecreasing in mu, hence
             # the unit-step residual both confirms geometric accuracy and
@@ -507,7 +514,7 @@ def sspm_iterate(
                 )
                 trace.exit_checks += 1
                 calls = 2
-            if confirmed_norm < params.epsilon:
+            if confirmed_norm < epsilon:
                 trace.projection_calls.append(calls)
                 trace.etas.append(eta_prev)
                 trace.zetas.append(0)
@@ -518,7 +525,7 @@ def sspm_iterate(
             zeta, eta = line_search(x, nu, nu_sq, mu, F, gamma1, gamma2)
         except LineSearchError as err:
             raise _stalled(
-                nu_norm, params, trace,
+                nu_norm, epsilon, trace,
                 "no line-search step lowers it, which for a projected residual "
                 "means rounding error swamps it, not that the operator is not "
                 "monotone",
@@ -530,7 +537,7 @@ def sspm_iterate(
             x = intersection_core(x, m, S, gvec, c)
         except ProjectionConvergenceError as err:
             raise _stalled(
-                nu_norm, params, trace,
+                nu_norm, epsilon, trace,
                 f"the halfspace built from it cannot be projected onto ({err}), "
                 "as happens when rounding error swamps the residual",
             ) from err
@@ -542,7 +549,7 @@ def sspm_iterate(
 
     raise SspmConvergenceError(
         f"residual {trace.residual_norms[-1]:.3e} still above "
-        f"epsilon={params.epsilon} after {max_iterations} iterations",
+        f"epsilon={epsilon} after {max_iterations} iterations",
         trace,
     )
 

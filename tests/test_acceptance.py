@@ -29,11 +29,10 @@ import numpy as np
 import pytest
 
 from pvjtcs.cli import build_scenario, load_config
-from pvjtcs.model import GameParams, PvGroup, payoff_functions
-from pvjtcs.projection import FeasibleSet, _dual_scan
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, payoff_functions
 from pvjtcs.simulator import run_jtcs, run_tgc
 from pvjtcs.transport_scheduler import FleetEngine
-from pvjtcs.vi_solver import kkt_verify, sspm_solve
+from pvjtcs.vi_solver import _dual_scan, kkt_verify, sspm_solve
 from pvjtcs.charging_scheduler import (
     ChargingInfeasibleError,
     DayAheadInputs,
@@ -162,7 +161,7 @@ def test_criterion_3_random_starts_converge():
 
 def project_plane(point, fset):
     """The solver's projection onto the slot feasible set."""
-    return np.array(_dual_scan(np.asarray(point).tolist(), fset.m.tolist(), fset.S))
+    return np.array(_dual_scan(np.asarray(point).tolist(), list(fset.m), fset.S))
 
 
 def project_cut(point, fset, normal, anchor):
@@ -171,7 +170,7 @@ def project_cut(point, fset, normal, anchor):
     return np.array(
         intersection_core(
             np.asarray(point).tolist(),
-            fset.m.tolist(),
+            list(fset.m),
             fset.S,
             normal.tolist(),
             float(np.dot(normal, anchor)),

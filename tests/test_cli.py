@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvjtcs import cli, io_files, simulator
+from pvjtcs import cli, io_files, simulator, vi_solver
 from pvjtcs.cli import main
 from pvjtcs.io_files import (
     DataFormatError,
@@ -45,6 +45,8 @@ BAD_PARAMS = [
     ({"gamma3": 1.5}, "unknown parameter overrides: ['gamma3']"),
     # a slot is one hour, the step of the hourly prices
     ({"slot_hours": 0.5}, "unknown parameter overrides: ['slot_hours']"),
+    # the certificate's bound is a solver constant, not a parameter
+    ({"epsilon": 1e-3}, "unknown parameter overrides: ['epsilon']"),
 ]
 # the solve-vi instance that the console-script check in CI runs
 SYMMETRIC_GAME = {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
@@ -131,6 +133,36 @@ class TestLoadNetwork:
         )
         with pytest.raises(
             DataFormatError, match=r"twice.csv:5: node 0 already given on line 2$"
+        ):
+            load_network(nodes, edges)
+
+    # NaN passes a ``<= 0`` test, and an infinite length is no road either
+    @pytest.mark.parametrize("length", ["nan", "inf", "-inf", "0.0"])
+    def test_edge_length_outside_zero_to_infinity_reports_line(
+        self, tmp_path, tiny_network, length
+    ):
+        nodes, _ = tiny_network
+        bad = write(
+            tmp_path, "bad.csv",
+            f"from_id,to_id,length_km\n0,1,1.0\n1,0,{length}\n1,2,2.0\n2,1,2.0\n",
+        )
+        with pytest.raises(
+            DataFormatError, match=rf"bad.csv:3: length_km {length} not in \(0, inf\)$"
+        ):
+            load_network(nodes, bad)
+
+    # a NaN coordinate on node 0 would draw every trip endpoint to node 0
+    @pytest.mark.parametrize("lon, lat", [("nan", "0.0"), ("inf", "0.0"),
+                                          ("0.0", "-inf")])
+    def test_non_finite_coordinate_reports_line(
+        self, tmp_path, tiny_network, lon, lat
+    ):
+        _, edges = tiny_network
+        nodes = write(
+            tmp_path, "bad.csv", f"id,lon,lat\n0,{lon},{lat}\n1,1.0,0.0\n2,2.0,0.0\n"
+        )
+        with pytest.raises(
+            DataFormatError, match=r"bad.csv:2: coordinates must be finite"
         ):
             load_network(nodes, edges)
 
@@ -234,6 +266,18 @@ class TestLoadTrips:
         all_bad = write(tmp_path, "bad.csv", self.HEADER + "x,0,0,0,0,2,0,1\n")
         with pytest.raises(DataFormatError):
             load_trips(all_bad, 0.0, graph)
+
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_skipped(self, tmp_path, tiny_network, caplog,
+                                           coord):
+        graph = load_network(*tiny_network)
+        path = write(
+            tmp_path,
+            "trips.csv",
+            self.HEADER + f"1,0,0,0.0,0.0,{coord},0.0,1\n2,0,0,0.0,0.0,2.0,0.0,1\n",
+        )
+        assert [t.id for t in load_trips(path, 0.0, graph)] == [2]
+        assert "trips.csv:2: skipping unparseable trip row" in caplog.text
 
     def test_repeated_id_rejected(self, tmp_path, tiny_network):
         # the second trip would share the first one's request state and
@@ -793,6 +837,29 @@ class TestCliSurface:
         assert f"config key {key!r}" in caplog.text
         assert not (tmp_path / "o").exists()
 
+    # a JSON integer too large for a float, wherever a number is read
+    @pytest.mark.parametrize("command, doc, named", [
+        ("run --config", {"batch_minutes": 10**400}, "config key 'batch_minutes'"),
+        ("run --config", {"params": {"rho": 10**400}}, "params key 'rho'"),
+        ("solve-vi --instance",
+         {"m": [10, 10], "d": [5, 5], "e_plus": 10**400, "price": 2.0},
+         "instance key 'e_plus'"),
+        ("plan-charging --inputs",
+         {"consumed": [2.0], "demand_counts": [1], "prices": [2.0],
+          "e_init": 10**400, "params": {"J": 2}}, "inputs key 'e_init'"),
+    ], ids=["config", "params", "instance", "inputs"])
+    def test_integer_too_large_for_a_float_is_named(self, tmp_path, caplog,
+                                                    command, doc, named):
+        path = write(tmp_path, "doc.json", json.dumps(doc))
+        argv = command.split() + [path]
+        if argv[0] == "run":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{named} has bad value 1{'0' * 400}: too large for a float" in (
+            caplog.text
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_run_config_may_not_set_the_fleet_size_in_params(self, tmp_path, caplog):
         cfg = write(tmp_path, "c.json", json.dumps({"params": {"J": 7}}))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -831,40 +898,34 @@ class TestCliSurface:
         assert "prices.csv:26: hour 3 already given on line 5" in caplog.text
         assert not (tmp_path / "o").exists()
 
-    def test_epsilon_below_rounding_exits_with_its_cause(self, tmp_path, caplog):
+    def test_epsilon_below_rounding_exits_with_its_cause(
+        self, tmp_path, caplog, monkeypatch
+    ):
         # the bundled day's first game cannot reach a residual of 1e-16
-        config = json.loads((MINI / "config.json").read_text())
-        config["params"] = {"epsilon": 1e-16}
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
-        for name in os.listdir(MINI):
-            if name != "config.json":
-                (tmp_path / name).write_bytes((MINI / name).read_bytes())
-        rc = main(["run", "--config", str(cfg), "--mode", "jtcs",
+        monkeypatch.setattr(vi_solver, "EPSILON", 1e-16)
+        rc = main(["run", "--config", str(MINI / "config.json"), "--mode", "jtcs",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         # the residual is rounding error, so its digits are not pinned
-        assert re.search(r"residual \d\.\d{3}e-1\d cannot fall below "
-                         r"epsilon=1e-16", caplog.text), caplog.text
-        assert "rounding error" in caplog.text
+        assert re.search(r"residual \d\.\d{3}e-1\d of the exact equilibrium "
+                         r"is not below epsilon=1e-16$", caplog.text, re.M), caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_epsilon_below_rounding_in_projection_exits_with_its_cause(
-        self, tmp_path, caplog
+        self, tmp_path, caplog, monkeypatch
     ):
         # the paper's iteration passes its line search on this game's
         # rounding-level residual and fails in the halfspace projection
         # (test_vi_solver); solve-vi stops at the certificate on that
-        # residual, and names rounding as the cause all the same
+        # residual
+        monkeypatch.setattr(vi_solver, "EPSILON", 1e-16)
         instance = tmp_path / "instance.json"
         instance.write_text(json.dumps({
             "m": [3, 1, 7], "d": [1, 0, 2], "e_plus": 10.0, "price": 3.0,
-            "params": {"epsilon": 1e-16},
         }))
         assert main(["solve-vi", "--instance", str(instance)]) == 1
-        assert re.search(r"residual \d\.\d{3}e-1\d cannot fall below "
-                         r"epsilon=1e-16: ", caplog.text), caplog.text
-        assert "rounding error" in caplog.text
+        assert re.search(r"residual \d\.\d{3}e-1\d of the exact equilibrium "
+                         r"is not below epsilon=1e-16$", caplog.text, re.M), caplog.text
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -126,7 +126,7 @@ class TestPseudoGradient:
 class TestValidation:
     def test_defaults_match_calibration(self):
         p = GameParams()
-        assert (p.alpha1, p.alpha2, p.epsilon) == (20.0, 5.0, 1e-3)
+        assert (p.alpha1, p.alpha2) == (20.0, 5.0)
         assert (p.e_min, p.rho) == (3.0, 0.2)
         assert (p.c, p.r) == (45.0, 5.625)
         assert (p.speed, p.consume_rate, p.seats) == (30.0, 0.3, 16)
@@ -139,11 +139,12 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"epsilon": -1e-3},
-            {"epsilon": 0.0},
+            {"rho": -0.2},
             {"rho": 0.0},
             {"speed": 0.0},
             {"speed": -30.0},
+            {"J": -1},
+            {"r": -1.0},
             {"alpha1": -1.0},
             {"alpha2": -5.0},
             {"e_min": -3.0},

@@ -1,5 +1,6 @@
 """Road graph queries against Bellman-Ford and the stated conventions."""
 
+import math
 import re
 
 import numpy as np
@@ -172,10 +173,12 @@ class TestStructures:
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             RoadGraph.from_edges({0: (0.0, 0.0)}, [(0, 7, 1.0)])
-        with pytest.raises(ValueError):
-            RoadGraph.from_edges(
-                {0: (0.0, 0.0), 1: (1.0, 0.0)}, [(0, 1, 0.0)]
-            )
+        # NaN passes a ``<= 0`` test, and an infinite length is no road either
+        for length in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^edge 0->1 length .* not in \(0, inf\)$"):
+                RoadGraph.from_edges(
+                    {0: (0.0, 0.0), 1: (1.0, 0.0)}, [(0, 1, length), (1, 0, 1.0)]
+                )
 
     def test_station_validation(self):
         g = line_graph()

@@ -9,12 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvjtcs.projection import (
-    FeasibleSet,
-    InfeasibleSetError,
-    _dual_scan,
-    clamp_demand,
-)
+from pvjtcs.model import FeasibleSet, InfeasibleSetError, clamp_demand
+from pvjtcs.vi_solver import _dual_scan
 from oracles import active_set_projection, intersection_core, linear_scan_dual
 
 
@@ -55,7 +51,7 @@ class TestClampDemand:
         out = clamp_demand(fset)
         assert out.e_plus == pytest.approx(12.0)
         assert out.e_plus - fset.e_plus == pytest.approx(-8.0)
-        assert out.is_feasible()
+        out.check_feasible()
 
     def test_negative_demand_clamped_to_zero(self):
         fset = FeasibleSet(m=[5], d_total=2, e_plus=-3.0, r=2.0)
@@ -269,7 +265,7 @@ class TestProjectIntersection:
         for _ in range(50):
             p = rng.uniform(-1.0, 2.0, size=3)
             z = project_cut(p, fset, normal, anchor)
-            assert abs(float(fset.m @ z) - fset.S) <= 1e-8 * max(1.0, fset.m_total)
+            assert abs(float(np.dot(fset.m, z)) - fset.S) <= 1e-8 * max(1.0, fset.m_total)
             assert violation(z, normal, anchor) <= 1e-8
             z2 = project_cut(z, fset, normal, anchor)
             assert np.max(np.abs(z2 - z)) <= 1e-9

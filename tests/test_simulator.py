@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from pvjtcs import simulator
 from pvjtcs.cli import build_scenario, load_config, main
-from pvjtcs.model import GameParams, PriceCurve, PvGroup
-from pvjtcs.projection import FeasibleSet
+from pvjtcs.model import FeasibleSet, GameParams, PriceCurve, PvGroup
 from pvjtcs.simulator import (
     Scenario,
     eligibility_filter,

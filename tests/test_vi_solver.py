@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvjtcs import vi_solver
-from pvjtcs.model import GameParams, PvGroup
-from pvjtcs.projection import FeasibleSet, clamp_demand
+from pvjtcs.model import FeasibleSet, GameParams, PvGroup, clamp_demand
 from pvjtcs.vi_solver import SspmConvergenceError, _equilibrium, kkt_verify, sspm_solve
 from oracles import (
     LineSearchError,
@@ -255,7 +254,7 @@ class TestSspmSolve:
         assert len(trace.etas) == k
         assert len(trace.zetas) == k
         assert len(trace.projection_calls) == k
-        assert trace.residual_norms[-1] < PARAMS.epsilon
+        assert trace.residual_norms[-1] < vi_solver.EPSILON
 
     def test_cap_exhaustion_carries_trace(self):
         groups, fset = make_instance([1, 76, 57], [0, 59, 38], e_plus=0.0,
@@ -266,23 +265,32 @@ class TestSspmSolve:
                          max_iterations=3)
         assert len(err.value.trace) == 3
 
-    def test_epsilon_below_rounding_names_the_residual(self):
+    def test_epsilon_below_rounding_names_the_residual(self, monkeypatch):
         # the exact equilibrium's residual is rounding error, about 2e-14:
-        # the certificate fails on it, and no step of the reference
-        # iteration lowers it, whose error does not blame the operator
+        # the certificate fails on it below that bound, and no step of the
+        # reference iteration lowers it, whose error does not blame the
+        # operator
         groups, fset = SYMMETRIC
-        for solve in (sspm_solve, sspm_iterate):
-            with pytest.raises(SspmConvergenceError) as err:
-                solve(groups, fset, 2.0, GameParams(epsilon=1e-16))
-            message = str(err.value)
-            assert message.startswith(
-                f"residual {err.value.trace.residual_norms[-1]:.3e} cannot "
-                "fall below epsilon=1e-16: "
-            )
-            assert "rounding error" in message
+        monkeypatch.setattr(vi_solver, "EPSILON", 1e-16)
+        with pytest.raises(SspmConvergenceError) as err:
+            sspm_solve(groups, fset, 2.0, PARAMS)
+        assert str(err.value) == (
+            f"residual {err.value.trace.residual_norms[-1]:.3e} of the exact "
+            "equilibrium is not below epsilon=1e-16"
+        )
+        assert len(err.value.trace) == 1
+        with pytest.raises(SspmConvergenceError) as err:
+            sspm_iterate(groups, fset, 2.0, PARAMS, epsilon=1e-16)
+        message = str(err.value)
+        assert message.startswith(
+            f"residual {err.value.trace.residual_norms[-1]:.3e} cannot "
+            "fall below epsilon=1e-16: "
+        )
+        assert "rounding error" in message
         assert "not monotone" in message
         assert isinstance(err.value.__cause__, LineSearchError)
-        x, trace = sspm_solve(groups, fset, 2.0, GameParams(epsilon=1e-13))
+        monkeypatch.setattr(vi_solver, "EPSILON", 1e-13)
+        x, trace = sspm_solve(groups, fset, 2.0, PARAMS)
         assert len(trace) == 1
 
     def test_epsilon_below_rounding_in_the_projection_names_the_residual(self):
@@ -291,7 +299,7 @@ class TestSspmSolve:
         # built from it fails
         groups, fset = make_instance([3, 1, 7], [1, 0, 2], e_plus=10.0, r=PARAMS.r)
         with pytest.raises(SspmConvergenceError) as err:
-            sspm_iterate(groups, fset, 3.0, GameParams(epsilon=1e-16))
+            sspm_iterate(groups, fset, 3.0, PARAMS, epsilon=1e-16)
         message = str(err.value)
         assert message.startswith(
             f"residual {err.value.trace.residual_norms[-1]:.3e} cannot fall "
