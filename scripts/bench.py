@@ -5,11 +5,13 @@ For each scale S it generates a scenario with the benchmark's generator
 (``perfbench/scenario_gen.py``, as ``make_manhattan_mini.py --fleet 20S
 --trips 200S`` does: the bundled 60-node grid, S times the fleet and the
 trips) in a temporary directory, and runs ``pvjtcs run --mode both
---seed 1`` on it N times per measured tree.  Each run is a child process
-whose ``PYTHONPATH`` starts with the tree's ``src``, and it is timed as a
-whole and per scheme (``run_jtcs`` and ``run_tgc``); every time kept is the
-fastest of the N repeats.  The outputs' SHA-256 is kept too, so two
-measured versions can be checked to compute the same day.
+--seed 1`` on it N times per measured tree.  ``--rows`` and ``--cols`` set
+another street grid for every scale (the bundled one is 12 x 5).  Each run
+is a child process whose ``PYTHONPATH`` starts with the tree's ``src``, and
+it is timed as a whole, in scenario set-up (``build_scenario``: loading the
+files, snapping the trips) and per scheme (``run_jtcs`` and ``run_tgc``);
+every time kept is the fastest of the N repeats.  The outputs' SHA-256 is
+kept too, so two measured versions can be checked to compute the same day.
 
 Several trees given with ``--tree`` are measured in one invocation on the
 same generated scenarios, their repeats interleaved and alternating which
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -55,14 +58,17 @@ def host() -> dict:
     }
 
 
-def generate(scale: int, out_dir: str) -> str:
-    """Write the scale's scenario to ``out_dir``; returns its config path."""
-    return write(GridSpec(fleet=BASE_FLEET * scale, trips=BASE_TRIPS * scale), out_dir)
+def generate(grid: GridSpec, scale: int, out_dir: str) -> str:
+    """Write the scale's scenario on ``grid`` to ``out_dir``; returns its
+    config path."""
+    scaled = dataclasses.replace(
+        grid, fleet=BASE_FLEET * scale, trips=BASE_TRIPS * scale)
+    return write(scaled, out_dir)
 
 
 def run_once(config: str, out_dir: str) -> dict:
     """One ``pvjtcs run --mode both --seed 1`` of the pvjtcs that Python
-    imports: wall and per-scheme seconds."""
+    imports: wall, set-up and per-scheme seconds."""
     from pvjtcs import cli
 
     times: dict[str, float] = {}
@@ -77,9 +83,10 @@ def run_once(config: str, out_dir: str) -> dict:
 
         return wrapper
 
-    saved = cli.run_jtcs, cli.run_tgc
-    cli.run_jtcs = timed("jtcs_s", saved[0])
-    cli.run_tgc = timed("tgc_s", saved[1])
+    saved = cli.build_scenario, cli.run_jtcs, cli.run_tgc
+    cli.build_scenario = timed("setup_s", saved[0])
+    cli.run_jtcs = timed("jtcs_s", saved[1])
+    cli.run_tgc = timed("tgc_s", saved[2])
     gc.collect()
     try:
         t0 = time.perf_counter()
@@ -88,7 +95,7 @@ def run_once(config: str, out_dir: str) -> dict:
                            "--seed", "1", "--out", out_dir])
         wall = time.perf_counter() - t0
     finally:
-        cli.run_jtcs, cli.run_tgc = saved
+        cli.build_scenario, cli.run_jtcs, cli.run_tgc = saved
     if rc != 0:
         raise SystemExit(f"pvjtcs run exited {rc} on {config}")
     return {"wall_s": wall, **times}
@@ -120,15 +127,17 @@ def outputs_digest(out_dir: str) -> str:
     return digest.hexdigest()
 
 
-def measure(trees: dict[str, str], scales: list[int], repeats: int) -> dict:
-    """Per label, per scale: the fastest times and the outputs' digest.
-    Repeat r runs the trees in the given order when r is even and in
-    reverse when it is odd."""
+def measure(
+    trees: dict[str, str], grid: GridSpec, scales: list[int], repeats: int
+) -> dict:
+    """Per label, per scale on ``grid``: the fastest times and the outputs'
+    digest.  Repeat r runs the trees in the given order when r is even and
+    in reverse when it is odd."""
     results: dict[str, dict] = {label: {} for label in trees}
     labels = list(trees)
     with tempfile.TemporaryDirectory() as tmp:
         for scale in scales:
-            config = generate(scale, os.path.join(tmp, f"scen{scale}"))
+            config = generate(grid, scale, os.path.join(tmp, f"scen{scale}"))
             runs: dict[str, list[dict]] = {label: [] for label in labels}
             for r in range(repeats):
                 for label in labels if r % 2 == 0 else labels[::-1]:
@@ -138,6 +147,8 @@ def measure(trees: dict[str, str], scales: list[int], repeats: int) -> dict:
                 best = {key: round(min(run[key] for run in runs[label]), 4)
                         for key in runs[label][0]}
                 results[label][f"{scale}x"] = {
+                    "rows": grid.rows,
+                    "cols": grid.cols,
                     "fleet": BASE_FLEET * scale,
                     "trips": BASE_TRIPS * scale,
                     **best,
@@ -153,6 +164,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--scales", type=int, nargs="+", default=[1, 5, 10, 20])
     parser.add_argument("--repeats", type=int, default=3, help="best of N")
+    parser.add_argument("--rows", type=int, default=GridSpec.rows,
+                        help="street grid rows")
+    parser.add_argument("--cols", type=int, default=GridSpec.cols,
+                        help="street grid columns")
     parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
                         help="measure the pvjtcs in DIR/src under LABEL; "
                              "repeat to interleave trees")
@@ -169,6 +184,10 @@ def main(argv=None) -> int:
         parser.error("--out is required")
     if args.repeats < 1 or min(args.scales) < 1:
         parser.error("--repeats and every scale must be >= 1")
+    try:
+        grid = GridSpec(rows=args.rows, cols=args.cols)
+    except ValueError as err:
+        parser.error(f"--rows {args.rows} --cols {args.cols}: {err}")
     trees: dict[str, str] = {}
     for spec in args.tree or [f"current={REPO}"]:
         label, sep, tree = spec.partition("=")
@@ -183,7 +202,7 @@ def main(argv=None) -> int:
         if old.get("host") != doc["host"]:
             raise SystemExit(f"{args.out} was measured on another host: {old.get('host')}")
         doc["runs"] = old.get("runs", {})
-    for label, scales in measure(trees, args.scales, args.repeats).items():
+    for label, scales in measure(trees, grid, args.scales, args.repeats).items():
         doc["runs"][label] = {
             "repeats": args.repeats,
             "interleaved_with": sorted(set(trees) - {label}),

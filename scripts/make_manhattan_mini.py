@@ -8,12 +8,14 @@ evening ~18:00), and an hourly price curve with a small morning bump and a
 tall evening peak.  Deterministic: fixed RNG seed, stable row order.
 
 --fleet and --trips scale the scenario on the same grid (for example
---fleet 100 --trips 1000 for a 5x day); without them the bundled scenario
-is written byte for byte.  The files come from the benchmark's generator,
-``perfbench/scenario_gen.py``, whose ``GridSpec`` defaults are this
-scenario.
+--fleet 100 --trips 1000 for a 5x day), and --rows and --cols change the
+grid (for example --rows 30 --cols 20, 600 nodes); without them the
+bundled scenario is written byte for byte.  The files come from the
+benchmark's generator, ``perfbench/scenario_gen.py``, whose ``GridSpec``
+defaults are this scenario.
 
 Usage: python3 scripts/make_manhattan_mini.py [out_dir] [--fleet N] [--trips N]
+           [--rows N] [--cols N]
 """
 
 import argparse
@@ -28,8 +30,9 @@ N_FLEET = GridSpec.fleet
 N_TRIPS = GridSpec.trips
 
 
-def main(out_dir, fleet=N_FLEET, trips=N_TRIPS):
-    write(GridSpec(fleet=fleet, trips=trips), out_dir)
+def main(out_dir, fleet=N_FLEET, trips=N_TRIPS, rows=GridSpec.rows,
+         cols=GridSpec.cols):
+    write(GridSpec(rows=rows, cols=cols, fleet=fleet, trips=trips), out_dir)
     print(f"wrote {out_dir}: {trips} trips")
 
 
@@ -38,7 +41,14 @@ if __name__ == "__main__":
     parser.add_argument("out_dir", nargs="?", default="scenarios/manhattan-mini")
     parser.add_argument("--fleet", type=int, default=N_FLEET, help="vehicles")
     parser.add_argument("--trips", type=int, default=N_TRIPS, help="trip requests")
+    parser.add_argument("--rows", type=int, default=GridSpec.rows, help="grid rows")
+    parser.add_argument("--cols", type=int, default=GridSpec.cols, help="grid columns")
     args = parser.parse_args()
     if args.fleet < 1 or args.trips < 1:
         parser.error("--fleet and --trips must be at least 1")
-    main(args.out_dir, fleet=args.fleet, trips=args.trips)
+    try:
+        GridSpec(rows=args.rows, cols=args.cols)
+    except ValueError as err:
+        parser.error(f"--rows {args.rows} --cols {args.cols}: {err}")
+    main(args.out_dir, fleet=args.fleet, trips=args.trips, rows=args.rows,
+         cols=args.cols)

@@ -144,29 +144,35 @@ def nearest_nodes(
     id.
 
     A numpy distance matrix, a block of points at a time, keeps for each
-    point only the nodes within a relative 1e-9 of its least distance;
-    the rule itself then runs over those, in id order.  The matrix is only
-    a filter because numpy squares by ``x * x``, which differs from
-    ``x ** 2`` in the last bit for some doubles, far inside the margin.  A
-    NaN row keeps every node.
+    point only the nodes within a relative 1e-9 of its least distance.  A
+    point that keeps one node is decided in bulk: that node is its snap.
+    The rule itself runs, over the kept nodes in id order, only on points
+    that keep two or more near-tied nodes, and on NaN rows, which keep
+    every node.  The matrix is only a filter because numpy squares by
+    ``x * x``, which differs from ``x ** 2`` in the last bit for some
+    doubles, far inside the margin.
     """
     ids = graph.nodes
     coords = [graph.coords[nid] for nid in ids]
     xs, ys = np.array(coords, dtype=float).reshape(-1, 2).T
+    id_array = np.array(ids)
     snapped: list[int] = []
     for start in range(0, len(points), _SNAP_BLOCK):
         block = points[start:start + _SNAP_BLOCK]
         lon, lat = np.array(block, dtype=float).reshape(-1, 2).T
         d = (xs[None, :] - lon[:, None]) ** 2 + (ys[None, :] - lat[:, None]) ** 2
         near = ~(d > (d.min(axis=1) * (1.0 + 1e-9))[:, None])
-        for (plon, plat), row in zip(block, near):
+        picks = id_array[near.argmax(axis=1)].tolist()
+        for r in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            plon, plat = block[r]
             best, best_d = None, None
-            for k in np.flatnonzero(row).tolist():
+            for k in np.flatnonzero(near[r]).tolist():
                 x, y = coords[k]
                 dk = (x - plon) ** 2 + (y - plat) ** 2
                 if best_d is None or dk < best_d:
                     best, best_d = ids[k], dk
-            snapped.append(best)
+            picks[r] = best
+        snapped += picks
     return snapped
 
 

@@ -4,9 +4,13 @@ A ``RoadGraph`` is strongly connected, so every known node reaches every
 other: a query fails only for a node the graph does not hold.  Distances
 come from Dijkstra over a directed weighted edge list; equal-length
 alternatives are broken toward the smallest predecessor id so repeated runs
-trace identical paths.  Full single-source results are cached per graph, one
-row per source node, and kept for the graph's lifetime: a graph has few
-nodes and the fleet keeps asking about the same ones.
+trace identical paths.  The graph numbers its nodes once, at construction:
+a node's position is its rank in id order, and Dijkstra runs over lists
+indexed by position.  Because positions follow ids, a comparison of
+positions is a comparison of ids, and the heap order and the tie rule are
+those of a search over ids.  Full single-source results are cached per
+graph, one row per source node, and kept for the graph's lifetime: a graph
+has few nodes and the fleet keeps asking about the same ones.
 """
 
 from __future__ import annotations
@@ -39,13 +43,19 @@ class RoadGraph:
                         f"edge {node}->{to} length {length} not in (0, inf)"
                     )
             edges.sort()
+        self._ids = sorted(self.coords)
+        self._position = {nid: k for k, nid in enumerate(self._ids)}
+        self._out = [
+            [(self._position[to], length) for to, length in self.adjacency[nid]]
+            for nid in self._ids
+        ]
         orphans = self.orphan_nodes()
         if orphans:
             raise ValueError(
                 "service component disconnected; orphan nodes "
                 f"{orphans[:20]}{'...' if len(orphans) > 20 else ''}"
             )
-        self._sp_cache: dict[int, tuple[dict, dict]] = {}
+        self._sp_cache: dict[int, tuple[dict[int, float], list[int]]] = {}
 
     @classmethod
     def from_edges(
@@ -60,7 +70,7 @@ class RoadGraph:
 
     @property
     def nodes(self) -> list[int]:
-        return sorted(self.coords)
+        return list(self._ids)
 
     def has_node(self, node: int) -> bool:
         return node in self.coords
@@ -69,61 +79,71 @@ class RoadGraph:
         """Nodes not mutually reachable with the rest of the graph.
 
         Empty iff the graph is strongly connected: every node must reach and
-        be reached by an arbitrary anchor.
+        be reached by an arbitrary anchor, the smallest id.
         """
-        nodes = self.nodes
-        if len(nodes) <= 1:
+        if len(self._ids) <= 1:
             return []
-        anchor = nodes[0]
-        forward = self._reachable(anchor, reverse=False)
-        backward = self._reachable(anchor, reverse=True)
-        return sorted(set(nodes) - (forward & backward))
+        backward: list[list[tuple[int, float]]] = [[] for _ in self._ids]
+        for u, edges in enumerate(self._out):
+            for v, length in edges:
+                backward[v].append((u, length))
+        both = zip(self._ids, _reached(self._out), _reached(backward))
+        return [nid for nid, there, back in both if not (there and back)]
 
-    def _reachable(self, source: int, reverse: bool) -> set[int]:
-        if reverse:
-            adj: dict[int, list[int]] = {v: [] for v in self.coords}
-            for u, edges in self.adjacency.items():
-                for v, _ in edges:
-                    adj[v].append(u)
-        else:
-            adj = {u: [v for v, _ in edges] for u, edges in self.adjacency.items()}
-        seen = {source}
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def single_source(self, source: int) -> tuple[dict[int, float], list[int]]:
+        """Cached Dijkstra from ``source``: the ``{id: km}`` row of every
+        node, and each node's predecessor on its path, smallest id among
+        equal-length alternatives.
 
-    def single_source(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
-        """Cached Dijkstra: distances and smallest-id predecessors."""
+        The search runs over positions: ``dist``, ``pred`` and ``done`` are
+        lists, and heap entries are ``(km, position)``.  Positions follow
+        ids, so the heap order and the tie rule are those of the same search
+        over ids, bit for bit.  The predecessors stay a position list (the
+        source's entry is -1), which only ``shortest_path`` reads.
+        """
         cached = self._sp_cache.get(source)
         if cached is not None:
             return cached
-        if not self.has_node(source):
+        s = self._position.get(source)
+        if s is None:
             raise KeyError(f"unknown node {source}")
-        dist: dict[int, float] = {source: 0.0}
-        pred: dict[int, int] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        done: set[int] = set()
+        n = len(self._ids)
+        out = self._out
+        dist: list[float | None] = [None] * n
+        pred = [-1] * n
+        done = [False] * n
+        dist[s] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, s)]
         while heap:
             d, u = heapq.heappop(heap)
-            if u in done:
+            if done[u]:
                 continue
-            done.add(u)
-            for v, w in self.adjacency[u]:
+            done[u] = True
+            for v, w in out[u]:
                 nd = d + w
-                old = dist.get(v)
+                old = dist[v]
                 if old is None or nd < old:
                     dist[v] = nd
                     pred[v] = u
                     heapq.heappush(heap, (nd, v))
-                elif nd == old and v not in done and pred.get(v, u + 1) > u:
+                elif nd == old and not done[v] and pred[v] > u:
                     pred[v] = u
-        self._sp_cache[source] = (dist, pred)
-        return dist, pred
+        row = (dict(zip(self._ids, dist)), pred)
+        self._sp_cache[source] = row
+        return row
+
+
+def _reached(out: list[list[tuple[int, float]]]) -> list[bool]:
+    """Which positions position 0 reaches along the edges ``out[u]``."""
+    seen = [False] * len(out)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for v, _ in out[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
 
 @dataclass
@@ -151,7 +171,8 @@ class StationSet:
 
 @dataclass
 class RegionMap:
-    """Total map from node id to region id 0..I-1."""
+    """Map from node id to region id 0..I-1; against a graph it must be
+    total and name no other node (``validate_against``)."""
 
     regions: dict[int, int]
 
@@ -174,9 +195,14 @@ class RegionMap:
             raise KeyError(f"node {node} has no region assignment") from None
 
     def validate_against(self, graph: RoadGraph) -> None:
+        """The map must cover exactly the graph's nodes: a node mapped
+        nowhere, or a mapped id the graph does not hold, is refused."""
         missing = [v for v in graph.nodes if v not in self.regions]
         if missing:
             raise ValueError(f"nodes without region assignment: {missing[:10]}")
+        unknown = sorted(v for v in self.regions if not graph.has_node(v))
+        if unknown:
+            raise ValueError(f"nodes not in the road graph: {unknown[:10]}")
 
 
 def distance(graph: RoadGraph, frm: int, to: int) -> float:
@@ -191,10 +217,12 @@ def distance(graph: RoadGraph, frm: int, to: int) -> float:
 def shortest_path(graph: RoadGraph, frm: int, to: int) -> tuple[float, list[int]]:
     """``distance`` and the node sequence, ties broken deterministically."""
     d = distance(graph, frm, to)
-    pred = graph.single_source(frm)[1]
-    path = [to]
-    while path[-1] != frm:
-        path.append(pred[path[-1]])
+    pred, ids = graph.single_source(frm)[1], graph._ids
+    path = []
+    k = graph._position[to]
+    while k >= 0:
+        path.append(ids[k])
+        k = pred[k]
     path.reverse()
     return d, path
 

@@ -6,8 +6,9 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Seven are former production loops, kept as bit-exact references for the
-faster versions: ``sspm_iterate`` (the paper's extragradient scheme, with
+Eight are former production loops, kept as bit-exact references for the
+faster versions: ``dict_dijkstra`` (single-source shortest paths over
+node-id dicts), ``sspm_iterate`` (the paper's extragradient scheme, with
 ``line_search`` and ``intersection_core``), ``bisection_equilibrium`` (the
 exact slot-game equilibrium by bisection on the shared multiplier),
 ``loop_solve_lp`` (the dense simplex with a row-by-row pivot and ratio
@@ -23,6 +24,7 @@ slot executed by ``interleaved_slot``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -650,14 +652,42 @@ def bellman_ford(n_nodes_edges, source):
     return dist
 
 
+def dict_dijkstra(graph, source):
+    """Dijkstra over node ids, as ``RoadGraph.single_source`` ran before it
+    numbered the nodes: ``(dist, pred)`` dicts keyed by id, equal-length
+    alternatives broken toward the smallest predecessor id."""
+    dist: dict[int, float] = {source: 0.0}
+    pred: dict[int, int] = {}
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    done: set[int] = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in graph.adjacency[u]:
+            nd = d + w
+            old = dist.get(v)
+            if old is None or nd < old:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif nd == old and v not in done and pred.get(v, u + 1) > u:
+                pred[v] = u
+    return dist, pred
+
+
 def central_difference(f, x, h: float = 1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def _edge_remainder(vehicle, graph) -> float:
+    """km left on the vehicle's edge; of parallel edges, a vehicle drives
+    the shortest."""
     if vehicle.edge_head is None:
         return 0.0
-    return dict(graph.adjacency[vehicle.node])[vehicle.edge_head] - vehicle.edge_progress
+    length = min(w for v, w in graph.adjacency[vehicle.node] if v == vehicle.edge_head)
+    return length - vehicle.edge_progress
 
 
 def plan_distance(vehicle, stops, graph) -> float:

@@ -33,11 +33,12 @@ def test_one_scale_one_repeat(tmp_path):
     assert run["repeats"] == 1 and set(run["scales"]) == {"1x"}
     assert run["interleaved_with"] == []
     one = run["scales"]["1x"]
-    assert set(one) == {"fleet", "trips", "wall_s", "jtcs_s", "tgc_s",
-                        "outputs_sha256"}
+    assert set(one) == {"rows", "cols", "fleet", "trips", "wall_s", "setup_s",
+                        "jtcs_s", "tgc_s", "outputs_sha256"}
+    assert (one["rows"], one["cols"]) == (12, 5)  # the bundled grid
     assert (one["fleet"], one["trips"]) == (20, 200)
-    assert 0.0 < one["jtcs_s"] and 0.0 < one["tgc_s"]
-    assert one["jtcs_s"] + one["tgc_s"] <= one["wall_s"]
+    assert 0.0 < one["setup_s"] and 0.0 < one["jtcs_s"] and 0.0 < one["tgc_s"]
+    assert one["setup_s"] + one["jtcs_s"] + one["tgc_s"] <= one["wall_s"]
     assert len(one["outputs_sha256"]) == 64
 
 
@@ -60,8 +61,9 @@ def test_trees_interleave_in_child_processes(tmp_path, monkeypatch):
     assert runs["parent"]["interleaved_with"] == ["change"]
     assert runs["change"]["interleaved_with"] == ["parent"]
     parent, change = runs["parent"]["scales"]["1x"], runs["change"]["scales"]["1x"]
-    assert set(parent) == set(change) == {"fleet", "trips", "wall_s", "jtcs_s",
-                                          "tgc_s", "outputs_sha256"}
+    assert set(parent) == set(change) == {"rows", "cols", "fleet", "trips",
+                                          "wall_s", "setup_s", "jtcs_s", "tgc_s",
+                                          "outputs_sha256"}
     assert parent["outputs_sha256"] == change["outputs_sha256"]
 
     # repeats alternate which tree runs first
@@ -72,12 +74,41 @@ def test_trees_interleave_in_child_processes(tmp_path, monkeypatch):
         for name in bench.OUTPUTS:
             (Path(out_dir) / name).parent.mkdir(parents=True, exist_ok=True)
             (Path(out_dir) / name).write_text(tree)
-        return {"wall_s": 1.0, "jtcs_s": 0.5, "tgc_s": 0.5}
+        return {"wall_s": 1.0, "setup_s": 0.1, "jtcs_s": 0.4, "tgc_s": 0.5}
 
     monkeypatch.setattr(bench, "run_child", fake_child)
     bench.main(["--scales", "1", "--repeats", "3", "--tree", "a=A", "--tree", "b=B",
                 "--out", str(tmp_path / "fake.json")])
     assert order == ["A", "B", "B", "A", "A", "B"]
+
+
+def test_rows_and_cols_set_the_grid(tmp_path, monkeypatch):
+    bench = load_bench()
+    nodes = []
+
+    def fake_child(tree, config, out_dir):
+        nodes.append((Path(config).parent / "nodes.csv").read_text())
+        for name in bench.OUTPUTS:
+            (Path(out_dir) / name).parent.mkdir(parents=True, exist_ok=True)
+            (Path(out_dir) / name).write_text(tree)
+        return {"wall_s": 1.0, "setup_s": 0.1, "jtcs_s": 0.4, "tgc_s": 0.5}
+
+    monkeypatch.setattr(bench, "run_child", fake_child)
+    out = tmp_path / "BENCH.json"
+    rc = bench.main(["--scales", "2", "--repeats", "1", "--rows", "6", "--cols", "4",
+                     "--out", str(out)])
+    assert rc == 0
+    two = json.loads(out.read_text())["runs"]["current"]["scales"]["2x"]
+    assert (two["rows"], two["cols"], two["fleet"], two["trips"]) == (6, 4, 40, 400)
+    assert len(nodes[0].splitlines()) == 1 + 24  # the scenario's 6 x 4 grid
+
+
+@pytest.mark.parametrize("args", [["--rows", "4"], ["--cols", "0"]])
+def test_grid_too_small_is_refused(tmp_path, args, capsys):
+    bench = load_bench()
+    with pytest.raises(SystemExit):
+        bench.main(args + ["--out", str(tmp_path / "BENCH.json")])
+    assert "--rows" in capsys.readouterr().err
 
 
 def test_tree_without_the_package_is_refused(tmp_path):

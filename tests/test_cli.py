@@ -189,6 +189,16 @@ class TestLoadStationsRegions:
         with pytest.raises(DataFormatError, match="region"):
             load_regions(path, graph)
 
+    def test_region_node_missing_from_graph(self, tmp_path, tiny_network):
+        # a mapped node the graph lacks would raise n_regions to its region
+        graph = load_network(*tiny_network)
+        path = write(tmp_path, "r.csv",
+                     "node_id,region_id\n0,0\n1,0\n2,1\n999,9\n7,9\n")
+        with pytest.raises(
+            DataFormatError, match=r"r.csv: nodes not in the road graph: \[7, 999\]$"
+        ):
+            load_regions(path, graph)
+
     def test_good_files(self, tmp_path, tiny_network):
         graph = load_network(*tiny_network)
         st = load_stations(write(tmp_path, "s.csv", "node_id\n0\n2\n"), graph)
@@ -898,6 +908,19 @@ class TestCliSurface:
         assert "prices.csv:26: hour 3 already given on line 5" in caplog.text
         assert not (tmp_path / "o").exists()
 
+    def test_bundled_scenario_with_an_unknown_region_node_rejected(
+        self, tmp_path, caplog
+    ):
+        for name in os.listdir(MINI):
+            (tmp_path / name).write_bytes((MINI / name).read_bytes())
+        with open(tmp_path / "regions.csv", "a") as handle:
+            handle.write("999,9\n")
+        rc = main(["run", "--config", str(tmp_path / "config.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "regions.csv: nodes not in the road graph: [999]" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_epsilon_below_rounding_exits_with_its_cause(
         self, tmp_path, caplog, monkeypatch
     ):
@@ -1010,6 +1033,12 @@ def test_generator_defaults_write_the_bundled_scenario(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == bundled
     for name in bundled:
         assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes(), name
+
+
+def test_generator_rows_and_cols_set_the_grid(tmp_path):
+    load_generator().main(str(tmp_path), rows=6, cols=4)
+    assert len((tmp_path / "nodes.csv").read_text().splitlines()) == 1 + 24
+    assert (tmp_path / "trips.csv").read_text() != (MINI / "trips.csv").read_text()
 
 
 # The same for a generated 2x scenario (40 vehicles, 400 trips), whose plans

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvjtcs.network import (
     RegionMap,
@@ -15,7 +17,7 @@ from pvjtcs.network import (
     shortest_path,
 )
 from conftest import make_grid_graph
-from oracles import bellman_ford
+from oracles import bellman_ford, dict_dijkstra
 
 def line_graph():
     # a(0) -- 1km -- b(1) -- 2km -- c(2), both directions
@@ -33,6 +35,25 @@ def diamond_graph():
         (1, 0, 1.0), (3, 1, 2.0), (2, 0, 2.0), (3, 2, 1.0),
     ]
     return RoadGraph.from_edges(nodes, edges)
+
+
+@st.composite
+def tie_graphs(draw):
+    """A strongly connected graph of 1-12 nodes with ids in any order: a
+    ring through the ids in drawn order, extra edges (self-loops among
+    them) and parallel copies of the edges.  Lengths come from a small set,
+    so equal-length routes are common; 0.1 + 0.2 != 0.3 in floats, so some
+    near-equal ones differ in the last bit."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    lengths = st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0])
+    edges = [(a, b, draw(lengths)) for a, b in zip(ids, ids[1:] + ids[:1]) if a != b]
+    node = st.sampled_from(ids)
+    edges += draw(st.lists(st.tuples(node, node, lengths), max_size=3 * n))
+    if edges:
+        copies = draw(st.lists(st.tuples(st.sampled_from(edges), lengths), max_size=n))
+        edges += [(a, b, w) for (a, b, _), w in copies]
+    return RoadGraph.from_edges({nid: (float(nid), 0.0) for nid in ids}, edges)
 
 
 class TestShortestPath:
@@ -87,6 +108,18 @@ class TestShortestPath:
                     assert distance(g, src, v) == dist
                     assert path[0] == src and path[-1] == v
         assert 0 < accepted < 20  # both outcomes are drawn
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=tie_graphs())
+    def test_equals_the_dict_reference_bit_for_bit(self, g):
+        for src in g.nodes:
+            dist, pred = dict_dijkstra(g, src)
+            assert g.single_source(src)[0] == dist  # exact float equality
+            for v in g.nodes:
+                path = [v]
+                while path[-1] != src:
+                    path.append(pred[path[-1]])
+                assert shortest_path(g, src, v) == (dist[v], path[::-1])
 
     def test_triangle_inequality(self):
         g = diamond_graph()

@@ -244,6 +244,23 @@ class TestInsertionCost:
         with pytest.raises(error):
             planned_insertion(veh, req, line, PARAMS, states_for(old, req))
 
+    def test_mid_edge_vehicle_drives_the_shortest_parallel_edge(self):
+        # the vehicle is halfway along 0->1, which has a 1 km and a 4 km
+        # copy: 0.5 km to node 1 and 1 km on to 2 use 0.45 of its 0.6 kWh
+        # above the reserve; 3.5 km along the longer copy would use more
+        line = RoadGraph.from_edges(
+            {n: (float(n), 0.0) for n in (0, 1, 2)},
+            [(0, 1, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+        )
+        req = make_request(line, 1, 0.0, 1, 2)
+        veh = fresh_vehicle(node=0, energy=PARAMS.e_min + 2.0 * PARAMS.consume_rate)
+        veh.edge_head, veh.edge_progress = 1, 0.5
+        requests = states_for(req)
+        delta, plan = planned_insertion(veh, req, line, PARAMS, requests)
+        assert delta == 1.0
+        assert brute_force_insertion(veh, req, line, PARAMS, requests) == (
+            delta, plan.stops)
+
     @settings(max_examples=400, deadline=None)
     @given(case=insertion_cases())
     def test_matches_brute_force_reference(self, case):
