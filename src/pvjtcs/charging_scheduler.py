@@ -92,6 +92,34 @@ class DayAheadInputs:
             return self.e_init
         return self.terminal_reserve_kwh
 
+    def first_unmet_floor(self) -> tuple[int, float]:
+        """The floor that charging every slot to its cap misses first, and
+        the shortfall: ``(t, kwh)`` for the reserve of slot t in 1..T-1, or
+        ``(T, kwh)`` for the end-of-day floor.
+
+        Charging to ``cap(t)`` with the energy entering each later slot
+        held at or below ``J*c`` gives the most energy the fleet can hold at
+        every floor (the program bounds the end of the day by nothing but
+        its floor), so no plan meets a floor this trajectory misses.  When
+        it misses none, the floor with the least margin is returned with a
+        shortfall of zero or below.
+        """
+        top = self.params.J * self.params.c
+        energy = self.e_init
+        least = (self.T, -math.inf)
+        for t in range(1, self.T + 1):
+            energy = energy - self.consumed[t - 1] + self.cap(t - 1)
+            if t < self.T:
+                energy = min(energy, top)
+                short = self.reserve_floor(t) - energy
+            else:
+                short = self.terminal_floor - energy
+            if short > 0.0:
+                return t, short
+            if short > least[1]:
+                least = (t, short)
+        return least
+
 
 @dataclass
 class ChargingPlan:
@@ -105,73 +133,40 @@ class ChargingPlan:
 def build_lp(inputs: DayAheadInputs) -> LinearProgram:
     """Assemble the day-ahead program.
 
-    Variables are ``E+[t]`` for all T slots and ``Er[t]`` for t >= 1 (the
-    slot-0 energy is data).  Rows: the energy recursion (equalities), the
-    per-slot reserve floors, and the terminal floor; the charging caps and
-    fleet capacity are variable bounds.
+    Variables are ``E+[t]`` for all T slots (columns 0..T-1) and ``Er[t]``
+    for t >= 1 (column T+t-1; the slot-0 energy is data).  Rows: the energy
+    recursion (equalities), the per-slot reserve floors, and the terminal
+    floor; the charging caps and fleet capacity are variable bounds.
     """
     T = inputs.T
-    n_rem = T - 1  # Er[1..T-1]
-    n = T + n_rem
-
-    def e_plus_col(t: int) -> int:
-        return t
-
-    def e_rem_col(t: int) -> int:
-        return T + t - 1
-
-    var_names = [f"E+[{t}]" for t in range(T)] + [f"Er[{t}]" for t in range(1, T)]
-    upper = np.empty(n)
-    for t in range(T):
-        upper[e_plus_col(t)] = inputs.cap(t)
-    for t in range(1, T):
-        upper[e_rem_col(t)] = inputs.params.J * inputs.params.c
-
-    rows, senses, rhs, row_names = [], [], [], []
-
-    def add_row(coeffs: dict[int, float], sense: str, b: float, name: str) -> None:
-        row = np.zeros(n)
-        for j, v in coeffs.items():
-            row[j] = v
-        rows.append(row)
-        senses.append(sense)
-        rhs.append(b)
-        row_names.append(name)
-
-    # energy recursion: Er[t+1] = Er[t] - E-[t] + E+[t]
+    par = inputs.params
+    A = np.zeros((2 * T - 1, 2 * T - 1))
+    b = np.empty(2 * T - 1)
     for t in range(T - 1):
-        coeffs = {e_rem_col(t + 1): 1.0, e_plus_col(t): -1.0}
-        b = -inputs.consumed[t]
+        # energy recursion: Er[t+1] = Er[t] - E-[t] + E+[t]
+        A[t, T + t] = 1.0
+        A[t, t] = -1.0
+        b[t] = -inputs.consumed[t]
         if t == 0:
-            b += inputs.e_init
+            b[t] += inputs.e_init
         else:
-            coeffs[e_rem_col(t)] = -1.0
-        add_row(coeffs, EQ, b, f"recursion[{t}]")
-
-    # reserve: Er[t] >= (1+rho) * max(E-[t], J*e_min)
-    for t in range(1, T):
-        add_row({e_rem_col(t): 1.0}, GE, inputs.reserve_floor(t), f"reserve[{t}]")
-
+            A[t, T + t - 1] = -1.0
+        # reserve: Er[t+1] >= (1+rho) * max(E-[t+1], J*e_min)
+        A[T - 1 + t, T + t] = 1.0
+        b[T - 1 + t] = inputs.reserve_floor(t + 1)
     # terminal: Er[T-1] - E-[T-1] + E+[T-1] >= end-of-day floor
-    coeffs = {e_plus_col(T - 1): 1.0}
-    b = inputs.terminal_floor + inputs.consumed[T - 1]
+    A[-1, T - 1] = 1.0
+    b[-1] = inputs.terminal_floor + inputs.consumed[T - 1]
     if T > 1:
-        coeffs[e_rem_col(T - 1)] = 1.0
+        A[-1, -1] = 1.0
     else:
-        b -= inputs.e_init
-    add_row(coeffs, GE, b, "terminal")
-
-    cost = np.zeros(n)
-    for t in range(T):
-        cost[e_plus_col(t)] = inputs.prices[t]
+        b[-1] -= inputs.e_init
     return LinearProgram(
-        c=cost,
-        A=np.vstack(rows),
-        senses=senses,
-        b=np.array(rhs),
-        upper=upper,
-        var_names=var_names,
-        row_names=row_names,
+        c=list(inputs.prices) + [0.0] * (T - 1),
+        A=A,
+        senses=[EQ] * (T - 1) + [GE] * T,
+        b=b,
+        upper=[inputs.cap(t) for t in range(T)] + [par.J * par.c] * (T - 1),
     )
 
 
@@ -182,11 +177,22 @@ def schedule_charging(inputs: DayAheadInputs) -> ChargingPlan:
     optimal charging sequence, so the bookkeeping identity holds exactly; all
     constraint families are then verified within 1e-6.
     """
-    lp = build_lp(inputs)
     try:
-        sol = solve_lp(lp)
+        sol = solve_lp(build_lp(inputs))
     except LpInfeasibleError as err:
-        raise ChargingInfeasibleError(_diagnose(inputs, err)) from err
+        t, short = inputs.first_unmet_floor()
+        # inside the simplex's phase-1 tolerance the pass may find no miss
+        short = max(short, 0.0)
+        if t < inputs.T:
+            detail = (
+                f"slot {t} needs {inputs.reserve_floor(t):.1f} kwh in reserve "
+                f"but charging caps leave it {short:.1f} kwh short"
+            )
+        else:
+            detail = f"the end-of-day energy floor cannot be met (short {short:.1f} kwh)"
+        raise ChargingInfeasibleError(
+            f"day-ahead charging plan infeasible: {detail}"
+        ) from err
 
     T = inputs.T
     e_plus = [float(sol.x[t]) for t in range(T)]
@@ -216,25 +222,6 @@ def _verify(inputs: DayAheadInputs, plan: ChargingPlan, tol: float = 1e-6) -> No
     end = plan.e_remaining[T - 1] - inputs.consumed[T - 1] + plan.e_plus[T - 1]
     if end < inputs.terminal_floor - tol:
         raise AssertionError("terminal energy floor violated")
-
-
-def _diagnose(inputs: DayAheadInputs, err: LpInfeasibleError) -> str:
-    parts = []
-    for name, short in err.residuals.items():
-        if name.startswith("reserve["):
-            t = int(name[len("reserve[") : -1])
-            parts.append(
-                f"slot {t} needs {inputs.reserve_floor(t):.1f} kwh in reserve but "
-                f"charging caps leave it {short:.1f} kwh short"
-            )
-        elif name == "terminal":
-            parts.append(
-                f"the end-of-day energy floor cannot be met (short {short:.1f} kwh)"
-            )
-        else:
-            parts.append(f"{name} unmet by {short:.1f} kwh")
-    detail = "; ".join(parts) if parts else str(err)
-    return f"day-ahead charging plan infeasible: {detail}"
 
 
 def write_plan_csv(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 
@@ -171,8 +172,8 @@ class StationSet:
 
 @dataclass
 class RegionMap:
-    """Map from node id to region id 0..I-1; against a graph it must be
-    total and name no other node (``validate_against``)."""
+    """Map from node id to region id 0..I-1, each id held by some node;
+    against a graph it must be total (``validate_against``)."""
 
     regions: dict[int, int]
 
@@ -180,9 +181,14 @@ class RegionMap:
         self.regions = {int(k): int(v) for k, v in self.regions.items()}
         if not self.regions:
             raise ValueError("region map is empty")
-        ids = sorted(set(self.regions.values()))
-        if ids[0] < 0:
+        ids = set(self.regions.values())
+        if min(ids) < 0:
             raise ValueError("region ids must be nonnegative")
+        # a skipped id would be a region without nodes
+        top = max(ids)
+        missing = list(islice((k for k in range(top) if k not in ids), 10))
+        if missing:
+            raise ValueError(f"region ids must be 0..{top} without gaps, missing {missing}")
 
     @property
     def n_regions(self) -> int:
@@ -195,14 +201,11 @@ class RegionMap:
             raise KeyError(f"node {node} has no region assignment") from None
 
     def validate_against(self, graph: RoadGraph) -> None:
-        """The map must cover exactly the graph's nodes: a node mapped
-        nowhere, or a mapped id the graph does not hold, is refused."""
+        """The map must cover the graph's nodes: a node mapped nowhere is
+        refused.  (``load_regions`` refuses ids the graph does not hold.)"""
         missing = [v for v in graph.nodes if v not in self.regions]
         if missing:
             raise ValueError(f"nodes without region assignment: {missing[:10]}")
-        unknown = sorted(v for v in self.regions if not graph.has_node(v))
-        if unknown:
-            raise ValueError(f"nodes not in the road graph: {unknown[:10]}")
 
 
 def distance(graph: RoadGraph, frm: int, to: int) -> float:

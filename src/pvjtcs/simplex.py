@@ -4,7 +4,7 @@ Solves ``min c.x`` subject to rows ``A x {<=,=,>=} b`` and bounds
 ``0 <= x <= upper``.  Upper bounds become explicit rows, inequalities get
 slacks, equalities and surplus rows get phase-1 artificials.  Bland's rule
 (lowest eligible index in, lowest basic index on ratio ties) rules out
-cycling; optimality is certified by the reduced costs at exit.
+cycling; a phase ends when no reduced cost is negative.
 
 Sized for day-ahead fleet scheduling: tens of variables, dense tableaus.
 The tableau work is done in bulk: a pivot eliminates its column with one
@@ -19,8 +19,7 @@ order rows are met in, walks the eligible rows one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +29,7 @@ _TOL = 1e-9
 
 
 class LpInfeasibleError(ValueError):
-    """Phase 1 could not zero the artificials; carries the residual rows."""
-
-    def __init__(self, message: str, residuals: dict[str, float]):
-        super().__init__(message)
-        self.residuals = residuals
+    """Phase 1 could not zero the artificials: no feasible point exists."""
 
 
 class LpUnboundedError(ValueError):
@@ -50,8 +45,6 @@ class LinearProgram:
     senses: list[str]
     b: np.ndarray
     upper: np.ndarray
-    var_names: list[str] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
@@ -66,26 +59,16 @@ class LinearProgram:
         for s in self.senses:
             if s not in (LE, GE, EQ):
                 raise ValueError(f"unknown row sense {s!r}")
-        if not self.var_names:
-            self.var_names = [f"x{j}" for j in range(n_vars)]
-        if not self.row_names:
-            self.row_names = [f"row{i}" for i in range(n_rows)]
 
     @property
     def n_vars(self) -> int:
         return self.A.shape[1]
 
-    @property
-    def n_rows(self) -> int:
-        return self.A.shape[0]
-
 
 @dataclass
 class LpSolution:
     x: np.ndarray
-    objective: float
     iterations: int
-    reduced_cost_violation: float
 
 
 def _pivot(tab: np.ndarray, cost: np.ndarray, row: int, col: int) -> None:
@@ -137,9 +120,8 @@ def _run_phase(
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Optimal basic feasible solution of ``lp``.
 
-    Raises :class:`LpInfeasibleError` with the per-row phase-1 residuals when
-    no feasible point exists, :class:`LpUnboundedError` when the objective is
-    unbounded below.
+    Raises :class:`LpInfeasibleError` when no feasible point exists,
+    :class:`LpUnboundedError` when the objective is unbounded below.
     """
     # Fold finite upper bounds in as explicit rows.
     bounded = np.flatnonzero(np.isfinite(lp.upper))
@@ -148,9 +130,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     A = np.vstack((lp.A, bound_rows))
     b = np.concatenate((lp.b, lp.upper[bounded]))
     senses = list(lp.senses) + [LE] * len(bounded)
-    row_names = list(lp.row_names) + [
-        f"bound[{lp.var_names[j]}]" for j in bounded
-    ]
 
     # Normalize to b >= 0.
     flip = b < 0.0
@@ -188,15 +167,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         cost1 = np.subtract.reduce(np.vstack((cost1, tab[art_rows])), axis=0)
         iterations += _run_phase(tab, cost1, basis, n_total)
         if -cost1[-1] > 1e-7:
-            residuals = {
-                row_names[i]: float(tab[i, -1])
-                for i in range(m)
-                if basis[i] >= n + n_slack and tab[i, -1] > 1e-9
-            }
             raise LpInfeasibleError(
-                "no feasible point; unmet rows: "
-                + ", ".join(f"{name} (short {v:.6g})" for name, v in residuals.items()),
-                residuals,
+                f"no feasible point (phase-1 residual {-cost1[-1]:.6g})"
             )
         # Drive any degenerate artificials out of the basis.
         for i in [i for i in range(m) if basis[i] >= n + n_slack]:
@@ -226,11 +198,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     basic = np.flatnonzero(basis_arr < n)
     x = np.zeros(n)
     x[basis_arr[basic]] = tab[basic, -1]
-    finite_rc = cost2[: n + n_slack]
-    violation = float(max(0.0, -np.min(finite_rc))) if len(finite_rc) else 0.0
-    return LpSolution(
-        x=x,
-        objective=float(lp.c @ x),
-        iterations=iterations,
-        reduced_cost_violation=violation,
-    )
+    return LpSolution(x=x, iterations=iterations)

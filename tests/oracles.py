@@ -922,7 +922,6 @@ def loop_solve_lp(lp):
     A_rows = [lp.A]
     senses = list(lp.senses)
     b = list(lp.b)
-    row_names = list(lp.row_names)
     for j in range(lp.n_vars):
         if np.isfinite(lp.upper[j]):
             row = np.zeros(lp.n_vars)
@@ -930,7 +929,6 @@ def loop_solve_lp(lp):
             A_rows.append(row[None, :])
             senses.append(LE)
             b.append(float(lp.upper[j]))
-            row_names.append(f"bound[{lp.var_names[j]}]")
     A = np.vstack(A_rows)
     b = np.array(b)
 
@@ -967,15 +965,8 @@ def loop_solve_lp(lp):
             cost1 -= tab[i]
         iterations += _loop_run_phase(tab, cost1, basis, n_total)
         if -cost1[-1] > 1e-7:
-            residuals = {
-                row_names[i]: float(tab[i, -1])
-                for i in range(m)
-                if basis[i] >= n + n_slack and tab[i, -1] > 1e-9
-            }
             raise LpInfeasibleError(
-                "no feasible point; unmet rows: "
-                + ", ".join(f"{name} (short {v:.6g})" for name, v in residuals.items()),
-                residuals,
+                f"no feasible point (phase-1 residual {-cost1[-1]:.6g})"
             )
         for i in range(m):
             if basis[i] >= n + n_slack:
@@ -997,14 +988,7 @@ def loop_solve_lp(lp):
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i, -1]
-    finite_rc = cost2[: n + n_slack]
-    violation = float(max(0.0, -np.min(finite_rc))) if len(finite_rc) else 0.0
-    return LpSolution(
-        x=x,
-        objective=float(lp.c @ x),
-        iterations=iterations,
-        reduced_cost_violation=violation,
-    )
+    return LpSolution(x=x, iterations=iterations)
 
 
 def scan_nearest_node(graph, lon, lat):

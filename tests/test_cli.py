@@ -769,6 +769,19 @@ class TestCliSurface:
         assert main(["plan-charging", "--inputs", inputs]) == 0
         assert "total cost = 8.000 cents" in capsys.readouterr().out
 
+    def test_infeasible_plan_names_the_first_unmet_floor(self, tmp_path, caplog):
+        # the end-of-day floor is missed too; only slot 5's reserve is named
+        doc = {"consumed": [5.0, 5.0, 50.0, 5.0, 5.0, 60.0],
+               "demand_counts": [0, 0, 2, 2, 2, 2],
+               "prices": [2.0, 3.0, 1.0, 4.0, 1.0, 1.0], "e_init": 60.0,
+               "params": {"J": 2}}
+        inputs = write(tmp_path, "inputs.json", json.dumps(doc))
+        assert main(["plan-charging", "--inputs", inputs]) == 1
+        assert caplog.messages == [
+            "day-ahead charging plan infeasible: slot 5 needs 72.0 kwh in reserve "
+            "but charging caps leave it 59.5 kwh short"
+        ]
+
     def test_solver_failure_exits_nonzero(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
             raise SspmConvergenceError("solver gave up", SspmTrace())
@@ -919,6 +932,22 @@ class TestCliSurface:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "regions.csv: nodes not in the road graph: [999]" in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_bundled_scenario_with_a_skipped_region_id_rejected(
+        self, tmp_path, caplog
+    ):
+        # regions 5-8 would hold no node
+        for name in os.listdir(MINI):
+            (tmp_path / name).write_bytes((MINI / name).read_bytes())
+        text = (MINI / "regions.csv").read_text()
+        assert "\n0,0\n" in text
+        (tmp_path / "regions.csv").write_text(text.replace("\n0,0\n", "\n0,9\n"))
+        rc = main(["run", "--config", str(tmp_path / "config.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert ("regions.csv: region ids must be 0..9 without gaps, "
+                "missing [5, 6, 7, 8]") in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_epsilon_below_rounding_exits_with_its_cause(
