@@ -6,9 +6,7 @@ For each scale S it generates a scenario with the benchmark's generator
 --trips 200S`` does: the bundled 60-node grid, S times the fleet and the
 trips) in a temporary directory, and runs ``pvjtcs run --mode both
 --seed 1`` on it N times per measured tree.  ``--rows`` and ``--cols`` set
-another street grid for every scale (the bundled one is 12 x 5), and
-``--regions`` and ``--stations`` its number of latitude-band regions and of
-charging stations (5 and 5).  Each run
+another street grid for every scale (the bundled one is 12 x 5).  Each run
 is a child process whose ``PYTHONPATH`` starts with the tree's ``src``, and
 it is timed as a whole, in scenario set-up (``build_scenario``: loading the
 files, snapping the trips) and per scheme (``run_jtcs`` and ``run_tgc``);
@@ -151,8 +149,6 @@ def measure(
                 results[label][f"{scale}x"] = {
                     "rows": grid.rows,
                     "cols": grid.cols,
-                    "regions": grid.regions,
-                    "stations": grid.stations,
                     "fleet": BASE_FLEET * scale,
                     "trips": BASE_TRIPS * scale,
                     **best,
@@ -172,10 +168,6 @@ def main(argv=None) -> int:
                         help="street grid rows")
     parser.add_argument("--cols", type=int, default=GridSpec.cols,
                         help="street grid columns")
-    parser.add_argument("--regions", type=int, default=GridSpec.regions,
-                        help="latitude-band regions")
-    parser.add_argument("--stations", type=int, default=GridSpec.stations,
-                        help="charging stations")
     parser.add_argument("--tree", action="append", metavar="LABEL=DIR",
                         help="measure the pvjtcs in DIR/src under LABEL; "
                              "repeat to interleave trees")
@@ -193,11 +185,9 @@ def main(argv=None) -> int:
     if args.repeats < 1 or min(args.scales) < 1:
         parser.error("--repeats and every scale must be >= 1")
     try:
-        grid = GridSpec(rows=args.rows, cols=args.cols, regions=args.regions,
-                        stations=args.stations)
+        grid = GridSpec(rows=args.rows, cols=args.cols)
     except ValueError as err:
-        parser.error(f"--rows {args.rows} --cols {args.cols} --regions "
-                     f"{args.regions} --stations {args.stations}: {err}")
+        parser.error(f"--rows {args.rows} --cols {args.cols}: {err}")
     trees: dict[str, str] = {}
     for spec in args.tree or [f"current={REPO}"]:
         label, sep, tree = spec.partition("=")

@@ -8,15 +8,14 @@ evening ~18:00), and an hourly price curve with a small morning bump and a
 tall evening peak.  Deterministic: fixed RNG seed, stable row order.
 
 --fleet and --trips scale the scenario on the same grid (for example
---fleet 100 --trips 1000 for a 5x day), --rows and --cols change the grid
-(for example --rows 30 --cols 20, 600 nodes), and --regions and --stations
-set the number of latitude-band regions and of charging stations; without
-them the bundled scenario is written byte for byte.  The files come from
-the benchmark's generator, ``perfbench/scenario_gen.py``, whose
-``GridSpec`` defaults are this scenario.
+--fleet 100 --trips 1000 for a 5x day), and --rows and --cols change the
+grid (for example --rows 30 --cols 20, 600 nodes); without them the
+bundled scenario is written byte for byte.  The files come from the
+benchmark's generator, ``perfbench/scenario_gen.py``, whose ``GridSpec``
+defaults are this scenario.
 
 Usage: python3 scripts/make_manhattan_mini.py [out_dir] [--fleet N] [--trips N]
-           [--rows N] [--cols N] [--regions N] [--stations N]
+           [--rows N] [--cols N]
 """
 
 import argparse
@@ -32,9 +31,8 @@ N_TRIPS = GridSpec.trips
 
 
 def main(out_dir, fleet=N_FLEET, trips=N_TRIPS, rows=GridSpec.rows,
-         cols=GridSpec.cols, regions=GridSpec.regions, stations=GridSpec.stations):
-    write(GridSpec(rows=rows, cols=cols, regions=regions, stations=stations,
-                   fleet=fleet, trips=trips), out_dir)
+         cols=GridSpec.cols):
+    write(GridSpec(rows=rows, cols=cols, fleet=fleet, trips=trips), out_dir)
     print(f"wrote {out_dir}: {trips} trips")
 
 
@@ -45,18 +43,12 @@ if __name__ == "__main__":
     parser.add_argument("--trips", type=int, default=N_TRIPS, help="trip requests")
     parser.add_argument("--rows", type=int, default=GridSpec.rows, help="grid rows")
     parser.add_argument("--cols", type=int, default=GridSpec.cols, help="grid columns")
-    parser.add_argument("--regions", type=int, default=GridSpec.regions,
-                        help="latitude-band regions")
-    parser.add_argument("--stations", type=int, default=GridSpec.stations,
-                        help="charging stations")
     args = parser.parse_args()
     if args.fleet < 1 or args.trips < 1:
         parser.error("--fleet and --trips must be at least 1")
     try:
-        GridSpec(rows=args.rows, cols=args.cols, regions=args.regions,
-                 stations=args.stations)
+        GridSpec(rows=args.rows, cols=args.cols)
     except ValueError as err:
-        parser.error(f"--rows {args.rows} --cols {args.cols} --regions "
-                     f"{args.regions} --stations {args.stations}: {err}")
+        parser.error(f"--rows {args.rows} --cols {args.cols}: {err}")
     main(args.out_dir, fleet=args.fleet, trips=args.trips, rows=args.rows,
-         cols=args.cols, regions=args.regions, stations=args.stations)
+         cols=args.cols)

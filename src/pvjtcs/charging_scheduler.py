@@ -68,8 +68,11 @@ class DayAheadInputs:
         if not 0.0 <= self.e_init <= J * self.params.c:
             raise ValueError("initial energy outside [0, fleet capacity]")
         reserve = self.terminal_reserve_kwh
-        if reserve is not None and not -math.inf < reserve < math.inf:
-            raise ValueError(f"terminal_reserve_kwh must be finite, got {reserve}")
+        if reserve is not None and not -math.inf < reserve <= J * self.params.c:
+            raise ValueError(
+                "terminal_reserve_kwh must be finite and at most fleet capacity "
+                f"{J * self.params.c} kwh, got {reserve}"
+            )
 
     @property
     def T(self) -> int:
@@ -97,23 +100,20 @@ class DayAheadInputs:
         the shortfall: ``(t, kwh)`` for the reserve of slot t in 1..T-1, or
         ``(T, kwh)`` for the end-of-day floor.
 
-        Charging to ``cap(t)`` with the energy entering each later slot
-        held at or below ``J*c`` gives the most energy the fleet can hold at
-        every floor (the program bounds the end of the day by nothing but
-        its floor), so no plan meets a floor this trajectory misses.  When
-        it misses none, the floor with the least margin is returned with a
-        shortfall of zero or below.
+        Charging to ``cap(t)`` with the fleet's energy held at or below
+        ``J*c`` gives the most energy the fleet can hold at every floor (the
+        program leaves the end of the day unbounded, but its floor is at
+        most ``J*c``), so no plan meets a floor this trajectory misses.
+        When it misses none, the floor with the least margin is returned
+        with a shortfall of zero or below.
         """
         top = self.params.J * self.params.c
         energy = self.e_init
         least = (self.T, -math.inf)
         for t in range(1, self.T + 1):
-            energy = energy - self.consumed[t - 1] + self.cap(t - 1)
-            if t < self.T:
-                energy = min(energy, top)
-                short = self.reserve_floor(t) - energy
-            else:
-                short = self.terminal_floor - energy
+            energy = min(energy - self.consumed[t - 1] + self.cap(t - 1), top)
+            floor = self.reserve_floor(t) if t < self.T else self.terminal_floor
+            short = floor - energy
             if short > 0.0:
                 return t, short
             if short > least[1]:

@@ -125,10 +125,6 @@ def load_regions(path: str, graph: RoadGraph) -> RegionMap:
             raise DataFormatError(f"{path}:{lineno}: {err}") from None
         _once(lines, node, path, lineno, "node")
         mapping[node] = region
-    # checked first: a row for an unknown node may also skip region ids
-    unknown = sorted(node for node in mapping if not graph.has_node(node))
-    if unknown:
-        raise DataFormatError(f"{path}: nodes not in the road graph: {unknown[:10]}")
     try:
         regions = RegionMap(mapping)
         regions.validate_against(graph)

@@ -172,8 +172,8 @@ class StationSet:
 
 @dataclass
 class RegionMap:
-    """Map from node id to region id 0..I-1, each id held by some node;
-    against a graph it must be total (``validate_against``)."""
+    """Map from node id to region id 0..I-1; against a graph it must be
+    total, name no other node and hold every id (``validate_against``)."""
 
     regions: dict[int, int]
 
@@ -181,14 +181,9 @@ class RegionMap:
         self.regions = {int(k): int(v) for k, v in self.regions.items()}
         if not self.regions:
             raise ValueError("region map is empty")
-        ids = set(self.regions.values())
-        if min(ids) < 0:
+        ids = sorted(set(self.regions.values()))
+        if ids[0] < 0:
             raise ValueError("region ids must be nonnegative")
-        # a skipped id would be a region without nodes
-        top = max(ids)
-        missing = list(islice((k for k in range(top) if k not in ids), 10))
-        if missing:
-            raise ValueError(f"region ids must be 0..{top} without gaps, missing {missing}")
 
     @property
     def n_regions(self) -> int:
@@ -201,11 +196,20 @@ class RegionMap:
             raise KeyError(f"node {node} has no region assignment") from None
 
     def validate_against(self, graph: RoadGraph) -> None:
-        """The map must cover the graph's nodes: a node mapped nowhere is
-        refused.  (``load_regions`` refuses ids the graph does not hold.)"""
+        """The map must cover exactly the graph's nodes and skip no region
+        id: a node mapped nowhere, a mapped id the graph does not hold, or a
+        region without nodes is refused."""
         missing = [v for v in graph.nodes if v not in self.regions]
         if missing:
             raise ValueError(f"nodes without region assignment: {missing[:10]}")
+        unknown = sorted(v for v in self.regions if not graph.has_node(v))
+        if unknown:
+            raise ValueError(f"nodes not in the road graph: {unknown[:10]}")
+        ids = set(self.regions.values())
+        top = max(ids)
+        skipped = list(islice((k for k in range(top) if k not in ids), 10))
+        if skipped:
+            raise ValueError(f"region ids must be 0..{top} without gaps, missing {skipped}")
 
 
 def distance(graph: RoadGraph, frm: int, to: int) -> float:

@@ -2,8 +2,6 @@
 
 import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -35,10 +33,9 @@ def test_one_scale_one_repeat(tmp_path):
     assert run["repeats"] == 1 and set(run["scales"]) == {"1x"}
     assert run["interleaved_with"] == []
     one = run["scales"]["1x"]
-    assert set(one) == {"rows", "cols", "regions", "stations", "fleet", "trips",
-                        "wall_s", "setup_s", "jtcs_s", "tgc_s", "outputs_sha256"}
-    # the bundled grid
-    assert (one["rows"], one["cols"], one["regions"], one["stations"]) == (12, 5, 5, 5)
+    assert set(one) == {"rows", "cols", "fleet", "trips", "wall_s", "setup_s",
+                        "jtcs_s", "tgc_s", "outputs_sha256"}
+    assert (one["rows"], one["cols"]) == (12, 5)  # the bundled grid
     assert (one["fleet"], one["trips"]) == (20, 200)
     assert 0.0 < one["setup_s"] and 0.0 < one["jtcs_s"] and 0.0 < one["tgc_s"]
     assert one["setup_s"] + one["jtcs_s"] + one["tgc_s"] <= one["wall_s"]
@@ -64,9 +61,9 @@ def test_trees_interleave_in_child_processes(tmp_path, monkeypatch):
     assert runs["parent"]["interleaved_with"] == ["change"]
     assert runs["change"]["interleaved_with"] == ["parent"]
     parent, change = runs["parent"]["scales"]["1x"], runs["change"]["scales"]["1x"]
-    assert set(parent) == set(change) == {"rows", "cols", "regions", "stations",
-                                          "fleet", "trips", "wall_s", "setup_s",
-                                          "jtcs_s", "tgc_s", "outputs_sha256"}
+    assert set(parent) == set(change) == {"rows", "cols", "fleet", "trips",
+                                          "wall_s", "setup_s", "jtcs_s", "tgc_s",
+                                          "outputs_sha256"}
     assert parent["outputs_sha256"] == change["outputs_sha256"]
 
     # repeats alternate which tree runs first
@@ -106,44 +103,7 @@ def test_rows_and_cols_set_the_grid(tmp_path, monkeypatch):
     assert len(nodes[0].splitlines()) == 1 + 24  # the scenario's 6 x 4 grid
 
 
-def regions_and_stations(scenario):
-    """The region ids of ``regions.csv`` and the rows of ``stations.csv``."""
-    regions = {line.split(",")[1]
-               for line in (scenario / "regions.csv").read_text().splitlines()[1:]}
-    stations = (scenario / "stations.csv").read_text().splitlines()[1:]
-    return sorted(map(int, regions)), len(stations)
-
-
-def test_regions_and_stations_reach_the_scenario(tmp_path, monkeypatch):
-    bench = load_bench()
-    seen = []
-
-    def fake_child(tree, config, out_dir):
-        seen.append(regions_and_stations(Path(config).parent))
-        for name in bench.OUTPUTS:
-            (Path(out_dir) / name).parent.mkdir(parents=True, exist_ok=True)
-            (Path(out_dir) / name).write_text(tree)
-        return {"wall_s": 1.0, "setup_s": 0.1, "jtcs_s": 0.4, "tgc_s": 0.5}
-
-    monkeypatch.setattr(bench, "run_child", fake_child)
-    out = tmp_path / "BENCH.json"
-    rc = bench.main(["--scales", "1", "--repeats", "1", "--regions", "3",
-                     "--stations", "7", "--out", str(out)])
-    assert rc == 0
-    one = json.loads(out.read_text())["runs"]["current"]["scales"]["1x"]
-    assert (one["rows"], one["cols"], one["regions"], one["stations"]) == (12, 5, 3, 7)
-    assert seen == [([0, 1, 2], 7)]
-
-    # the scenario script takes the same flags
-    scenario = tmp_path / "scenario"
-    subprocess.run([sys.executable, str(REPO / "scripts" / "make_manhattan_mini.py"),
-                    str(scenario), "--regions", "3", "--stations", "7"],
-                   check=True, capture_output=True)
-    assert regions_and_stations(scenario) == ([0, 1, 2], 7)
-
-
-@pytest.mark.parametrize("args", [["--rows", "4"], ["--cols", "0"],
-                                  ["--regions", "13"], ["--stations", "0"]])
+@pytest.mark.parametrize("args", [["--rows", "4"], ["--cols", "0"]])
 def test_grid_too_small_is_refused(tmp_path, args, capsys):
     bench = load_bench()
     with pytest.raises(SystemExit):

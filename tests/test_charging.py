@@ -165,8 +165,8 @@ def day_ahead_inputs(draw):
     """Day-ahead inputs with tied prices, idle slots (zero consumption:
     degenerate reserve rows), on half the days full-demand slots (zero
     caps), on half the days heavy driving (up to 12 kwh a vehicle, above a
-    slot's 5 kwh cap), an optional end-of-day target up to above fleet
-    capacity, and a starting energy from full down to low enough to make
+    slot's 5 kwh cap), an optional end-of-day target up to fleet capacity,
+    and a starting energy from full down to low enough to make
     some programs infeasible."""
     T = draw(st.integers(min_value=1, max_value=24))
     J = draw(st.integers(min_value=2, max_value=30))
@@ -186,7 +186,7 @@ def day_ahead_inputs(draw):
     if draw(st.booleans()):
         demand = st.one_of(st.just(J), demand)
     reserve = st.one_of(
-        st.none(), st.floats(min_value=0.0, max_value=1.2 * J * params.c)
+        st.none(), st.floats(min_value=0.0, max_value=J * params.c)
     )
     full = st.just(1.0)  # a full fleet, whose energy the J*c bound holds down
     return DayAheadInputs(
@@ -358,20 +358,6 @@ class TestScheduleCharging:
         assert met.first_unmet_floor() == (2, -10.0)
         schedule_charging(met)
 
-    def test_only_the_energy_between_slots_is_held_to_fleet_capacity(self):
-        # the program bounds the energy entering slot 1 by J*c = 90 kwh but
-        # leaves the end of the day unbounded, so a 100 kwh target is met
-        inputs = DayAheadInputs(
-            consumed=[0.0, 0.0],
-            demand_counts=[0, 0],
-            prices=[1.0, 1.0],
-            e_init=90.0,
-            params=GameParams(J=2),
-            terminal_reserve_kwh=100.0,
-        )
-        assert inputs.first_unmet_floor() == (2, -1.25)
-        assert schedule_charging(inputs).cost == pytest.approx(10.0)
-
     @settings(max_examples=300, deadline=None)
     @given(inputs=day_ahead_inputs())
     def test_raises_exactly_when_the_forward_pass_misses_a_floor(self, inputs):
@@ -388,15 +374,15 @@ class TestScheduleCharging:
         else:
             assert short < 1e-6
             return
-        short = max(short, 0.0)
+        assert message.startswith("day-ahead charging plan infeasible: ")
+        shortfall = f"{max(short, 0.0):.1f} kwh"
+        # one floor is named: slot t's reserve or the end of the day
         if t < inputs.T:
-            detail = (
-                f"slot {t} needs {inputs.reserve_floor(t):.1f} kwh in reserve "
-                f"but charging caps leave it {short:.1f} kwh short"
-            )
+            assert f"slot {t} " in message and "end-of-day" not in message
+            assert f"{shortfall} short" in message
         else:
-            detail = f"the end-of-day energy floor cannot be met (short {short:.1f} kwh)"
-        assert message == f"day-ahead charging plan infeasible: {detail}"
+            assert "slot" not in message and "end-of-day" in message
+            assert f"(short {shortfall})" in message
         assert "[" not in message
 
     def test_optimum_beats_greedy(self):
@@ -540,6 +526,9 @@ class TestValidationAndExport:
         ("consumed", [3.0, math.inf], "consumed must be finite and nonnegative"),
         ("terminal_reserve_kwh", math.nan, "terminal_reserve_kwh must be finite"),
         ("terminal_reserve_kwh", math.inf, "terminal_reserve_kwh must be finite"),
+        # the program leaves the end of the day unbounded: a target above
+        # the fleet's 20 kwh would end the day above its capacity
+        ("terminal_reserve_kwh", 20.5, "at most fleet capacity 20.0 kwh, got 20.5"),
     ])
     def test_non_finite_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

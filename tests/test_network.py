@@ -235,12 +235,12 @@ class TestStructures:
     @pytest.mark.parametrize("regions, message", [
         ({0: 0, 1: 2, 2: 4}, r"region ids must be 0..4 without gaps, missing \[1, 3\]$"),
         # a huge id names the first ten gaps without walking up to it
-        ({0: 0, 1: 10**12}, r"0..1000000000000 without gaps, missing \[1, .*, 10\]$"),
-        ({0: -1, 1: 0}, "region ids must be nonnegative"),
+        ({0: 0, 1: 10**12, 2: 0}, r"0..1000000000000 without gaps, missing \[1, .*, 10\]$"),
+        ({0: -1, 1: 0, 2: 0}, "region ids must be nonnegative"),
     ])
     def test_region_ids_without_gaps(self, regions, message):
         with pytest.raises(ValueError, match=message):
-            RegionMap(regions)
+            RegionMap(regions).validate_against(line_graph())
 
     def test_cache_consistency(self):
         g = line_graph()
