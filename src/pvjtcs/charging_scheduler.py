@@ -3,11 +3,11 @@
 Given the consumed-energy profile of an unconstrained (infinite-energy) dry
 run, the per-slot transportation counts and the price curve, pick how much
 the fleet charges in every slot.  The program is linear: the fleet energy
-follows the bookkeeping recursion, every slot keeps a reserve so the next
-slot's driving and the trip to a station are always covered, the day must
-not end below its starting energy (or a configured terminal target), slot
-charging is capped by the vehicles not needed for transportation, and fleet
-energy never exceeds total battery capacity.
+follows the bookkeeping recursion, slot charging is capped by the vehicles
+not needed for transportation, and every energy level, the end of the day
+included, stays between its floor and total battery capacity.  A slot's
+floor covers its driving and the trip to a station; the day must not end
+below its starting energy (or a configured terminal target).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from pvjtcs.model import GameParams
-from pvjtcs.simplex import EQ, GE, LinearProgram, LpInfeasibleError, solve_lp
+from pvjtcs.simplex import EQ, GE, LE, LinearProgram, LpInfeasibleError, solve_lp
 
 
 class ChargingInfeasibleError(ValueError):
@@ -65,55 +65,64 @@ class DayAheadInputs:
         J = self.params.J
         if any(not 0 <= dc <= J for dc in self.demand_counts):
             raise ValueError(f"demand counts must lie in [0, J={J}]")
-        if not 0.0 <= self.e_init <= J * self.params.c:
+        if not 0.0 <= self.e_init <= self.ceiling:
             raise ValueError("initial energy outside [0, fleet capacity]")
         reserve = self.terminal_reserve_kwh
-        if reserve is not None and not -math.inf < reserve <= J * self.params.c:
+        if reserve is not None and not 0.0 <= reserve <= self.ceiling:
             raise ValueError(
-                "terminal_reserve_kwh must be finite and at most fleet capacity "
-                f"{J * self.params.c} kwh, got {reserve}"
+                "terminal_reserve_kwh must be finite, nonnegative and at most "
+                f"fleet capacity {self.ceiling} kwh, got {reserve}"
             )
 
     @property
     def T(self) -> int:
         return len(self.consumed)
 
+    @property
+    def ceiling(self) -> float:
+        """Most energy the fleet holds at any level: J*c."""
+        return self.params.J * self.params.c
+
     def cap(self, t: int) -> float:
         """Most slot t can charge: r per vehicle not needed to transport."""
         return max(self.params.J - self.demand_counts[t], 0) * self.params.r
 
-    def reserve_floor(self, t: int) -> float:
-        """Least fleet energy entering slot t: (1 + rho) times the larger of
-        the slot's driving and every vehicle's minimum energy."""
-        par = self.params
-        return (1.0 + par.rho) * max(self.consumed[t], par.J * par.e_min)
-
-    @property
-    def terminal_floor(self) -> float:
-        """Least fleet energy at the end of the day."""
+    def floor(self, t: int) -> float:
+        """Least fleet energy at level t in 1..T.  Level t < T enters slot
+        t and keeps a reserve of (1 + rho) times the larger of the slot's
+        driving and every vehicle's minimum energy.  Level T is the end of
+        the day, which keeps ``e_init`` or ``terminal_reserve_kwh``."""
+        if t < self.T:
+            par = self.params
+            return (1.0 + par.rho) * max(self.consumed[t], par.J * par.e_min)
         if self.terminal_reserve_kwh is None:
             return self.e_init
         return self.terminal_reserve_kwh
 
+    def levels(self, charges: Sequence[float], top: float = math.inf) -> list[float]:
+        """Fleet energy at levels 0..T when slot t charges ``charges[t]``:
+        ``e[t+1] = min(e[t] - consumed[t] + charges[t], top)`` from
+        ``e[0] = e_init``."""
+        energy = [self.e_init]
+        for used, charge in zip(self.consumed, charges):
+            energy.append(min(energy[-1] - used + charge, top))
+        return energy
+
     def first_unmet_floor(self) -> tuple[int, float]:
         """The floor that charging every slot to its cap misses first, and
-        the shortfall: ``(t, kwh)`` for the reserve of slot t in 1..T-1, or
-        ``(T, kwh)`` for the end-of-day floor.
+        the shortfall: ``(t, kwh)`` for level t in 1..T, where T is the end
+        of the day.
 
-        Charging to ``cap(t)`` with the fleet's energy held at or below
-        ``J*c`` gives the most energy the fleet can hold at every floor (the
-        program leaves the end of the day unbounded, but its floor is at
-        most ``J*c``), so no plan meets a floor this trajectory misses.
-        When it misses none, the floor with the least margin is returned
-        with a shortfall of zero or below.
+        Charging to ``cap(t)`` with every level held at or below ``J*c``
+        gives the most energy the fleet can hold at every level, so no plan
+        meets a floor this trajectory misses.  When it misses none, the
+        floor with the least margin is returned with a shortfall of zero or
+        below.
         """
-        top = self.params.J * self.params.c
-        energy = self.e_init
+        levels = self.levels([self.cap(t) for t in range(self.T)], self.ceiling)
         least = (self.T, -math.inf)
         for t in range(1, self.T + 1):
-            energy = min(energy - self.consumed[t - 1] + self.cap(t - 1), top)
-            floor = self.reserve_floor(t) if t < self.T else self.terminal_floor
-            short = floor - energy
+            short = self.floor(t) - levels[t]
             if short > 0.0:
                 return t, short
             if short > least[1]:
@@ -135,13 +144,12 @@ def build_lp(inputs: DayAheadInputs) -> LinearProgram:
 
     Variables are ``E+[t]`` for all T slots (columns 0..T-1) and ``Er[t]``
     for t >= 1 (column T+t-1; the slot-0 energy is data).  Rows: the energy
-    recursion (equalities), the per-slot reserve floors, and the terminal
-    floor; the charging caps and fleet capacity are variable bounds.
+    recursion (equalities), the floors of levels 1..T and the end-of-day
+    ceiling; the charging caps and the other ceilings are variable bounds.
     """
     T = inputs.T
-    par = inputs.params
-    A = np.zeros((2 * T - 1, 2 * T - 1))
-    b = np.empty(2 * T - 1)
+    A = np.zeros((2 * T, 2 * T - 1))
+    b = np.empty(2 * T)
     for t in range(T - 1):
         # energy recursion: Er[t+1] = Er[t] - E-[t] + E+[t]
         A[t, T + t] = 1.0
@@ -153,20 +161,20 @@ def build_lp(inputs: DayAheadInputs) -> LinearProgram:
             A[t, T + t - 1] = -1.0
         # reserve: Er[t+1] >= (1+rho) * max(E-[t+1], J*e_min)
         A[T - 1 + t, T + t] = 1.0
-        b[T - 1 + t] = inputs.reserve_floor(t + 1)
-    # terminal: Er[T-1] - E-[T-1] + E+[T-1] >= end-of-day floor
-    A[-1, T - 1] = 1.0
-    b[-1] = inputs.terminal_floor + inputs.consumed[T - 1]
+        b[T - 1 + t] = inputs.floor(t + 1)
+    # end of the day: floor(T) <= Er[T-1] - E-[T-1] + E+[T-1] <= J*c
+    A[-2:, T - 1] = 1.0
+    b[-2:] = np.array([inputs.floor(T), inputs.ceiling]) + inputs.consumed[T - 1]
     if T > 1:
-        A[-1, -1] = 1.0
+        A[-2:, -1] = 1.0
     else:
-        b[-1] -= inputs.e_init
+        b[-2:] -= inputs.e_init
     return LinearProgram(
         c=list(inputs.prices) + [0.0] * (T - 1),
         A=A,
-        senses=[EQ] * (T - 1) + [GE] * T,
+        senses=[EQ] * (T - 1) + [GE] * T + [LE],
         b=b,
-        upper=[inputs.cap(t) for t in range(T)] + [par.J * par.c] * (T - 1),
+        upper=[inputs.cap(t) for t in range(T)] + [inputs.ceiling] * (T - 1),
     )
 
 
@@ -185,7 +193,7 @@ def schedule_charging(inputs: DayAheadInputs) -> ChargingPlan:
         short = max(short, 0.0)
         if t < inputs.T:
             detail = (
-                f"slot {t} needs {inputs.reserve_floor(t):.1f} kwh in reserve "
+                f"slot {t} needs {inputs.floor(t):.1f} kwh in reserve "
                 f"but charging caps leave it {short:.1f} kwh short"
             )
         else:
@@ -194,14 +202,11 @@ def schedule_charging(inputs: DayAheadInputs) -> ChargingPlan:
             f"day-ahead charging plan infeasible: {detail}"
         ) from err
 
-    T = inputs.T
-    e_plus = [float(sol.x[t]) for t in range(T)]
-    e_remaining = [inputs.e_init]
-    for t in range(T - 1):
-        e_remaining.append(e_remaining[t] - inputs.consumed[t] + e_plus[t])
+    # + 0.0 turns the simplex's -0.0 into 0.0; other values keep their bits
+    e_plus = (sol.x[: inputs.T] + 0.0).tolist()
     plan = ChargingPlan(
         e_plus=e_plus,
-        e_remaining=e_remaining,
+        e_remaining=inputs.levels(e_plus)[:-1],
         cost=float(sum(p * e for p, e in zip(inputs.prices, e_plus))),
     )
     _verify(inputs, plan)
@@ -209,19 +214,13 @@ def schedule_charging(inputs: DayAheadInputs) -> ChargingPlan:
 
 
 def _verify(inputs: DayAheadInputs, plan: ChargingPlan, tol: float = 1e-6) -> None:
-    par = inputs.params
-    T = inputs.T
-    for t in range(T):
+    for t in range(inputs.T):
         if not -tol <= plan.e_plus[t] <= inputs.cap(t) + tol:
             raise AssertionError(f"charging cap violated in slot {t}")
-        if not -tol <= plan.e_remaining[t] <= par.J * par.c + tol:
-            raise AssertionError(f"fleet capacity violated in slot {t}")
-    for t in range(1, T):
-        if plan.e_remaining[t] < inputs.reserve_floor(t) - tol:
-            raise AssertionError(f"reserve violated in slot {t}")
-    end = plan.e_remaining[T - 1] - inputs.consumed[T - 1] + plan.e_plus[T - 1]
-    if end < inputs.terminal_floor - tol:
-        raise AssertionError("terminal energy floor violated")
+    levels = inputs.levels(plan.e_plus)
+    for t in range(1, inputs.T + 1):
+        if not inputs.floor(t) - tol <= levels[t] <= inputs.ceiling + tol:
+            raise AssertionError(f"energy level {t} outside [floor, fleet capacity]")
 
 
 def write_plan_csv(

@@ -74,6 +74,10 @@ class GameParams:
             value = getattr(self, f.name)
             if not -math.inf < value < math.inf:
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("J", "seats"):
+            value = getattr(self, name)
+            if value != int(value):
+                raise ValueError(f"{name} must be a whole number, got {value}")
 
     @property
     def full_threshold(self) -> float:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvjtcs import charging_scheduler
 from pvjtcs.charging_scheduler import (
     ChargingInfeasibleError,
     ChargingPlan,
@@ -25,6 +26,7 @@ from pvjtcs.simplex import (
     LE,
     LinearProgram,
     LpInfeasibleError,
+    LpSolution,
     LpUnboundedError,
     solve_lp,
 )
@@ -162,16 +164,17 @@ def small_lps(draw):
 
 @st.composite
 def day_ahead_inputs(draw):
-    """Day-ahead inputs with tied prices, idle slots (zero consumption:
-    degenerate reserve rows), on half the days full-demand slots (zero
-    caps), on half the days heavy driving (up to 12 kwh a vehicle, above a
-    slot's 5 kwh cap), an optional end-of-day target up to fleet capacity,
-    and a starting energy from full down to low enough to make
-    some programs infeasible."""
+    """Day-ahead inputs with tied and zero prices, idle slots (zero
+    consumption: degenerate reserve rows), on half the days full-demand
+    slots (zero caps), on half the days heavy driving (up to 12 kwh a
+    vehicle, above a slot's 5 kwh cap), an optional end-of-day target up to
+    fleet capacity, and a starting energy from full down to low enough to
+    make some programs infeasible."""
     T = draw(st.integers(min_value=1, max_value=24))
     J = draw(st.integers(min_value=2, max_value=30))
     params = toy_params(J=J, c=40.0, r=5.0, e_min=1.0, rho=0.2)
     prices = st.one_of(
+        st.just(0.0),
         st.sampled_from([1.0, 2.0, 3.0]),
         st.floats(min_value=0.5, max_value=9.0, allow_subnormal=False),
     )
@@ -233,9 +236,10 @@ class TestBuildLp:
             [-1.0, 0.0, 1.0],  # recursion: Er[1] - E+[0] = e_init - E-[0]
             [0.0, 0.0, 1.0],  # reserve: Er[1] >= 1.2 * max(E-[1], J*e_min)
             [0.0, 1.0, 1.0],  # terminal: Er[1] + E+[1] >= e_init + E-[1]
+            [0.0, 1.0, 1.0],  # ceiling: Er[1] + E+[1] <= J*c + E-[1]
         ]
-        assert lp.senses == [EQ, GE, GE]
-        assert lp.b.tolist() == [4.0, 1.2, 6.0]
+        assert lp.senses == [EQ, GE, GE, LE]
+        assert lp.b.tolist() == [4.0, 1.2, 6.0, 11.0]
         assert lp.c.tolist() == [1.0, 1.0, 0.0]
         assert lp.upper.tolist() == [2.0, 2.0, 10.0]
 
@@ -358,6 +362,33 @@ class TestScheduleCharging:
         assert met.first_unmet_floor() == (2, -10.0)
         schedule_charging(met)
 
+    def test_free_last_slot_fills_the_fleet_only_to_capacity(self):
+        inputs = DayAheadInputs(
+            consumed=[1.0, 1.0],
+            demand_counts=[0, 0],
+            prices=[1.0, 0.0],
+            e_init=90.0,
+            params=GameParams(J=2),
+        )
+        plan = schedule_charging(inputs)
+        # slot 1 is free, but the day ends at the fleet's 90 kwh, not above
+        assert plan.e_plus == [0.0, 2.0]
+        assert plan.e_remaining == [90.0, 89.0]
+        assert plan.e_remaining[1] - inputs.consumed[1] + plan.e_plus[1] == 90.0
+        assert plan.cost == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=day_ahead_inputs())
+    def test_every_level_lies_between_its_floor_and_fleet_capacity(self, inputs):
+        try:
+            plan = schedule_charging(inputs)
+        except ChargingInfeasibleError:
+            return
+        end = plan.e_remaining[-1] - inputs.consumed[-1] + plan.e_plus[-1]
+        top = inputs.params.J * inputs.params.c
+        for level, floor in zip(plan.e_remaining[1:] + [end], level_floors(inputs)):
+            assert floor - 1e-6 <= level <= top + 1e-6
+
     @settings(max_examples=300, deadline=None)
     @given(inputs=day_ahead_inputs())
     def test_raises_exactly_when_the_forward_pass_misses_a_floor(self, inputs):
@@ -471,28 +502,30 @@ def random_inputs(rng) -> DayAheadInputs:
     )
 
 
+def level_floors(inputs: DayAheadInputs) -> list[float]:
+    """The floors of levels 1..T, written out from the program's
+    definition: the reserve entering each slot after the first, then the
+    end-of-day floor."""
+    par = inputs.params
+    end = inputs.terminal_reserve_kwh
+    return [
+        (1.0 + par.rho) * max(used, par.J * par.e_min) for used in inputs.consumed[1:]
+    ] + [inputs.e_init if end is None else end]
+
+
 def greedy_plan(inputs: DayAheadInputs) -> float | None:
     """Charge as much as allowed every slot; None if that breaks a floor."""
     par = inputs.params
     e = inputs.e_init
     cost = 0.0
-    for t in range(inputs.T):
+    for t, floor in enumerate(level_floors(inputs)):
         cap = max(par.J - inputs.demand_counts[t], 0) * par.r
         charge = min(cap, par.J * par.c - (e - inputs.consumed[t]))
         charge = max(charge, 0.0)
         e = e - inputs.consumed[t] + charge
         cost += inputs.prices[t] * charge
-        if t + 1 < inputs.T:
-            floor = (1.0 + par.rho) * max(inputs.consumed[t + 1], par.J * par.e_min)
-            if e < floor - 1e-9:
-                return None
-    terminal_floor = (
-        inputs.e_init
-        if inputs.terminal_reserve_kwh is None
-        else inputs.terminal_reserve_kwh
-    )
-    if e < terminal_floor - 1e-9:
-        return None
+        if e < floor - 1e-9:
+            return None
     return cost
 
 
@@ -526,9 +559,9 @@ class TestValidationAndExport:
         ("consumed", [3.0, math.inf], "consumed must be finite and nonnegative"),
         ("terminal_reserve_kwh", math.nan, "terminal_reserve_kwh must be finite"),
         ("terminal_reserve_kwh", math.inf, "terminal_reserve_kwh must be finite"),
-        # the program leaves the end of the day unbounded: a target above
-        # the fleet's 20 kwh would end the day above its capacity
+        # no plan can end the day outside [0, J*c], the fleet's 20 kwh
         ("terminal_reserve_kwh", 20.5, "at most fleet capacity 20.0 kwh, got 20.5"),
+        ("terminal_reserve_kwh", -0.5, "nonnegative and at most fleet capacity"),
     ])
     def test_non_finite_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -543,3 +576,16 @@ class TestValidationAndExport:
         assert len(lines) == TOY.T + 1
         cells = lines[1].split(",")
         assert float(cells[3]) == plan.e_plus[0]
+
+    def test_no_negative_zero_in_a_plan(self, monkeypatch):
+        # the simplex may return a zero charge as -0.0
+        x = np.array([4.0, -0.0, 7.0])
+        monkeypatch.setattr(
+            charging_scheduler, "solve_lp", lambda lp: LpSolution(x=x, iterations=0)
+        )
+        plan = schedule_charging(TOY)
+        assert plan.e_plus == [4.0, 0.0]
+        assert math.copysign(1.0, plan.e_plus[1]) == 1.0
+        buf = io.StringIO()
+        write_plan_csv(plan, TOY, buf)
+        assert buf.getvalue().splitlines()[2] == "1,5.0,1.0,0.0,7.0"

@@ -47,6 +47,8 @@ BAD_PARAMS = [
     ({"slot_hours": 0.5}, "unknown parameter overrides: ['slot_hours']"),
     # the certificate's bound is a solver constant, not a parameter
     ({"epsilon": 1e-3}, "unknown parameter overrides: ['epsilon']"),
+    # a vehicle holds a whole number of passengers
+    ({"seats": 2.5}, "seats must be a whole number, got 2.5"),
 ]
 # the solve-vi instance that the console-script check in CI runs
 SYMMETRIC_GAME = {"m": [10, 10], "d": [5, 5], "d_total": 8, "e_plus": 8.0,
@@ -697,6 +699,9 @@ class TestCliSurface:
         ("consumed", [math.nan, 2.0], "consumed must be finite and nonnegative"),
         ("terminal_reserve_kwh", math.nan, "terminal_reserve_kwh must be finite"),
         ("terminal_reserve", 100.0, "unknown inputs keys: ['terminal_reserve']"),
+        ("terminal_reserve_kwh", -100.0,
+         "terminal_reserve_kwh must be finite, nonnegative and at most fleet capacity"),
+        ("params", {"J": 2.5}, "J must be a whole number, got 2.5"),
     ])
     def test_plan_charging_rejects_bad_inputs(self, tmp_path, caplog, key, value,
                                               message):

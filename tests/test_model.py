@@ -160,6 +160,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GameParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["J", "seats"])
+    def test_counts_must_be_whole(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number"):
+            GameParams(**{name: 2.5})
+        assert getattr(GameParams(**{name: 2.0}), name) == 2
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GameParams)])
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError, match=rf"^{name} must"):
