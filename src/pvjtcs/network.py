@@ -44,6 +44,12 @@ class RoadGraph:
                         f"edge {node}->{to} length {length} not in (0, inf)"
                     )
             edges.sort()
+        # edge_km[u][v]: the km a vehicle drives from u to its neighbour v,
+        # the shortest of parallel edges (read in reverse, the sorted list
+        # writes each head's shortest length last)
+        self.edge_km = {
+            node: dict(reversed(edges)) for node, edges in self.adjacency.items()
+        }
         self._ids = sorted(self.coords)
         self._position = {nid: k for k, nid in enumerate(self._ids)}
         self._out = [

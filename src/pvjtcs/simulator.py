@@ -74,8 +74,12 @@ class Scenario:
         lo, hi = self.init_energy_range
         if not 0.0 <= lo <= hi <= self.params.c:
             raise ValueError("initial energy range outside [0, battery capacity]")
-        if not 0.0 < self.batch_minutes < math.inf:
-            raise ValueError(f"batch_minutes {self.batch_minutes} is not finite and > 0")
+        # a batch under a second would split each slot into countless batches
+        if not 1.0 <= self.batch_minutes * 60.0 < math.inf:
+            raise ValueError(
+                f"batch_minutes {self.batch_minutes} is not finite and at least "
+                "one second (1/60)"
+            )
 
     @property
     def T(self) -> int:

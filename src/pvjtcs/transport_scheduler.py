@@ -39,10 +39,10 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Sequence
 
 from pvjtcs.model import GameParams, PvGroup
@@ -189,19 +189,102 @@ class FleetState:
 def _edge_remainder(vehicle: Vehicle, graph: RoadGraph) -> float:
     if vehicle.edge_head is None:
         return 0.0
-    return _edge_length(graph, vehicle.node, vehicle.edge_head) - vehicle.edge_progress
-
-
-def _edge_length(graph: RoadGraph, u: int, v: int) -> float:
-    for to, length in graph.adjacency[u]:
-        if to == v:
-            return length
-    raise KeyError(f"no edge {u}->{v}")
+    return graph.edge_km[vehicle.node][vehicle.edge_head] - vehicle.edge_progress
 
 
 def _ride_limit(request: TripRequest, params: GameParams) -> float:
     """Longest on-vehicle distance the detour bound allows the request."""
     return params.detour_max * max(request.direct_km, 1e-9) + 1e-9
+
+
+class PlanContext:
+    """What every insertion into one busy vehicle's plan shares: nothing
+    here depends on the request, so it holds while the plan, the vehicle
+    and the states of its plan's requests stay as they are, as they do
+    within ``pci_assign`` for every vehicle but a winner.
+
+    Built in one pass over the k stops.  ``nodes[0]`` is the anchor and
+    ``nodes[m + 1]`` the node of stop m; ``rows[m]`` is the distance row of
+    ``nodes[m]``, ``legs[m]`` the km from ``nodes[m]`` to ``nodes[m + 1]``
+    and ``prefix[m]`` the km to reach ``nodes[m]`` (``base``: to the end).
+    ``load[m]`` counts the passengers aboard on arrival at stop m
+    (``load[k]``: at the end); ``slack[m]`` is how much drop m's ride may
+    still grow (inf for pickups) and ``picked_at[m]`` the index of its
+    pickup, -1 if already on board; ``slack_of`` maps a drop's request id
+    to its slack.  ``fits_after[j]``: every load after stop j (old stops
+    j..k-1) fits.  ``broken``: the plan already breaks a detour bound.
+    """
+
+    __slots__ = ("vehicle", "budget", "nodes", "rows", "legs", "prefix", "base",
+                 "load", "slack", "picked_at", "slack_of", "fits_after", "broken",
+                 "_tails")
+
+    def __init__(
+        self,
+        vehicle: Vehicle,
+        graph: RoadGraph,
+        params: GameParams,
+        requests: dict[int, RequestState],
+    ):
+        stops = vehicle.plan.stops
+        k = len(stops)
+        self.vehicle = vehicle
+        self.budget = vehicle.energy - params.e_min
+        anchor = vehicle.anchor()
+        row = graph.single_source(anchor)[0]  # KeyError: unknown node
+        self.nodes = nodes = [anchor]
+        self.rows = rows = [row]
+        self.legs = legs = []
+        self.prefix = prefix = [_edge_remainder(vehicle, graph)]
+        self.load = load = [vehicle.plan.onboard]
+        self.slack = slack = [math.inf] * k
+        self.picked_at = picked_at = [-1] * k
+        self.slack_of = slack_of = {}
+        self.broken = False
+        pickup_index: dict[int, int] = {}
+        for m, stop in enumerate(stops):
+            node = stop.node
+            next_row = graph.single_source(node)[0]
+            leg = row[node]
+            nodes.append(node)
+            rows.append(next_row)
+            legs.append(leg)
+            prefix.append(prefix[-1] + leg)
+            row = next_row
+            rs = requests[stop.request_id]
+            if stop.action == PICKUP:
+                pickup_index[stop.request_id] = m
+                load.append(load[-1] + rs.request.passengers)
+                continue
+            load.append(load[-1] - rs.request.passengers)
+            q = pickup_index.get(stop.request_id)
+            if q is None:
+                ride = rs.ride_km + prefix[m + 1]
+            else:
+                ride = prefix[m + 1] - prefix[q + 1]
+                picked_at[m] = q
+            slack[m] = _ride_limit(rs.request, params) - ride
+            slack_of[stop.request_id] = slack[m]
+            if slack[m] < 0.0:
+                self.broken = True
+        self.base = prefix[-1]
+        self.fits_after = fits_after = [True] * (k + 1)
+        for m in range(k - 1, -1, -1):
+            fits_after[m] = fits_after[m + 1] and load[m + 1] <= params.seats
+        self._tails: list[list[float] | None] = [None] * (k + 1)
+
+    def tail(self, i: int) -> list[float]:
+        """``tail[j]`` for a pickup before stop i: the least slack of the
+        drops at j or later picked up before i, on whose rides the whole
+        added distance lands.  Built once per i."""
+        tail = self._tails[i]
+        if tail is None:
+            slack, picked_at = self.slack, self.picked_at
+            tail = [math.inf] * len(self.nodes)
+            for m in range(len(slack) - 1, i - 1, -1):
+                tail[m] = min(tail[m + 1], slack[m]) if picked_at[m] < i else tail[m + 1]
+            self._tails[i] = tail
+        return tail
 
 
 def insertion_cost(
@@ -212,90 +295,62 @@ def insertion_cost(
     graph: RoadGraph,
     params: GameParams,
     requests: dict[int, RequestState],
+    context: PlanContext | None = None,
 ) -> tuple[float, int, int] | None:
     """``(delta, i, j)`` of the cheapest feasible insertion, or None: the
     pickup goes before stop i, the dropoff before stop j >= i, and delta is
     the added distance; ``_with_trip`` builds that plan.  At equal delta
     the first (i, j) in lexicographic order wins.  ``pick_to_drop``
     (origin to destination) and ``new_limit`` (``_ride_limit``) depend only
-    on the request, so ``pci_assign`` computes them once per request.
+    on the request, and ``context`` (the vehicle's ``PlanContext``, built
+    here when not given) only on the vehicle, so ``pci_assign`` computes
+    each once.
 
     Tries every pickup position i and dropoff position j >= i, keeping
     candidates that respect seat capacity at every prefix, the detour bound
     for every affected passenger, and the vehicle's energy reserve; no plan
-    is built.  For k > 0 planned stops one call fetches k + 3 cached
-    distance rows (the anchor's, each stop's, the origin's and the
-    destination's) and makes O(k) lookups in them: legs between the anchor
-    and the stops, and to and from the new pickup and dropoff.  A
-    candidate's added distance is then O(1) arithmetic.  Its checks use the
-    old plan's loads and each old drop's detour slack (how far its ride may
-    still grow), with running extrema over the stops between pickup and
-    dropoff, so the whole search is O(k^2 * seats).
+    is built.  For k > 0 planned stops a call makes O(k) lookups in the
+    context's rows and in the origin's and the destination's: the legs to
+    and from the new pickup and dropoff.  A candidate's added distance is
+    then O(1) arithmetic.  Its checks use the old plan's loads and each old
+    drop's detour slack (how far its ride may still grow), with running
+    extrema over the stops between pickup and dropoff, so the whole search
+    is O(k^2 * seats).
     """
-    stops = vehicle.plan.stops
-    k = len(stops)
     origin, dest, pax = request.origin, request.destination, request.passengers
     seats = params.seats
-    inf = float("inf")
-    budget = vehicle.energy - params.e_min
+    if context is None:
+        if not vehicle.plan.stops:
+            # an idle vehicle has one candidate: to the pickup, then the
+            # dropoff (``pci_assign`` evaluates it inline, by these rules)
+            if vehicle.plan.onboard + pax > seats:
+                return None
+            to_pick = graph.single_source(vehicle.anchor())[0][origin]
+            delta = to_pick + pick_to_drop
+            base = _edge_remainder(vehicle, graph)
+            budget = vehicle.energy - params.e_min
+            if (base + delta) * params.consume_rate > budget or pick_to_drop > new_limit:
+                return None
+            return delta, 0, 0
+        context = PlanContext(vehicle, graph, params, requests)
+    if context.broken:
+        return None  # the old plan already breaks a detour bound
 
-    if not stops:
-        # an idle vehicle has one candidate: to the pickup, then the dropoff
-        if vehicle.plan.onboard + pax > seats:
-            return None
-        anchor = vehicle.anchor()
-        to_pick = graph.single_source(anchor)[0][origin]
-        delta = to_pick + pick_to_drop
-        base = _edge_remainder(vehicle, graph)
-        if (base + delta) * params.consume_rate > budget or pick_to_drop > new_limit:
-            return None
-        return delta, 0, 0
-
-    # nodes[0] is the anchor, nodes[m + 1] the node of stop m; index 0 of
-    # from_pick, to_drop and from_drop is never read
-    nodes = [vehicle.anchor()] + [s.node for s in stops]
-    rows = [graph.single_source(n)[0] for n in nodes]  # KeyError: unknown node
+    stops = vehicle.plan.stops
+    k = len(stops)
+    inf = math.inf
+    budget = context.budget
+    base = context.base
+    legs, prefix, load = context.legs, context.prefix, context.load
+    slack, picked_at, slack_of = context.slack, context.picked_at, context.slack_of
+    fits_after = context.fits_after
     from_origin = graph.single_source(origin)[0]
     from_dest = graph.single_source(dest)[0]
-    to_pick = [row[origin] for row in rows]
-    from_pick = [0.0] + [from_origin[n] for n in nodes[1:]]
-    to_drop = [0.0] + [row[dest] for row in rows[1:]]
-    from_drop = [0.0] + [from_dest[n] for n in nodes[1:]]
-    legs = [row[n] for row, n in zip(rows, nodes[1:])]
-    prefix = [_edge_remainder(vehicle, graph)]  # km to reach nodes[m]
-    for leg in legs:
-        prefix.append(prefix[-1] + leg)
-    base = prefix[-1]
-
-    # load[m]: passengers aboard on arrival at stop m (load[k]: at the end);
-    # slack[m]: how much drop m's ride may still grow (inf for pickups);
-    # picked_at[m]: index of drop m's pickup, -1 if already on board
-    load = [vehicle.plan.onboard]
-    slack = [inf] * k
-    picked_at = [-1] * k
-    pickup_index: dict[int, int] = {}
-    slack_of: dict[int, float] = {}
-    for m, stop in enumerate(stops):
-        rs = requests[stop.request_id]
-        if stop.action == PICKUP:
-            pickup_index[stop.request_id] = m
-            load.append(load[-1] + rs.request.passengers)
-            continue
-        load.append(load[-1] - rs.request.passengers)
-        q = pickup_index.get(stop.request_id)
-        if q is None:
-            ride = rs.ride_km + prefix[m + 1]
-        else:
-            ride = prefix[m + 1] - prefix[q + 1]
-            picked_at[m] = q
-        slack[m] = _ride_limit(rs.request, params) - ride
-        if slack[m] < 0.0:
-            return None  # the old plan already breaks a detour bound
-        slack_of[stop.request_id] = slack[m]
-    # fits_after[j]: every load after stop j (old stops j..k-1) fits
-    fits_after = [True] * (k + 1)
-    for m in range(k - 1, -1, -1):
-        fits_after[m] = fits_after[m + 1] and load[m + 1] <= seats
+    # index 0 of from_pick, to_drop and from_drop is never read
+    to_pick = [row[origin] for row in context.rows]
+    to_drop = [row[dest] for row in context.rows]
+    from_pick = [from_origin[n] for n in context.nodes]
+    from_drop = [from_dest[n] for n in context.nodes]
 
     best: tuple[float, int, int] | None = None
     for i in range(k + 1):
@@ -303,11 +358,7 @@ def insertion_cost(
             break  # the old plan overflows before any later pickup
         if load[i] + pax > seats:
             continue
-        # tail[j]: least slack of the drops at j or later picked up before
-        # i; the whole added distance lands on their rides
-        tail = [inf] * (k + 1)
-        for m in range(k - 1, i - 1, -1):
-            tail[m] = min(tail[m + 1], slack[m]) if picked_at[m] < i else tail[m + 1]
+        tail = context.tail(i)
 
         # j == i: pickup and dropoff back to back
         delta = to_pick[i] + pick_to_drop
@@ -390,51 +441,80 @@ def pci_assign(
     waiting state is replaced in ``requests``, not written, so a fleet
     clone that shares it keeps it waiting.
 
-    Every vehicle evaluated runs ``insertion_cost``; only the winner's plan
-    is built.  Idle vehicles at one anchor are skipped after the first
-    feasible one: a skipped vehicle's one candidate costs the same
-    bit-equal ``to_pick + pick_to_drop`` and it comes later in id order, so
-    it cannot win.  An infeasible vehicle marks nothing, because energy and
-    the remainder of the edge being driven differ between vehicles at one
-    anchor.
+    The call keeps a pool of the fleet, in id order, of what no request
+    changes.  An idle vehicle's entry holds its anchor, the anchor's
+    distance row, the remainder of the edge it drives and its energy
+    budget, and the vehicle is evaluated inline by ``insertion_cost``'s
+    idle rules.  A busy vehicle's entry is its ``PlanContext``, which
+    ``insertion_cost`` is given.  After an assignment only the winner's
+    entry is rebuilt, when a later request reads it, and only the
+    winner's plan is built.  Idle vehicles at one anchor are skipped after
+    the first feasible one: a skipped vehicle's one candidate costs the
+    same bit-equal ``to_pick + pick_to_drop`` and it comes later in id
+    order, so it cannot win.  An infeasible vehicle marks nothing, because
+    energy and the remainder of the edge being driven differ between
+    vehicles at one anchor.
 
     The winner is the least (cost, id) over the feasible vehicles.  Removing
     vehicles that did not win leaves it the least, so every winner stays.
     """
     order = sorted(pending, key=lambda r: (-(now - r.request_time), r.id))
-    by_id = sorted(fleet, key=lambda v: v.id)
     assignments: list[tuple[int, int]] = []
     waiting: list[TripRequest] = []
-    for request in order:
-        pick_to_drop = distance(graph, request.origin, request.destination)
+    if not order:
+        return assignments, waiting
+    seats, rate = params.seats, params.consume_rate
+    idle: list[tuple[Vehicle, int, dict[int, float], float, float]] = []
+    busy: list[PlanContext] = []
+    for veh in sorted(fleet, key=attrgetter("id")):
+        if veh.plan.stops:
+            busy.append(PlanContext(veh, graph, params, requests))
+            continue
+        anchor = veh.anchor()
+        idle.append((
+            veh, anchor, graph.single_source(anchor)[0],
+            _edge_remainder(veh, graph), veh.energy - params.e_min,
+        ))
+    for n, request in enumerate(order, 1):
+        origin, pax = request.origin, request.passengers
+        pick_to_drop = distance(graph, origin, request.destination)
         new_limit = _ride_limit(request, params)
-        best_vehicle = None
-        best = None
-        done_anchors: set[int] = set()  # an idle vehicle there was feasible
-        for veh in by_id:
-            idle = not veh.plan.stops
-            if idle:
-                anchor = veh.anchor()
-                if anchor in done_anchors:
+        best: tuple[float, int] | None = None  # least (cost, id) so far
+        if pick_to_drop <= new_limit:
+            done_anchors: set[int] = set()  # an idle vehicle there was feasible
+            for k, (veh, anchor, row, base, budget) in enumerate(idle):
+                if anchor in done_anchors or veh.plan.onboard + pax > seats:
                     continue
-            out = insertion_cost(
-                veh, request, pick_to_drop, new_limit, graph, params, requests
-            )
-            if out is None:
-                continue
-            if idle:
+                delta = row[origin] + pick_to_drop
+                if (base + delta) * rate > budget:
+                    continue
                 done_anchors.add(anchor)
-            if best is None or out[0] < best[0]:
-                best = out
-                best_vehicle = veh
-        if best_vehicle is None:
+                if best is None or delta < best[0]:
+                    best, winner, spot, i, j = (delta, veh.id), veh, (idle, k), 0, 0
+        for k, context in enumerate(busy):
+            veh = context.vehicle
+            out = insertion_cost(
+                veh, request, pick_to_drop, new_limit, graph, params, requests, context
+            )
+            if out is not None and (best is None or (out[0], veh.id) < best):
+                best, winner, spot = (out[0], veh.id), veh, (busy, k)
+                _, i, j = out
+        if best is None:
             waiting.append(request)
             continue
-        _, i, j = best
-        best_vehicle.plan = _with_trip(best_vehicle.plan, request, i, j)
-        best_vehicle.route = []  # plan changed: reroute from the anchor
+        winner.plan = _with_trip(winner.plan, request, i, j)
+        winner.route = []  # plan changed: reroute from the anchor
         requests[request.id] = RequestState(request, ASSIGNED)
-        assignments.append((request.id, best_vehicle.id))
+        assignments.append((request.id, winner.id))
+        if n == len(order):
+            break  # no later request reads the winner's entry
+        entries, k = spot
+        context = PlanContext(winner, graph, params, requests)
+        if entries is busy:
+            busy[k] = context
+        else:
+            del idle[k]
+            insort(busy, context, key=lambda c: c.vehicle.id)
     return assignments, waiting
 
 
@@ -695,15 +775,31 @@ class FleetEngine:
         drives the rest of its edge and its route, then stops (an idle
         vehicle finishing its edge, a charger reaching its station).  At a
         node it commits to its next edge before the budget check, so a
-        vehicle at a node at the batch end takes that edge at progress 0."""
+        vehicle at a node at the batch end takes that edge at progress 0.
+
+        Each drive is charged to the vehicle's energy (a vehicle holding
+        ``math.inf`` kwh keeps it), logged for the slot as a burn of the
+        batch starting at ``b0``, and added to the ride of every passenger
+        on board: the riders are collected once and updated at stops."""
         now = b0
-        state = self.state
+        requests = self.state.requests
+        edge_km = self.graph.edge_km
+        speed = self.params.speed
+        rate = self.params.consume_rate
+        burns = stats.burns
+        stops = veh.plan.stops
+        riders = [
+            rs
+            for stop in stops
+            if stop.action == DROPOFF
+            and (rs := requests[stop.request_id]).status == ONBOARD
+        ]
+        head = veh.edge_head
         while True:
-            stops = veh.plan.stops
-            if veh.edge_head is None:
+            if head is None:
                 if stops and veh.node == stops[0].node:
                     stop = stops[0]
-                    rs = state.requests[stop.request_id]
+                    rs = requests[stop.request_id]
                     if stop.action == PICKUP:
                         if now < rs.request.earliest_start:
                             if rs.request.earliest_start >= b1:
@@ -712,10 +808,12 @@ class FleetEngine:
                         rs.status = ONBOARD
                         rs.pickup_time = max(now, rs.request.earliest_start)
                         veh.plan.onboard += rs.request.passengers
+                        riders.append(rs)
                     else:
                         rs.status = SERVED
                         rs.dropoff_time = now
                         veh.plan.onboard -= rs.request.passengers
+                        riders = [r for r in riders if r is not rs]
                     stops.pop(0)
                     stats.transporting_ids.add(veh.id)
                     continue
@@ -723,41 +821,28 @@ class FleetEngine:
                     if not stops:
                         return
                     self._retarget(veh, stops[0].node)
-                veh.edge_head = veh.route.pop(0)
+                head = veh.edge_head = veh.route.pop(0)
                 veh.edge_progress = 0.0
 
-            budget_km = (b1 - now) * self.params.speed / 3600.0
+            budget_km = (b1 - now) * speed / 3600.0
             if budget_km <= 1e-12:
                 return
-            edge_len = _edge_length(self.graph, veh.node, veh.edge_head)
-            remaining = edge_len - veh.edge_progress
-            step = min(budget_km, remaining)
-            self._burn(veh, step, stats, b0)
-            now += step * 3600.0 / self.params.speed
+            remaining = edge_km[veh.node][head] - veh.edge_progress
+            step = remaining if remaining < budget_km else budget_km
+            if step > 0.0:
+                cost = step * rate
+                burns.append((b0, veh.id, cost))
+                energy = veh.energy - cost
+                if energy < -1e-9:
+                    raise EnergyUnderflowError(f"vehicle {veh.id} fell to {energy:.3f} kwh")
+                veh.energy = 0.0 if energy < 0.0 else energy
+                for rs in riders:
+                    rs.ride_km += step
+            now += step * 3600.0 / speed
             if step >= remaining - 1e-12:
-                veh.node = veh.edge_head
-                veh.edge_head = None
+                veh.node = head
+                head = veh.edge_head = None
                 veh.edge_progress = 0.0
             else:
                 veh.edge_progress += step
                 return
-
-    def _burn(self, veh: Vehicle, km: float, stats: SlotStats, b0: float) -> None:
-        """Drive ``km`` in the batch starting at ``b0``: charge the energy to
-        the vehicle and log it for the slot (a vehicle holding ``math.inf``
-        kwh keeps it)."""
-        if km <= 0.0:
-            return
-        cost = km * self.params.consume_rate
-        stats.burns.append((b0, veh.id, cost))
-        veh.energy -= cost
-        if veh.energy < -1e-9:
-            raise EnergyUnderflowError(
-                f"vehicle {veh.id} fell to {veh.energy:.3f} kwh"
-            )
-        veh.energy = max(veh.energy, 0.0)
-        for stop in veh.plan.stops:
-            if stop.action == DROPOFF:
-                rs = self.state.requests[stop.request_id]
-                if rs.status == ONBOARD:
-                    rs.ride_km += km

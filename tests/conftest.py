@@ -2,7 +2,6 @@
 
 import pytest
 
-from pvjtcs import transport_scheduler
 from pvjtcs.model import GameParams, PriceCurve
 from pvjtcs.network import RegionMap, RoadGraph, StationSet
 from pvjtcs.transport_scheduler import TripRequest
@@ -65,18 +64,23 @@ def small_params(**overrides) -> GameParams:
     return GameParams(**base)
 
 
-# insertion costs of vehicles 0, 1 and 2, each below the one before by less
-# than 1e-12: vehicle 2 is the least, so it wins from any subset holding it
+# km from the anchors of vehicles 0, 1 and 2 to a pickup, each below the
+# one before by less than 1e-12: vehicle 2 is the least, so it wins from
+# any subset holding it
 NEAR_TIE = {0: 1.0, 1: 1.0 - 0.5e-12, 2: 1.0 - 1.5e-12}
 
 
-def price_insertions_by_id(monkeypatch, costs):
-    """Make every feasible ``insertion_cost`` cost ``costs[vehicle id]``,
-    keeping its positions."""
-    original = transport_scheduler.insertion_cost
+def price_idle_insertions(monkeypatch, graph, origin, km_by_anchor):
+    """Make an idle vehicle anchored at node n reach ``origin`` in
+    ``km_by_anchor[n]`` km: the distance row ``graph.single_source``
+    returns for n reads that at ``origin``.  An idle vehicle's insertion
+    then costs that plus the trip's own km."""
+    original = graph.single_source
 
-    def priced(vehicle, *args):
-        out = original(vehicle, *args)
-        return None if out is None else (costs[vehicle.id],) + out[1:]
+    def priced(source):
+        row, pred = original(source)
+        if source in km_by_anchor:
+            row = {**row, origin: km_by_anchor[source]}
+        return row, pred
 
-    monkeypatch.setattr(transport_scheduler, "insertion_cost", priced)
+    monkeypatch.setattr(graph, "single_source", priced)

@@ -6,7 +6,7 @@ from projected gradient ascent on the aggregate payoff, linear programs are
 solved by vertex enumeration, shortest paths by Bellman-Ford, and ride
 insertions by materializing every candidate plan and walking it stop by stop.
 
-Eight are former production loops, kept as bit-exact references for the
+Nine are former production loops, kept as bit-exact references for the
 faster versions: ``dict_dijkstra`` (single-source shortest paths over
 node-id dicts), ``sspm_iterate`` (the paper's extragradient scheme, with
 ``line_search`` and ``intersection_core``), ``bisection_equilibrium`` (the
@@ -16,10 +16,12 @@ test), ``linear_scan_dual`` (the box-hyperplane projection
 that evaluates every breakpoint in turn), ``full_scan_assign`` (ride
 assignment that evaluates every vehicle through ``insertion_cost`` and
 builds each returned plan, ``planned_insertion``), ``scan_nearest_node``
-(the endpoint snap that scans every node for each point) and
+(the endpoint snap that scans every node for each point),
+``reference_advance`` (the movement rule that scans a node's out-edges
+for each edge's length and every planned stop for each step's riders) and
 ``interleaved_slot`` (a slot simulated in one pass, the chargers driven
-among the serving vehicles).  ``reference_day`` runs whole days with every
-slot executed by ``interleaved_slot``.
+among the serving vehicles by ``reference_advance``).  ``reference_day``
+runs whole days with every slot executed by ``interleaved_slot``.
 """
 
 from __future__ import annotations
@@ -50,8 +52,11 @@ from pvjtcs.simplex import (
 from pvjtcs.transport_scheduler import (
     ASSIGNED,
     DROPOFF,
+    ONBOARD,
     PICKUP,
+    SERVED,
     WAITING,
+    EnergyUnderflowError,
     FleetEngine,
     RequestState,
     SlotStats,
@@ -1003,6 +1008,86 @@ def scan_nearest_node(graph, lon, lat):
     return best
 
 
+def _edge_length(graph, u: int, v: int) -> float:
+    for to, length in graph.adjacency[u]:
+        if to == v:
+            return length
+    raise KeyError(f"no edge {u}->{v}")
+
+
+def reference_advance(engine, veh, b0: float, b1: float, stats) -> None:
+    """``FleetEngine._advance`` as it drove before the edge table: each
+    edge's length found by a scan of its tail's out-edges
+    (``_edge_length``), and each step charged by ``reference_burn``, which
+    scans every planned stop for the passengers on board."""
+    now = b0
+    state = engine.state
+    while True:
+        stops = veh.plan.stops
+        if veh.edge_head is None:
+            if stops and veh.node == stops[0].node:
+                stop = stops[0]
+                rs = state.requests[stop.request_id]
+                if stop.action == PICKUP:
+                    if now < rs.request.earliest_start:
+                        if rs.request.earliest_start >= b1:
+                            return  # wait through the batch boundary
+                        now = rs.request.earliest_start
+                    rs.status = ONBOARD
+                    rs.pickup_time = max(now, rs.request.earliest_start)
+                    veh.plan.onboard += rs.request.passengers
+                else:
+                    rs.status = SERVED
+                    rs.dropoff_time = now
+                    veh.plan.onboard -= rs.request.passengers
+                stops.pop(0)
+                stats.transporting_ids.add(veh.id)
+                continue
+            if not veh.route:
+                if not stops:
+                    return
+                engine._retarget(veh, stops[0].node)
+            veh.edge_head = veh.route.pop(0)
+            veh.edge_progress = 0.0
+
+        budget_km = (b1 - now) * engine.params.speed / 3600.0
+        if budget_km <= 1e-12:
+            return
+        edge_len = _edge_length(engine.graph, veh.node, veh.edge_head)
+        remaining = edge_len - veh.edge_progress
+        step = min(budget_km, remaining)
+        reference_burn(engine, veh, step, stats, b0)
+        now += step * 3600.0 / engine.params.speed
+        if step >= remaining - 1e-12:
+            veh.node = veh.edge_head
+            veh.edge_head = None
+            veh.edge_progress = 0.0
+        else:
+            veh.edge_progress += step
+            return
+
+
+def reference_burn(engine, veh, km: float, stats, b0: float) -> None:
+    """Drive ``km`` in the batch starting at ``b0``: charge the energy to
+    the vehicle and log it for the slot (a vehicle holding ``math.inf``
+    kwh keeps it)."""
+    if km <= 0.0:
+        return
+    cost = km * engine.params.consume_rate
+    stats.burns.append((b0, veh.id, cost))
+    veh.energy -= cost
+    if veh.energy < -1e-9:
+        raise EnergyUnderflowError(
+            f"vehicle {veh.id} fell to {veh.energy:.3f} kwh"
+        )
+    veh.energy = max(veh.energy, 0.0)
+    for stop in veh.plan.stops:
+        if stop.action == DROPOFF:
+            rs = engine.state.requests[stop.request_id]
+            if rs.status == ONBOARD:
+                rs.ride_km += km
+
+
 def interleaved_slot(engine, t, pool_ids, charger_ids):
     """Slot t on ``engine``'s live state in one pass: the chargers start
     toward their nearest stations, then batch by batch the pool takes the
@@ -1036,7 +1121,7 @@ def interleaved_slot(engine, t, pool_ids, charger_ids):
             able = [v for v in pool if v.energy >= params.slot_consumption]
             pci_assign(pending, able, engine.graph, params, b0, state.requests)
         for veh in state.vehicles:
-            engine._advance(veh, b0, b1, stats)
+            reference_advance(engine, veh, b0, b1, stats)
     for veh in chargers:
         if veh.id not in station_of:
             continue

@@ -824,6 +824,13 @@ class TestCliSurface:
         assert rc == 1
         assert not (tmp_path / "o").exists()
 
+    # a batch under a second would split each slot into billions of batches
+    def test_batch_under_a_second_rejected(self, tmp_path, caplog):
+        cfg = bundled_config(tmp_path, batch_minutes=1e-9)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "batch_minutes 1e-09 is not finite and at least one second" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     # a day of no slots, an hour off the clock of prices.csv, and a trip
     # filter that keeps no trip (infinity) or every trip (NaN)
     @pytest.mark.parametrize("key, value, reason", [

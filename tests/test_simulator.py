@@ -40,7 +40,7 @@ from conftest import (
     NEAR_TIE,
     make_grid_graph,
     make_request,
-    price_insertions_by_id,
+    price_idle_insertions,
     small_params,
 )
 from pvjtcs.network import RegionMap, StationSet
@@ -339,16 +339,18 @@ class TestFullRuns:
         assert all(n for t, n in executed if t in reserved)
 
     def test_close_costs_keep_the_dry_runs_service(self, monkeypatch):
-        # insertion costs 1.0, 1.0 - 0.5e-12 and 1.0 - 1.5e-12 by vehicle
-        # id: the dry run gives the trip to vehicle 2, the least.  Vehicle
-        # 0, the greedy scheme's one charger, did not win, so the slot keeps
-        # the dry run's service: it equals the slot simulated in one pass
+        # the idle vehicles' rows put them 1.0, 1.0 - 0.5e-12 and
+        # 1.0 - 1.5e-12 km from the pickup by vehicle id: the dry run gives
+        # the trip to vehicle 2, the least.  Vehicle 0, the greedy scheme's
+        # one charger, did not win, so the slot keeps the dry run's
+        # service: it equals the slot simulated in one pass
         graph = make_grid_graph()
         scenario = make_scenario(
             requests=[make_request(graph, 1, 0.0, 6, 7)], T=1, J=3, seed=1,
             energies=[20.0, 45.0, 45.0],
         )
-        assert len({v.node for v in scenario.build_fleet()}) == 3  # no anchor skip
+        fleet = scenario.build_fleet()
+        assert len({v.node for v in fleet}) == 3  # no anchor skip
         orig_run_slot = FleetEngine.run_slot
         orig_build = FleetEngine.slot_from_dry_run
         served = []  # the statistics of each run_slot
@@ -368,7 +370,9 @@ class TestFullRuns:
             realized.append((charger_ids, stats))
             return stats
 
-        price_insertions_by_id(monkeypatch, NEAR_TIE)
+        price_idle_insertions(
+            monkeypatch, scenario.graph, 6, {v.node: NEAR_TIE[v.id] for v in fleet}
+        )
         monkeypatch.setattr(FleetEngine, "run_slot", run_slot)
         monkeypatch.setattr(FleetEngine, "slot_from_dry_run", slot_from_dry_run)
         summary = run_tgc(scenario)

@@ -39,7 +39,7 @@ from pvjtcs.transport_scheduler import (
 from conftest import (
     make_grid_graph,
     make_request,
-    price_insertions_by_id,
+    price_idle_insertions,
     small_params,
 )
 from oracles import (
@@ -342,11 +342,16 @@ class TestInsertionCost:
 @st.composite
 def assign_batches(draw):
     """A batch of requests and a fleet on the 4x4 grid that reach
-    ``pci_assign``'s anchor skip: 4-12 idle vehicles on 1-3 neighbouring
-    shared anchors, some mid-edge into their anchor (so their edge
-    remainders differ), energies on both sides of the reserve, and busy
-    vehicles interleaved by id.  Returns (batch, fleet state, params, now)."""
+    ``pci_assign``'s anchor skip and reuse its plan contexts: 1-8 requests;
+    4-12 idle vehicles on 1-3 neighbouring shared anchors, some mid-edge
+    into their anchor (so their edge remainders differ); 0-4 busy vehicles,
+    some mid-edge, each with 1-3 trips on board or assigned; all
+    interleaved by id.  Energies lie on both sides of the reserve, some a
+    whole number of sixteenths of a km of driving above it, where a
+    candidate's drive can use the whole budget.  Returns (batch, fleet
+    state, params, now)."""
     nodes = st.integers(min_value=0, max_value=15)
+    keys = st.integers(min_value=0, max_value=20)
     # neighbouring anchors: a vehicle mid-edge between two of them sits on
     # one and is anchored at the other
     first = draw(nodes)
@@ -357,7 +362,12 @@ def assign_batches(draw):
     n_idle = draw(st.integers(min_value=4, max_value=12))
     n_busy = draw(st.integers(min_value=0, max_value=4))
     ids = draw(st.permutations(range(n_idle + n_busy)))
-    energies = st.one_of(st.floats(min_value=3.0, max_value=4.5), st.just(40.0))
+    # the edge remainders and grid distances are sixteenths of a km
+    energies = st.one_of(
+        st.floats(min_value=3.0, max_value=4.5),
+        st.just(40.0),
+        st.integers(0, 64).map(lambda n: PARAMS.e_min + PARAMS.consume_rate * n / 16),
+    )
     requests = {}
     vehicles = []
     for vid in ids[:n_idle]:
@@ -368,19 +378,37 @@ def assign_batches(draw):
             veh.edge_head = anchor
             veh.edge_progress = draw(st.integers(min_value=0, max_value=7)) / 16
         vehicles.append(veh)
+    rid = 100
     for vid in ids[n_idle:]:
-        rid = 100 + vid
-        origin = draw(nodes)
-        dest = draw(nodes.filter(lambda n: n != origin))
-        rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest),
-                          status=ASSIGNED)
-        requests[rid] = rs
-        vehicles.append(Vehicle(
+        keyed = []  # (sort key, order drawn, stop): pickups precede their drops
+        onboard = 0
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            rid += 1
+            origin = draw(nodes)
+            dest = draw(nodes.filter(lambda n: n != origin))
+            pax = draw(st.integers(min_value=1, max_value=2))
+            rs = RequestState(request=make_request(GRID, rid, 0.0, origin, dest, pax))
+            if draw(st.booleans()):
+                rs.status = ONBOARD
+                rs.ride_km = draw(st.integers(min_value=0, max_value=16)) / 16
+                onboard += pax
+                keyed.append((draw(keys), len(keyed), Stop(dest, DROPOFF, rid)))
+            else:
+                rs.status = ASSIGNED
+                pick, drop = sorted((draw(keys), draw(keys)))
+                keyed.append((pick, len(keyed), Stop(origin, PICKUP, rid)))
+                keyed.append((drop, len(keyed), Stop(dest, DROPOFF, rid)))
+            requests[rid] = rs
+        veh = Vehicle(
             id=vid, node=draw(nodes), energy=draw(energies),
-            plan=_with_trip(VehiclePlan(), rs.request, 0, 0),
-        ))
+            plan=VehiclePlan(stops=[s for _, _, s in sorted(keyed)], onboard=onboard),
+        )
+        if draw(st.booleans()):
+            veh.edge_head = draw(st.sampled_from([to for to, _ in GRID.adjacency[veh.node]]))
+            veh.edge_progress = draw(st.integers(min_value=1, max_value=7)) / 16
+        vehicles.append(veh)
     batch = []
-    for rid in range(1, draw(st.integers(min_value=1, max_value=5)) + 1):
+    for rid in range(1, draw(st.integers(min_value=1, max_value=8)) + 1):
         origin = draw(nodes)
         dest = draw(nodes.filter(lambda n: n != origin))
         new = make_request(GRID, rid, 60.0 * draw(st.integers(0, 2)), origin, dest,
@@ -405,6 +433,33 @@ class TestPciAssign:
         assert out == expected
         # every vehicle's plan and route, every request's state
         assert state == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=assign_batches())
+    def test_plan_contexts_match_fresh_insertions(self, case):
+        # pci_assign keeps each busy vehicle's plan context through the
+        # batch and rebuilds only the winner's: after every assignment,
+        # each busy vehicle's cost from its context is bit-equal to a fresh
+        # insertion_cost's, which builds its own
+        batch, state, params, now = case
+        original = transport_scheduler.insertion_cost
+        batch_ids = {r.id for r in batch}
+
+        def fresh(vehicle, request, pick_to_drop, new_limit, graph, params,
+                  requests, context):
+            args = (vehicle, request, pick_to_drop, new_limit, graph, params, requests)
+            out = original(*args, context)
+            expected = original(*args)
+            assert (out is None) == (expected is None)
+            if out is not None:
+                assert out[1:] == expected[1:] and out[0].hex() == expected[0].hex()
+            if any(requests[rid].status == ASSIGNED for rid in batch_ids):
+                event("a context evaluated after an assignment")
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport_scheduler, "insertion_cost", fresh)
+            pci_assign(batch, state.vehicles, GRID, params, now, state.requests)
 
     def test_short_vehicle_does_not_hide_its_anchor(self, grid_graph):
         # vehicles 1 and 2 wait at node 5, but 1 lacks the energy for the
@@ -475,11 +530,10 @@ class TestPciAssign:
         assigned, _ = pci_assign([b, a], [veh], grid_graph, PARAMS, 60.0, requests)
         assert [rid for rid, _ in assigned][0] == 2
 
-    def test_runs_insertion_cost_once_per_evaluated_vehicle(
-        self, grid_graph, monkeypatch
-    ):
+    def test_evaluates_each_vehicle_once(self, grid_graph, monkeypatch):
         # idle vehicles 1 and 3 share anchor 5, so 3 is skipped once 1 is
-        # feasible; every other vehicle is evaluated through insertion_cost
+        # feasible: anchor 5's row is read at the pickup once.  Each busy
+        # vehicle is evaluated by one insertion_cost call
         evaluated = []
         original = transport_scheduler.insertion_cost
 
@@ -488,6 +542,22 @@ class TestPciAssign:
             return original(vehicle, *args)
 
         monkeypatch.setattr(transport_scheduler, "insertion_cost", counting)
+        reads = []  # the sources of the rows read at the pickup, node 6
+        single_source = grid_graph.single_source
+
+        class Row(dict):
+            def __getitem__(self, node):
+                if node == 6:
+                    reads.append(self.source)
+                return super().__getitem__(node)
+
+        def logged(source):
+            row, pred = single_source(source)
+            logged_row = Row(row)
+            logged_row.source = source
+            return logged_row, pred
+
+        monkeypatch.setattr(grid_graph, "single_source", logged)
         old = [make_request(grid_graph, 10 + k, 0.0, k, 15 - k) for k in range(3)]
         req = make_request(grid_graph, 1, 0.0, 6, 7)
         requests = states_for(*old, req)
@@ -498,7 +568,8 @@ class TestPciAssign:
             fleet.append(busy)
         assigned, waiting = pci_assign([req], fleet, grid_graph, PARAMS, 1.0, requests)
         assert assigned and not waiting
-        assert evaluated == [0, 1, 2, 4]
+        assert evaluated == [0, 2, 4]
+        assert reads.count(5) == 1
 
     def test_vehicle_tie_smaller_id(self, grid_graph):
         req = make_request(grid_graph, 1, 0.0, 5, 6)
@@ -531,7 +602,8 @@ class TestPciAssign:
         winner = min(costs, key=lambda vid: (costs[vid], vid))
         subset = [vid for vid in costs if keep[vid] or vid == winner]
         with pytest.MonkeyPatch.context() as mp:
-            price_insertions_by_id(mp, costs)
+            # vehicle vid stands at node vid; the pickup is node 6
+            price_idle_insertions(mp, GRID, 6, costs)
             assert self.assign_one(GRID, list(costs)) == [(1, winner)]
             assert self.assign_one(GRID, subset) == [(1, winner)]
 
@@ -764,6 +836,48 @@ class TestEngine:
         driven = PARAMS.speed  # km in the one-hour slot
         assert stats.consumed_kwh == pytest.approx(driven * PARAMS.consume_rate)
         assert engine.state.vehicle(0).edge_progress == pytest.approx(driven)
+
+    def test_drives_the_shortest_parallel_edge_as_the_reference(self):
+        # every road has a parallel copy of another length, and at 7 km/h
+        # batches end mid-edge.  Each slot, served or with an idle vehicle
+        # charging, ends as interleaved_slot's, whose drive scans a node's
+        # out-edges for each edge's length and the plan for each step's
+        # riders: burns, ride km, times and positions, bit for bit
+        graph = RoadGraph.from_edges(
+            {n: (0.01 * n, 0.0) for n in range(4)},
+            [(0, 1, 1.1), (0, 1, 0.4), (1, 0, 0.4), (1, 0, 0.9), (1, 2, 2.0),
+             (1, 2, 0.7), (2, 1, 0.7), (2, 3, 0.5), (3, 2, 1.3), (3, 2, 0.5),
+             (3, 0, 0.6), (0, 3, 0.6), (0, 3, 0.25)],
+        )
+        requests = [
+            make_request(graph, rid, 400.0 * rid, rid % 4, (rid + 1 + rid % 2) % 4,
+                         1 + rid % 2)
+            for rid in range(1, 14)
+        ]
+
+        def engine():
+            mid = fresh_vehicle(vid=2, node=1, energy=12.0)
+            mid.edge_head, mid.edge_progress = 2, 0.3  # 0.4 km left, not 1.7
+            return FleetEngine(
+                graph=graph, stations=StationSet([0]), requests=requests,
+                vehicles=[fresh_vehicle(vid=0, node=0), fresh_vehicle(vid=1, node=3),
+                          mid],
+                params=small_params(speed=7.0), start_epoch=0.0, batch_minutes=5.0,
+            )
+
+        live, ref = engine(), engine()
+        fleet = {0, 1, 2}
+        charged = 0
+        for t in range(4):
+            idle = [v.id for v in live.state.vehicles if not v.plan.stops]
+            chargers = set(idle[:1]) if t % 2 else set()
+            stats = execute_slot(live, t, fleet - chargers, chargers)
+            expected = interleaved_slot(ref, t, fleet - chargers, chargers)
+            assert stats == expected and live.state == ref.state
+            charged += len(chargers)
+        assert charged
+        rides = [rs.ride_km for rs in live.state.requests.values() if rs.status == SERVED]
+        assert rides and min(rides) > 0.0
 
     def test_determinism(self, grid_graph):
         reqs = [
